@@ -31,7 +31,7 @@ from . import fusion_space as fs
 from . import measurement as ms
 from . import teleport as tp
 from .errors import AnyonError, MaxAttemptsExceeded
-from .model import CONSISTENCY_TOL, load_builtin
+from .model import CONSISTENCY_TOL, is_builtin_name, load_builtin
 from .model_io import load_model_file
 
 #: Default fidelity tolerance for oracle comparisons.
@@ -49,8 +49,15 @@ def _substream(seed: int, index: int) -> np.random.Generator:
 
 
 def _load_model(args, file_tolerance=None):
+    """A built-in model by name, else a model file.
+
+    Built-in names win over a same-named file in the working directory;
+    a path with a directory separator or a ``.model`` suffix is always a
+    file.
+    """
     name = args.model
-    if os.path.exists(name) or os.sep in name or name.endswith(".model"):
+    is_path = os.sep in name or name.endswith(".model")
+    if is_path or (not is_builtin_name(name) and os.path.exists(name)):
         if file_tolerance is None:
             file_tolerance = getattr(args, "tolerance", CONSISTENCY_TOL)
         try:

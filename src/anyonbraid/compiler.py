@@ -156,6 +156,27 @@ class Schedule:
 # ---------------------------------------------------------------------------
 
 
+def array_layout(model: AnyonModel, a, n_computational: int,
+                 self_dual_economy: bool = False) -> ArrayLayout:
+    """The layout :func:`build_array` gives ``n_computational`` anyons of
+    charge ``a``: computational anyon ``i`` on leaf ``3 i``, the resource
+    pair between anyons ``i`` and ``i+1`` on leaves ``(3 i + 1, 3 i + 2)``,
+    and for an odd count a boundary partner on the last leaf.
+    """
+    ca = model.charge(a)
+    if n_computational < 2:
+        raise ProtocolError("an array needs at least 2 computational anyons")
+    if model.dual(ca) != ca:
+        raise UnsupportedCharge(
+            f"computational charge must be self-dual; dual({ca.label}) = "
+            f"{model.dual(ca).label}")
+    computational = tuple(3 * i for i in range(n_computational))
+    resources = tuple((3 * i + 1, 3 * i + 2) for i in range(n_computational - 1))
+    partner = 3 * n_computational - 2 if n_computational % 2 else None
+    return ArrayLayout(model, ca.label, computational, resources, partner,
+                       bool(self_dual_economy))
+
+
 def build_array(model: AnyonModel, a, n_computational: int,
                 self_dual_economy: bool = False) -> tuple[ArrayLayout, StateVector]:
     """Create the initial array state and its layout.
@@ -166,25 +187,14 @@ def build_array(model: AnyonModel, a, n_computational: int,
     in the vacuum channel is inserted between each adjacent computational
     pair, so braid quads are contiguous.
     """
+    layout = array_layout(model, a, n_computational, self_dual_economy)
     ca = model.charge(a)
-    if n_computational < 2:
-        raise ProtocolError("an array needs at least 2 computational anyons")
-    if model.dual(ca) != ca:
-        raise UnsupportedCharge(
-            f"computational charge must be self-dual; dual({ca.label}) = "
-            f"{model.dual(ca).label}")
     state = empty_state(model)
     for _ in range((n_computational + 1) // 2):
         state = attach_pair(state, state.num_leaves, ca)
-    odd = n_computational % 2 == 1
     # Insert resource pairs right-to-left so earlier gaps keep their index.
     for gap in range(n_computational - 1, 0, -1):
         state = attach_pair(state, gap, model.dual(ca))
-    computational = tuple(3 * i for i in range(n_computational))
-    resources = tuple((3 * i + 1, 3 * i + 2) for i in range(n_computational - 1))
-    partner = state.num_leaves - 1 if odd else None
-    layout = ArrayLayout(model, ca.label, computational, resources, partner,
-                         bool(self_dual_economy))
     return layout, state
 
 
@@ -313,29 +323,41 @@ def schedule_from_dict(data: dict, model: AnyonModel | None = None) -> Schedule:
     """Rebuild a schedule dumped with ``Schedule.to_dict``.
 
     If ``model`` is omitted it is reconstructed from the layout header via
-    :func:`anyonbraid.model.load_builtin`.
+    :func:`anyonbraid.model.load_builtin`.  The layout must be exactly the
+    one :func:`build_array` gives for its model, charge and number of
+    computational anyons, and the steps must be those its braid word
+    compiles to; anything else raises :class:`ScheduleError`.
     """
     from .model import load_builtin
 
+    if not isinstance(data, dict):
+        raise ScheduleError("a schedule must be a JSON object")
     if data.get("format") != "anyonbraid-schedule-v1":
         raise ScheduleError(f"unknown schedule format {data.get('format')!r}")
-    lay = data["layout"]
-    if model is None:
-        model = load_builtin(lay["model"], k=lay["params"].get("k"))
-    layout = ArrayLayout(model, lay["charge"],
-                         tuple(lay["computational"]),
-                         tuple(tuple(p) for p in lay["resources"]),
-                         lay["boundary_partner"], lay["self_dual_economy"])
-    word = BraidWord.parse(data["word"]) if data.get("word") else BraidWord(())
-    steps = []
-    for s in data["steps"]:
-        if s["kind"] == "readout":
-            steps.append(ScheduleStep("readout", tuple(s["pair"])))
-        else:
-            steps.append(ScheduleStep("forced_measurement", tuple(s["pair"]),
-                                      tuple(s["recovery"]), s["braid_index"],
-                                      s["generator"], s["direction"],
-                                      tuple(s["quad"])))
+    try:
+        lay = data["layout"]
+        if model is None:
+            model = load_builtin(lay["model"], k=lay["params"].get("k"))
+        layout = array_layout(model, lay["charge"], len(lay["computational"]),
+                              lay["self_dual_economy"])
+        word = BraidWord.parse(data["word"]) if data.get("word") else BraidWord(())
+        steps = []
+        for s in data["steps"]:
+            if s["kind"] == "readout":
+                steps.append(ScheduleStep("readout", tuple(s["pair"])))
+            else:
+                steps.append(ScheduleStep("forced_measurement", tuple(s["pair"]),
+                                          tuple(s["recovery"]), s["braid_index"],
+                                          s["generator"], s["direction"],
+                                          tuple(s["quad"])))
+    except KeyError as exc:
+        raise ScheduleError(f"malformed schedule: missing field {exc}") from exc
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise ScheduleError(f"malformed schedule: {exc}") from exc
+    if lay != layout.describe():
+        raise ScheduleError(
+            f"layout {lay} is not the canonical layout {layout.describe()} "
+            f"for its model, charge and size")
     schedule = Schedule(layout, word, tuple(steps))
     compiled = compile_word(word, layout)
     if word.generators and compiled.steps != schedule.steps:

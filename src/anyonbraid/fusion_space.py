@@ -7,7 +7,9 @@ fusion chain: leaves ``l_0, ..., l_{n-1}`` fuse in order,
 
 and a :class:`FusionTree` records the free internal labels
 ``(y_1, ..., y_{n-2})``.  Trees are enumerated in lexicographic order of the
-internal labels, which fixes the basis indexing.
+internal labels, which fixes the basis indexing.  Internally a basis is its
+``(dim, n)`` matrix of chain labels ``(y_0, ..., y_{n-1})``, one row per
+tree.
 
 All kets are orthonormal and all public operations keep states unit-norm:
 the diagrammatic normalization prefactors of the underlying formalism are
@@ -17,6 +19,20 @@ cup/cap bending the module ever performs is flipping a pair state
 ``(a, dual a) -> (dual a, a)``, which contributes the bending phase
 ``kappa_a`` tracked in a :class:`DiagramIsotopyNote`.
 
+Operators are local.  The F-move resolving pair ``(pos, pos+1)`` and the
+elementary braid of those leaves rewrite only chain label ``y_pos``, with
+matrix elements that depend on its neighbours ``y_{pos-1}, y_{pos+1}``.
+Each is stored, per model and basis, as a row-gather table
+``(index, value)``: output row ``r`` is ``sum_k value[k, r] *
+amps[index[k, r]]``, with ``k`` running over at most the number of charges
+``m``.  Both arrays have shape ``(w, dim)``, slot-major so that applying a
+table, ``(value * amps[index]).sum(0)``, reduces over contiguous rows.  A
+table costs O(dim * m) memory and time; no operator is ever a dim x dim
+matrix.  Composite operators (transport of a charge line, non-adjacent
+measurement, the quad-braid oracle) are sequences of such tables, applied
+in turn and never multiplied out.  The same tables act on a batch of
+states stored as ``(dim, T)`` columns.
+
 States are immutable; operations return new states, so independent Monte
 Carlo trials can fan out across workers freely.
 """
@@ -24,6 +40,7 @@ Carlo trials can fan out across workers freely.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +50,9 @@ from .model import AnyonModel, Charge
 
 #: Unit-norm tolerance enforced on construction.
 NORM_TOL = 1e-9
+
+#: Row keys are folded in int64 and rank-compressed before they pass this.
+_KEY_LIMIT = 2 ** 62
 
 
 @dataclass(frozen=True, order=True)
@@ -76,27 +96,29 @@ class StateVector:
     ``resolved_pair`` marks a state written in the reassociated basis where
     the pair ``(resolved_pair, resolved_pair + 1)`` carries an explicit
     collective charge label in place of the chain label at that slot; see
-    :func:`apply_f_move`.
+    :func:`apply_f_move`.  ``chains`` is the ``(dim, n)`` chain-label matrix
+    of that basis.
     """
 
-    __slots__ = ("model", "leaves", "total", "trees", "amps", "resolved_pair")
+    __slots__ = ("model", "leaves", "total", "chains", "amps", "resolved_pair")
 
-    def __init__(self, model, leaves, total, amps, resolved_pair=None, _trees=None):
+    def __init__(self, model, leaves, total, amps, resolved_pair=None, _chains=None):
+        # ``_chains`` is passed internally, with leaves and total already
+        # given as charge indices.
+        if _chains is None:
+            leaves = tuple(model.charge(l).index for l in leaves)
+            total = model.charge(total).index
+            _chains = _basis(model, leaves, total, resolved_pair or 0)
         self.model = model
-        self.leaves = tuple(model.charge(l).index for l in leaves)
-        self.total = model.charge(total).index
+        self.leaves = leaves
+        self.total = total
         self.resolved_pair = resolved_pair
-        if _trees is not None:
-            self.trees = _trees
-        elif resolved_pair is None:
-            self.trees = _chain_trees(model, self.leaves, self.total)
-        else:
-            self.trees = _resolved_trees(model, self.leaves, self.total, resolved_pair)
+        self.chains = _chains
         amps = np.asarray(amps, dtype=complex).reshape(-1)
-        if len(amps) != len(self.trees):
+        if len(amps) != len(self.chains):
             raise BasisMismatch(
-                f"expected {len(self.trees)} amplitudes, got {len(amps)}")
-        norm = np.linalg.norm(amps)
+                f"expected {len(self.chains)} amplitudes, got {len(amps)}")
+        norm = math.sqrt(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: |amps| = {norm}")
         # Stored as given (not re-divided) so that text dumps round-trip
@@ -110,14 +132,18 @@ class StateVector:
 
     @property
     def dim(self) -> int:
-        return len(self.trees)
+        return len(self.chains)
+
+    @property
+    def trees(self) -> tuple[FusionTree, ...]:
+        return _trees(self.model, self.leaves, self.total, self.resolved_pair or 0)
 
     def leaf_charges(self) -> tuple[Charge, ...]:
         return tuple(self.model.charges[i] for i in self.leaves)
 
     def _replace_amps(self, amps) -> "StateVector":
         return StateVector(self.model, self.leaves, self.total, amps,
-                           resolved_pair=self.resolved_pair, _trees=self.trees)
+                           resolved_pair=self.resolved_pair, _chains=self.chains)
 
     def __repr__(self) -> str:
         leaves = ",".join(self.model.labels[i] for i in self.leaves)
@@ -136,63 +162,58 @@ def standard_basis(model: AnyonModel, leaves, total) -> list[FusionTree]:
     Returns the empty list when the total charge is unreachable.
     """
     leaf_idx = tuple(model.charge(l).index for l in leaves)
-    return list(_chain_trees(model, leaf_idx, model.charge(total).index))
+    return list(_trees(model, leaf_idx, model.charge(total).index))
 
 
-def _chain_trees(model, leaves, total):
-    key = ("basis", leaves, total)
-    hit = model._cache.get(key)
-    if hit is not None:
-        return hit
-    n = len(leaves)
-    if n == 0:
-        trees = (FusionTree((), (), total),) if total == 0 else ()
-    elif n == 1:
-        trees = (FusionTree(leaves, (), total),) if leaves[0] == total else ()
-    else:
-        chains = [(leaves[0],)]
-        for j in range(1, n):
-            allowed = model.N[:, leaves[j], :]
-            if j < n - 1:
-                chains = [c + (int(y),) for c in chains for y in np.flatnonzero(allowed[c[-1]])]
-            else:
-                chains = [c for c in chains if allowed[c[-1], total]]
-        trees = tuple(FusionTree(leaves, c[1:], total) for c in chains)
-    model._cache[key] = trees
-    return trees
+def _basis(model, leaves, total, pos=0):
+    """Chain-label matrix of the standard basis (``pos = 0``) or of the
+    basis where pair ``(pos, pos+1)`` has an explicit channel.
 
-
-def _resolved_trees(model, leaves, total, pos):
-    """Trees of the basis where pair (pos, pos+1) has an explicit channel.
-
-    The internal slot at ``pos`` holds the pair charge ``c``; the chain
-    constraint becomes ``c in fuse(l_pos, l_{pos+1})`` with the next chain
-    label fusing from the charge before the pair.  ``pos = 0`` coincides
-    with the standard basis.
+    In the resolved basis column ``pos`` holds the pair charge ``c``; the
+    chain constraint becomes ``c in fuse(l_pos, l_{pos+1})`` with the next
+    chain label fusing from the charge before the pair.  ``pos = 0``
+    coincides with the standard basis.  Rows are in lexicographic order.
     """
-    key = ("rbasis", leaves, total, pos)
+    key = ("basis", leaves, total, pos)
     hit = model._cache.get(key)
     if hit is not None:
         return hit
     n = len(leaves)
-    if pos == 0:
-        trees = _chain_trees(model, leaves, total)
+    if n < 2:
+        reachable = int(total == (leaves[0] if n else 0))
+        rows = np.tile(np.array(leaves, dtype=np.intp), (reachable, 1))
     else:
-        chains = [(leaves[0],)]
+        N = model.N
+        rows = np.array([[leaves[0]]], dtype=np.intp)
         for j in range(1, n):
-            new = []
-            for c in chains:
-                if j == pos:
-                    options = np.flatnonzero(model.N[leaves[j], leaves[j + 1]])
-                elif j == pos + 1:
-                    options = np.flatnonzero(model.N[c[-2], c[-1]])
-                else:
-                    options = np.flatnonzero(model.N[c[-1], leaves[j]])
-                for y in options:
-                    if j < n - 1 or y == total:
-                        new.append(c + (int(y),))
-            chains = new
-        trees = tuple(FusionTree(leaves, c[1:n - 1], total) for c in chains)
+            if pos and j == pos:
+                allowed = np.broadcast_to(N[leaves[j], leaves[j + 1]],
+                                          (len(rows), model.num_charges))
+            elif pos and j == pos + 1:
+                allowed = N[rows[:, -2], rows[:, -1]]
+            else:
+                allowed = N[rows[:, -1], leaves[j]]
+            if j < n - 1:
+                # row-major nonzero keeps parents in order, children ascending
+                parent, child = np.nonzero(allowed)
+                rows = np.column_stack([rows[parent], child])
+            else:
+                rows = rows[allowed[:, total] != 0]
+                rows = np.column_stack([rows, np.full(len(rows), total, dtype=np.intp)])
+    rows.flags.writeable = False
+    model._cache[key] = rows
+    return rows
+
+
+def _trees(model, leaves, total, pos=0):
+    """The basis of :func:`_basis` as :class:`FusionTree` labels."""
+    key = ("trees", leaves, total, pos)
+    hit = model._cache.get(key)
+    if hit is not None:
+        return hit
+    n = len(leaves)
+    trees = tuple(FusionTree(leaves, tuple(row[1:n - 1]), total)
+                  for row in _basis(model, leaves, total, pos).tolist())
     model._cache[key] = trees
     return trees
 
@@ -201,76 +222,98 @@ def basis_index(trees) -> dict:
     return {t.internals: i for i, t in enumerate(trees)}
 
 
-# ---------------------------------------------------------------------------
-# Elementary states.
-# ---------------------------------------------------------------------------
+def _row_keys(m, *matrices):
+    """Integer keys ordering the rows of label matrices lexicographically.
 
-
-def empty_state(model: AnyonModel) -> StateVector:
-    """The zero-anyon vacuum register."""
-    return StateVector(model, (), 0, [1.0])
-
-
-def entangled_pair_state(model: AnyonModel, a) -> StateVector:
-    """The particle-antiparticle pair ``(a, dual a)`` in the vacuum channel."""
-    ca = model.charge(a)
-    return StateVector(model, (ca.index, model.dual(ca).index), 0, [1.0])
-
-
-def flipped_pair_state(model: AnyonModel, a, note: DiagramIsotopyNote | None = None) -> StateVector:
-    """The pair written in the order ``(dual a, a)``.
-
-    Obtained from :func:`entangled_pair_state` by bending both lines, which
-    contributes the phase ``kappa_a``; the phase is recorded in ``note`` and
-    applied to the amplitude.
+    Keys are computed jointly, so equal rows of different matrices get equal
+    keys.  Labels are folded in base ``m``; whenever the next fold could
+    overflow, keys are replaced by their ranks, which keeps the order.
     """
-    ca = model.charge(a)
-    kappa = model.kappa(ca)
-    if note is not None:
-        note.absorb(kappa, f"bend pair ({ca.label}, {model.dual(ca).label})")
-    return StateVector(model, (model.dual(ca).index, ca.index), 0, [kappa])
+    rows = np.concatenate(matrices)
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        if len(keys) and keys.max() >= _KEY_LIMIT // m:
+            keys = np.unique(keys, return_inverse=True)[1].astype(np.int64)
+        keys = keys * m + col
+    return np.split(keys, np.cumsum([len(a) for a in matrices])[:-1])
 
 
-def random_state(model: AnyonModel, leaves, total, rng) -> StateVector:
-    """Haar-like random state: iid complex normal amplitudes, normalized."""
-    trees = standard_basis(model, leaves, total)
-    if not trees:
-        raise ValueError("empty basis: total charge unreachable")
-    amps = rng.normal(size=len(trees)) + 1j * rng.normal(size=len(trees))
-    return StateVector(model, leaves, total, amps / np.linalg.norm(amps))
+def _lookup(model, basis, queries):
+    """Row of ``basis`` equal to each query row (0 where absent), and a
+    mask of the queries that were found."""
+    keys, wanted = _row_keys(model.num_charges, basis, queries)
+    index = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    found = keys[index] == wanted
+    return np.where(found, index, 0), found
 
 
 # ---------------------------------------------------------------------------
-# F-moves.
+# Local operators: row-gather tables.
 # ---------------------------------------------------------------------------
 
 
-def _resolve_matrix(model, leaves, total, pos):
-    """Unitary U with amps_resolved = U @ amps_standard for pair (pos, pos+1)."""
-    key = ("resolveU", leaves, total, pos)
+def _local_table(model, src, dst, pos, local):
+    """Gather table of an operator that rewrites chain column ``pos``.
+
+    ``src`` and ``dst`` are the chain matrices of the input and output
+    bases; they agree outside column ``pos``.  ``local[p, q, x, y]`` is the
+    amplitude sent from label ``y`` to label ``x`` at ``pos`` between the
+    neighbours ``p`` (column ``pos - 1``) and ``q`` (column ``pos + 1``).
+    Entries that vanish are dropped, so the width ``w`` is the largest
+    number of labels any output row draws from.  Returns ``(index, value)``
+    of shape ``(w, dim)``.
+    """
+    m = model.num_charges
+    dim = len(dst)
+    queries = np.repeat(dst, m, axis=0)
+    queries[:, pos] = np.tile(np.arange(m), dim)
+    index, found = _lookup(model, src, queries)
+    value = local[dst[:, pos - 1], dst[:, pos + 1], dst[:, pos]] * found.reshape(dim, m)
+    nonzero = value != 0
+    width = max(int(nonzero.sum(1).max(initial=0)), 1)
+    order = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
+    index = np.ascontiguousarray(np.take_along_axis(index.reshape(dim, m), order, 1).T)
+    value = np.ascontiguousarray(np.take_along_axis(value, order, 1).T)
+    index.flags.writeable = False
+    value.flags.writeable = False
+    return index, value
+
+
+def _gather(table, amps):
+    """Apply one gather table to amplitudes of shape ``(dim,)`` or ``(dim, T)``."""
+    index, value = table
+    out = amps[index]
+    out *= value.reshape(value.shape + (1,) * (amps.ndim - 1))
+    return out.sum(0)
+
+
+def _gather_all(tables, amps):
+    """Apply a sequence of gather tables, first to last."""
+    for table in tables:
+        amps = _gather(table, amps)
+    return amps
+
+
+def _f_move_table(model, leaves, total, pos, inverse=False):
+    """Gather table of the F-move resolving pair ``(pos, pos+1)``, ``pos >= 1``.
+
+    The forward table maps standard amplitudes into the resolved basis,
+    ``res[.., p, c, q, ..] = sum_e F^{p a b}_q[e, c] std[.., p, e, q, ..]``;
+    ``inverse=True`` gives its adjoint, from the resolved basis back.
+    """
+    key = ("f_move", leaves, total, pos, inverse)
     hit = model._cache.get(key)
     if hit is not None:
         return hit
-    std = _chain_trees(model, leaves, total)
-    res = _resolved_trees(model, leaves, total, pos)
-    if pos == 0:
-        U = np.eye(len(std), dtype=complex)
+    F = model.F[:, leaves[pos], leaves[pos + 1]]  # [before, after, e, c]
+    std = _basis(model, leaves, total)
+    res = _basis(model, leaves, total, pos)
+    if inverse:
+        table = _local_table(model, res, std, pos, np.conj(F))
     else:
-        res_idx = basis_index(res)
-        U = np.zeros((len(res), len(std)), dtype=complex)
-        n = len(leaves)
-        for s, tree in enumerate(std):
-            chain = (leaves[0],) + tree.internals + (total,)
-            before = chain[pos - 1]
-            e = chain[pos]
-            after = chain[pos + 1]
-            for c in np.flatnonzero(model.N[leaves[pos], leaves[pos + 1]]):
-                amp = model.F[before, leaves[pos], leaves[pos + 1], after, e, c]
-                if amp != 0:
-                    target = tree.internals[:pos - 1] + (int(c),) + tree.internals[pos:]
-                    U[res_idx[target], s] += amp
-    model._cache[key] = (res, U)
-    return res, U
+        table = _local_table(model, std, res, pos, F.transpose(0, 1, 3, 2))
+    model._cache[key] = table
+    return table
 
 
 def apply_f_move(state: StateVector, pos: int, direction: int = +1) -> StateVector:
@@ -283,27 +326,23 @@ def apply_f_move(state: StateVector, pos: int, direction: int = +1) -> StateVect
     n = state.num_leaves
     if not 0 <= pos <= n - 2:
         raise InvalidPosition(f"no reassociation site at {pos} for {n} leaves")
-    _, U = _resolve_matrix(state.model, state.leaves, state.total, pos)
-    if direction >= 0:
-        if state.resolved_pair is not None:
-            raise InvalidPosition("state is already reassociated; undo that move first")
-        return StateVector(state.model, state.leaves, state.total, U @ state.amps,
-                           resolved_pair=pos)
-    if state.resolved_pair != pos:
+    inverse = direction < 0
+    if not inverse and state.resolved_pair is not None:
+        raise InvalidPosition("state is already reassociated; undo that move first")
+    if inverse and state.resolved_pair != pos:
         raise InvalidPosition(
             f"state is not reassociated at {pos} (at {state.resolved_pair})")
-    return StateVector(state.model, state.leaves, state.total,
-                       U.conj().T @ state.amps)
+    amps = state.amps
+    if pos > 0:
+        amps = _gather(
+            _f_move_table(state.model, state.leaves, state.total, pos, inverse), amps)
+    return StateVector(state.model, state.leaves, state.total, amps,
+                       resolved_pair=None if inverse else pos)
 
 
 def _pair_channels(model, leaves, total, pos):
-    """Per-tree pair charge of the resolved basis at ``pos``."""
-    res = _resolved_trees(model, leaves, total, pos)
-    if pos == 0:
-        if len(leaves) == 2:
-            return res, np.array([total] * len(res))
-        return res, np.array([t.internals[0] for t in res])
-    return res, np.array([t.internals[pos - 1] for t in res])
+    """Per-row collective charge of pair ``(pos, pos+1)`` in its resolved basis."""
+    return _basis(model, leaves, total, pos)[:, max(pos, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +350,15 @@ def _pair_channels(model, leaves, total, pos):
 # ---------------------------------------------------------------------------
 
 
-def _braid_matrix(model, leaves, total, pos, sign):
-    """Matrix of the elementary exchange of leaves (pos, pos+1).
+def _braid_table(model, leaves, total, pos, sign):
+    """Gather table of the elementary exchange of leaves (pos, pos+1).
 
-    Returns ``(new_leaves, B)`` with ``amps_new = B @ amps``.  ``sign=+1``
-    is the counterclockwise exchange (phase ``R_c^{ab}`` per pair channel);
-    ``sign=-1`` is its inverse.
+    Returns ``(new_leaves, index, value)``.  The exchange is ``F^-1 R F``:
+    resolve the pair, multiply each channel ``c`` by ``R_c^{ab}``
+    (``sign=+1``, counterclockwise) or ``conj(R_c^{ba})`` (``sign=-1``),
+    and unresolve with the leaves swapped.  At ``pos = 0`` the pair channel
+    is already a chain label, so the table is diagonal.  The adjoint is the
+    opposite-sign table of the swapped leaves.
     """
     key = ("braid", leaves, total, pos, sign)
     hit = model._cache.get(key)
@@ -324,13 +366,17 @@ def _braid_matrix(model, leaves, total, pos, sign):
         return hit
     a, b = leaves[pos], leaves[pos + 1]
     swapped = leaves[:pos] + (b, a) + leaves[pos + 2:]
-    _, channels = _pair_channels(model, leaves, total, pos)
-    _, U = _resolve_matrix(model, leaves, total, pos)
-    _, Us = _resolve_matrix(model, swapped, total, pos)
-    phases = model.R[a, b, channels] if sign > 0 else np.conj(model.R[b, a, channels])
-    B = Us.conj().T @ (phases[:, None] * U)
-    model._cache[key] = (swapped, B)
-    return swapped, B
+    phases = model.R[a, b] if sign > 0 else np.conj(model.R[b, a])
+    src = _basis(model, leaves, total)
+    if pos == 0:
+        index = np.arange(len(src))[None, :]
+        value = phases[src[:, 1]][None, :]
+    else:
+        local = np.einsum("pqxc,c,pqyc->pqxy", np.conj(model.F[:, b, a]), phases,
+                          model.F[:, a, b])
+        index, value = _local_table(model, src, _basis(model, swapped, total), pos, local)
+    model._cache[key] = (swapped, index, value)
+    return swapped, index, value
 
 
 def apply_braid(state: StateVector, pos: int, sign: int = +1) -> StateVector:
@@ -346,32 +392,32 @@ def apply_braid(state: StateVector, pos: int, sign: int = +1) -> StateVector:
         raise InvalidPosition("braid requires the standard basis; undo the F-move first")
     if sign not in (+1, -1):
         raise ValueError("braid sign must be +1 or -1")
-    new_leaves, B = _braid_matrix(state.model, state.leaves, state.total, pos, sign)
-    return StateVector(state.model, new_leaves, state.total, B @ state.amps)
+    new_leaves, index, value = _braid_table(state.model, state.leaves, state.total, pos, sign)
+    return StateVector(state.model, new_leaves, state.total,
+                       _gather((index, value), state.amps))
 
 
-def transport_matrix(model, leaves, total, i, j, routing="over"):
+def _transport(model, leaves, total, i, j, routing="over"):
     """Composite braid that carries leaf ``j`` to position ``i + 1``.
 
-    Returns ``(new_leaves, T)`` with ``T`` unitary.  With ``routing="over"``
-    every crossing on the way is the counterclockwise (+1) elementary braid;
-    ``"under"`` uses the inverse crossings.  Transporting back is ``T^dag``.
+    Returns ``(new_leaves, forward, backward)``: the gather tables of the
+    transport ``T`` and of ``T^dag`` (transporting back), each in
+    application order.  With ``routing="over"`` every crossing on the way is
+    the counterclockwise (+1) elementary braid; ``"under"`` uses the inverse
+    crossings.
     """
     if routing not in ("over", "under"):
         raise ValueError(f"routing must be 'over' or 'under', got {routing!r}")
     sign = +1 if routing == "over" else -1
-    key = ("transport", leaves, total, i, j, routing)
-    hit = model._cache.get(key)
-    if hit is not None:
-        return hit
     cur = leaves
-    dim = len(_chain_trees(model, leaves, total))
-    T = np.eye(dim, dtype=complex)
+    forward, backward = [], []
     for pos in range(j - 1, i, -1):
-        cur, B = _braid_matrix(model, cur, total, pos, sign)
-        T = B @ T
-    model._cache[key] = (cur, T)
-    return cur, T
+        moved, index, value = _braid_table(model, cur, total, pos, sign)
+        _, back_index, back_value = _braid_table(model, moved, total, pos, -sign)
+        forward.append((index, value))
+        backward.append((back_index, back_value))
+        cur = moved
+    return cur, forward, backward[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -411,23 +457,61 @@ def attach_pair(state: StateVector, position: int, a,
     ca = model.charge(a).index
     cab = model.dual(ca).index
     new_leaves = state.leaves[:position] + (ca, cab) + state.leaves[position:]
-    new_trees = _chain_trees(model, new_leaves, state.total)
-    idx = basis_index(new_trees)
-    out = np.zeros(len(new_trees), dtype=complex)
-    for s, tree in enumerate(state.trees):
-        if state.amps[s] == 0:
-            continue
-        chain = ((state.leaves[0],) + tree.internals + (state.total,)) if n else ()
-        y = 0 if position == 0 else chain[position - 1]
-        for z in np.flatnonzero(model.N[y, ca]):
-            amp = np.conj(model.F[y, ca, cab, y, z, 0])
-            if amp == 0:
-                continue
-            # The running charge goes y -> z (absorb a) -> y (absorb dual a)
-            # and the rest of the chain is untouched.
-            new_chain = chain[:position] + (int(z), y) + chain[position:]
-            out[idx[new_chain[1:-1]]] += amp * state.amps[s]
-    return StateVector(model, new_leaves, state.total, out)
+    new_basis = _basis(model, new_leaves, state.total)
+    out = np.zeros(len(new_basis), dtype=complex)
+    chains = state.chains
+    y = chains[:, position - 1] if position else np.zeros(len(chains), dtype=np.intp)
+    for z in range(model.num_charges):
+        amp = np.conj(model.F[y, ca, cab, y, z, 0]) * model.N[y, ca, z]
+        keep = amp != 0
+        # The running charge goes y -> z (absorb a) -> y (absorb dual a)
+        # and the rest of the chain is untouched.
+        rows = np.column_stack([chains[keep, :position],
+                                np.full(int(keep.sum()), z, dtype=np.intp),
+                                y[keep], chains[keep, position:]])
+        index, _ = _lookup(model, new_basis, rows)
+        out[index] += amp[keep] * state.amps[keep]
+    return StateVector(model, new_leaves, state.total, out, _chains=new_basis)
+
+
+# ---------------------------------------------------------------------------
+# Elementary states.
+# ---------------------------------------------------------------------------
+
+
+def empty_state(model: AnyonModel) -> StateVector:
+    """The zero-anyon vacuum register."""
+    return StateVector(model, (), 0, [1.0])
+
+
+def entangled_pair_state(model: AnyonModel, a) -> StateVector:
+    """The particle-antiparticle pair ``(a, dual a)`` in the vacuum channel."""
+    ca = model.charge(a)
+    return StateVector(model, (ca.index, model.dual(ca).index), 0, [1.0])
+
+
+def flipped_pair_state(model: AnyonModel, a, note: DiagramIsotopyNote | None = None) -> StateVector:
+    """The pair written in the order ``(dual a, a)``.
+
+    Obtained from :func:`entangled_pair_state` by bending both lines, which
+    contributes the phase ``kappa_a``; the phase is recorded in ``note`` and
+    applied to the amplitude.
+    """
+    ca = model.charge(a)
+    kappa = model.kappa(ca)
+    if note is not None:
+        note.absorb(kappa, f"bend pair ({ca.label}, {model.dual(ca).label})")
+    return StateVector(model, (model.dual(ca).index, ca.index), 0, [kappa])
+
+
+def random_state(model: AnyonModel, leaves, total, rng) -> StateVector:
+    """Haar-like random state: iid complex normal amplitudes, normalized."""
+    leaf_idx = tuple(model.charge(l).index for l in leaves)
+    dim = len(_basis(model, leaf_idx, model.charge(total).index))
+    if not dim:
+        raise ValueError("empty basis: total charge unreachable")
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return StateVector(model, leaves, total, amps / np.linalg.norm(amps))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +541,7 @@ def state_from_json(model: AnyonModel, text: str) -> StateVector:
     data = json.loads(text)
     leaves = tuple(model.charge(l).index for l in data["leaves"])
     total = model.charge(data["total"]).index
-    trees = _chain_trees(model, leaves, total)
+    trees = _trees(model, leaves, total)
     idx = basis_index(trees)
     amps = np.zeros(len(trees), dtype=complex)
     for row in data["amplitudes"]:

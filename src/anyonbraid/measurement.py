@@ -8,7 +8,8 @@ leaf ``j`` is first transported next to ``i`` by elementary braids, passing
 either over (``routing="over"``, counterclockwise crossings) or under
 (``"under"``) the intervening lines, and transported back afterwards with
 the inverse braids.  The routing is an explicit parameter because the two
-conventions are physically distinct measurement processes.
+conventions are physically distinct measurement processes.  Every step is
+a local gather table of :mod:`anyonbraid.fusion_space`, applied in turn.
 
 All functions are pure: they return new states and leave inputs untouched.
 Stochastic sampling takes an explicit ``numpy.random.Generator``; concurrent
@@ -19,11 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidPosition, ZeroProbabilityOutcome
-from .fusion_space import StateVector, _pair_channels, _resolve_matrix, transport_matrix
+from .fusion_space import (StateVector, _f_move_table, _gather_all, _pair_channels,
+                           _transport)
 from .model import Charge
 
 #: Outcomes below this Born probability are treated as impossible; this
@@ -68,13 +71,25 @@ class MeasurementTrace:
         return "\n".join(json.dumps(entry) for entry in self.entries)
 
 
-def _measurement_op(state: StateVector, i: int, j: int, routing: str):
-    """(channels, W) with W unitary and per-row pair charges ``channels``.
+class _MeasurementOp(NamedTuple):
+    """Local form of the measurement of one pair.
 
-    ``W = U T`` maps standard amplitudes into the basis where the (possibly
-    transported) pair has an explicit collective charge; the projector onto
-    channel ``c`` is ``W^dag diag(channels == c) W``.
+    ``forward`` is the gather-table sequence ``W = U T`` taking standard
+    amplitudes into the basis where the (possibly transported) pair has an
+    explicit collective charge, ``channels`` the pair charge of each row
+    there, ``present`` the distinct channels in index order, and
+    ``backward`` the sequence of ``W^dag``.  The projector onto channel
+    ``c`` is ``W^dag diag(channels == c) W``.
     """
+
+    channels: np.ndarray
+    present: tuple[int, ...]
+    forward: list
+    backward: list
+
+
+def _measurement_op(state: StateVector, i: int, j: int, routing: str) -> _MeasurementOp:
+    """The cached :class:`_MeasurementOp` of pair ``(i, j)`` on ``state``'s basis."""
     n = state.num_leaves
     if not (0 <= i < j < n):
         raise InvalidPosition(f"invalid pair ({i}, {j}) for {n} leaves")
@@ -86,16 +101,36 @@ def _measurement_op(state: StateVector, i: int, j: int, routing: str):
     if hit is not None:
         return hit
     if j == i + 1:
-        _, U = _resolve_matrix(model, state.leaves, state.total, i)
-        _, channels = _pair_channels(model, state.leaves, state.total, i)
-        W = U
+        moved, forward, backward = state.leaves, [], []
     else:
-        moved, T = transport_matrix(model, state.leaves, state.total, i, j, routing)
-        _, U = _resolve_matrix(model, moved, state.total, i)
-        _, channels = _pair_channels(model, moved, state.total, i)
-        W = U @ T
-    model._cache[key] = (channels, W)
-    return channels, W
+        moved, forward, backward = _transport(model, state.leaves, state.total,
+                                              i, j, routing)
+    if i > 0:
+        forward = forward + [_f_move_table(model, moved, state.total, i)]
+        backward = [_f_move_table(model, moved, state.total, i, inverse=True)] + backward
+    channels = _pair_channels(model, moved, state.total, i)
+    present = tuple(int(c) for c in np.unique(channels))
+    op = _MeasurementOp(channels, present, forward, backward)
+    model._cache[key] = op
+    return op
+
+
+def _collapse(state: StateVector, op: _MeasurementOp, resolved, ci: int,
+              pair) -> tuple[StateVector, float]:
+    """Keep channel ``ci`` of the resolved amplitudes, map back, renormalize."""
+    kept = np.where(op.channels == ci, resolved, 0.0)
+    prob = float(np.vdot(kept, kept).real)
+    if prob < PROBABILITY_FLOOR:
+        raise ZeroProbabilityOutcome(
+            f"outcome {state.model.labels[ci]} on pair {pair} has probability {prob:.3e}")
+    post = _gather_all(op.backward, kept) / math.sqrt(prob)
+    return state._replace_amps(post), prob
+
+
+def _channel_weights(state: StateVector, op: _MeasurementOp, resolved):
+    """Born weight of every charge, indexed by charge index."""
+    return np.bincount(op.channels, weights=resolved.real ** 2 + resolved.imag ** 2,
+                       minlength=state.model.num_charges)
 
 
 def pair_charge_distribution(state: StateVector, i: int, j: int,
@@ -105,12 +140,9 @@ def pair_charge_distribution(state: StateVector, i: int, j: int,
     The probabilities sum to 1; channels absent from the state's support
     appear with probability 0.0 only if they are structurally admissible.
     """
-    channels, W = _measurement_op(state, i, j, routing)
-    weights = np.abs(W @ state.amps) ** 2
-    dist: dict[Charge, float] = {}
-    for c in sorted(set(int(x) for x in channels)):
-        dist[state.model.charges[c]] = float(weights[channels == c].sum())
-    return dist
+    op = _measurement_op(state, i, j, routing)
+    weights = _channel_weights(state, op, _gather_all(op.forward, state.amps))
+    return {state.model.charges[c]: float(weights[c]) for c in op.present}
 
 
 def project_pair(state: StateVector, i: int, j: int, c,
@@ -121,18 +153,9 @@ def project_pair(state: StateVector, i: int, j: int, c,
     outcome.  Raises :class:`ZeroProbabilityOutcome` when the outcome is
     impossible (probability below the floor).
     """
-    model = state.model
-    ci = model.charge(c).index
-    channels, W = _measurement_op(state, i, j, routing)
-    resolved = W @ state.amps
-    mask = channels == ci
-    prob = float(np.linalg.norm(resolved[mask]) ** 2)
-    if prob < PROBABILITY_FLOOR:
-        raise ZeroProbabilityOutcome(
-            f"outcome {model.labels[ci]} on pair ({i}, {j}) has probability {prob:.3e}")
-    resolved[~mask] = 0.0
-    post = W.conj().T @ resolved / math.sqrt(prob)
-    return state._replace_amps(post), prob
+    ci = state.model.charge(c).index
+    op = _measurement_op(state, i, j, routing)
+    return _collapse(state, op, _gather_all(op.forward, state.amps), ci, (i, j))
 
 
 def sample_measurement(state: StateVector, i: int, j: int, rng,
@@ -141,22 +164,28 @@ def sample_measurement(state: StateVector, i: int, j: int, rng,
                        ) -> tuple[MeasurementOutcome, StateVector]:
     """Draw one measurement outcome for pair ``(i, j)`` and collapse.
 
-    Sampling is inverse-CDF over the channels in charge-index order, so a
-    fixed generator stream reproduces the trajectory exactly.
+    The measurement operator is applied once: the resolved amplitudes give
+    the channel weights and, masked, the post-measurement state.  Sampling
+    is inverse-CDF over the channels in charge-index order with one
+    ``rng.random()`` draw, so a fixed generator stream reproduces the
+    trajectory exactly.
     """
-    dist = pair_charge_distribution(state, i, j, routing)
+    op = _measurement_op(state, i, j, routing)
+    resolved = _gather_all(op.forward, state.amps)
+    weights = _channel_weights(state, op, resolved)
     u = rng.random()
     acc = 0.0
     chosen = None
-    for charge, p in dist.items():  # charges iterate in index order
+    for c in op.present:  # charges iterate in index order
+        p = float(weights[c])
         acc += p
         if u < acc and p >= PROBABILITY_FLOOR:
-            chosen = charge
+            chosen = c
             break
     if chosen is None:  # u fell into round-off slack; take the likeliest
-        chosen = max(dist, key=dist.get)
-    post, prob = project_pair(state, i, j, chosen, routing)
-    outcome = MeasurementOutcome((i, j), chosen, prob, routing)
+        chosen = max(op.present, key=lambda c: weights[c])
+    post, prob = _collapse(state, op, resolved, chosen, (i, j))
+    outcome = MeasurementOutcome((i, j), state.model.charges[chosen], prob, routing)
     if trace is not None:
         trace.record(outcome)
     return outcome, post

@@ -586,15 +586,23 @@ def su2k_model(k: int) -> AnyonModel:
 _BUILTIN_NAMES = ("fibonacci", "ising", "su2_k")
 
 
+def _builtin_key(name: str) -> str:
+    key = name.strip().lower().replace("-", "_")
+    return "su2_k" if key == "su2k" else key
+
+
+def is_builtin_name(name: str) -> bool:
+    """Whether :func:`load_builtin` accepts ``name``."""
+    return _builtin_key(name) in _BUILTIN_NAMES
+
+
 def load_builtin(name: str, k: int | None = None) -> AnyonModel:
     """Construct a built-in model by name.
 
     ``k`` is required for ``su2_k`` (and must be >= 2); it is rejected for
     the other models.
     """
-    key = name.strip().lower().replace("-", "_")
-    if key == "su2k":
-        key = "su2_k"
+    key = _builtin_key(name)
     if key not in _BUILTIN_NAMES:
         raise ModelError(f"unknown model {name!r}; built-ins: {', '.join(_BUILTIN_NAMES)}")
     if key == "su2_k":

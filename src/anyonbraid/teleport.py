@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaxAttemptsExceeded, NotPhaseEquivalent, ProtocolError
-from .fusion_space import StateVector, _braid_matrix, inner, transport_matrix
+from .fusion_space import (StateVector, _braid_table, _gather_all, _transport,
+                           inner)
 from .measurement import (MeasurementTrace, pair_charge_distribution,
                           project_pair, sample_measurement)
 from .model import Charge
@@ -113,7 +114,8 @@ def expected_mean_attempts(model, a) -> float:
     nonvac = channels != 0
     # E_e = 1 + sum_{f != 0} P(f|e) sum_{e'} P(e'|f) E_{e'}
     transfer = probs[:, nonvac] @ probs[:, nonvac].T
-    expected = np.linalg.solve(np.eye(len(channels)) - transfer, np.ones(len(channels)))
+    expected = np.linalg.solve(np.identity(len(channels)) - transfer,
+                               np.ones(len(channels)))
     return float(expected[list(channels).index(0)])
 
 
@@ -200,25 +202,23 @@ def _quad_steps(quad, direction: str):
     raise ProtocolError(f"direction must be 'positive' or 'inverse', got {direction!r}")
 
 
-def quad_braid_matrix(model, leaves, total, quad, sign: int, routing: str = "over"):
-    """Unitary exchanging the outer leaves of a contiguous quad directly.
-
-    The moving charge line crosses the two middle leaves per the routing
-    convention on the way in and inversely on the way out, so on states
-    whose middle pair carries the vacuum channel this is exactly the braid
-    of the outer anyons tensored with the untouched pair.
-    """
-    p = quad[0]
-    moved, T = transport_matrix(model, leaves, total, p, p + 3, routing)
-    _, B = _braid_matrix(model, moved, total, p, sign)
-    return T.conj().T @ B @ T
-
-
 def direct_quad_braid(state: StateVector, quad, sign: int,
                       routing: str = "over") -> StateVector:
-    """Apply :func:`quad_braid_matrix` to a state (the oracle path)."""
-    M = quad_braid_matrix(state.model, state.leaves, state.total, quad, sign, routing)
-    return state._replace_amps(M @ state.amps)
+    """Exchange the outer leaves of a contiguous quad directly (the oracle path).
+
+    The moving charge line crosses the two middle leaves per the routing
+    convention on the way in (transport ``T``), is exchanged with the first
+    leaf, and crosses back inversely (``T^dag``): ``T^dag B T`` applied as
+    its sequence of local braids.  On states whose middle pair carries the
+    vacuum channel this is exactly the braid of the outer anyons tensored
+    with the untouched pair.
+    """
+    model, p = state.model, quad[0]
+    moved, forward, backward = _transport(model, state.leaves, state.total,
+                                          p, p + 3, routing)
+    _, index, value = _braid_table(model, moved, state.total, p, sign)
+    steps = forward + [(index, value)] + backward
+    return state._replace_amps(_gather_all(steps, state.amps))
 
 
 def _check_quad(state, quad):

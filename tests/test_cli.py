@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import pytest
 
@@ -56,6 +57,17 @@ class TestVerify:
     def test_unknown_model_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--model", "heisenberg")
         assert code == 2
+
+    def test_builtin_name_wins_over_same_named_file(self, capsys, tmp_path,
+                                                    monkeypatch):
+        (tmp_path / "ising").write_text("not a model at all")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "verify", "--model", "ising")
+        assert code == 0
+        assert json.loads(out)["model"] == "ising"
+        code, _, err = run_cli(capsys, "verify", "--model", os.path.join(".", "ising"))
+        assert code == 2
+        assert "model file error" in err
 
     def test_csv_and_human_formats(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--model", "ising",
@@ -223,6 +235,38 @@ class TestCompileRun:
         path.write_text(json.dumps(data))
         code, _, _ = run_cli(capsys, "run", "--schedule", str(path), "--seed", "1")
         assert code == 2
+
+    @staticmethod
+    def _tampered_run(capsys, tmp_path, tamper):
+        path = tmp_path / "schedule.json"
+        run_cli(capsys, "compile", "--model", "fibonacci", "--word", "s1 s2'",
+                "--output", str(path))
+        data = json.loads(path.read_text())
+        tamper(data)
+        path.write_text(json.dumps(data))
+        return run_cli(capsys, "run", "--schedule", str(path), "--seed", "1")
+
+    def test_missing_layout_field_is_usage_error(self, capsys, tmp_path):
+        code, out, err = self._tampered_run(
+            capsys, tmp_path, lambda data: data["layout"].pop("resources"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "resources" in err
+
+    def test_shifted_layout_is_usage_error(self, capsys, tmp_path):
+        def shift(data):
+            lay = data["layout"]
+            lay["computational"] = [q + 1 for q in lay["computational"]]
+            lay["resources"] = [[p + 1, q + 1] for p, q in lay["resources"]]
+            lay["boundary_partner"] += 1
+            for step in data["steps"]:
+                for key in ("pair", "recovery", "quad"):
+                    step[key] = [q + 1 for q in step[key]]
+
+        code, out, err = self._tampered_run(capsys, tmp_path, shift)
+        assert code == 2
+        assert out == ""
+        assert "canonical layout" in err
 
     def test_missing_schedule_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "run", "--schedule",

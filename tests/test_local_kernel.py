@@ -1,0 +1,136 @@
+"""Local gather-table kernel against the dense reference operators.
+
+Every operator of the protocol is checked on ``build_array`` registers of
+2 to 5 computational anyons (up to 14 leaves, dim 233) for Fibonacci,
+Ising and su2_k k=3: bases, F-moves, elementary braids, transports,
+measurement projectors and quad-braid oracles.  A gather-table sequence is
+turned into its matrix by applying it to the identity, which also
+exercises the batched ``(dim, T)`` path.
+"""
+
+import numpy as np
+import pytest
+
+from anyonbraid import StateVector, apply_f_move, build_array, random_state
+from anyonbraid.fusion_space import (_basis, _braid_table, _f_move_table,
+                                     _gather_all, _transport, _trees)
+from anyonbraid.measurement import _measurement_op
+from anyonbraid.teleport import direct_quad_braid
+
+import dense_oracle as dense
+
+TOL = 1e-12
+
+ROUTINGS = ("over", "under")
+
+
+@pytest.fixture(params=[2, 3, 4, 5], ids=lambda n: f"n_comp={n}")
+def registers(request, protocol_models):
+    """(model, layout, initial state) of each protocol model at one size."""
+    return [(model, *build_array(model, a, request.param))
+            for model, a in protocol_models]
+
+
+def _matrix(tables, dim):
+    return _gather_all(tables, np.eye(dim, dtype=complex))
+
+
+def _close(local, reference):
+    assert local.shape == reference.shape
+    assert np.max(np.abs(local - reference), initial=0.0) < TOL
+
+
+def test_basis_matches_depth_first_enumeration(registers):
+    for model, _, state in registers:
+        leaves, total = state.leaves, state.total
+        assert _trees(model, leaves, total) == dense._chain_trees(model, leaves, total)
+        for pos in range(state.num_leaves - 1):
+            assert (_trees(model, leaves, total, pos)
+                    == dense._resolved_trees(model, leaves, total, pos))
+            chains = _basis(model, leaves, total, pos)
+            assert list(chains[:, 0]) == [leaves[0]] * len(chains)
+            assert list(chains[:, -1]) == [total] * len(chains)
+
+
+def test_every_f_move_site(registers):
+    rng = np.random.default_rng(7)
+    for model, _, state in registers:
+        leaves, total, dim = state.leaves, state.total, state.dim
+        probe = random_state(model, leaves, total, rng)
+        for pos in range(state.num_leaves - 1):
+            _, U = dense._resolve_matrix(model, leaves, total, pos)
+            resolved = apply_f_move(probe, pos, +1)
+            _close(resolved.amps, U @ probe.amps)
+            _close(apply_f_move(resolved, pos, -1).amps, probe.amps)
+            if pos > 0:
+                _close(_matrix([_f_move_table(model, leaves, total, pos)], dim), U)
+                _close(_matrix([_f_move_table(model, leaves, total, pos, inverse=True)], dim),
+                       U.conj().T)
+
+
+def test_every_braid_site_both_signs(registers):
+    for model, _, state in registers:
+        for pos in range(state.num_leaves - 1):
+            for sign in (+1, -1):
+                swapped, B = dense._braid_matrix(model, state.leaves, state.total, pos, sign)
+                new_leaves, index, value = _braid_table(model, state.leaves, state.total,
+                                                        pos, sign)
+                assert new_leaves == swapped
+                _close(_matrix([(index, value)], state.dim), B)
+
+
+def test_every_transport_both_routings(registers):
+    for model, _, state in registers:
+        n, dim = state.num_leaves, state.dim
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                for routing in ROUTINGS:
+                    moved, T = dense.transport_matrix(model, state.leaves, state.total,
+                                                      i, j, routing)
+                    cur, forward, backward = _transport(model, state.leaves, state.total,
+                                                        i, j, routing)
+                    assert cur == moved
+                    _close(_matrix(forward, dim), T)
+                    _close(_matrix(backward, dim), T.conj().T)
+
+
+def test_every_measurement_projector(registers):
+    # W = U T and the projectors W^dag diag(channels == c) W are compared on
+    # a batch of random probes; their factors are compared in full above.
+    rng = np.random.default_rng(11)
+    for model, _, state in registers:
+        n, dim = state.num_leaves, state.dim
+        probes = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                for routing in ROUTINGS if j > i + 1 else ROUTINGS[:1]:
+                    moved, T = dense.transport_matrix(model, state.leaves, state.total,
+                                                      i, j, routing)
+                    _, U = dense._resolve_matrix(model, moved, state.total, i)
+                    _, channels = dense._pair_channels(model, moved, state.total, i)
+                    got, present, forward, backward = _measurement_op(state, i, j, routing)
+                    assert list(got) == list(channels)
+                    assert present == tuple(sorted(set(channels.tolist())))
+                    reference = U @ (T @ probes)
+                    resolved = _gather_all(forward, probes)
+                    _close(resolved, reference)
+                    for c in present:
+                        mask = (channels == c)[:, None]
+                        _close(_gather_all(backward, np.where(mask, resolved, 0.0)),
+                               T.conj().T @ (U.conj().T @ (mask * reference)))
+
+
+def test_every_quad_oracle(registers):
+    for model, layout, state in registers:
+        dim = state.dim
+        for generator in range(1, len(layout.computational)):
+            quad = layout.quad(generator)
+            for sign in (+1, -1):
+                for routing in ROUTINGS:
+                    M = dense.quad_braid_matrix(model, state.leaves, state.total, quad,
+                                                sign, routing)
+                    columns = [direct_quad_braid(
+                        StateVector(model, state.leaves, state.total, e,
+                                    _chains=state.chains), quad, sign, routing).amps
+                               for e in np.eye(dim, dtype=complex)]
+                    _close(np.array(columns).T, M)

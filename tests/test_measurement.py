@@ -9,9 +9,9 @@ from anyonbraid import (InvalidPosition, MeasurementTrace,
                         ZeroProbabilityOutcome, entangled_pair_state, fidelity,
                         pair_charge_distribution, project_pair, random_state,
                         sample_measurement)
-from anyonbraid.fusion_space import _braid_matrix, transport_matrix
 
 from conftest import teleport_config
+from dense_oracle import _braid_matrix, transport_matrix
 
 PHI = (1 + math.sqrt(5)) / 2
 
