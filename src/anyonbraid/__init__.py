@@ -26,9 +26,10 @@ from .measurement import (MeasurementOutcome, MeasurementTrace,
 from .model import (AnyonModel, Charge, ConsistencyReport, fibonacci_model,
                     ising_model, load_builtin, su2k_model)
 from .model_io import load_model_file, parse_model_text
-from .teleport import (BraidRecord, MeasurementRecord, braid_oracle_state,
-                       expected_attempt_bound, expected_mean_attempts,
-                       failure_tail_probability, forced_measurement,
+from .teleport import (BraidRecord, ForcedBlock, MeasurementRecord,
+                       braid_oracle_state, expected_attempt_bound,
+                       expected_mean_attempts, failure_tail_probability,
+                       forced_measurement, forced_measurements,
                        measurement_braid, relative_phase, teleport_reference)
 
 __version__ = "0.1.0"

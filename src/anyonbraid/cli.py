@@ -12,6 +12,10 @@ Output is machine-first (JSON by default, CSV via ``--format csv``, aligned
 tables behind ``--human``) and byte-reproducible for fixed ``(seed,
 config)``: every stochastic command requires an explicit ``--seed`` and
 trial ``t`` draws from the substream ``default_rng([seed, t])``.
+``teleport-stats`` runs its trials in lockstep blocks
+(:func:`anyonbraid.teleport.forced_measurements`); trial ``t`` still draws
+from ``default_rng([seed, t])``, one number per measurement, in the order
+it would alone.
 
 Exit codes: 0 pass, 1 check failed, 2 usage or parse error.
 """
@@ -19,6 +23,7 @@ Exit codes: 0 pass, 1 check failed, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -30,7 +35,7 @@ from . import compiler as cp
 from . import fusion_space as fs
 from . import measurement as ms
 from . import teleport as tp
-from .errors import AnyonError, MaxAttemptsExceeded
+from .errors import AnyonError
 from .model import CONSISTENCY_TOL, is_builtin_name, load_builtin
 from .model_io import load_model_file
 
@@ -48,20 +53,19 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def _load_model(args, file_tolerance=None):
+def _load_model(args, gate=True):
     """A built-in model by name, else a model file.
 
     Built-in names win over a same-named file in the working directory;
     a path with a directory separator or a ``.model`` suffix is always a
-    file.
+    file.  ``gate=False`` loads a file without its consistency gate.
     """
     name = args.model
     is_path = os.sep in name or name.endswith(".model")
     if is_path or (not is_builtin_name(name) and os.path.exists(name)):
-        if file_tolerance is None:
-            file_tolerance = getattr(args, "tolerance", CONSISTENCY_TOL)
+        tolerance = getattr(args, "tolerance", CONSISTENCY_TOL) if gate else None
         try:
-            return load_model_file(name, file_tolerance)
+            return load_model_file(name, tolerance)
         except AnyonError as exc:
             raise _CliError(f"model file error: {exc}", 2) from exc
     try:
@@ -122,16 +126,16 @@ def _emit(payload: dict, args) -> None:
 
 
 def _cmd_verify(args) -> int:
-    # load files with the consistency gate disabled so a parseable but
+    # load files without the consistency gate so a parseable but
     # inconsistent model is reported with its residuals (exit 1), while
-    # parse errors stay exit 2
-    model = _load_model(args, file_tolerance=float("inf"))
+    # parse errors stay exit 2; the check below is then the only one
+    model = _load_model(args, gate=False)
     report = model.verify_consistency(args.tolerance)
     payload = {
         "model": model.name,
         "params": model.params,
         "charges": list(model.labels),
-        "report": report.as_dict(),
+        "report": dataclasses.asdict(report),
         "vacuum_probability_residual": model.vacuum_probability_residual(),
     }
     _emit(payload, args)
@@ -159,36 +163,36 @@ def _cmd_teleport_stats(args) -> int:
     initial = _teleport_configuration(model, charge)
     target, recovery = (1, 2), (0, 1)
     da2 = tp.expected_attempt_bound(model, charge)
-    per_channel: dict[str, dict] = {}
+    m = model.num_charges
+    tried = np.zeros(m, dtype=np.int64)  # attempts made from recovery charge e
+    hits = np.zeros(m, dtype=np.int64)   # ... that ended in the vacuum
     attempts = []
     exceeded = 0
     trace = ms.MeasurementTrace() if args.trace else None
-    for t in range(args.trials):
-        rng = _substream(args.seed, t)
-        try:
-            _, record = tp.forced_measurement(initial, target, recovery, rng,
-                                              max_attempts=args.max_attempts,
-                                              routing=args.routing, trace=trace)
-        except MaxAttemptsExceeded:
-            exceeded += 1
-            continue
-        attempts.append(record.attempts)
-        for e, f in zip(record.recovery_outcomes(), record.target_outcomes()):
-            stats = per_channel.setdefault(e.label, {"attempts": 0, "successes": 0})
-            stats["attempts"] += 1
-            stats["successes"] += int(f.index == 0)
+    streams = (_substream(args.seed, t) for t in range(args.trials))
+    for block in tp.forced_measurements(initial, target, recovery, streams,
+                                        max_attempts=args.max_attempts,
+                                        routing=args.routing, trace=trace):
+        ok = block.succeeded
+        exceeded += int(np.count_nonzero(~ok))
+        e, f = (charges[:, ok] for charges in block.attempt_charges())
+        made = f >= 0
+        tried += np.bincount(e[made], minlength=m)
+        hits += np.bincount(e[made & (f == 0)], minlength=m)
+        attempts.append(block.attempts[ok])
+    attempts = np.concatenate(attempts)
     n = len(attempts)
     mean = float(np.mean(attempts)) if n else float("nan")
     std = float(np.std(attempts, ddof=1)) if n > 1 else float("nan")
     channels = {}
-    for label, stats in sorted(per_channel.items()):
-        expected = float(model.qd[model.charge(label).index] / da2)
-        count, hits = stats["attempts"], stats["successes"]
-        p_hat = hits / count
-        sigma = math.sqrt(expected * (1 - expected) / count) if count else float("nan")
-        channels[label] = {
+    for c in sorted(np.flatnonzero(tried), key=lambda c: model.labels[c]):
+        expected = float(model.qd[c] / da2)
+        count, successes = int(tried[c]), int(hits[c])
+        p_hat = successes / count
+        sigma = math.sqrt(expected * (1 - expected) / count)
+        channels[model.labels[c]] = {
             "attempts": count,
-            "successes": hits,
+            "successes": successes,
             "empirical": p_hat,
             "expected": expected,
             "z": (p_hat - expected) / sigma if sigma else float("nan"),
@@ -196,7 +200,7 @@ def _cmd_teleport_stats(args) -> int:
     tails = {}
     for horizon in (5, 10, 20):
         bound = tp.failure_tail_probability(model, charge, horizon)
-        frac = sum(a > horizon for a in attempts) / n if n else float("nan")
+        frac = int(np.count_nonzero(attempts > horizon)) / n if n else float("nan")
         sigma = math.sqrt(bound * (1 - bound) / n) if n else float("nan")
         tails[str(horizon)] = {"empirical": frac, "bound": bound,
                                "bound_plus_3sigma": bound + 3 * sigma}
@@ -214,7 +218,7 @@ def _cmd_teleport_stats(args) -> int:
             "expected_mean": tp.expected_mean_attempts(model, charge),
             "bound": da2,
             "mean_z": (mean - tp.expected_mean_attempts(model, charge))
-                      / (std / math.sqrt(n)) if n > 1 else float("nan"),
+                      / (std / math.sqrt(n)) if n > 1 and std > 0 else float("nan"),
         },
         "tail_probabilities": tails,
         "max_attempts_exceeded": exceeded,

@@ -13,7 +13,10 @@ a local gather table of :mod:`anyonbraid.fusion_space`, applied in turn.
 
 All functions are pure: they return new states and leave inputs untouched.
 Stochastic sampling takes an explicit ``numpy.random.Generator``; concurrent
-trials must not share one generator stream.
+trials must not share one generator stream.  Sampling runs on batches: the
+columns of a ``(dim, T)`` amplitude matrix are measured together, column
+``t`` drawing from its own generator, and a single state is sampled as a
+batch of one.
 """
 
 from __future__ import annotations
@@ -78,14 +81,16 @@ class _MeasurementOp(NamedTuple):
     amplitudes into the basis where the (possibly transported) pair has an
     explicit collective charge, ``channels`` the pair charge of each row
     there, ``present`` the distinct channels in index order, and
-    ``backward`` the sequence of ``W^dag``.  The projector onto channel
-    ``c`` is ``W^dag diag(channels == c) W``.
+    ``backward`` the sequence of ``W^dag``.  ``indicator[c]`` is the 0/1
+    row mask ``channels == c`` for every charge ``c``, so the projector onto
+    channel ``c`` is ``W^dag diag(indicator[c]) W``.
     """
 
     channels: np.ndarray
     present: tuple[int, ...]
     forward: list
     backward: list
+    indicator: np.ndarray
 
 
 def _measurement_op(state: StateVector, i: int, j: int, routing: str) -> _MeasurementOp:
@@ -110,27 +115,49 @@ def _measurement_op(state: StateVector, i: int, j: int, routing: str) -> _Measur
         backward = [_f_move_table(model, moved, state.total, i, inverse=True)] + backward
     channels = _pair_channels(model, moved, state.total, i)
     present = tuple(int(c) for c in np.unique(channels))
-    op = _MeasurementOp(channels, present, forward, backward)
+    indicator = (channels == np.arange(model.num_charges)[:, None]).astype(float)
+    indicator.flags.writeable = False
+    op = _MeasurementOp(channels, present, forward, backward, indicator)
     model._cache[key] = op
     return op
 
 
-def _collapse(state: StateVector, op: _MeasurementOp, resolved, ci: int,
-              pair) -> tuple[StateVector, float]:
-    """Keep channel ``ci`` of the resolved amplitudes, map back, renormalize."""
-    kept = np.where(op.channels == ci, resolved, 0.0)
-    prob = float(np.vdot(kept, kept).real)
-    if prob < PROBABILITY_FLOOR:
-        raise ZeroProbabilityOutcome(
-            f"outcome {state.model.labels[ci]} on pair {pair} has probability {prob:.3e}")
-    post = _gather_all(op.backward, kept) / math.sqrt(prob)
-    return state._replace_amps(post), prob
+def _channel_weights(op: _MeasurementOp, resolved):
+    """Born weight of every charge, by charge index, of the resolved
+    amplitudes: shape ``(m,)`` for one state ``(dim,)`` and ``(m, T)`` for
+    the columns of ``(dim, T)``."""
+    return op.indicator.dot(np.abs(resolved) ** 2)
 
 
-def _channel_weights(state: StateVector, op: _MeasurementOp, resolved):
-    """Born weight of every charge, indexed by charge index."""
-    return np.bincount(op.channels, weights=resolved.real ** 2 + resolved.imag ** 2,
-                       minlength=state.model.num_charges)
+def _collapse(op: _MeasurementOp, resolved, charges, prob):
+    """Keep channel ``charges`` of the resolved amplitudes (one charge per
+    column of a batch), map back and divide by the square root of its
+    probability ``prob``."""
+    kept = resolved * op.indicator.take(charges, axis=0).T
+    return _gather_all(op.backward, kept) / np.sqrt(prob)
+
+
+def _sample_columns(op: _MeasurementOp, amps, rngs):
+    """Measure ``op``'s pair on every column of ``amps`` ``(dim, T)``.
+
+    Column ``t`` draws one ``rngs[t].random()`` and takes the first charge,
+    in index order, whose cumulative Born weight exceeds it, skipping
+    channels below :data:`PROBABILITY_FLOOR`; when the draw falls into
+    round-off slack past the last channel it takes the likeliest.  Returns
+    the charge index, its probability and the collapsed amplitudes of each
+    column.
+    """
+    resolved = _gather_all(op.forward, amps)
+    weights = _channel_weights(op, resolved)
+    u = np.array([rng.random() for rng in rngs])
+    hit = (u < np.add.accumulate(weights, 0)) & (weights >= PROBABILITY_FLOOR)
+    # Hits score 2, above every weight (at most 1 + round-off), and argmax
+    # takes the first maximum: the first hit wins, and without a hit the
+    # likeliest charge does; its probability is then at least 1/m, above
+    # the floor.
+    charges = np.where(hit, 2.0, weights).argmax(0)
+    prob = weights[charges, np.arange(len(rngs))]
+    return charges, prob, _collapse(op, resolved, charges, prob)
 
 
 def pair_charge_distribution(state: StateVector, i: int, j: int,
@@ -141,7 +168,7 @@ def pair_charge_distribution(state: StateVector, i: int, j: int,
     appear with probability 0.0 only if they are structurally admissible.
     """
     op = _measurement_op(state, i, j, routing)
-    weights = _channel_weights(state, op, _gather_all(op.forward, state.amps))
+    weights = _channel_weights(op, _gather_all(op.forward, state.amps))
     return {state.model.charges[c]: float(weights[c]) for c in op.present}
 
 
@@ -155,7 +182,12 @@ def project_pair(state: StateVector, i: int, j: int, c,
     """
     ci = state.model.charge(c).index
     op = _measurement_op(state, i, j, routing)
-    return _collapse(state, op, _gather_all(op.forward, state.amps), ci, (i, j))
+    resolved = _gather_all(op.forward, state.amps)
+    prob = float(_channel_weights(op, resolved)[ci])
+    if prob < PROBABILITY_FLOOR:
+        raise ZeroProbabilityOutcome(
+            f"outcome {state.model.labels[ci]} on pair {(i, j)} has probability {prob:.3e}")
+    return state._replace_amps(_collapse(op, resolved, ci, prob)), prob
 
 
 def sample_measurement(state: StateVector, i: int, j: int, rng,
@@ -164,28 +196,16 @@ def sample_measurement(state: StateVector, i: int, j: int, rng,
                        ) -> tuple[MeasurementOutcome, StateVector]:
     """Draw one measurement outcome for pair ``(i, j)`` and collapse.
 
-    The measurement operator is applied once: the resolved amplitudes give
-    the channel weights and, masked, the post-measurement state.  Sampling
-    is inverse-CDF over the channels in charge-index order with one
-    ``rng.random()`` draw, so a fixed generator stream reproduces the
-    trajectory exactly.
+    A batch of one of the lockstep sampler: the measurement operator is
+    applied once, its resolved amplitudes give the channel weights and,
+    masked, the post-measurement state.  Sampling is inverse-CDF over the
+    channels in charge-index order with one ``rng.random()`` draw, so a
+    fixed generator stream reproduces the trajectory exactly.
     """
     op = _measurement_op(state, i, j, routing)
-    resolved = _gather_all(op.forward, state.amps)
-    weights = _channel_weights(state, op, resolved)
-    u = rng.random()
-    acc = 0.0
-    chosen = None
-    for c in op.present:  # charges iterate in index order
-        p = float(weights[c])
-        acc += p
-        if u < acc and p >= PROBABILITY_FLOOR:
-            chosen = c
-            break
-    if chosen is None:  # u fell into round-off slack; take the likeliest
-        chosen = max(op.present, key=lambda c: weights[c])
-    post, prob = _collapse(state, op, resolved, chosen, (i, j))
-    outcome = MeasurementOutcome((i, j), state.model.charges[chosen], prob, routing)
+    charges, prob, post = _sample_columns(op, state.amps[:, None], [rng])
+    outcome = MeasurementOutcome((i, j), state.model.charges[charges[0]],
+                                 float(prob[0]), routing)
     if trace is not None:
         trace.record(outcome)
-    return outcome, post
+    return outcome, state._replace_amps(post[:, 0])

@@ -66,16 +66,6 @@ class ConsistencyReport:
     tolerance: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "max_pentagon_residual": self.max_pentagon_residual,
-            "max_hexagon_residual": self.max_hexagon_residual,
-            "max_unitarity_residual": self.max_unitarity_residual,
-            "qdim_residual": self.qdim_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 class AnyonModel:
     """Immutable container for the data of one multiplicity-free anyon model.
@@ -430,6 +420,17 @@ def _qdim_residual(N: np.ndarray, qd: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _admissible_f(N: np.ndarray) -> np.ndarray:
+    """Boolean mask of the admissible F-symbol indices ``(a, b, c, d, e, f)``:
+    ``e in ab``, ``d in ec``, ``f in bc`` and ``d in af``."""
+    N = N.astype(bool)
+    abe = N[:, :, None, None, :, None]
+    ecd = N.transpose(1, 2, 0)[None, None, :, :, :, None]
+    bcf = N[None, :, :, None, None, :]
+    afd = N.transpose(0, 2, 1)[:, None, None, :, None, :]
+    return abe & ecd & bcf & afd
+
+
 def _fill_tables(m, fusion, f_func, r_func):
     """Dense F/R arrays from per-entry functions, zero off the admissible set."""
     N = np.zeros((m, m, m), dtype=np.int8)
@@ -437,19 +438,11 @@ def _fill_tables(m, fusion, f_func, r_func):
         for c in cs:
             N[a, b, c] = 1
     F = np.zeros((m,) * 6, dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            for e in np.flatnonzero(N[a, b]):
-                for c in range(m):
-                    for d in np.flatnonzero(N[e, c]):
-                        for f in np.flatnonzero(N[b, c]):
-                            if N[a, f, d]:
-                                F[a, b, c, d, e, f] = f_func(a, b, c, d, e, f)
+    for idx in np.argwhere(_admissible_f(N)).tolist():
+        F[tuple(idx)] = f_func(*idx)
     R = np.zeros((m, m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            for c in np.flatnonzero(N[a, b]):
-                R[a, b, c] = r_func(a, b, c)
+    for a, b, c in np.argwhere(N).tolist():
+        R[a, b, c] = r_func(a, b, c)
     return N, F, R
 
 

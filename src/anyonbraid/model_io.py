@@ -24,9 +24,10 @@ table sections.  Blank lines and ``#`` comments are ignored.  Example::
     2 1 0   -0.5 -0.8660254037844386
 
 Vacuum fusion rows are implied and the fusion table is symmetrized; the
-first listed charge is the vacuum.  The loader validates the assembled
-model with :meth:`AnyonModel.verify_consistency` and rejects it when any
-residual exceeds the tolerance.
+first listed charge is the vacuum.  F and R rows must sit at indices the
+fusion rules admit.  The loader validates the assembled model with
+:meth:`AnyonModel.verify_consistency` and rejects it when any residual
+exceeds the tolerance.
 """
 
 from __future__ import annotations
@@ -34,11 +35,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ModelError, ModelFileError
-from .model import CONSISTENCY_TOL, AnyonModel
+from .model import CONSISTENCY_TOL, AnyonModel, _admissible_f
 
 
-def parse_model_text(text: str, tolerance: float = CONSISTENCY_TOL) -> AnyonModel:
-    """Parse and validate a model file's contents."""
+def parse_model_text(text: str, tolerance: float | None = CONSISTENCY_TOL) -> AnyonModel:
+    """Parse and validate a model file's contents.
+
+    ``tolerance=None`` skips the consistency gate, for callers that report
+    the residuals themselves.
+    """
     headers: dict[str, str] = {}
     sections: dict[str, list[tuple[int, str]]] = {"fusion": [], "f": [], "r": []}
     current: str | None = None
@@ -119,36 +124,27 @@ def parse_model_text(text: str, tolerance: float = CONSISTENCY_TOL) -> AnyonMode
             raise ModelFileError(f"line {lineno}: expected 're [im]' value") from None
         return complex(re_part, im_part)
 
-    f_entries = {}
+    admissible = _admissible_f(N)
+    F = np.where(admissible, 1.0 + 0.0j, 0.0)
     for lineno, line in sections["f"]:
         parts = line.split()
         if len(parts) not in (7, 8):
             raise ModelFileError(f"line {lineno}: F rows are 'a b c d e f re [im]'")
         idx = tuple(charge_of(t, lineno) for t in parts[:6])
-        f_entries[idx] = parse_value(parts[6:], lineno)
-    r_entries = {}
+        if not admissible[idx]:
+            raise ModelFileError(f"line {lineno}: F entry {' '.join(parts[:6])} "
+                                 "is not admissible under the fusion rules")
+        F[idx] = parse_value(parts[6:], lineno)
+    R = N.astype(complex)
     for lineno, line in sections["r"]:
         parts = line.split()
         if len(parts) not in (4, 5):
             raise ModelFileError(f"line {lineno}: R rows are 'a b c re [im]'")
         idx = tuple(charge_of(t, lineno) for t in parts[:3])
-        r_entries[idx] = parse_value(parts[3:], lineno)
-
-    F = np.zeros((m,) * 6, dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            for e in np.flatnonzero(N[a, b]):
-                for c in range(m):
-                    for d in np.flatnonzero(N[e, c]):
-                        for f in np.flatnonzero(N[b, c]):
-                            if N[a, f, d]:
-                                F[a, b, c, d, e, f] = f_entries.get(
-                                    (a, b, c, d, int(e), int(f)), 1.0)
-    R = np.zeros((m, m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            for c in np.flatnonzero(N[a, b]):
-                R[a, b, c] = r_entries.get((a, b, int(c)), 1.0)
+        if not N[idx]:
+            raise ModelFileError(f"line {lineno}: R entry {' '.join(parts[:3])} "
+                                 "is not admissible under the fusion rules")
+        R[idx] = parse_value(parts[3:], lineno)
 
     try:
         model = AnyonModel(headers["name"], labels, N, qd, F, R,
@@ -160,6 +156,8 @@ def parse_model_text(text: str, tolerance: float = CONSISTENCY_TOL) -> AnyonMode
         if declared is None or model.dual(i).index != declared:
             raise ModelFileError(
                 f"declared dual of {labels[i]!r} disagrees with the fusion table")
+    if tolerance is None:
+        return model
     report = model.verify_consistency(tolerance)
     if not report.passed:
         raise ModelFileError(
@@ -171,8 +169,8 @@ def parse_model_text(text: str, tolerance: float = CONSISTENCY_TOL) -> AnyonMode
     return model
 
 
-def load_model_file(path, tolerance: float = CONSISTENCY_TOL) -> AnyonModel:
-    """Load and validate a model file from disk."""
+def load_model_file(path, tolerance: float | None = CONSISTENCY_TOL) -> AnyonModel:
+    """Load and validate a model file from disk (see :func:`parse_model_text`)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

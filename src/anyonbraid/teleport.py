@@ -18,20 +18,28 @@ verifies against the directly applied R-matrix oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import MaxAttemptsExceeded, NotPhaseEquivalent, ProtocolError
 from .fusion_space import (StateVector, _braid_table, _gather_all, _transport,
                            inner)
-from .measurement import (MeasurementTrace, pair_charge_distribution,
-                          project_pair, sample_measurement)
+from .measurement import (MeasurementOutcome, MeasurementTrace, _channel_weights,
+                          _measurement_op, _sample_columns, pair_charge_distribution,
+                          project_pair)
 from .model import Charge
 
 #: Stop a forced measurement after this many target-pair attempts.
 MAX_ATTEMPTS_DEFAULT = 1000
+
+#: Batched forced measurements run in lockstep blocks of this many trials.
+#: Only one block's generators (about 1.7 kB each) and amplitudes are alive
+#: at a time; larger blocks run no faster.
+BLOCK_TRIALS = 256
 
 #: A recovery pair must carry the vacuum channel with at least this weight.
 VACUUM_TOL = 1e-9
@@ -144,48 +152,196 @@ def teleport_reference(state: StateVector, target_pair: tuple[int, int],
     return post
 
 
+@dataclass
+class ForcedBlock:
+    """Lockstep forced measurements of one block of trials, as raw arrays.
+
+    Column ``t`` is trial ``t`` of the block, started from ``state``.
+    Measurement ``s`` of a trial is on the target pair for even ``s`` and
+    on the recovery pair for odd ``s``; ``outcomes[s, t]`` is its charge
+    index (the vacuum is 0), or -1 once trial ``t`` has stopped, and
+    ``probabilities[s, t]`` its Born probability.  ``amps[:, t]`` holds the final amplitudes of
+    trial ``t`` (the state after its last measurement when it ran out of
+    attempts).
+    """
+
+    state: StateVector
+    target_pair: tuple[int, int]
+    recovery_pair: tuple[int, int]
+    routing: str
+    outcomes: np.ndarray
+    probabilities: np.ndarray
+    amps: np.ndarray
+
+    @property
+    def attempts(self) -> np.ndarray:
+        """Target-pair measurements made by each trial."""
+        return np.count_nonzero(self.outcomes[0::2] >= 0, axis=0)
+
+    @property
+    def succeeded(self) -> np.ndarray:
+        """Whether each trial's last target outcome was the vacuum."""
+        return (self.outcomes[0::2] == 0).any(0)
+
+    def attempt_charges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per target attempt (rows) and trial (columns), the recovery
+        charge ``e`` the attempt starts from and its target outcome ``f``.
+
+        ``e`` is the vacuum for the first attempt and the previous recovery
+        outcome after that; entries are meaningful where ``f >= 0``.
+        """
+        f = self.outcomes[0::2]
+        vacuum = np.zeros((1, f.shape[1]), dtype=f.dtype)
+        return np.vstack([vacuum, self.outcomes[1::2]])[:len(f)], f
+
+    def measurements(self, t: int) -> list[MeasurementOutcome]:
+        """Trial ``t``'s measurement outcomes in the order they were made."""
+        charges = self.state.model.charges
+        pairs = (self.target_pair, self.recovery_pair)
+        made = zip(self.outcomes[:, t].tolist(), self.probabilities[:, t].tolist())
+        return [MeasurementOutcome(pairs[s % 2], charges[c], p, self.routing)
+                for s, (c, p) in enumerate(made) if c >= 0]
+
+    def record(self, t: int) -> MeasurementRecord:
+        """The :class:`MeasurementRecord` of trial ``t``."""
+        charges = self.state.model.charges
+        outcomes = [charges[0]]  # the recovery pair starts in the vacuum
+        log_prob = 0.0
+        for c, p in zip(self.outcomes[:, t].tolist(), self.probabilities[:, t].tolist()):
+            if c < 0:
+                break
+            outcomes.append(charges[c])
+            log_prob += math.log(p)
+        return MeasurementRecord(tuple(outcomes), len(outcomes) // 2, self.target_pair,
+                                 self.recovery_pair, math.exp(log_prob), self.routing)
+
+    def final_state(self, t: int) -> StateVector:
+        return self.state._replace_amps(self.amps[:, t])
+
+
+def _lockstep(state: StateVector, target_pair, recovery_pair, rngs,
+              max_attempts: int, routing: str) -> ForcedBlock:
+    """Run one forced measurement per generator in ``rngs``, in lockstep.
+
+    Every round measures the target pair, then the recovery pair, on the
+    columns still active; a column leaves when its target outcome is the
+    vacuum or after ``max_attempts`` rounds.
+    """
+    ops = (_measurement_op(state, *target_pair, routing),
+           _measurement_op(state, *recovery_pair, routing))
+    T = len(rngs)
+    live = np.arange(T)
+    amps = state.amps[:, None].repeat(T, 1)
+    final = None  # allocated when the first columns leave early
+    outcomes, probabilities = [], []
+    for s in range(2 * max_attempts):
+        charges, prob, amps = _sample_columns(ops[s % 2], amps, rngs)
+        if len(live) == T:
+            outcomes.append(charges)
+            probabilities.append(prob)
+        else:
+            outcomes.append(_widen(charges, live, T, -1))
+            probabilities.append(_widen(prob, live, T, 0.0))
+        if s % 2:
+            continue
+        going = np.count_nonzero(charges)  # the vacuum is charge 0
+        if not going:
+            break
+        if going < len(live):
+            keep = charges != 0
+            if final is None:
+                final = np.empty((len(amps), T), dtype=complex)
+            final[:, live[~keep]] = amps[:, ~keep]
+            live, amps = live[keep], amps[:, keep]
+            rngs = [rng for rng, k in zip(rngs, keep.tolist()) if k]
+    if final is None:
+        final = amps
+    else:
+        final[:, live] = amps
+    return ForcedBlock(state, target_pair, recovery_pair, routing,
+                       np.array(outcomes), np.array(probabilities), final)
+
+
+def _widen(values, live, T: int, fill):
+    """``values`` of the active columns ``live`` as a row over all ``T``."""
+    row = np.full(T, fill, dtype=values.dtype)
+    row[live] = values
+    return row
+
+
+def _checked_pairs(state: StateVector, target_pair, recovery_pair, routing):
+    """The pairs as int tuples, after checking that they overlap in exactly
+    one leaf and that the recovery pair is in a definite vacuum channel."""
+    target_pair = (int(target_pair[0]), int(target_pair[1]))
+    recovery_pair = (int(recovery_pair[0]), int(recovery_pair[1]))
+    if len(set(target_pair) & set(recovery_pair)) != 1:
+        raise ProtocolError(
+            f"target {target_pair} and recovery {recovery_pair} must share exactly one leaf")
+    op = _measurement_op(state, *recovery_pair, routing)
+    weights = _channel_weights(op, _gather_all(op.forward, state.amps))
+    if weights[state.model.vacuum.index] < 1.0 - VACUUM_TOL:
+        dist = pair_charge_distribution(state, *recovery_pair, routing=routing)
+        raise ProtocolError(
+            f"recovery pair {recovery_pair} lacks a definite vacuum channel: {dist}")
+    return target_pair, recovery_pair
+
+
+def _traced(block: ForcedBlock, trace: MeasurementTrace | None) -> ForcedBlock:
+    """Record ``block``'s measurements in ``trace``, trial by trial."""
+    if trace is not None:
+        for t in range(block.outcomes.shape[1]):
+            for outcome in block.measurements(t):
+                trace.record(outcome)
+    return block
+
+
+def forced_measurements(state: StateVector, target_pair, recovery_pair, rngs,
+                        max_attempts: int = MAX_ATTEMPTS_DEFAULT,
+                        routing: str = "over",
+                        trace: MeasurementTrace | None = None,
+                        ) -> Iterator[ForcedBlock]:
+    """Forced measurements of ``target_pair`` on ``state``, one trial per
+    generator in ``rngs``, undoing failures via ``recovery_pair``.
+
+    Trials run in lockstep blocks of at most :data:`BLOCK_TRIALS`; one
+    :class:`ForcedBlock` is yielded per block, and ``rngs`` is consumed
+    lazily, so only one block's generators and amplitudes are alive at a
+    time.  Trial ``t`` draws one ``rngs[t].random()`` per measurement in
+    the order it makes them, exactly as it would run alone.  A trial that
+    runs out of attempts is flagged in its block's ``succeeded``.
+    ``trace`` receives every measurement, trial by trial.
+
+    The pairs must overlap in exactly one leaf and the recovery pair must
+    start in a definite vacuum channel.
+    """
+    pairs = _checked_pairs(state, target_pair, recovery_pair, routing)
+    rngs = iter(rngs)
+    while chunk := list(itertools.islice(rngs, BLOCK_TRIALS)):
+        block = _lockstep(state, *pairs, chunk, max_attempts, routing)
+        del chunk  # free this block's generators before the next are made
+        yield _traced(block, trace)
+
+
 def forced_measurement(state: StateVector, target_pair, recovery_pair, rng,
                        max_attempts: int = MAX_ATTEMPTS_DEFAULT,
                        routing: str = "over",
                        trace: MeasurementTrace | None = None,
                        ) -> tuple[StateVector, MeasurementRecord]:
     """Measure ``target_pair`` until it yields vacuum, undoing failures via
-    ``recovery_pair``.
+    ``recovery_pair``: a batch of one of :func:`forced_measurements`.
 
-    The pairs must overlap in exactly one leaf and the recovery pair must
-    start in a definite vacuum channel.  Returns the post-measurement state
-    (the teleported state, up to a trajectory-dependent global phase) and
-    the outcome record.
+    Returns the post-measurement state (the teleported state, up to a
+    trajectory-dependent global phase) and the outcome record.  Raises
+    :class:`MaxAttemptsExceeded` when no vacuum outcome came within
+    ``max_attempts`` attempts.
     """
-    target_pair = (int(target_pair[0]), int(target_pair[1]))
-    recovery_pair = (int(recovery_pair[0]), int(recovery_pair[1]))
-    if len(set(target_pair) & set(recovery_pair)) != 1:
-        raise ProtocolError(
-            f"target {target_pair} and recovery {recovery_pair} must share exactly one leaf")
-    model = state.model
-    vacuum = model.vacuum
-    dist = pair_charge_distribution(state, *recovery_pair, routing=routing)
-    if dist.get(vacuum, 0.0) < 1.0 - VACUUM_TOL:
-        raise ProtocolError(
-            f"recovery pair {recovery_pair} lacks a definite vacuum channel: {dist}")
-    outcomes = [vacuum]
-    log_prob = 0.0
-    for _ in range(max_attempts):
-        f_out, state = sample_measurement(state, *target_pair, rng,
-                                          routing=routing, trace=trace)
-        outcomes.append(f_out.charge)
-        log_prob += math.log(f_out.probability)
-        if f_out.charge == vacuum:
-            record = MeasurementRecord(tuple(outcomes), len(outcomes) // 2,
-                                       target_pair, recovery_pair,
-                                       math.exp(log_prob), routing)
-            return state, record
-        e_out, state = sample_measurement(state, *recovery_pair, rng,
-                                          routing=routing, trace=trace)
-        outcomes.append(e_out.charge)
-        log_prob += math.log(e_out.probability)
-    raise MaxAttemptsExceeded(
-        f"no vacuum outcome on {target_pair} within {max_attempts} attempts")
+    pairs = _checked_pairs(state, target_pair, recovery_pair, routing)
+    block = _traced(_lockstep(state, *pairs, [rng], max_attempts, routing), trace)
+    record = block.record(0)
+    if record.target_outcomes()[-1] != state.model.vacuum:
+        raise MaxAttemptsExceeded(
+            f"no vacuum outcome on {record.target_pair} within {max_attempts} attempts")
+    return block.final_state(0), record
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from anyonbraid import (StateVector, apply_f_move, attach_pair,
                         entangled_pair_state, load_builtin, project_pair,
                         random_state)
+
+# Property tests draw the same examples on every run and have no per-example
+# deadline, so they neither flake nor trip on a slow shared machine.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          max_examples=25)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,121 @@
+"""Lockstep batched forced measurement against its batch of one."""
+
+import math
+import pathlib
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from anyonbraid import (MaxAttemptsExceeded, MeasurementTrace,
+                        forced_measurement, forced_measurements)
+from anyonbraid.cli import main
+from anyonbraid.teleport import BLOCK_TRIALS
+
+from conftest import random_five_leaf_state, teleport_config
+
+DATA = pathlib.Path(__file__).parent / "data"
+TARGET, RECOVERY = (1, 2), (0, 1)
+
+
+def streams(seed, trials):
+    return (np.random.default_rng([seed, t]) for t in range(trials))
+
+
+def blocks_as_trials(blocks):
+    """Per-trial ``(record or None, final state)`` of a batched run."""
+    out = []
+    for block in blocks:
+        ok = block.succeeded
+        for t in range(block.outcomes.shape[1]):
+            out.append((block.record(t) if ok[t] else None, block.final_state(t)))
+    return out
+
+
+def assert_matches_batch_of_one(state, seed, trials, max_attempts=1000):
+    batched = blocks_as_trials(forced_measurements(
+        state, TARGET, RECOVERY, streams(seed, trials), max_attempts=max_attempts))
+    assert len(batched) == trials
+    for t, (record, final) in enumerate(batched):
+        rng = np.random.default_rng([seed, t])
+        if record is None:
+            with pytest.raises(MaxAttemptsExceeded):
+                forced_measurement(state, TARGET, RECOVERY, rng,
+                                   max_attempts=max_attempts)
+            continue
+        single_state, single = forced_measurement(state, TARGET, RECOVERY, rng,
+                                                  max_attempts=max_attempts)
+        assert record.outcomes == single.outcomes
+        assert record.attempts == single.attempts
+        assert record.trajectory_probability == pytest.approx(
+            single.trajectory_probability, rel=0, abs=1e-12)
+        np.testing.assert_allclose(final.amps, single_state.amps, rtol=0, atol=1e-12)
+    return batched
+
+
+class TestBatchOfOne:
+    def test_every_protocol_model(self, protocol_models):
+        for model, a in protocol_models:
+            assert_matches_batch_of_one(teleport_config(model, a), 21, 300)
+
+    def test_random_encoded_states(self, protocol_models):
+        rng = np.random.default_rng(22)
+        for model, a in protocol_models:
+            assert_matches_batch_of_one(random_five_leaf_state(model, a, rng), 23, 60)
+
+    @pytest.mark.parametrize("trials", [1, BLOCK_TRIALS, BLOCK_TRIALS + 1])
+    def test_block_boundaries(self, fibonacci, trials):
+        state = teleport_config(fibonacci, "1")
+        assert_matches_batch_of_one(state, 24, trials)
+        sizes = [block.outcomes.shape[1] for block in forced_measurements(
+            state, TARGET, RECOVERY, streams(24, trials))]
+        assert sizes == [BLOCK_TRIALS] * (trials // BLOCK_TRIALS) + (
+            [trials % BLOCK_TRIALS] if trials % BLOCK_TRIALS else [])
+
+    def test_max_attempts_fails_trials_one_by_one(self, protocol_models):
+        for model, a in protocol_models:
+            batched = assert_matches_batch_of_one(teleport_config(model, a), 25, 200,
+                                                  max_attempts=1)
+            failed = sum(record is None for record, _ in batched)
+            assert 0 < failed < 200
+            block, = forced_measurements(teleport_config(model, a), TARGET, RECOVERY,
+                                         streams(25, 200), max_attempts=1)
+            assert int(np.count_nonzero(~block.succeeded)) == failed
+            assert set(block.attempts.tolist()) == {1}
+
+    def test_shared_trace_is_trial_major(self, ising):
+        state = teleport_config(ising, "1/2")
+        shared = MeasurementTrace()
+        list(forced_measurements(state, TARGET, RECOVERY, streams(26, 40),
+                                 trace=shared))
+        alone = MeasurementTrace()
+        for t in range(40):
+            forced_measurement(state, TARGET, RECOVERY,
+                               np.random.default_rng([26, t]), trace=alone)
+        assert len(shared.entries) == len(alone.entries)
+        for got, want in zip(shared.entries, alone.entries):
+            assert (got["pair"], got["outcome"]) == (want["pair"], want["outcome"])
+            assert math.isclose(got["cumulative_log_probability"],
+                                want["cumulative_log_probability"], abs_tol=1e-9)
+
+    @given(trials=st.integers(1, 40), seed=st.integers(0, 2 ** 63 - 1),
+           model_index=st.integers(0, 2))
+    def test_property_batch_equals_batch_of_one(self, protocol_models, trials, seed,
+                                                model_index):
+        model, a = protocol_models[model_index]
+        assert_matches_batch_of_one(teleport_config(model, a), seed, trials)
+
+
+@pytest.mark.parametrize("name,model_args,seed", [
+    ("ising", ["--model", "ising"], 2718),
+    ("fibonacci", ["--model", "fibonacci"], 3141),
+    ("su2_k3", ["--model", "su2_k", "--k", "3"], 1618),
+])
+def test_teleport_stats_golden(capsys, name, model_args, seed):
+    # golden outputs of the one-trial-at-a-time implementation; 1100 trials
+    # span two lockstep blocks
+    code = main(["teleport-stats", *model_args, "--seed", str(seed),
+                 "--trials", "1100"])
+    assert code == 0
+    assert capsys.readouterr().out == (DATA / f"teleport_stats_{name}.json").read_text()

@@ -69,6 +69,42 @@ class TestVerify:
         assert code == 2
         assert "model file error" in err
 
+    def test_model_file_is_checked_once(self, capsys, tmp_path, monkeypatch):
+        from anyonbraid.model import AnyonModel
+
+        calls = []
+        check = AnyonModel.verify_consistency
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.name)
+            return check(self, *args, **kwargs)
+
+        monkeypatch.setattr(AnyonModel, "verify_consistency", counted)
+        path = tmp_path / "z3.model"
+        path.write_text(Z3_TEXT)
+        code, out, _ = run_cli(capsys, "verify", "--model", str(path))
+        assert code == 0
+        assert calls == ["z3"]
+
+    def test_report_fields_in_order(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--model", "fibonacci")
+        assert list(json.loads(out)["report"]) == [
+            "max_pentagon_residual", "max_hexagon_residual",
+            "max_unitarity_residual", "qdim_residual", "tolerance", "passed"]
+
+    @pytest.mark.parametrize("section,row", [
+        ("[f]", "1 1 1 1 1 1 5"),  # 1 x 1 -> 1 is not a Z2 fusion channel
+        ("[r]", "1 1 1 3"),
+    ])
+    def test_inadmissible_row_is_usage_error(self, capsys, tmp_path, section, row):
+        text = ("name: z2\ncharges: 0 1\ndual: 0:0 1:1\nqdim: 0:1 1:1\n"
+                f"[fusion]\n1 1 -> 0\n{section}\n{row}\n")
+        path = tmp_path / "z2.model"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "verify", "--model", str(path))
+        assert code == 2
+        assert "line 8" in err and "not admissible" in err
+
     def test_csv_and_human_formats(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--model", "ising",
                                "--format", "csv")
@@ -137,6 +173,16 @@ class TestTeleportStats:
         first = payload["trace"][0]
         assert set(first) == {"pair", "routing", "outcome", "probability",
                               "cumulative_log_probability"}
+
+    def test_max_attempts_one_reports_no_spread(self, capsys):
+        # every surviving trial took one attempt: zero spread, no z-score
+        code, out, _ = run_cli(capsys, "teleport-stats", "--model", "fibonacci",
+                               "--seed", "9", "--trials", "50", "--max-attempts", "1")
+        assert code == 0
+        attempts = json.loads(out)["attempts"]
+        assert attempts["std"] == 0.0
+        assert math.isnan(attempts["mean_z"])
+        assert attempts["trials"] + json.loads(out)["max_attempts_exceeded"] == 50
 
     def test_seed_is_required(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

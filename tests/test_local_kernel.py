@@ -108,7 +108,9 @@ def test_every_measurement_projector(registers):
                                                       i, j, routing)
                     _, U = dense._resolve_matrix(model, moved, state.total, i)
                     _, channels = dense._pair_channels(model, moved, state.total, i)
-                    got, present, forward, backward = _measurement_op(state, i, j, routing)
+                    op = _measurement_op(state, i, j, routing)
+                    got, present = op.channels, op.present
+                    forward, backward = op.forward, op.backward
                     assert list(got) == list(channels)
                     assert present == tuple(sorted(set(channels.tolist())))
                     reference = U @ (T @ probes)
@@ -116,6 +118,7 @@ def test_every_measurement_projector(registers):
                     _close(resolved, reference)
                     for c in present:
                         mask = (channels == c)[:, None]
+                        assert np.array_equal(op.indicator[c], mask[:, 0])
                         _close(_gather_all(backward, np.where(mask, resolved, 0.0)),
                                T.conj().T @ (U.conj().T @ (mask * reference)))
 
