@@ -164,9 +164,11 @@ def _cmd_teleport_stats(args) -> int:
     target, recovery = (1, 2), (0, 1)
     da2 = tp.expected_attempt_bound(model, charge)
     m = model.num_charges
-    tried = np.zeros(m, dtype=np.int64)  # attempts made from recovery charge e
-    hits = np.zeros(m, dtype=np.int64)   # ... that ended in the vacuum
-    attempts = []
+    # every attempt made, by the recovery charge e it started from, and
+    # those that ended in the vacuum; trials that ran out count too
+    tried = np.zeros(m, dtype=np.int64)
+    hits = np.zeros(m, dtype=np.int64)
+    attempts = []  # per completed trial
     exceeded = 0
     trace = ms.MeasurementTrace() if args.trace else None
     streams = (_substream(args.seed, t) for t in range(args.trials))
@@ -175,7 +177,7 @@ def _cmd_teleport_stats(args) -> int:
                                         routing=args.routing, trace=trace):
         ok = block.succeeded
         exceeded += int(np.count_nonzero(~ok))
-        e, f = (charges[:, ok] for charges in block.attempt_charges())
+        e, f = block.attempt_charges()
         made = f >= 0
         tried += np.bincount(e[made], minlength=m)
         hits += np.bincount(e[made & (f == 0)], minlength=m)
@@ -249,6 +251,27 @@ def _braid_payload(records) -> list:
     return out
 
 
+def _checked_run(schedule, initial, args):
+    """Execute ``schedule`` from ``initial`` on substream 0 and check it
+    against the direct-braid oracle.
+
+    Returns the final state, the braid records, the oracle fidelity, the
+    phase against the oracle (``None`` at fidelity 0.5 or below) and the
+    resource defect.
+    """
+    final, records = cp.execute(schedule, initial, _substream(args.seed, 0),
+                                routing=args.routing, max_attempts=args.max_attempts)
+    oracle = cp.direct_braid_reference(schedule.word, schedule.layout, initial,
+                                       routing=args.routing)
+    fid = fs.fidelity(final, oracle)
+    phase = _phase(tp.relative_phase(final, oracle)) if fid > 0.5 else None
+    return final, records, fid, phase, cp.check_resources(schedule.layout, final)
+
+
+def _passed(fid: float, defect: float, args) -> bool:
+    return bool(fid >= 1.0 - args.tolerance and defect < cp.RESOURCE_TOL)
+
+
 def _cmd_braid_check(args) -> int:
     model = _load_model(args)
     charge = _default_charge(model, args)
@@ -261,9 +284,7 @@ def _cmd_braid_check(args) -> int:
         raise _CliError(str(exc), 2) from exc
     if args.random_state:
         initial = cp.random_encoded_state(layout, _substream(args.seed, 2 ** 31))
-    final, records = cp.execute(schedule, initial, _substream(args.seed, 0),
-                                routing=args.routing,
-                                max_attempts=args.max_attempts)
+    final, records, fid, phase, defect = _checked_run(schedule, initial, args)
     payload = {
         "config": {
             "model": model.name, "params": model.params, "charge": charge.label,
@@ -271,7 +292,7 @@ def _cmd_braid_check(args) -> int:
             "routing": args.routing, "random_state": bool(args.random_state),
         },
         "braids": _braid_payload(records),
-        "resource_defect": cp.check_resources(layout, final),
+        "resource_defect": defect,
     }
     if args.compare_word:
         other = _parse_word(args.compare_word)
@@ -281,21 +302,18 @@ def _cmd_braid_check(args) -> int:
                                         _substream(args.seed, 1),
                                         routing=args.routing,
                                         max_attempts=args.max_attempts)
-        fid = fs.fidelity(final, final_b)
+        fid_b = fs.fidelity(final, final_b)
         payload["compare"] = {
             "word": str(other),
-            "fidelity": fid,
-            "phase": _phase(tp.relative_phase(final, final_b)) if fid > 0.5 else None,
+            "fidelity": fid_b,
+            "phase": _phase(tp.relative_phase(final, final_b)) if fid_b > 0.5 else None,
             "braids": _braid_payload(records_b),
         }
-        passed = fid >= 1.0 - args.tolerance
+        passed = fid_b >= 1.0 - args.tolerance
     else:
-        oracle = cp.direct_braid_reference(word, layout, initial, routing=args.routing)
-        fid = fs.fidelity(final, oracle)
         payload["oracle_fidelity"] = fid
-        payload["phase_vs_oracle"] = _phase(tp.relative_phase(final, oracle)) if fid > 0.5 else None
-        passed = (fid >= 1.0 - args.tolerance
-                  and payload["resource_defect"] < cp.RESOURCE_TOL)
+        payload["phase_vs_oracle"] = phase
+        passed = _passed(fid, defect, args)
     payload["passed"] = bool(passed)
     _emit(payload, args)
     return 0 if passed else 1
@@ -312,8 +330,7 @@ def _cmd_compile(args) -> int:
     word = _parse_word(args.word)
     n_comp = args.n_computational or max(2, word.max_strand() + 1)
     try:
-        layout, _ = cp.build_array(model, charge, n_comp,
-                                   self_dual_economy=args.economy)
+        layout, _ = cp.build_array(model, charge, n_comp)
         schedule = cp.compile_word(word, layout)
     except AnyonError as exc:
         raise _CliError(str(exc), 2) from exc
@@ -337,29 +354,18 @@ def _cmd_run(args) -> int:
     except AnyonError as exc:
         raise _CliError(f"bad schedule: {exc}", 2) from exc
     layout = schedule.layout
-    _, initial = cp.build_array(layout.model, layout.charge,
-                                len(layout.computational),
-                                layout.self_dual_economy)
-    final, records = cp.execute(schedule, initial, _substream(args.seed, 0),
-                                routing=args.routing,
-                                max_attempts=args.max_attempts)
-    oracle = cp.direct_braid_reference(schedule.word, layout, initial,
-                                       routing=args.routing)
-    fid = fs.fidelity(final, oracle)
+    _, initial = cp.build_array(layout.model, layout.charge, len(layout.computational))
+    final, records, fid, _, defect = _checked_run(schedule, initial, args)
+    passed = _passed(fid, defect, args)
     payload = {
         "config": {"schedule": args.schedule, "seed": args.seed,
                    "routing": args.routing, "word": str(schedule.word)},
-        "records": _braid_payload(r for r in records
-                                  if isinstance(r, tp.BraidRecord)),
-        "readouts": [{"pair": list(r.pair), "outcome": r.charge.label,
-                      "probability": r.probability}
-                     for r in records if isinstance(r, ms.MeasurementOutcome)],
-        "resource_defect": cp.check_resources(layout, final),
+        "records": _braid_payload(records),
+        "resource_defect": defect,
         "oracle_fidelity": fid,
         "final_state": json.loads(fs.state_to_json(final)),
+        "passed": passed,
     }
-    passed = fid >= 1.0 - args.tolerance
-    payload["passed"] = bool(passed)
     _emit(payload, args)
     return 0 if passed else 1
 
@@ -428,8 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--word", required=True)
     p.add_argument("--n-computational", type=int, default=None)
-    p.add_argument("--economy", action="store_true",
-                   help="flag the layout as the self-dual single-row economy variant")
     p.add_argument("--output", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_compile)
 

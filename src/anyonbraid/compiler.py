@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from .errors import (ProtocolError, ScheduleError, UnsupportedCharge,
                      ZeroProbabilityOutcome)
 from .fusion_space import StateVector, attach_pair, empty_state, random_state
-from .measurement import (MeasurementOutcome, MeasurementTrace,
-                          pair_charge_distribution, project_pair,
-                          sample_measurement)
+from .measurement import (MeasurementOutcome, pair_charge_distribution,
+                          project_pair, sample_measurement)
 from .model import AnyonModel
 from .teleport import (MAX_ATTEMPTS_DEFAULT, BraidRecord, _quad_steps,
                        direct_quad_braid, measurement_braid)
@@ -48,7 +47,6 @@ class ArrayLayout:
     computational: tuple[int, ...]
     resources: tuple[tuple[int, int], ...]
     boundary_partner: int | None
-    self_dual_economy: bool
 
     @property
     def n_leaves(self) -> int:
@@ -75,7 +73,7 @@ class ArrayLayout:
             "computational": list(self.computational),
             "resources": [list(p) for p in self.resources],
             "boundary_partner": self.boundary_partner,
-            "self_dual_economy": self.self_dual_economy,
+            "self_dual_economy": False,  # v1 header field; always false
         }
 
 
@@ -111,36 +109,50 @@ class BraidWord:
 
 @dataclass(frozen=True)
 class ScheduleStep:
-    """One adaptive measurement instruction.
-
-    ``kind`` is ``"forced_measurement"`` (with braid grouping metadata) or
-    ``"readout"`` (``pair`` only).
+    """One forced measurement: measure ``pair`` until it yields the vacuum,
+    undoing failures via ``recovery``.  It is one of the three steps of
+    braid ``braid_index`` of the word, generator ``s<generator>`` in
+    ``direction`` on ``quad``.
     """
 
-    kind: str
     pair: tuple[int, int]
-    recovery: tuple[int, int] | None = None
-    braid_index: int | None = None
-    generator: int | None = None
-    direction: str | None = None
-    quad: tuple[int, int, int, int] | None = None
+    recovery: tuple[int, int]
+    braid_index: int
+    generator: int
+    direction: str
+    quad: tuple[int, int, int, int]
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, "pair": list(self.pair)}
-        if self.kind == "forced_measurement":
-            d.update(recovery=list(self.recovery), braid_index=self.braid_index,
-                     generator=self.generator, direction=self.direction,
-                     quad=list(self.quad))
-        return d
+        return {"kind": "forced_measurement", "pair": list(self.pair),
+                "recovery": list(self.recovery), "braid_index": self.braid_index,
+                "generator": self.generator, "direction": self.direction,
+                "quad": list(self.quad)}
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Ordered measurement instructions compiled from a braid word."""
+    """A braid word on an array layout; its measurement steps are derived
+    from the word, three forced measurements per generator.
+
+    Constructing a schedule whose word uses a generator the layout lacks
+    raises :class:`ScheduleError`.
+    """
 
     layout: ArrayLayout
     word: BraidWord
-    steps: tuple[ScheduleStep, ...]
+
+    def __post_init__(self):
+        for g in self.word.generators:
+            self.layout.quad(abs(g))
+
+    @property
+    def steps(self) -> tuple[ScheduleStep, ...]:
+        steps = []
+        for b, g in enumerate(self.word.generators):
+            quad, direction = _braid_unit(self.layout, g)
+            steps += [ScheduleStep(target, recovery, b, abs(g), direction, quad)
+                      for target, recovery in _quad_steps(quad, direction)]
+        return tuple(steps)
 
     def to_dict(self) -> dict:
         return {
@@ -151,13 +163,17 @@ class Schedule:
         }
 
 
+def _braid_unit(layout: ArrayLayout, g: int) -> tuple[tuple[int, int, int, int], str]:
+    """Quad and direction of the signed generator ``g``."""
+    return layout.quad(abs(g)), "positive" if g > 0 else "inverse"
+
+
 # ---------------------------------------------------------------------------
 # Array construction.
 # ---------------------------------------------------------------------------
 
 
-def array_layout(model: AnyonModel, a, n_computational: int,
-                 self_dual_economy: bool = False) -> ArrayLayout:
+def array_layout(model: AnyonModel, a, n_computational: int) -> ArrayLayout:
     """The layout :func:`build_array` gives ``n_computational`` anyons of
     charge ``a``: computational anyon ``i`` on leaf ``3 i``, the resource
     pair between anyons ``i`` and ``i+1`` on leaves ``(3 i + 1, 3 i + 2)``,
@@ -173,12 +189,10 @@ def array_layout(model: AnyonModel, a, n_computational: int,
     computational = tuple(3 * i for i in range(n_computational))
     resources = tuple((3 * i + 1, 3 * i + 2) for i in range(n_computational - 1))
     partner = 3 * n_computational - 2 if n_computational % 2 else None
-    return ArrayLayout(model, ca.label, computational, resources, partner,
-                       bool(self_dual_economy))
+    return ArrayLayout(model, ca.label, computational, resources, partner)
 
 
-def build_array(model: AnyonModel, a, n_computational: int,
-                self_dual_economy: bool = False) -> tuple[ArrayLayout, StateVector]:
+def build_array(model: AnyonModel, a, n_computational: int) -> tuple[ArrayLayout, StateVector]:
     """Create the initial array state and its layout.
 
     Computational anyons are created pairwise from vacuum, which requires a
@@ -187,7 +201,7 @@ def build_array(model: AnyonModel, a, n_computational: int,
     in the vacuum channel is inserted between each adjacent computational
     pair, so braid quads are contiguous.
     """
-    layout = array_layout(model, a, n_computational, self_dual_economy)
+    layout = array_layout(model, a, n_computational)
     ca = model.charge(a)
     state = empty_state(model)
     for _ in range((n_computational + 1) // 2):
@@ -202,8 +216,7 @@ def random_encoded_state(layout: ArrayLayout, rng) -> StateVector:
     """A random register state compatible with the layout: resource pairs in
     the vacuum channel, everything else Haar-like random."""
     model = layout.model
-    _, initial = build_array(model, layout.charge, len(layout.computational),
-                             layout.self_dual_economy)
+    _, initial = build_array(model, layout.charge, len(layout.computational))
     while True:
         state = random_state(model, initial.leaves, initial.total, rng)
         try:
@@ -214,8 +227,7 @@ def random_encoded_state(layout: ArrayLayout, rng) -> StateVector:
         return state
 
 
-def check_resources(layout: ArrayLayout, state: StateVector,
-                    tol: float = RESOURCE_TOL) -> float:
+def check_resources(layout: ArrayLayout, state: StateVector) -> float:
     """Worst deviation of any resource pair from a sharp vacuum channel."""
     worst = 0.0
     for pair in layout.resources:
@@ -230,66 +242,31 @@ def check_resources(layout: ArrayLayout, state: StateVector,
 
 
 def compile_word(word: BraidWord, layout: ArrayLayout) -> Schedule:
-    """Expand each braid generator into its three forced measurements."""
-    steps = []
-    for b, g in enumerate(word.generators):
-        quad = layout.quad(abs(g))
-        direction = "positive" if g > 0 else "inverse"
-        for target, recovery in _quad_steps(quad, direction):
-            steps.append(ScheduleStep("forced_measurement", target, recovery,
-                                      braid_index=b, generator=abs(g),
-                                      direction=direction, quad=quad))
-    return Schedule(layout, word, tuple(steps))
+    """The schedule of ``word`` on ``layout``: three forced measurements per
+    generator (:attr:`Schedule.steps`)."""
+    return Schedule(layout, word)
 
 
 def execute(schedule: Schedule, state: StateVector, rng,
             routing: str = "over", max_attempts: int = MAX_ATTEMPTS_DEFAULT,
-            trace: MeasurementTrace | None = None,
-            ) -> tuple[StateVector, list]:
+            ) -> tuple[StateVector, list[BraidRecord]]:
     """Run a schedule stochastically.
 
-    Returns the final state and one record per schedule unit: a
-    :class:`BraidRecord` per compiled generator (its three forced
-    measurements) or a :class:`MeasurementOutcome` per readout step.
-    Resource pairs are checked to be back in the vacuum channel after every
-    braid unit.
+    Returns the final state and one :class:`BraidRecord` per generator of
+    the word (its three forced measurements).  Resource pairs are checked
+    to be back in the vacuum channel after every braid.
     """
-    records: list = []
-    i = 0
-    steps = schedule.steps
-    while i < len(steps):
-        step = steps[i]
-        if step.kind == "readout":
-            outcome, state = sample_measurement(state, step.pair[0], step.pair[1],
-                                                rng, routing=routing, trace=trace)
-            records.append(outcome)
-            i += 1
-            continue
-        if step.kind != "forced_measurement":
-            raise ScheduleError(f"unknown step kind {step.kind!r}")
-        group = [s for s in steps[i:i + 3]
-                 if s.kind == "forced_measurement" and s.braid_index == step.braid_index]
-        if len(group) != 3 or group != list(_expected_group(step)):
-            raise ScheduleError(
-                f"braid group {step.braid_index} is not three consistent forced measurements")
-        state, record = measurement_braid(state, step.quad, step.direction, rng,
-                                          routing=routing,
-                                          max_attempts=max_attempts, trace=trace)
+    records = []
+    for b, g in enumerate(schedule.word.generators):
+        quad, direction = _braid_unit(schedule.layout, g)
+        state, record = measurement_braid(state, quad, direction, rng, routing=routing,
+                                          max_attempts=max_attempts)
         records.append(record)
         defect = check_resources(schedule.layout, state)
         if defect > RESOURCE_TOL:
             raise ProtocolError(
-                f"resource pair not replenished after braid {step.braid_index}: "
-                f"defect {defect:.3e}")
-        i += 3
+                f"resource pair not replenished after braid {b}: defect {defect:.3e}")
     return state, records
-
-
-def _expected_group(step: ScheduleStep):
-    for target, recovery in _quad_steps(step.quad, step.direction):
-        yield ScheduleStep("forced_measurement", target, recovery,
-                           braid_index=step.braid_index, generator=step.generator,
-                           direction=step.direction, quad=step.quad)
 
 
 def direct_braid_reference(word: BraidWord, layout: ArrayLayout,
@@ -338,18 +315,9 @@ def schedule_from_dict(data: dict, model: AnyonModel | None = None) -> Schedule:
         lay = data["layout"]
         if model is None:
             model = load_builtin(lay["model"], k=lay["params"].get("k"))
-        layout = array_layout(model, lay["charge"], len(lay["computational"]),
-                              lay["self_dual_economy"])
-        word = BraidWord.parse(data["word"]) if data.get("word") else BraidWord(())
-        steps = []
-        for s in data["steps"]:
-            if s["kind"] == "readout":
-                steps.append(ScheduleStep("readout", tuple(s["pair"])))
-            else:
-                steps.append(ScheduleStep("forced_measurement", tuple(s["pair"]),
-                                          tuple(s["recovery"]), s["braid_index"],
-                                          s["generator"], s["direction"],
-                                          tuple(s["quad"])))
+        layout = array_layout(model, lay["charge"], len(lay["computational"]))
+        word = BraidWord.parse(data["word"])
+        steps = data["steps"]
     except KeyError as exc:
         raise ScheduleError(f"malformed schedule: missing field {exc}") from exc
     except (TypeError, AttributeError, ValueError) as exc:
@@ -358,8 +326,7 @@ def schedule_from_dict(data: dict, model: AnyonModel | None = None) -> Schedule:
         raise ScheduleError(
             f"layout {lay} is not the canonical layout {layout.describe()} "
             f"for its model, charge and size")
-    schedule = Schedule(layout, word, tuple(steps))
-    compiled = compile_word(word, layout)
-    if word.generators and compiled.steps != schedule.steps:
+    schedule = compile_word(word, layout)
+    if steps != schedule.to_dict()["steps"]:
         raise ScheduleError("schedule steps do not match the declared braid word")
     return schedule

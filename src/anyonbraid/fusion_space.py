@@ -443,8 +443,7 @@ def fidelity(s1: StateVector, s2: StateVector) -> float:
     return abs(inner(s1, s2))
 
 
-def attach_pair(state: StateVector, position: int, a,
-                note: DiagramIsotopyNote | None = None) -> StateVector:
+def attach_pair(state: StateVector, position: int, a) -> StateVector:
     """Insert a vacuum-channel pair ``(a, dual a)`` at the given leaf position.
 
     The inserted pair becomes leaves ``position`` and ``position + 1`` of the

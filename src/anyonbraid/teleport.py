@@ -410,15 +410,16 @@ def braid_oracle_state(state: StateVector, quad, direction: str,
 def measurement_braid(state: StateVector, quad, direction: str, rng,
                       routing: str = "over",
                       max_attempts: int = MAX_ATTEMPTS_DEFAULT,
-                      trace: MeasurementTrace | None = None,
                       ) -> tuple[StateVector, BraidRecord]:
     """Braid the outer anyons of ``quad`` using three forced measurements.
 
     ``quad = (q1, q2, q3, q4)`` must be contiguous, with the computational
     charge on ``q1, q4`` and the entangled resource pair on ``(q2, q3)`` in
-    the vacuum channel.  ``direction="positive"`` reproduces the
-    counterclockwise exchange of ``q1`` and ``q4`` up to a global phase,
-    with the resource pair restored in place; ``"inverse"`` its inverse.
+    the vacuum channel; the first forced measurement, whose recovery pair it
+    is, raises :class:`ProtocolError` otherwise.  ``direction="positive"``
+    reproduces the counterclockwise exchange of ``q1`` and ``q4`` up to a
+    global phase, with the resource pair restored in place; ``"inverse"``
+    its inverse.
 
     Only the default ``routing="over"`` synthesizes the exchange; the
     "under" convention for the non-adjacent measurement is a physically
@@ -426,20 +427,15 @@ def measurement_braid(state: StateVector, quad, direction: str, rng,
     output fails to match the oracle.
     """
     quad = _check_quad(state, quad)
-    model = state.model
-    if pair_charge_distribution(state, quad[1], quad[2],
-                                routing=routing).get(model.vacuum, 0.0) < 1.0 - VACUUM_TOL:
-        raise ProtocolError(f"resource pair ({quad[1]}, {quad[2]}) is not in the vacuum channel")
     oracle = braid_oracle_state(state, quad, direction, routing)
     records = []
     phases = []
     for target, recovery in _quad_steps(quad, direction):
-        reference = teleport_reference(state, target, routing)
-        state, record = forced_measurement(state, target, recovery, rng,
-                                           max_attempts=max_attempts,
-                                           routing=routing, trace=trace)
+        before = state
+        state, record = forced_measurement(before, target, recovery, rng,
+                                           max_attempts=max_attempts, routing=routing)
         records.append(record)
-        phases.append(relative_phase(state, reference))
+        phases.append(relative_phase(state, teleport_reference(before, target, routing)))
     total = relative_phase(state, oracle)
     fid = abs(inner(state, oracle))
     return state, BraidRecord(tuple(records), direction, total, tuple(phases),

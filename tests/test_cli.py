@@ -3,12 +3,15 @@
 import json
 import math
 import os
+import pathlib
 
 import pytest
 
 from anyonbraid.cli import main
 
 from test_model_io import Z3_TEXT
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +187,19 @@ class TestTeleportStats:
         assert math.isnan(attempts["mean_z"])
         assert attempts["trials"] + json.loads(out)["max_attempts_exceeded"] == 50
 
+    def test_exhausted_trials_count_their_attempts(self, capsys):
+        # channel statistics cover every attempt made, including those of
+        # trials that ran out of attempts, so they are not conditioned on
+        # success
+        code, out, _ = run_cli(capsys, "teleport-stats", "--model", "fibonacci",
+                               "--seed", "9", "--trials", "50", "--max-attempts", "1")
+        assert code == 0
+        payload = json.loads(out)
+        vacuum = payload["per_channel_success"]["0"]
+        assert vacuum["attempts"] == 50
+        assert vacuum["successes"] == payload["attempts"]["trials"]
+        assert abs(vacuum["z"]) < 3
+
     def test_seed_is_required(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["teleport-stats", "--model", "ising", "--trials", "5"])
@@ -283,10 +299,10 @@ class TestCompileRun:
         assert code == 2
 
     @staticmethod
-    def _tampered_run(capsys, tmp_path, tamper):
+    def _tampered_run(capsys, tmp_path, tamper, word="s1 s2'"):
         path = tmp_path / "schedule.json"
-        run_cli(capsys, "compile", "--model", "fibonacci", "--word", "s1 s2'",
-                "--output", str(path))
+        run_cli(capsys, "compile", "--model", "fibonacci", "--n-computational", "3",
+                "--word", word, "--output", str(path))
         data = json.loads(path.read_text())
         tamper(data)
         path.write_text(json.dumps(data))
@@ -314,7 +330,53 @@ class TestCompileRun:
         assert out == ""
         assert "canonical layout" in err
 
+    def test_empty_word_with_braid_steps_is_usage_error(self, capsys, tmp_path):
+        code, out, err = self._tampered_run(
+            capsys, tmp_path, lambda data: data.update(word=""), word="s2")
+        assert code == 2
+        assert out == ""
+        assert "do not match the declared braid word" in err
+
+    def test_economy_layout_is_usage_error(self, capsys, tmp_path):
+        code, out, err = self._tampered_run(
+            capsys, tmp_path, lambda data: data["layout"].update(self_dual_economy=True))
+        assert code == 2
+        assert out == ""
+        assert "canonical layout" in err
+
     def test_missing_schedule_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "run", "--schedule",
                              str(tmp_path / "none.json"), "--seed", "1")
         assert code == 2
+
+
+class TestGoldens:
+    """Stdout pinned byte for byte; ``tests/data/README.md`` lists the
+    commands and the commit that generated each file."""
+
+    @pytest.mark.parametrize("name,argv", [
+        ("braid_check_fibonacci",
+         ["--model", "fibonacci", "--n-computational", "3", "--word", "s1 s2' s1 s2",
+          "--seed", "5", "--random-state"]),
+        ("braid_check_ising_compare",
+         ["--model", "ising", "--n-computational", "4", "--word", "s1 s3 s2'",
+          "--seed", "6", "--compare-word", "s3 s1 s2'"]),
+    ])
+    def test_braid_check(self, capsys, name, argv):
+        code, out, _ = run_cli(capsys, "braid-check", *argv)
+        assert code == 0
+        assert out == (DATA / f"{name}.json").read_text()
+
+    def test_compile_then_run(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the run payload records the schedule path
+        argv = ["compile", "--model", "fibonacci", "--n-computational", "3",
+                "--word", "s2 s1'"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == (DATA / "compile_fibonacci.json").read_text()
+        code, _, _ = run_cli(capsys, *argv, "--output", "schedule.json")
+        assert code == 0
+        assert (tmp_path / "schedule.json").read_text() == out
+        code, out, _ = run_cli(capsys, "run", "--schedule", "schedule.json", "--seed", "7")
+        assert code == 0
+        assert out == (DATA / "run_fibonacci.json").read_text()

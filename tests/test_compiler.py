@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from anyonbraid import (BraidWord, ProtocolError, ScheduleError, StateVector,
-                        UnsupportedCharge, build_array, check_resources,
+from anyonbraid import (BraidWord, ProtocolError, Schedule, ScheduleError,
+                        StateVector, UnsupportedCharge, build_array, check_resources,
                         compile_word, direct_braid_reference, execute,
                         fidelity, pair_charge_distribution, project_pair,
                         random_encoded_state, random_state, readout,
@@ -51,10 +51,6 @@ class TestBuildArray:
     def test_too_few_computational(self, ising):
         with pytest.raises(ProtocolError):
             build_array(ising, "1/2", 1)
-
-    def test_economy_flag_recorded(self, ising):
-        layout, _ = build_array(ising, "1/2", 2, self_dual_economy=True)
-        assert layout.self_dual_economy is True
 
 
 class TestBraidWord:
@@ -108,6 +104,14 @@ class TestCompile:
         layout, _ = build_array(ising, "1/2", 2)
         with pytest.raises(ScheduleError):
             compile_word(BraidWord.parse("s2"), layout)
+
+    def test_steps_follow_the_word(self, ising):
+        # a schedule is its layout and word; the steps cannot disagree
+        layout, _ = build_array(ising, "1/2", 3)
+        schedule = Schedule(layout, BraidWord.parse("s2' s1"))
+        assert [(s.braid_index, s.generator, s.direction) for s in schedule.steps] \
+            == [(0, 2, "inverse")] * 3 + [(1, 1, "positive")] * 3
+        assert schedule.steps[:3] == compile_word(BraidWord.parse("s2'"), layout).steps
 
 
 class TestExecute:
@@ -179,25 +183,6 @@ class TestExecute:
                                  state, np.random.default_rng(42))
         assert len(records) == 2
         assert all(len(r.steps) == 3 for r in records)
-
-    def test_malformed_schedule_rejected(self, ising):
-        layout, state = build_array(ising, "1/2", 2)
-        schedule = compile_word(BraidWord.parse("s1"), layout)
-        broken = schedule.__class__(layout, schedule.word, schedule.steps[:2])
-        with pytest.raises(ScheduleError):
-            execute(broken, state, np.random.default_rng(43))
-
-    def test_readout_steps_in_schedule(self, ising):
-        from anyonbraid import MeasurementOutcome, Schedule, ScheduleStep
-
-        layout, state = build_array(ising, "1/2", 2)
-        base = compile_word(BraidWord.parse("s1"), layout)
-        steps = base.steps + (ScheduleStep("readout", layout.resources[0]),)
-        schedule = Schedule(layout, base.word, steps)
-        final, records = execute(schedule, state, np.random.default_rng(52))
-        assert len(records) == 2
-        assert isinstance(records[1], MeasurementOutcome)
-        assert records[1].charge == ising.vacuum
 
 
 class TestDirectBraidReference:
@@ -303,6 +288,19 @@ class TestScheduleSerialization:
         data["steps"][0]["pair"] = [1, 2]
         with pytest.raises(ScheduleError):
             schedule_from_dict(data)
+        data = compile_word(BraidWord.parse("s1"), layout).to_dict()
+        data["steps"].append({"kind": "readout", "pair": list(layout.resources[0])})
+        with pytest.raises(ScheduleError):
+            schedule_from_dict(data)
+
+    def test_empty_word_with_braid_steps_rejected(self, fibonacci):
+        layout, _ = build_array(fibonacci, "1", 3)
+        data = compile_word(BraidWord.parse("s2"), layout).to_dict()
+        data["word"] = ""
+        with pytest.raises(ScheduleError):
+            schedule_from_dict(data)
+        data["steps"] = []
+        assert schedule_from_dict(data).word == BraidWord(())
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ScheduleError):
