@@ -39,6 +39,11 @@ CONSISTENCY_TOL = 1e-10
 #: Quantum dimensions within this distance of 1 count as Abelian.
 ABELIAN_TOL = 1e-9
 
+#: Most charges a model may have.  The dense F table holds m**6 complex
+#: entries, 256 MiB at 16 charges (su2_k at k = 15), and verifying such a
+#: model peaks near 1.7 GB of RSS.
+MAX_CHARGES = 16
+
 
 @dataclass(frozen=True, order=True)
 class Charge:
@@ -276,12 +281,21 @@ class AnyonModel:
 # ---------------------------------------------------------------------------
 # Consistency residuals.
 #
-# The pentagon check is the hot path (SU(2)_10 has ~10^7 admissible
-# instances), so admissible index tuples are enumerated with vectorized
-# joins and the equation is evaluated with gather operations on the dense
-# F array.  Inadmissible F entries are stored as exact zeros, which lets the
-# internal sums run over the full charge range.
+# The pentagon check is the hot path: SU(2)_10 has 1,470,040 admissible
+# instances and SU(2)_12 5,770,583, but only 243,100 and 714,103 fusion trees
+# of each kind.  Trees are enumerated with vectorized joins, each equation is
+# one (left tree, right tree) pair, and it is evaluated with gather operations
+# on the dense F array.  Inadmissible F entries are stored as exact zeros,
+# which lets the internal sums run over the full charge range.
 # ---------------------------------------------------------------------------
+
+
+def _expand_ranges(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (lo[i] + j, i) for every i and every j < counts[i]."""
+    total = int(counts.sum())
+    i = np.repeat(np.arange(len(lo)), counts)
+    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(lo, counts) + offsets, i
 
 
 def _join_keys(small: np.ndarray, big: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,12 +304,8 @@ def _join_keys(small: np.ndarray, big: np.ndarray) -> tuple[np.ndarray, np.ndarr
     sorted_small = small[order]
     lo = np.searchsorted(sorted_small, big, side="left")
     hi = np.searchsorted(sorted_small, big, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    i_big = np.repeat(np.arange(len(big)), counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    i_small = order[np.repeat(lo, counts) + offsets]
-    return i_small, i_big
+    i_sorted, i_big = _expand_ranges(lo, hi - lo)
+    return order[i_sorted], i_big
 
 
 def _join_on(left: np.ndarray, left_cols, right: np.ndarray, right_cols) -> tuple[np.ndarray, np.ndarray]:
@@ -316,45 +326,87 @@ def _join_on(left: np.ndarray, left_cols, right: np.ndarray, right_cols) -> tupl
     return il, ir
 
 
-def _pentagon_tuples(N: np.ndarray) -> np.ndarray:
-    """All admissible pentagon index tuples, columns (a, b, f, c, g, d, e, l, k).
+def _real_if_real(F: np.ndarray) -> np.ndarray:
+    """``F``, or its real part when no entry has an imaginary part; real
+    arithmetic halves the memory traffic of the gathers and products."""
+    return F if np.any(F.imag) else np.ascontiguousarray(F.real)
 
-    Admissibility: f in ab, g in fc, e in gd, l in cd, k in bl and e in ak.
+
+def _fusion_trees(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both bases of the fusion space of four charges a, b, c, d into e.
+
+    Left trees ((ab)_f c)_g d -> e are rows (a, b, c, d, e, f, g) with f in
+    ab, g in fc and e in gd; right trees a(b(cd)_l)_k -> e are rows
+    (a, b, c, d, e, l, k) with l in cd, k in bl and e in ak.  Left trees
+    come sorted by their outer labels (a, b, c, d, e).
     """
+    m = N.shape[0]
     triples = np.argwhere(N)  # rows (x, y, z) with z in fuse(x, y)
-    abf = triples
-    fcg = triples
-    il, ir = _join_on(abf, [2], fcg, [0])
-    t = np.column_stack([abf[il][:, [0, 1, 2]], fcg[ir][:, [1, 2]]])  # a b f c g
-    gde = triples
-    il, ir = _join_on(t, [4], gde, [0])
-    t = np.column_stack([t[il], gde[ir][:, [1, 2]]])  # a b f c g d e
-    cdl = triples
-    il, ir = _join_on(t, [3, 5], cdl, [0, 1])
-    t = np.column_stack([t[il], cdl[ir][:, [2]]])  # a b f c g d e l
-    blk = triples
-    il, ir = _join_on(t, [1, 7], blk, [0, 1])
-    t = np.column_stack([t[il], blk[ir][:, [2]]])  # a b f c g d e l k
-    keep = N[t[:, 0], t[:, 8], t[:, 6]].astype(bool)  # e in fuse(a, k)
-    return t[keep]
+    il, ir = _join_on(triples, [2], triples, [0])
+    t = np.column_stack([triples[il], triples[ir][:, 1:]])  # a b f c g
+    il, ir = _join_on(t, [4], triples, [0])
+    t = np.column_stack([t[il], triples[ir][:, 1:]])  # a b f c g d e
+    left = t[:, [0, 1, 3, 5, 6, 2, 4]]
+    left = left[np.argsort(np.ravel_multi_index(left[:, :5].T, (m,) * 5), kind="stable")]
+    il, ir = _join_on(triples, [2], triples, [1])
+    t = np.column_stack([triples[il], triples[ir][:, [0, 2]]])  # c d l b k
+    il, ir = _join_on(t, [4], triples, [1])
+    t = np.column_stack([t[il], triples[ir][:, [0, 2]]])  # c d l b k a e
+    right = t[:, [5, 3, 0, 1, 6, 2, 4]]
+    return left, right
 
 
-def _pentagon_residual(N: np.ndarray, F: np.ndarray, chunk: int = 262144) -> float:
-    tuples = _pentagon_tuples(N)
-    if len(tuples) == 0:
-        return 0.0
-    if not np.any(F.imag):
-        F = np.ascontiguousarray(F.real)  # halves the gather traffic
-    # h appears in all three right-hand factors; transposed copies put the
-    # h axis last so each gather is one contiguous slab per row.
-    F2 = np.ascontiguousarray(F.transpose(0, 2, 3, 4, 5, 1))  # [a,d,e,g,k,h]
-    F3 = np.ascontiguousarray(F.transpose(0, 1, 2, 3, 5, 4))  # [b,c,d,k,l,h]
+def _pentagon_pairs(left: np.ndarray, right: np.ndarray, m: int, chunk: int):
+    """Yield index arrays (il, ir) of left and right trees with equal outer
+    labels (a, b, c, d, e), in blocks of about ``chunk`` pairs.
+
+    ``left`` must be sorted by its outer labels.  Each pair is one pentagon
+    equation; every pair is yielded once.
+    """
+    lkey = np.ravel_multi_index(left[:, :5].T, (m,) * 5)
+    rkey = np.ravel_multi_index(right[:, :5].T, (m,) * 5)
+    lo = np.searchsorted(lkey, rkey, side="left")
+    counts = np.searchsorted(lkey, rkey, side="right") - lo
+    ends = np.cumsum(counts)
+    # right trees are cut at tree boundaries, so a block may exceed `chunk`
+    # by the pairs of one right tree (at most m**2)
+    cuts = np.searchsorted(ends, np.arange(chunk, ends[-1], chunk), side="left")
+    bounds = np.unique(np.concatenate([[0], cuts, [len(right)]]))
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        il, ir = _expand_ranges(lo[r0:r1], counts[r0:r1])
+        yield il, ir + r0
+
+
+def _pentagon_residual(N: np.ndarray, F: np.ndarray, chunk: int = 65536) -> float:
+    """Worst residual of the pentagon equation
+
+    ``[F_e^{fcd}]_{gl} [F_e^{abl}]_{fk}
+    = sum_h [F_g^{abc}]_{fh} [F_e^{ahd}]_{gk} [F_k^{bcd}]_{hl}``
+
+    over every pair of a left and a right fusion tree on the same outer
+    labels.  Factors that depend on one tree only are gathered once per
+    tree; the pair terms are flat gathers at a left plus a right offset.
+    """
+    m = N.shape[0]
+    left, right = _fusion_trees(N)
+    F = _real_if_real(F)
+    flat = F.reshape(-1)
+    # h is the last axis of each right-hand factor's rows; the middle factor
+    # is gathered per pair, from a copy laid out so its row is contiguous.
+    mid = np.ascontiguousarray(F.transpose(0, 2, 3, 4, 5, 1)).reshape(-1, m)  # [a,d,e,g,k,h]
+    a, b, c, d, e, f, g = left.T
+    left_rows = F[a, b, c, g, f, :]                                 # [F_g^{abc}]_{f.}
+    left_fcd = np.ravel_multi_index((f, c, d, e, g, 0), F.shape)    # + l
+    left_abl = np.ravel_multi_index((a, b, 0, e, f, 0), F.shape)    # + l m^3 + k
+    left_mid = np.ravel_multi_index((a, d, e, g, 0), (m,) * 5)      # + k
+    a, b, c, d, e, l, k = right.T
+    right_rows = F[b, c, d, k, :, l]                                # [F_k^{bcd}]_{.l}
+    right_abl = l * m ** 3 + k
     worst = 0.0
-    for start in range(0, len(tuples), chunk):
-        a, b, f, c, g, d, e, l, k = tuples[start:start + chunk].T
-        lhs = F[f, c, d, e, g, l] * F[a, b, l, e, f, k]
-        rhs = np.einsum("rh,rh,rh->r", F[a, b, c, g, f, :], F2[a, d, e, g, k, :],
-                        F3[b, c, d, k, l, :])
+    for il, ir in _pentagon_pairs(left, right, m, chunk):
+        lhs = flat[left_fcd[il] + l[ir]] * flat[left_abl[il] + right_abl[ir]]
+        rhs = np.einsum("rh,rh,rh->r", left_rows.take(il, axis=0),
+                        mid.take(left_mid[il] + k[ir], axis=0), right_rows.take(ir, axis=0))
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
@@ -397,16 +449,16 @@ def _hexagon_residual(N: np.ndarray, F: np.ndarray, R: np.ndarray) -> float:
 
 
 def _unitarity_residual(N: np.ndarray, F: np.ndarray) -> float:
+    """Worst deviation of each ``F_d^{abc}`` from a unitary on its admissible
+    rows ``e`` and columns ``f``, checked as both ``F F^+`` and ``F^+ F``."""
     m = N.shape[0]
-    adm_e = np.einsum("abe,ecd->abcde", N, N)  # e admissible for [F_d^{abc}]
-    adm_f = np.einsum("bcf,afd->abcdf", N, N)
+    adm_e = np.einsum("abe,ecd->abcde", N, N).reshape(m ** 4, m, 1)
+    adm_f = np.einsum("bcf,afd->abcdf", N, N).reshape(m ** 4, m, 1)
     eye = np.eye(m)
-    rows = np.einsum("abcdef,abcdgf->abcdeg", F, np.conj(F))
-    target = adm_e[..., :, None] * adm_e[..., None, :] * eye
-    worst = float(np.abs(rows - target).max())
-    cols = np.einsum("abcdef,abcdeg->abcdfg", np.conj(F), F)
-    target = adm_f[..., :, None] * adm_f[..., None, :] * eye
-    return max(worst, float(np.abs(cols - target).max()))
+    mats = _real_if_real(F).reshape(m ** 4, m, m)
+    adj = mats.conj().transpose(0, 2, 1)
+    worst = float(np.abs(mats @ adj - adm_e * eye).max())
+    return max(worst, float(np.abs(adj @ mats - adm_f * eye).max()))
 
 
 def _qdim_residual(N: np.ndarray, qd: np.ndarray) -> float:
@@ -429,6 +481,18 @@ def _admissible_f(N: np.ndarray) -> np.ndarray:
     bcf = N[None, :, :, None, None, :]
     afd = N.transpose(0, 2, 1)[:, None, None, :, None, :]
     return abe & ecd & bcf & afd
+
+
+def check_model_size(m: int) -> None:
+    """Refuse a model of ``m`` charges whose dense F table exceeds the
+    :data:`MAX_CHARGES` budget, before anything of that size is allocated."""
+    if m > MAX_CHARGES:
+        need = m ** 6 * np.dtype(complex).itemsize
+        limit = MAX_CHARGES ** 6 * np.dtype(complex).itemsize
+        raise ModelError(
+            f"{m} charges need a dense F table of {need / 2 ** 30:.3g} GiB, "
+            f"over the {limit / 2 ** 30:.3g} GiB limit of {MAX_CHARGES} charges "
+            f"(su2_k up to k = {MAX_CHARGES - 1})")
 
 
 def _fill_tables(m, fusion, f_func, r_func):
@@ -522,6 +586,7 @@ def su2k_model(k: int) -> AnyonModel:
     if k < 2:
         raise ModelError("su2_k requires k >= 2")
     m = k + 1
+    check_model_size(m)
     # q-numbers [n] = sin(n*pi/(k+2)) / sin(pi/(k+2)) and their factorials.
     s1 = math.sin(math.pi / (k + 2))
     qnum = np.array([math.sin(n * math.pi / (k + 2)) / s1 for n in range(2 * k + 4)])
@@ -592,8 +657,8 @@ def is_builtin_name(name: str) -> bool:
 def load_builtin(name: str, k: int | None = None) -> AnyonModel:
     """Construct a built-in model by name.
 
-    ``k`` is required for ``su2_k`` (and must be >= 2); it is rejected for
-    the other models.
+    ``k`` is required for ``su2_k`` (and must be between 2 and
+    ``MAX_CHARGES - 1``); it is rejected for the other models.
     """
     key = _builtin_key(name)
     if key not in _BUILTIN_NAMES:

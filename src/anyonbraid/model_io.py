@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ModelError, ModelFileError
-from .model import CONSISTENCY_TOL, AnyonModel, _admissible_f
+from .model import CONSISTENCY_TOL, AnyonModel, _admissible_f, check_model_size
 
 
 def parse_model_text(text: str, tolerance: float | None = CONSISTENCY_TOL) -> AnyonModel:
@@ -72,6 +72,7 @@ def parse_model_text(text: str, tolerance: float | None = CONSISTENCY_TOL) -> An
         raise ModelFileError("charges must be a non-empty list of distinct labels")
     index = {lab: i for i, lab in enumerate(labels)}
     m = len(labels)
+    check_model_size(m)
 
     def charge_of(tok: str, lineno: int) -> int:
         if tok not in index:

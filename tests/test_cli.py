@@ -61,6 +61,12 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--model", "heisenberg")
         assert code == 2
 
+    def test_oversized_level_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--model", "su2_k", "--k", "60")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "768 GiB" in err
+
     def test_builtin_name_wins_over_same_named_file(self, capsys, tmp_path,
                                                     monkeypatch):
         (tmp_path / "ising").write_text("not a model at all")
@@ -366,6 +372,24 @@ class TestGoldens:
         code, out, _ = run_cli(capsys, "braid-check", *argv)
         assert code == 0
         assert out == (DATA / f"{name}.json").read_text()
+
+    @pytest.mark.parametrize("name,argv", [
+        ("verify_fibonacci", ["--model", "fibonacci"]),
+        ("verify_ising", ["--model", "ising"]),
+        ("verify_su2_k3", ["--model", "su2_k", "--k", "3"]),
+        ("verify_su2_k7", ["--model", "su2_k", "--k", "7"]),
+    ])
+    def test_verify(self, capsys, name, argv):
+        """Residuals as at the golden's commit: all exact but unitarity,
+        whose products may round differently in the last place."""
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        got, want = json.loads(out), json.loads((DATA / f"{name}.json").read_text())
+        unitarity = "max_unitarity_residual"
+        assert got["report"][unitarity] == pytest.approx(want["report"][unitarity],
+                                                         rel=0, abs=1e-15)
+        del got["report"][unitarity], want["report"][unitarity]
+        assert got == want
 
     def test_compile_then_run(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the run payload records the schedule path

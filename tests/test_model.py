@@ -4,12 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
 from anyonbraid import (AnyonModel, Charge, FusionError, ModelError,
                         UnknownChargeError, load_builtin)
-from anyonbraid.model import (_hexagon_residual, _pentagon_residual,
+from anyonbraid.model import (MAX_CHARGES, _admissible_f, _fusion_trees,
+                              _hexagon_residual, _pentagon_pairs,
+                              _pentagon_residual, check_model_size,
                               fibonacci_model)
+
+import pentagon_oracle
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -46,6 +52,16 @@ class TestLoadBuiltin:
             load_builtin("su2_k", k=1)
         with pytest.raises(ModelError):
             load_builtin("su2_k")
+
+    def test_oversized_level_refused_before_allocating(self):
+        # 61 charges: the dense F table alone would be 768 GiB
+        with pytest.raises(ModelError, match="61 charges .* 768 GiB"):
+            load_builtin("su2_k", k=60)
+
+    def test_size_limit(self):
+        check_model_size(MAX_CHARGES)
+        with pytest.raises(ModelError, match=f"{MAX_CHARGES + 1} charges"):
+            check_model_size(MAX_CHARGES + 1)
 
     def test_level_rejected_elsewhere(self):
         with pytest.raises(ModelError):
@@ -252,6 +268,48 @@ class TestVerifyConsistency:
                 for b in range(m.num_charges):
                     total = sum(m.qd[c] for c in np.flatnonzero(m.N[a, b]))
                     assert m.qd[a] * m.qd[b] == pytest.approx(total, abs=1e-10)
+
+
+class TestPentagonStreaming:
+    """The left/right tree join checks exactly the equations of the
+    tuple-table oracle in ``tests/pentagon_oracle.py``, with the same
+    arithmetic."""
+
+    @pytest.mark.parametrize("name,k", [("fibonacci", None), ("ising", None)]
+                             + [("su2_k", k) for k in range(2, 9)])
+    def test_same_equations_as_tuple_table(self, name, k):
+        N = load_builtin(name, k=k).N
+        left, right = _fusion_trees(N)
+        # small blocks, so most models are walked in several
+        rows = np.concatenate([np.column_stack([left[il], right[ir]])
+                               for il, ir in _pentagon_pairs(left, right, N.shape[0], 5000)])
+        assert np.array_equal(rows[:, :5], rows[:, 7:12])  # same outer labels
+        got = rows[:, [0, 1, 5, 2, 6, 3, 4, 12, 13]]  # a b f c g d e l k
+        want = pentagon_oracle.pentagon_tuples(N)
+
+        def keys(t):  # one sorted integer per tuple; repeats stay visible
+            return np.sort(np.ravel_multi_index(t.T, (N.shape[0],) * 9))
+
+        assert np.array_equal(keys(got), keys(want))
+
+    @given(spec=st.sampled_from([("fibonacci", None), ("ising", None),
+                                 ("su2_k", 3), ("su2_k", 4)]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.floats(1e-9, 1e-1),
+           imaginary=st.booleans(),
+           chunk=st.integers(1, 3000))
+    def test_perturbed_residual_matches_oracle(self, spec, seed, scale, imaginary, chunk):
+        model = load_builtin(*spec)
+        rng = np.random.default_rng(seed)
+        admissible = _admissible_f(model.N)
+        F = model.F.copy()
+        noise = rng.normal(size=int(admissible.sum())) * scale
+        if imaginary:
+            noise = noise + 1j * rng.normal(size=noise.size) * scale
+        F[admissible] += noise
+        want = pentagon_oracle.pentagon_residual(model.N, F)
+        assert want > 0.0
+        assert _pentagon_residual(model.N, F, chunk) == want
 
 
 class TestStructuralValidation:

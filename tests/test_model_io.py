@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from anyonbraid import ModelFileError, load_model_file, parse_model_text
+from anyonbraid import (ModelError, ModelFileError, load_model_file,
+                        parse_model_text)
 
 Z3_TEXT = """
 # cyclic Z_3 model: all charges Abelian, non-trivial duals
@@ -110,6 +111,16 @@ class TestRejection:
         bad = Z3_TEXT.replace("dual: 0:0 1:2 2:1", "dual: 0:0 1:1 2:2")
         with pytest.raises(ModelFileError, match="dual"):
             parse_model_text(bad)
+
+    def test_oversized_model_refused_before_allocating(self):
+        # 400 charges: even the boolean mask of admissible F entries would
+        # exceed the address space, so only a check that runs first passes
+        labels = [f"x{i}" for i in range(400)]
+        text = (f"name: big\ncharges: {' '.join(labels)}\n"
+                f"dual: {' '.join(f'{x}:{x}' for x in labels)}\n"
+                f"qdim: {' '.join(f'{x}:1' for x in labels)}\n")
+        with pytest.raises(ModelError, match="400 charges need a dense F table"):
+            parse_model_text(text)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelFileError, match="cannot read"):

@@ -1,9 +1,14 @@
-"""Scale regression: a 22-leaf register braids inside a fixed memory budget.
+"""Scale regressions: large registers and large models within fixed
+memory budgets.
 
 Fibonacci with 8 computational anyons has 22 leaves and dim 10946; a dense
 dim x dim operator there is 1.9 GB, and a dense operator cache for one
 braid exceeded 7.9 GB.  The local kernel keeps the whole run, operator
 tables included, under the budget below.
+
+su2_k at k=11 has 2,987,920 pentagon equations; a table of all their index
+tuples peaked near 800 MB.  Joining left and right fusion trees block by
+block keeps the check under half of that.
 """
 
 import tracemalloc
@@ -17,6 +22,9 @@ from anyonbraid.compiler import RESOURCE_TOL
 
 #: Peak traced allocation allowed for the whole run.
 MEMORY_BUDGET_BYTES = 256 * 2 ** 20
+
+#: Peak traced allocation allowed to verify su2_k at k=11.
+VERIFY_BUDGET_BYTES = 450 * 2 ** 20
 
 
 def test_fibonacci_22_leaves_braids_within_memory_budget():
@@ -39,3 +47,15 @@ def test_fibonacci_22_leaves_braids_within_memory_budget():
     assert oracle_fidelity >= 1.0 - 1e-9
     assert defect < RESOURCE_TOL
     assert peak < MEMORY_BUDGET_BYTES, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_su2_k11_verifies_within_memory_budget():
+    model = load_builtin("su2_k", k=11)
+    tracemalloc.start()
+    try:
+        report = model.verify_consistency()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < VERIFY_BUDGET_BYTES, f"peak {peak / 2 ** 20:.1f} MiB"
