@@ -9,20 +9,17 @@ verifying them against directly applied R-matrix oracles.
 from .compiler import (ArrayLayout, BraidWord, Schedule, ScheduleStep,
                        build_array, check_resources, compile_word,
                        direct_braid_reference, execute, random_encoded_state,
-                       readout, schedule_from_dict)
+                       schedule_from_dict)
 from .errors import (AnyonError, BasisMismatch, FusionError, InvalidPosition,
                      MaxAttemptsExceeded, ModelError, ModelFileError,
                      NotPhaseEquivalent, ProtocolError, ScheduleError,
                      UnknownChargeError, UnsupportedCharge,
                      ZeroProbabilityOutcome)
-from .fusion_space import (DiagramIsotopyNote, FusionTree, StateVector,
-                           apply_braid, apply_f_move, attach_pair, empty_state,
-                           entangled_pair_state, fidelity, flipped_pair_state,
-                           inner, random_state, standard_basis, state_from_json,
-                           state_to_json)
-from .measurement import (MeasurementOutcome, MeasurementTrace,
-                          pair_charge_distribution, project_pair,
-                          sample_measurement)
+from .fusion_space import (StateVector, apply_braid, attach_pair, empty_state,
+                           entangled_pair_state, fidelity, inner, random_state,
+                           state_from_json, state_to_json)
+from .measurement import (MeasurementOutcome, pair_charge_distribution,
+                          project_pair, sample_measurement)
 from .model import (AnyonModel, Charge, ConsistencyReport, fibonacci_model,
                     ising_model, load_builtin, su2k_model)
 from .model_io import load_model_file, parse_model_text

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import compiler as cp
 from . import fusion_space as fs
-from . import measurement as ms
 from . import teleport as tp
 from .errors import AnyonError
 from .model import CONSISTENCY_TOL, is_builtin_name, load_builtin
@@ -154,10 +153,6 @@ def _teleport_configuration(model, charge):
 
 
 def _cmd_teleport_stats(args) -> int:
-    if args.trials < 1:
-        raise _CliError("--trials must be >= 1", 2)
-    if args.max_attempts < 1:
-        raise _CliError("--max-attempts must be >= 1", 2)
     model = _load_model(args)
     charge = _default_charge(model, args)
     initial = _teleport_configuration(model, charge)
@@ -170,11 +165,13 @@ def _cmd_teleport_stats(args) -> int:
     hits = np.zeros(m, dtype=np.int64)
     attempts = []  # per completed trial
     exceeded = 0
-    trace = ms.MeasurementTrace() if args.trace else None
+    trace, log_probability = [], 0.0
     streams = (_substream(args.seed, t) for t in range(args.trials))
     for block in tp.forced_measurements(initial, target, recovery, streams,
                                         max_attempts=args.max_attempts,
-                                        routing=args.routing, trace=trace):
+                                        routing=args.routing):
+        if args.trace:
+            log_probability = _trace_block(block, trace, log_probability)
         ok = block.succeeded
         exceeded += int(np.count_nonzero(~ok))
         e, f = block.attempt_charges()
@@ -225,10 +222,27 @@ def _cmd_teleport_stats(args) -> int:
         "tail_probabilities": tails,
         "max_attempts_exceeded": exceeded,
     }
-    if trace is not None:
-        payload["trace"] = trace.entries
+    if args.trace:
+        payload["trace"] = trace
     _emit(payload, args)
     return 0
+
+
+def _trace_block(block, trace: list, log_probability: float) -> float:
+    """Append ``block``'s measurements to ``trace``, trial by trial, each
+    with the log-probability summed over the whole trace so far; returns
+    that sum."""
+    labels = block.state.model.labels
+    pairs = (list(block.target_pair), list(block.recovery_pair))
+    for charges, probs in zip(block.outcomes.T.tolist(), block.probabilities.T.tolist()):
+        for s, (c, p) in enumerate(zip(charges, probs)):
+            if c < 0:
+                break
+            log_probability += math.log(p)
+            trace.append({"pair": pairs[s % 2], "routing": block.routing,
+                          "outcome": labels[c], "probability": p,
+                          "cumulative_log_probability": log_probability})
+    return log_probability
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +286,24 @@ def _passed(fid: float, defect: float, args) -> bool:
     return bool(fid >= 1.0 - args.tolerance and defect < cp.RESOURCE_TOL)
 
 
-def _cmd_braid_check(args) -> int:
+def _compiled_word(args):
+    """The model, charge, initial array state and schedule of ``--word``
+    on ``--n-computational`` anyons (by default as many as the word uses)."""
     model = _load_model(args)
     charge = _default_charge(model, args)
     word = _parse_word(args.word)
     n_comp = args.n_computational or max(2, word.max_strand() + 1)
     try:
         layout, initial = cp.build_array(model, charge, n_comp)
-        schedule = cp.compile_word(word, layout)
-    except (cp.ScheduleError, AnyonError) as exc:
+        return model, charge, initial, cp.compile_word(word, layout)
+    except AnyonError as exc:
         raise _CliError(str(exc), 2) from exc
+
+
+def _cmd_braid_check(args) -> int:
+    model, charge, initial, schedule = _compiled_word(args)
+    layout, word = schedule.layout, schedule.word
+    n_comp = len(layout.computational)
     if args.random_state:
         initial = cp.random_encoded_state(layout, _substream(args.seed, 2 ** 31))
     final, records, fid, phase, defect = _checked_run(schedule, initial, args)
@@ -325,15 +347,7 @@ def _cmd_braid_check(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    model = _load_model(args)
-    charge = _default_charge(model, args)
-    word = _parse_word(args.word)
-    n_comp = args.n_computational or max(2, word.max_strand() + 1)
-    try:
-        layout, _ = cp.build_array(model, charge, n_comp)
-        schedule = cp.compile_word(word, layout)
-    except AnyonError as exc:
-        raise _CliError(str(exc), 2) from exc
+    schedule = _compiled_word(args)[3]
     text = json.dumps(schedule.to_dict(), indent=2)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -347,8 +361,8 @@ def _cmd_run(args) -> int:
     try:
         with open(args.schedule, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _CliError(f"cannot read schedule: {exc}", 2) from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise _CliError(f"cannot read schedule {args.schedule}: {exc}", 2) from exc
     try:
         schedule = cp.schedule_from_dict(data)
     except AnyonError as exc:
@@ -389,10 +403,24 @@ def _add_output_args(p):
     p.add_argument("--human", action="store_true", help="aligned key/value table")
 
 
+def _int_at_least(low: int):
+    """Argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _add_stochastic_args(p):
-    p.add_argument("--seed", type=int, required=True,
-                   help="64-bit master seed (required: no silent nondeterminism)")
-    p.add_argument("--max-attempts", type=int, default=tp.MAX_ATTEMPTS_DEFAULT)
+    p.add_argument("--seed", type=_int_at_least(0), required=True,
+                   help="non-negative master seed (required: no silent nondeterminism)")
+    p.add_argument("--max-attempts", type=_int_at_least(1),
+                   default=tp.MAX_ATTEMPTS_DEFAULT)
     p.add_argument("--routing", choices=("over", "under"), default="over")
 
 
@@ -411,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("teleport-stats", help="forced-measurement Monte Carlo statistics")
     _add_model_args(p)
     _add_stochastic_args(p)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_int_at_least(1), default=1000)
     p.add_argument("--trace", action="store_true",
                    help="include the per-measurement trajectory log")
     _add_output_args(p)

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from .errors import (ProtocolError, ScheduleError, UnsupportedCharge,
                      ZeroProbabilityOutcome)
 from .fusion_space import StateVector, attach_pair, empty_state, random_state
-from .measurement import (MeasurementOutcome, pair_charge_distribution,
-                          project_pair, sample_measurement)
+from .measurement import pair_charge_distribution, project_pair
 from .model import AnyonModel
 from .teleport import (MAX_ATTEMPTS_DEFAULT, BraidRecord, _quad_steps,
                        direct_quad_braid, measurement_braid)
@@ -282,13 +281,6 @@ def direct_braid_reference(word: BraidWord, layout: ArrayLayout,
         quad = layout.quad(abs(g))
         state = direct_quad_braid(state, quad, +1 if g > 0 else -1, routing)
     return state
-
-
-def readout(state: StateVector, pair, rng, routing: str = "over") -> MeasurementOutcome:
-    """Sample the collective charge of a pair (qubit initialization/readout)."""
-    outcome, _ = sample_measurement(state, int(pair[0]), int(pair[1]), rng,
-                                    routing=routing)
-    return outcome
 
 
 # ---------------------------------------------------------------------------

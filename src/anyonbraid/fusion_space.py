@@ -1,28 +1,27 @@
-"""States of n anyons over standard fusion-tree bases.
+"""States of n anyons over the standard fusion-chain basis.
 
 A state is a unit-norm complex amplitude vector over the left-canonical
 fusion chain: leaves ``l_0, ..., l_{n-1}`` fuse in order,
 
     y_0 = l_0,  y_j in fuse(y_{j-1}, l_j),  y_{n-1} = total,
 
-and a :class:`FusionTree` records the free internal labels
-``(y_1, ..., y_{n-2})``.  Trees are enumerated in lexicographic order of the
-internal labels, which fixes the basis indexing.  Internally a basis is its
-``(dim, n)`` matrix of chain labels ``(y_0, ..., y_{n-1})``, one row per
-tree.
+and a basis row is fixed by its free internal labels ``(y_1, ..., y_{n-2})``.
+Rows are enumerated in lexicographic order of the internal labels, which
+fixes the basis indexing.  A basis is stored as its ``(dim, n)`` matrix of
+chain labels ``(y_0, ..., y_{n-1})``, one row per basis state.
 
 All kets are orthonormal and all public operations keep states unit-norm:
 the diagrammatic normalization prefactors of the underlying formalism are
 absorbed into the isometry definitions here, so Born probabilities and
-fidelities are unchanged while phase bookkeeping stays explicit.  The only
-cup/cap bending the module ever performs is flipping a pair state
-``(a, dual a) -> (dual a, a)``, which contributes the bending phase
-``kappa_a`` tracked in a :class:`DiagramIsotopyNote`.
+fidelities are unchanged while phase bookkeeping stays explicit.  No
+operation bends a charge line through a cup or cap.
 
 Operators are local.  The F-move resolving pair ``(pos, pos+1)`` and the
 elementary braid of those leaves rewrite only chain label ``y_pos``, with
 matrix elements that depend on its neighbours ``y_{pos-1}, y_{pos+1}``.
-Each is stored, per model and basis, as a row-gather table
+The F-move is internal: it takes a state into the basis where the pair
+carries an explicit collective charge, for a measurement or a braid, and
+back.  Each is stored, per model and basis, as a row-gather table
 ``(index, value)``: output row ``r`` is ``sum_k value[k, r] *
 amps[index[k, r]]``, with ``k`` running over at most the number of charges
 ``m``.  Both arrays have shape ``(w, dim)``, slot-major so that applying a
@@ -41,8 +40,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import BasisMismatch, InvalidPosition, UnknownChargeError
@@ -55,64 +52,22 @@ NORM_TOL = 1e-9
 _KEY_LIMIT = 2 ** 62
 
 
-@dataclass(frozen=True, order=True)
-class FusionTree:
-    """One standard-basis label: leaf charges, internal chain labels, total."""
-
-    leaves: tuple[int, ...]
-    internals: tuple[int, ...]
-    total: int
-
-    def labels(self, model: AnyonModel) -> dict:
-        return {
-            "leaves": [model.labels[i] for i in self.leaves],
-            "internals": [model.labels[i] for i in self.internals],
-            "total": model.labels[self.total],
-        }
-
-
-@dataclass
-class DiagramIsotopyNote:
-    """Accumulated unit-modulus bending factors (kappa phases).
-
-    Bending a charge line through a cup or cap multiplies the state by the
-    model's kappa phase; this note keeps those factors auditable instead of
-    silently normalizing them away.
-    """
-
-    factor: complex = 1.0 + 0.0j
-    events: list = field(default_factory=list)
-
-    def absorb(self, phase: complex, what: str) -> None:
-        if abs(abs(phase) - 1.0) > 1e-9:
-            raise ValueError(f"isotopy factor must be a phase, got |{phase}|")
-        self.factor *= phase
-        self.events.append((what, complex(phase)))
-
-
 class StateVector:
-    """Normalized amplitudes over an enumerated fusion-tree basis.
+    """Normalized amplitudes over the standard fusion-chain basis, whose
+    ``(dim, n)`` chain-label matrix is ``chains``."""
 
-    ``resolved_pair`` marks a state written in the reassociated basis where
-    the pair ``(resolved_pair, resolved_pair + 1)`` carries an explicit
-    collective charge label in place of the chain label at that slot; see
-    :func:`apply_f_move`.  ``chains`` is the ``(dim, n)`` chain-label matrix
-    of that basis.
-    """
+    __slots__ = ("model", "leaves", "total", "chains", "amps")
 
-    __slots__ = ("model", "leaves", "total", "chains", "amps", "resolved_pair")
-
-    def __init__(self, model, leaves, total, amps, resolved_pair=None, _chains=None):
+    def __init__(self, model, leaves, total, amps, _chains=None):
         # ``_chains`` is passed internally, with leaves and total already
         # given as charge indices.
         if _chains is None:
             leaves = tuple(model.charge(l).index for l in leaves)
             total = model.charge(total).index
-            _chains = _basis(model, leaves, total, resolved_pair or 0)
+            _chains = _basis(model, leaves, total)
         self.model = model
         self.leaves = leaves
         self.total = total
-        self.resolved_pair = resolved_pair
         self.chains = _chains
         amps = np.asarray(amps, dtype=complex).reshape(-1)
         if len(amps) != len(self.chains):
@@ -134,16 +89,11 @@ class StateVector:
     def dim(self) -> int:
         return len(self.chains)
 
-    @property
-    def trees(self) -> tuple[FusionTree, ...]:
-        return _trees(self.model, self.leaves, self.total, self.resolved_pair or 0)
-
     def leaf_charges(self) -> tuple[Charge, ...]:
         return tuple(self.model.charges[i] for i in self.leaves)
 
     def _replace_amps(self, amps) -> "StateVector":
-        return StateVector(self.model, self.leaves, self.total, amps,
-                           resolved_pair=self.resolved_pair, _chains=self.chains)
+        return StateVector(self.model, self.leaves, self.total, amps, _chains=self.chains)
 
     def __repr__(self) -> str:
         leaves = ",".join(self.model.labels[i] for i in self.leaves)
@@ -154,15 +104,6 @@ class StateVector:
 # ---------------------------------------------------------------------------
 # Basis enumeration.
 # ---------------------------------------------------------------------------
-
-
-def standard_basis(model: AnyonModel, leaves, total) -> list[FusionTree]:
-    """All admissible fusion trees for the given leaves and total charge.
-
-    Returns the empty list when the total charge is unreachable.
-    """
-    leaf_idx = tuple(model.charge(l).index for l in leaves)
-    return list(_trees(model, leaf_idx, model.charge(total).index))
 
 
 def _basis(model, leaves, total, pos=0):
@@ -203,23 +144,6 @@ def _basis(model, leaves, total, pos=0):
     rows.flags.writeable = False
     model._cache[key] = rows
     return rows
-
-
-def _trees(model, leaves, total, pos=0):
-    """The basis of :func:`_basis` as :class:`FusionTree` labels."""
-    key = ("trees", leaves, total, pos)
-    hit = model._cache.get(key)
-    if hit is not None:
-        return hit
-    n = len(leaves)
-    trees = tuple(FusionTree(leaves, tuple(row[1:n - 1]), total)
-                  for row in _basis(model, leaves, total, pos).tolist())
-    model._cache[key] = trees
-    return trees
-
-
-def basis_index(trees) -> dict:
-    return {t.internals: i for i, t in enumerate(trees)}
 
 
 def _row_keys(m, *matrices):
@@ -320,30 +244,6 @@ def _f_move_table(model, leaves, total, pos, inverse=False):
     return table
 
 
-def apply_f_move(state: StateVector, pos: int, direction: int = +1) -> StateVector:
-    """Reassociate once: make the collective charge of pair (pos, pos+1)
-    explicit (``direction=+1``) or return to the standard chain (``-1``).
-
-    The transformation is the unitary F-move between the two fusion orders;
-    the physical state is unchanged.
-    """
-    n = state.num_leaves
-    if not 0 <= pos <= n - 2:
-        raise InvalidPosition(f"no reassociation site at {pos} for {n} leaves")
-    inverse = direction < 0
-    if not inverse and state.resolved_pair is not None:
-        raise InvalidPosition("state is already reassociated; undo that move first")
-    if inverse and state.resolved_pair != pos:
-        raise InvalidPosition(
-            f"state is not reassociated at {pos} (at {state.resolved_pair})")
-    amps = state.amps
-    if pos > 0:
-        amps = _gather(
-            _f_move_table(state.model, state.leaves, state.total, pos, inverse), amps)
-    return StateVector(state.model, state.leaves, state.total, amps,
-                       resolved_pair=None if inverse else pos)
-
-
 def _pair_channels(model, leaves, total, pos):
     """Per-row collective charge of pair ``(pos, pos+1)`` in its resolved basis."""
     return _basis(model, leaves, total, pos)[:, max(pos, 1)]
@@ -392,8 +292,6 @@ def apply_braid(state: StateVector, pos: int, sign: int = +1) -> StateVector:
     n = state.num_leaves
     if not 0 <= pos <= n - 2:
         raise InvalidPosition(f"no adjacent pair at {pos} for {n} leaves")
-    if state.resolved_pair is not None:
-        raise InvalidPosition("braid requires the standard basis; undo the F-move first")
     if sign not in (+1, -1):
         raise ValueError("braid sign must be +1 or -1")
     new_leaves, index, value = _braid_table(state.model, state.leaves, state.total, pos, sign)
@@ -433,7 +331,7 @@ def inner(s1: StateVector, s2: StateVector) -> complex:
     """Hermitian inner product ``<s1|s2>`` of two same-basis states."""
     if s1.model is not s2.model:
         raise BasisMismatch("states belong to different models")
-    if (s1.leaves, s1.total, s1.resolved_pair) != (s2.leaves, s2.total, s2.resolved_pair):
+    if (s1.leaves, s1.total) != (s2.leaves, s2.total):
         raise BasisMismatch("states are expressed over different bases")
     return complex(np.vdot(s1.amps, s2.amps))
 
@@ -448,15 +346,12 @@ def attach_pair(state: StateVector, position: int, a) -> StateVector:
 
     The inserted pair becomes leaves ``position`` and ``position + 1`` of the
     result, re-expressed in the standard chain basis by one F-move per
-    branch.  The map is an isometry, so the norm is preserved; no bending is
-    involved (a flipped pair order goes through :func:`flipped_pair_state`).
+    branch.  The map is an isometry, so the norm is preserved.
     """
     model = state.model
     n = state.num_leaves
     if not 0 <= position <= n:
         raise InvalidPosition(f"attach position {position} out of range 0..{n}")
-    if state.resolved_pair is not None:
-        raise InvalidPosition("attach requires the standard basis")
     ca = model.charge(a).index
     cab = model.dual(ca).index
     new_leaves = state.leaves[:position] + (ca, cab) + state.leaves[position:]
@@ -493,20 +388,6 @@ def entangled_pair_state(model: AnyonModel, a) -> StateVector:
     return StateVector(model, (ca.index, model.dual(ca).index), 0, [1.0])
 
 
-def flipped_pair_state(model: AnyonModel, a, note: DiagramIsotopyNote | None = None) -> StateVector:
-    """The pair written in the order ``(dual a, a)``.
-
-    Obtained from :func:`entangled_pair_state` by bending both lines, which
-    contributes the phase ``kappa_a``; the phase is recorded in ``note`` and
-    applied to the amplitude.
-    """
-    ca = model.charge(a)
-    kappa = model.kappa(ca)
-    if note is not None:
-        note.absorb(kappa, f"bend pair ({ca.label}, {model.dual(ca).label})")
-    return StateVector(model, (model.dual(ca).index, ca.index), 0, [kappa])
-
-
 def random_state(model: AnyonModel, leaves, total, rng) -> StateVector:
     """Haar-like random state: iid complex normal amplitudes, normalized."""
     leaf_idx = tuple(model.charge(l).index for l in leaves)
@@ -522,19 +403,24 @@ def random_state(model: AnyonModel, leaves, total, rng) -> StateVector:
 # ---------------------------------------------------------------------------
 
 
+def _internals(chains) -> list:
+    """Internal labels ``(y_1, ..., y_{n-2})`` of each chain row, as lists."""
+    return chains[:, 1:chains.shape[1] - 1].tolist()
+
+
 def state_to_json(state: StateVector) -> str:
     """Dump leaves, total and (internal labels, re, im) rows as JSON text."""
-    model = state.model
+    labels = state.model.labels
     rows = [
-        {"internals": [model.labels[i] for i in t.internals],
-         "re": float(state.amps[n].real), "im": float(state.amps[n].imag)}
-        for n, t in enumerate(state.trees)
+        {"internals": [labels[i] for i in internals],
+         "re": float(z.real), "im": float(z.imag)}
+        for internals, z in zip(_internals(state.chains), state.amps)
     ]
     return json.dumps({
-        "model": model.name,
-        "params": model.params,
-        "leaves": [model.labels[i] for i in state.leaves],
-        "total": model.labels[state.total],
+        "model": state.model.name,
+        "params": state.model.params,
+        "leaves": [labels[i] for i in state.leaves],
+        "total": labels[state.total],
         "amplitudes": rows,
     }, indent=2)
 
@@ -544,12 +430,12 @@ def state_from_json(model: AnyonModel, text: str) -> StateVector:
     data = json.loads(text)
     leaves = tuple(model.charge(l).index for l in data["leaves"])
     total = model.charge(data["total"]).index
-    trees = _trees(model, leaves, total)
-    idx = basis_index(trees)
-    amps = np.zeros(len(trees), dtype=complex)
+    chains = _basis(model, leaves, total)
+    idx = {tuple(internals): n for n, internals in enumerate(_internals(chains))}
+    amps = np.zeros(len(chains), dtype=complex)
     for row in data["amplitudes"]:
         internals = tuple(model.charge(l).index for l in row["internals"])
         if internals not in idx:
             raise UnknownChargeError(f"row {row['internals']} is not an admissible tree")
         amps[idx[internals]] = row["re"] + 1j * row["im"]
-    return StateVector(model, leaves, total, amps)
+    return StateVector(model, leaves, total, amps, _chains=chains)

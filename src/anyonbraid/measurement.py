@@ -21,8 +21,7 @@ batch of one.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -45,33 +44,6 @@ class MeasurementOutcome:
     charge: Charge
     probability: float
     routing: str
-
-
-@dataclass
-class MeasurementTrace:
-    """Line-oriented record of a measurement trajectory.
-
-    Each entry is ``(pair, routing, outcome label, probability, cumulative
-    log-probability)``; the stats commands of the CLI consume these lines.
-    """
-
-    entries: list = field(default_factory=list)
-    log_probability: float = 0.0
-
-    def record(self, outcome: MeasurementOutcome) -> None:
-        self.log_probability += math.log(outcome.probability)
-        self.entries.append({
-            "pair": list(outcome.pair),
-            "routing": outcome.routing,
-            "outcome": outcome.charge.label,
-            "probability": outcome.probability,
-            "cumulative_log_probability": self.log_probability,
-        })
-
-    def to_jsonl(self) -> str:
-        import json
-
-        return "\n".join(json.dumps(entry) for entry in self.entries)
 
 
 class _MeasurementOp(NamedTuple):
@@ -98,8 +70,6 @@ def _measurement_op(state: StateVector, i: int, j: int, routing: str) -> _Measur
     n = state.num_leaves
     if not (0 <= i < j < n):
         raise InvalidPosition(f"invalid pair ({i}, {j}) for {n} leaves")
-    if state.resolved_pair is not None:
-        raise InvalidPosition("measurement requires the standard basis")
     model = state.model
     key = ("measure", state.leaves, state.total, i, j, routing)
     hit = model._cache.get(key)
@@ -191,9 +161,7 @@ def project_pair(state: StateVector, i: int, j: int, c,
 
 
 def sample_measurement(state: StateVector, i: int, j: int, rng,
-                       routing: str = "over",
-                       trace: MeasurementTrace | None = None,
-                       ) -> tuple[MeasurementOutcome, StateVector]:
+                       routing: str = "over") -> tuple[MeasurementOutcome, StateVector]:
     """Draw one measurement outcome for pair ``(i, j)`` and collapse.
 
     A batch of one of the lockstep sampler: the measurement operator is
@@ -206,6 +174,4 @@ def sample_measurement(state: StateVector, i: int, j: int, rng,
     charges, prob, post = _sample_columns(op, state.amps[:, None], [rng])
     outcome = MeasurementOutcome((i, j), state.model.charges[charges[0]],
                                  float(prob[0]), routing)
-    if trace is not None:
-        trace.record(outcome)
     return outcome, state._replace_amps(post[:, 0])

@@ -36,9 +36,6 @@ from .errors import FusionError, ModelError, UnknownChargeError
 #: Default tolerance for consistency checks.
 CONSISTENCY_TOL = 1e-10
 
-#: Quantum dimensions within this distance of 1 count as Abelian.
-ABELIAN_TOL = 1e-9
-
 #: Most charges a model may have.  The dense F table holds m**6 complex
 #: entries, 256 MiB at 16 charges (su2_k at k = 15), and verifying such a
 #: model peaks near 1.7 GB of RSS.
@@ -189,10 +186,6 @@ class AnyonModel:
         ab = self._dual[ia]
         return complex(self.qd[ia] * self.F[ia, ab, ia, ia, 0, 0])
 
-    def is_abelian(self, c) -> bool:
-        """True iff ``d_c = 1``, i.e. fusion with ``c`` is single-channel."""
-        return bool(self.qd[self.charge(c).index] < 1.0 + ABELIAN_TOL)
-
     def twist(self, a) -> complex:
         """Topological spin ``theta_a = sum_c (d_c / d_a) R_c^{aa}``."""
         ia = self.charge(a).index
@@ -332,7 +325,7 @@ def _real_if_real(F: np.ndarray) -> np.ndarray:
     return F if np.any(F.imag) else np.ascontiguousarray(F.real)
 
 
-def _fusion_trees(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tree_rows(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both bases of the fusion space of four charges a, b, c, d into e.
 
     Left trees ((ab)_f c)_g d -> e are rows (a, b, c, d, e, f, g) with f in
@@ -388,7 +381,7 @@ def _pentagon_residual(N: np.ndarray, F: np.ndarray, chunk: int = 65536) -> floa
     tree; the pair terms are flat gathers at a left plus a right offset.
     """
     m = N.shape[0]
-    left, right = _fusion_trees(N)
+    left, right = _tree_rows(N)
     F = _real_if_real(F)
     flat = F.reshape(-1)
     # h is the last axis of each right-hand factor's rows; the middle factor

@@ -175,6 +175,6 @@ def load_model_file(path, tolerance: float | None = CONSISTENCY_TOL) -> AnyonMod
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
     return parse_model_text(text, tolerance)

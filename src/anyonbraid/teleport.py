@@ -28,9 +28,8 @@ import numpy as np
 from .errors import MaxAttemptsExceeded, NotPhaseEquivalent, ProtocolError
 from .fusion_space import (StateVector, _braid_table, _gather_all, _transport,
                            inner)
-from .measurement import (MeasurementOutcome, MeasurementTrace, _channel_weights,
-                          _measurement_op, _sample_columns, pair_charge_distribution,
-                          project_pair)
+from .measurement import (_channel_weights, _measurement_op, _sample_columns,
+                          pair_charge_distribution, project_pair)
 from .model import Charge
 
 #: Stop a forced measurement after this many target-pair attempts.
@@ -194,14 +193,6 @@ class ForcedBlock:
         vacuum = np.zeros((1, f.shape[1]), dtype=f.dtype)
         return np.vstack([vacuum, self.outcomes[1::2]])[:len(f)], f
 
-    def measurements(self, t: int) -> list[MeasurementOutcome]:
-        """Trial ``t``'s measurement outcomes in the order they were made."""
-        charges = self.state.model.charges
-        pairs = (self.target_pair, self.recovery_pair)
-        made = zip(self.outcomes[:, t].tolist(), self.probabilities[:, t].tolist())
-        return [MeasurementOutcome(pairs[s % 2], charges[c], p, self.routing)
-                for s, (c, p) in enumerate(made) if c >= 0]
-
     def record(self, t: int) -> MeasurementRecord:
         """The :class:`MeasurementRecord` of trial ``t``."""
         charges = self.state.model.charges
@@ -227,6 +218,8 @@ def _lockstep(state: StateVector, target_pair, recovery_pair, rngs,
     columns still active; a column leaves when its target outcome is the
     vacuum or after ``max_attempts`` rounds.
     """
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     ops = (_measurement_op(state, *target_pair, routing),
            _measurement_op(state, *recovery_pair, routing))
     T = len(rngs)
@@ -286,20 +279,9 @@ def _checked_pairs(state: StateVector, target_pair, recovery_pair, routing):
     return target_pair, recovery_pair
 
 
-def _traced(block: ForcedBlock, trace: MeasurementTrace | None) -> ForcedBlock:
-    """Record ``block``'s measurements in ``trace``, trial by trial."""
-    if trace is not None:
-        for t in range(block.outcomes.shape[1]):
-            for outcome in block.measurements(t):
-                trace.record(outcome)
-    return block
-
-
 def forced_measurements(state: StateVector, target_pair, recovery_pair, rngs,
                         max_attempts: int = MAX_ATTEMPTS_DEFAULT,
-                        routing: str = "over",
-                        trace: MeasurementTrace | None = None,
-                        ) -> Iterator[ForcedBlock]:
+                        routing: str = "over") -> Iterator[ForcedBlock]:
     """Forced measurements of ``target_pair`` on ``state``, one trial per
     generator in ``rngs``, undoing failures via ``recovery_pair``.
 
@@ -309,24 +291,21 @@ def forced_measurements(state: StateVector, target_pair, recovery_pair, rngs,
     time.  Trial ``t`` draws one ``rngs[t].random()`` per measurement in
     the order it makes them, exactly as it would run alone.  A trial that
     runs out of attempts is flagged in its block's ``succeeded``.
-    ``trace`` receives every measurement, trial by trial.
 
     The pairs must overlap in exactly one leaf and the recovery pair must
-    start in a definite vacuum channel.
+    start in a definite vacuum channel; ``max_attempts`` must be at least 1.
     """
     pairs = _checked_pairs(state, target_pair, recovery_pair, routing)
     rngs = iter(rngs)
     while chunk := list(itertools.islice(rngs, BLOCK_TRIALS)):
         block = _lockstep(state, *pairs, chunk, max_attempts, routing)
         del chunk  # free this block's generators before the next are made
-        yield _traced(block, trace)
+        yield block
 
 
 def forced_measurement(state: StateVector, target_pair, recovery_pair, rng,
                        max_attempts: int = MAX_ATTEMPTS_DEFAULT,
-                       routing: str = "over",
-                       trace: MeasurementTrace | None = None,
-                       ) -> tuple[StateVector, MeasurementRecord]:
+                       routing: str = "over") -> tuple[StateVector, MeasurementRecord]:
     """Measure ``target_pair`` until it yields vacuum, undoing failures via
     ``recovery_pair``: a batch of one of :func:`forced_measurements`.
 
@@ -336,7 +315,7 @@ def forced_measurement(state: StateVector, target_pair, recovery_pair, rng,
     ``max_attempts`` attempts.
     """
     pairs = _checked_pairs(state, target_pair, recovery_pair, routing)
-    block = _traced(_lockstep(state, *pairs, [rng], max_attempts, routing), trace)
+    block = _lockstep(state, *pairs, [rng], max_attempts, routing)
     record = block.record(0)
     if record.target_outcomes()[-1] != state.model.vacuum:
         raise MaxAttemptsExceeded(

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from anyonbraid import (StateVector, apply_f_move, attach_pair,
-                        entangled_pair_state, load_builtin, project_pair,
-                        random_state)
+from anyonbraid import (StateVector, attach_pair, entangled_pair_state,
+                        load_builtin, project_pair, random_state)
+from anyonbraid.fusion_space import _basis, _f_move_table, _gather
 
 # Property tests draw the same examples on every run and have no per-example
 # deadline, so they neither flake nor trip on a slow shared machine.
@@ -89,19 +89,19 @@ def random_five_leaf_state(model, a, rng):
 def rerooted_reference(state):
     """Independent teleport oracle for target pair (1, 2), recovery (0, 1).
 
-    Amplitudes are carried over tree by tree: the chain label pattern
-    (0, a, rest...) of the input equals the resolved-basis pattern
-    (pair charge 0, a, rest...) of the output; one inverse F-move returns
-    to the standard chain.  No projector is involved.
+    Amplitudes are carried over row by row: the chain label pattern
+    (l_0, 0, a, rest...) of the input equals the resolved-basis pattern
+    (l_0, pair charge 0, a, rest...) of the output; one inverse F-move
+    returns to the standard chain.  No projector is involved.
     """
     model = state.model
-    resolved = apply_f_move(state, 1, +1)  # only to borrow the basis layout
-    amps = np.zeros(resolved.dim, dtype=complex)
-    res_index = {t.internals: k for k, t in enumerate(resolved.trees)}
-    for n, tree in enumerate(state.trees):
-        if state.amps[n] == 0:
+    resolved = _basis(model, state.leaves, state.total, 1)
+    res_index = {row: k for k, row in enumerate(map(tuple, resolved.tolist()))}
+    amps = np.zeros(len(resolved), dtype=complex)
+    for row, amp in zip(map(tuple, state.chains.tolist()), state.amps):
+        if amp == 0:
             continue
-        assert tree.internals[0] == 0, "input must have (0,1) in the vacuum channel"
-        amps[res_index[tree.internals]] = state.amps[n]
-    target = StateVector(model, state.leaves, state.total, amps, resolved_pair=1)
-    return apply_f_move(target, 1, -1)
+        assert row[1] == 0, "input must have (0,1) in the vacuum channel"
+        amps[res_index[row]] = amp
+    back = _f_move_table(model, state.leaves, state.total, 1, inverse=True)
+    return StateVector(model, state.leaves, state.total, _gather(back, amps))

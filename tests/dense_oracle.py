@@ -5,7 +5,8 @@ the pair-resolving F-move ``U``, the elementary braid ``B = Us^dag R U``,
 transports as products of braids and the quad-braid oracle ``T^dag B T``.
 They are the reference the local gather tables of
 :mod:`anyonbraid.fusion_space` are checked against, together with the
-depth-first basis enumeration they index.  They are test-only: memory is
+depth-first basis enumeration they index, whose rows are tuples of
+internal chain labels.  They are test-only: memory is
 O(dim^2) and construction O(dim^3).
 
 Each model gets its own cache here, kept apart from ``model._cache``.
@@ -14,8 +15,6 @@ Each model gets its own cache here, kept apart from ``model._cache``.
 import weakref
 
 import numpy as np
-
-from anyonbraid.fusion_space import FusionTree
 
 _CACHES = weakref.WeakKeyDictionary()
 
@@ -31,9 +30,9 @@ def _chain_trees(model, leaves, total):
         return hit
     n = len(leaves)
     if n == 0:
-        trees = (FusionTree((), (), total),) if total == 0 else ()
+        trees = ((),) if total == 0 else ()
     elif n == 1:
-        trees = (FusionTree(leaves, (), total),) if leaves[0] == total else ()
+        trees = ((),) if leaves[0] == total else ()
     else:
         chains = [(leaves[0],)]
         for j in range(1, n):
@@ -42,7 +41,7 @@ def _chain_trees(model, leaves, total):
                 chains = [c + (int(y),) for c in chains for y in np.flatnonzero(allowed[c[-1]])]
             else:
                 chains = [c for c in chains if allowed[c[-1], total]]
-        trees = tuple(FusionTree(leaves, c[1:], total) for c in chains)
+        trees = tuple(c[1:] for c in chains)
     _cache(model)[key] = trees
     return trees
 
@@ -77,13 +76,13 @@ def _resolved_trees(model, leaves, total, pos):
                     if j < n - 1 or y == total:
                         new.append(c + (int(y),))
             chains = new
-        trees = tuple(FusionTree(leaves, c[1:n - 1], total) for c in chains)
+        trees = tuple(c[1:n - 1] for c in chains)
     _cache(model)[key] = trees
     return trees
 
 
 def basis_index(trees) -> dict:
-    return {t.internals: i for i, t in enumerate(trees)}
+    return {t: i for i, t in enumerate(trees)}
 
 
 def _resolve_matrix(model, leaves, total, pos):
@@ -101,14 +100,14 @@ def _resolve_matrix(model, leaves, total, pos):
         U = np.zeros((len(res), len(std)), dtype=complex)
         n = len(leaves)
         for s, tree in enumerate(std):
-            chain = (leaves[0],) + tree.internals + (total,)
+            chain = (leaves[0],) + tree + (total,)
             before = chain[pos - 1]
             e = chain[pos]
             after = chain[pos + 1]
             for c in np.flatnonzero(model.N[leaves[pos], leaves[pos + 1]]):
                 amp = model.F[before, leaves[pos], leaves[pos + 1], after, e, c]
                 if amp != 0:
-                    target = tree.internals[:pos - 1] + (int(c),) + tree.internals[pos:]
+                    target = tree[:pos - 1] + (int(c),) + tree[pos:]
                     U[res_idx[target], s] += amp
     _cache(model)[key] = (res, U)
     return res, U
@@ -120,8 +119,8 @@ def _pair_channels(model, leaves, total, pos):
     if pos == 0:
         if len(leaves) == 2:
             return res, np.array([total] * len(res))
-        return res, np.array([t.internals[0] for t in res])
-    return res, np.array([t.internals[pos - 1] for t in res])
+        return res, np.array([t[0] for t in res])
+    return res, np.array([t[pos - 1] for t in res])
 
 
 def _braid_matrix(model, leaves, total, pos, sign):

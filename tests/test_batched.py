@@ -1,5 +1,6 @@
 """Lockstep batched forced measurement against its batch of one."""
 
+import json
 import math
 import pathlib
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anyonbraid import (MaxAttemptsExceeded, MeasurementTrace,
-                        forced_measurement, forced_measurements)
+from anyonbraid import (MaxAttemptsExceeded, forced_measurement,
+                        forced_measurements)
 from anyonbraid.cli import main
 from anyonbraid.teleport import BLOCK_TRIALS
 
@@ -84,20 +85,29 @@ class TestBatchOfOne:
             assert int(np.count_nonzero(~block.succeeded)) == failed
             assert set(block.attempts.tolist()) == {1}
 
-    def test_shared_trace_is_trial_major(self, ising):
+    def test_shared_trace_is_trial_major(self, capsys, ising):
+        # the CLI trace is the concatenation of the per-trial forced
+        # measurements of default_rng([seed, t]), trial 0 first, with the
+        # log-probability summed over the whole trace
+        code = main(["teleport-stats", "--model", "ising", "--seed", "26",
+                     "--trials", "40", "--trace"])
+        assert code == 0
+        trace = json.loads(capsys.readouterr().out)["trace"]
         state = teleport_config(ising, "1/2")
-        shared = MeasurementTrace()
-        list(forced_measurements(state, TARGET, RECOVERY, streams(26, 40),
-                                 trace=shared))
-        alone = MeasurementTrace()
+        pairs = [list(TARGET), list(RECOVERY)]
+        start, log_probability = 0, 0.0
         for t in range(40):
-            forced_measurement(state, TARGET, RECOVERY,
-                               np.random.default_rng([26, t]), trace=alone)
-        assert len(shared.entries) == len(alone.entries)
-        for got, want in zip(shared.entries, alone.entries):
-            assert (got["pair"], got["outcome"]) == (want["pair"], want["outcome"])
-            assert math.isclose(got["cumulative_log_probability"],
-                                want["cumulative_log_probability"], abs_tol=1e-9)
+            _, record = forced_measurement(state, TARGET, RECOVERY,
+                                           np.random.default_rng([26, t]))
+            made = record.outcomes[1:]  # without the initial vacuum recovery
+            entries = trace[start:start + len(made)]
+            assert [(e["pair"], e["outcome"]) for e in entries] == [
+                (pairs[s % 2], c.label) for s, c in enumerate(made)]
+            log_probability += math.log(record.trajectory_probability)
+            assert math.isclose(entries[-1]["cumulative_log_probability"],
+                                log_probability, abs_tol=1e-9)
+            start += len(made)
+        assert start == len(trace)
 
     @given(trials=st.integers(1, 40), seed=st.integers(0, 2 ** 63 - 1),
            model_index=st.integers(0, 2))
@@ -119,3 +129,11 @@ def test_teleport_stats_golden(capsys, name, model_args, seed):
                  "--trials", "1100"])
     assert code == 0
     assert capsys.readouterr().out == (DATA / f"teleport_stats_{name}.json").read_text()
+
+
+def test_teleport_stats_trace_golden(capsys):
+    code = main(["teleport-stats", "--model", "fibonacci", "--seed", "4",
+                 "--trials", "30", "--trace"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        DATA / "teleport_stats_trace_fibonacci.json").read_text()

@@ -5,6 +5,7 @@ import math
 import os
 import pathlib
 
+import numpy as np
 import pytest
 
 from anyonbraid.cli import main
@@ -354,6 +355,65 @@ class TestCompileRun:
         code, _, _ = run_cli(capsys, "run", "--schedule",
                              str(tmp_path / "none.json"), "--seed", "1")
         assert code == 2
+
+
+class TestInputErrors:
+    """Malformed input exits 2 with one ``error:`` line and no traceback."""
+
+    STOCHASTIC = {
+        "teleport-stats": ["teleport-stats", "--model", "ising", "--trials", "5"],
+        "braid-check": ["braid-check", "--model", "ising", "--word", "s1"],
+        "run": ["run", "--schedule", "schedule.json"],
+    }
+
+    def _parse_error(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: argument {option}: must be >= " in err.splitlines()[-1]
+        assert sum("error:" in line for line in err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", sorted(STOCHASTIC))
+    def test_negative_seed(self, capsys, command):
+        self._parse_error(capsys, [*self.STOCHASTIC[command], "--seed", "-1"], "--seed")
+
+    @pytest.mark.parametrize("command", sorted(STOCHASTIC))
+    def test_zero_max_attempts(self, capsys, command):
+        self._parse_error(capsys, [*self.STOCHASTIC[command], "--seed", "1",
+                                   "--max-attempts", "0"], "--max-attempts")
+
+    def test_zero_trials(self, capsys):
+        self._parse_error(capsys, [*self.STOCHASTIC["teleport-stats"], "--trials", "0",
+                                   "--seed", "1"], "--trials")
+
+    def test_zero_max_attempts_in_library(self, ising):
+        from anyonbraid import forced_measurement, forced_measurements
+        from conftest import teleport_config
+
+        state = teleport_config(ising, "1/2")
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError, match="max_attempts"):
+            forced_measurement(state, (1, 2), (0, 1), rng, max_attempts=0)
+        with pytest.raises(ValueError, match="max_attempts"):
+            list(forced_measurements(state, (1, 2), (0, 1), [rng], max_attempts=0))
+
+    def test_non_utf8_model_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.model"
+        path.write_bytes(b"\xff\xfe not text")
+        code, out, err = run_cli(capsys, "verify", "--model", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(path) in err
+
+    def test_non_utf8_schedule_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe not text")
+        code, out, err = run_cli(capsys, "run", "--schedule", str(path), "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(path) in err
 
 
 class TestGoldens:

@@ -10,8 +10,8 @@ from anyonbraid import (BraidWord, ProtocolError, Schedule, ScheduleError,
                         StateVector, UnsupportedCharge, build_array, check_resources,
                         compile_word, direct_braid_reference, execute,
                         fidelity, pair_charge_distribution, project_pair,
-                        random_encoded_state, random_state, readout,
-                        relative_phase, schedule_from_dict)
+                        random_encoded_state, random_state, relative_phase,
+                        sample_measurement, schedule_from_dict)
 from anyonbraid.model_io import parse_model_text
 
 from test_model_io import Z3_TEXT
@@ -241,7 +241,8 @@ class TestDirectBraidReference:
 class TestReadout:
     def test_fresh_resource_pair(self, ising):
         layout, state = build_array(ising, "1/2", 2)
-        outcome = readout(state, layout.resources[0], np.random.default_rng(47))
+        outcome, _ = sample_measurement(state, *layout.resources[0],
+                                        np.random.default_rng(47))
         assert outcome.charge == ising.vacuum
         assert outcome.probability == pytest.approx(1.0)
 
@@ -250,7 +251,7 @@ class TestReadout:
         final, _ = execute(compile_word(BraidWord.parse("s1 s1"), layout),
                            state, np.random.default_rng(48))
         pair = (layout.computational[0], layout.computational[1])
-        outcome = readout(final, pair, np.random.default_rng(49))
+        outcome, _ = sample_measurement(final, *pair, np.random.default_rng(49))
         assert outcome.charge == ising.vacuum
         assert outcome.probability == pytest.approx(1.0, abs=1e-9)
 
@@ -266,7 +267,7 @@ class TestReadout:
         counts = {c: 0 for c in want}
         for t in range(n):
             final, _ = execute(schedule, state, np.random.default_rng([51, t, 0]))
-            outcome = readout(final, pair, np.random.default_rng([51, t, 1]))
+            outcome, _ = sample_measurement(final, *pair, np.random.default_rng([51, t, 1]))
             counts[outcome.charge] += 1
         for charge, p in want.items():
             sigma = math.sqrt(max(p * (1 - p), 1e-12) / n)

@@ -1,4 +1,4 @@
-"""Fusion-tree bases, state vectors, F-moves, braids, serialization."""
+"""Fusion-chain bases, state vectors, F-move tables, braids, serialization."""
 
 import itertools
 import math
@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from anyonbraid import (BasisMismatch, DiagramIsotopyNote, InvalidPosition,
-                        StateVector, apply_braid, apply_f_move, attach_pair,
-                        empty_state, entangled_pair_state, flipped_pair_state,
-                        inner, pair_charge_distribution, random_state,
-                        standard_basis, state_from_json, state_to_json)
+from anyonbraid import (BasisMismatch, InvalidPosition, StateVector,
+                        apply_braid, attach_pair, empty_state,
+                        entangled_pair_state, inner, pair_charge_distribution,
+                        random_state, state_from_json, state_to_json)
+from anyonbraid.fusion_space import _basis, _f_move_table, _gather
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -33,17 +33,22 @@ def brute_force_chain_count(model, leaves, total):
     return count
 
 
+def chain_matrix(model, leaves, total):
+    """Chain-label matrix of the standard basis, leaves and total by label."""
+    return _basis(model, tuple(model.charge(l).index for l in leaves),
+                  model.charge(total).index)
+
+
 class TestStandardBasis:
     def test_fibonacci_three_tau(self, fibonacci):
-        trees = standard_basis(fibonacci, ("1", "1", "1"), "1")
-        assert len(trees) == 2
-        assert [t.internals for t in trees] == [(0,), (1,)]
+        chains = chain_matrix(fibonacci, ("1", "1", "1"), "1")
+        assert chains.tolist() == [[1, 0, 1], [1, 1, 1]]
 
     def test_ising_sigma_pair(self, ising):
-        assert len(standard_basis(ising, ("1/2", "1/2"), "0")) == 1
+        assert len(chain_matrix(ising, ("1/2", "1/2"), "0")) == 1
 
     def test_unreachable_total(self, fibonacci):
-        assert standard_basis(fibonacci, ("1",), "0") == []
+        assert len(chain_matrix(fibonacci, ("1",), "0")) == 0
 
     @pytest.mark.parametrize("n_leaves", [2, 3, 4, 5, 6])
     def test_counts_match_brute_force(self, protocol_models, n_leaves):
@@ -53,12 +58,11 @@ class TestStandardBasis:
             for _ in range(4):
                 leaves = tuple(rng.choice(labels) for _ in range(n_leaves))
                 total = rng.choice(labels)
-                trees = standard_basis(model, leaves, total)
-                assert len(trees) == brute_force_chain_count(model, leaves, total)
+                chains = chain_matrix(model, leaves, total)
+                assert len(chains) == brute_force_chain_count(model, leaves, total)
 
     def test_canonical_order_is_lexicographic(self, fibonacci):
-        trees = standard_basis(fibonacci, ("1",) * 6, "0")
-        internals = [t.internals for t in trees]
+        internals = chain_matrix(fibonacci, ("1",) * 6, "0")[:, 1:-1].tolist()
         assert internals == sorted(internals)
 
 
@@ -70,13 +74,6 @@ class TestElementaryStates:
             assert pair.amps[0] == pytest.approx(1.0)
             dist = pair_charge_distribution(pair, 0, 1)
             assert dist[model.vacuum] == pytest.approx(1.0)
-
-    def test_flipped_pair_records_kappa(self, su2_2):
-        note = DiagramIsotopyNote()
-        flipped = flipped_pair_state(su2_2, "1/2", note)
-        assert note.factor == pytest.approx(su2_2.kappa("1/2"))
-        assert abs(note.factor) == pytest.approx(1.0)
-        assert flipped.amps[0] == pytest.approx(-1.0)
 
     def test_normalization_enforced(self, fibonacci):
         with pytest.raises(ValueError):
@@ -132,40 +129,36 @@ class TestAttachPair:
                 assert after_right[c] == pytest.approx(p, abs=1e-10)
 
 
+def f_move(state, pos, inverse=False, amps=None):
+    """Amplitudes of ``state`` (or ``amps`` in the resolved basis, for the
+    inverse) after the F-move table resolving pair ``(pos, pos+1)``."""
+    table = _f_move_table(state.model, state.leaves, state.total, pos, inverse)
+    return _gather(table, state.amps if amps is None else amps)
+
+
 class TestApplyFMove:
     def test_fibonacci_row_example(self, fibonacci):
         state = StateVector(fibonacci, ("1", "1", "1"), "1", [1.0, 0.0])
-        moved = apply_f_move(state, 1, +1)
-        assert np.allclose(moved.amps, [1 / PHI, PHI ** -0.5], atol=1e-12)
+        assert np.allclose(f_move(state, 1), [1 / PHI, PHI ** -0.5], atol=1e-12)
 
     def test_roundtrip_identity(self, protocol_models):
         rng = np.random.default_rng(5)
         for model, a in protocol_models:
             state = random_state(model, (a,) * 5, a, rng)
-            for pos in range(4):
-                back = apply_f_move(apply_f_move(state, pos, +1), pos, -1)
-                assert np.allclose(back.amps, state.amps, atol=1e-12)
+            for pos in range(1, 4):
+                back = f_move(state, pos, inverse=True, amps=f_move(state, pos))
+                assert np.allclose(back, state.amps, atol=1e-12)
 
     def test_single_channel_is_trivial(self, ising):
         # leaves (psi, sigma): one admissible channel, 1x1 F element
         state = StateVector(ising, ("1", "1/2", "1/2"), "1", [1.0])
-        moved = apply_f_move(state, 1, +1)
-        assert abs(moved.amps[0]) == pytest.approx(1.0)
+        assert abs(f_move(state, 1)[0]) == pytest.approx(1.0)
 
     def test_unitary_norm_drift(self, protocol_models):
         rng = np.random.default_rng(6)
         for model, a in protocol_models:
             state = random_state(model, (a,) * 6, "0", rng)
-            moved = apply_f_move(state, 2, +1)
-            assert abs(np.linalg.norm(moved.amps) - 1.0) < 1e-12
-
-    def test_double_resolution_rejected(self, fibonacci):
-        state = StateVector(fibonacci, ("1", "1", "1"), "1", [1.0, 0.0])
-        moved = apply_f_move(state, 1, +1)
-        with pytest.raises(InvalidPosition):
-            apply_f_move(moved, 1, +1)
-        with pytest.raises(InvalidPosition):
-            apply_f_move(state, 5, +1)
+            assert abs(np.linalg.norm(f_move(state, 2)) - 1.0) < 1e-12
 
 
 class TestApplyBraid:

@@ -11,9 +11,9 @@ exercises the batched ``(dim, T)`` path.
 import numpy as np
 import pytest
 
-from anyonbraid import StateVector, apply_f_move, build_array, random_state
+from anyonbraid import StateVector, build_array, random_state
 from anyonbraid.fusion_space import (_basis, _braid_table, _f_move_table,
-                                     _gather_all, _transport, _trees)
+                                     _gather_all, _transport)
 from anyonbraid.measurement import _measurement_op
 from anyonbraid.teleport import direct_quad_braid
 
@@ -40,14 +40,18 @@ def _close(local, reference):
     assert np.max(np.abs(local - reference), initial=0.0) < TOL
 
 
+def _internals(chains):
+    return tuple(map(tuple, chains[:, 1:-1].tolist()))
+
+
 def test_basis_matches_depth_first_enumeration(registers):
     for model, _, state in registers:
         leaves, total = state.leaves, state.total
-        assert _trees(model, leaves, total) == dense._chain_trees(model, leaves, total)
+        assert _internals(_basis(model, leaves, total)) == dense._chain_trees(
+            model, leaves, total)
         for pos in range(state.num_leaves - 1):
-            assert (_trees(model, leaves, total, pos)
-                    == dense._resolved_trees(model, leaves, total, pos))
             chains = _basis(model, leaves, total, pos)
+            assert _internals(chains) == dense._resolved_trees(model, leaves, total, pos)
             assert list(chains[:, 0]) == [leaves[0]] * len(chains)
             assert list(chains[:, -1]) == [total] * len(chains)
 
@@ -56,16 +60,16 @@ def test_every_f_move_site(registers):
     rng = np.random.default_rng(7)
     for model, _, state in registers:
         leaves, total, dim = state.leaves, state.total, state.dim
-        probe = random_state(model, leaves, total, rng)
-        for pos in range(state.num_leaves - 1):
+        probe = random_state(model, leaves, total, rng).amps
+        for pos in range(1, state.num_leaves - 1):
             _, U = dense._resolve_matrix(model, leaves, total, pos)
-            resolved = apply_f_move(probe, pos, +1)
-            _close(resolved.amps, U @ probe.amps)
-            _close(apply_f_move(resolved, pos, -1).amps, probe.amps)
-            if pos > 0:
-                _close(_matrix([_f_move_table(model, leaves, total, pos)], dim), U)
-                _close(_matrix([_f_move_table(model, leaves, total, pos, inverse=True)], dim),
-                       U.conj().T)
+            forward = _f_move_table(model, leaves, total, pos)
+            inverse = _f_move_table(model, leaves, total, pos, inverse=True)
+            resolved = _gather_all([forward], probe)
+            _close(resolved, U @ probe)
+            _close(_gather_all([inverse], resolved), probe)
+            _close(_matrix([forward], dim), U)
+            _close(_matrix([inverse], dim), U.conj().T)
 
 
 def test_every_braid_site_both_signs(registers):

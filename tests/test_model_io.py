@@ -46,7 +46,7 @@ class TestZ3:
 
     def test_all_abelian(self):
         model = parse_model_text(Z3_TEXT)
-        assert all(model.is_abelian(c) for c in model.charges)
+        assert np.allclose(model.qd, 1.0, rtol=0, atol=1e-12)
 
     def test_braiding_phase(self):
         model = parse_model_text(Z3_TEXT)

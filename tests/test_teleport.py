@@ -24,8 +24,8 @@ def encoded_subspace_states(model, a):
     """All basis states of the five-leaf configuration with (0, 1) in vacuum."""
     shape = five_leaf_config(model, a)
     states = []
-    for n, tree in enumerate(shape.trees):
-        if tree.internals[0] != 0:
+    for n, pair_charge in enumerate(shape.chains[:, 1]):
+        if pair_charge != 0:
             continue
         amps = np.zeros(shape.dim, dtype=complex)
         amps[n] = 1.0
