@@ -11,11 +11,15 @@ Commands::
 Output is machine-first (JSON by default, CSV via ``--format csv``, aligned
 tables behind ``--human``) and byte-reproducible for fixed ``(seed,
 config)``: every stochastic command requires an explicit ``--seed`` and
-trial ``t`` draws from the substream ``default_rng([seed, t])``.
-``teleport-stats`` runs its trials in lockstep blocks
-(:func:`anyonbraid.teleport.forced_measurements`); trial ``t`` still draws
-from ``default_rng([seed, t])``, one number per measurement, in the order
-it would alone.
+trial ``t`` draws from the substream ``default_rng([seed, t])``, one number
+per measurement, in the order it would alone.  ``braid-check`` and ``run``
+build that generator (:func:`_substream`).  ``teleport-stats`` runs its
+trials in lockstep blocks (:func:`anyonbraid.teleport.forced_measurements`)
+and computes the same streams for a whole block at once as arrays
+(:class:`anyonbraid.streams.TrialStreams`: ``SeedSequence`` hashing and
+PCG64 jump-ahead in numpy integer arithmetic), equal to
+``default_rng([seed, t]).random()`` bit for bit, without one ``Generator``
+per trial.
 
 Exit codes: 0 pass, 1 check failed, 2 usage or parse error.
 """
@@ -37,6 +41,7 @@ from . import teleport as tp
 from .errors import AnyonError
 from .model import CONSISTENCY_TOL, is_builtin_name, load_builtin
 from .model_io import load_model_file
+from .streams import TrialStreams
 
 #: Default fidelity tolerance for oracle comparisons.
 FIDELITY_TOL = 1e-9
@@ -49,6 +54,8 @@ class _CliError(Exception):
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
+    """Substream ``index`` of ``seed``, for the single trajectories of
+    ``braid-check`` and ``run``."""
     return np.random.default_rng([seed, index])
 
 
@@ -166,7 +173,7 @@ def _cmd_teleport_stats(args) -> int:
     attempts = []  # per completed trial
     exceeded = 0
     trace, log_probability = [], 0.0
-    streams = (_substream(args.seed, t) for t in range(args.trials))
+    streams = TrialStreams(args.seed, range(args.trials))
     for block in tp.forced_measurements(initial, target, recovery, streams,
                                         max_attempts=args.max_attempts,
                                         routing=args.routing):
@@ -292,7 +299,9 @@ def _compiled_word(args):
     model = _load_model(args)
     charge = _default_charge(model, args)
     word = _parse_word(args.word)
-    n_comp = args.n_computational or max(2, word.max_strand() + 1)
+    n_comp = args.n_computational
+    if n_comp is None:
+        n_comp = max(2, word.max_strand() + 1)
     try:
         layout, initial = cp.build_array(model, charge, n_comp)
         return model, charge, initial, cp.compile_word(word, layout)
@@ -416,6 +425,17 @@ def _int_at_least(low: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """Argparse type: a finite float of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def _add_stochastic_args(p):
     p.add_argument("--seed", type=_int_at_least(0), required=True,
                    help="non-negative master seed (required: no silent nondeterminism)")
@@ -432,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="consistency-check an anyon model")
     _add_model_args(p, with_charge=False)
-    p.add_argument("--tolerance", type=float, default=CONSISTENCY_TOL)
+    p.add_argument("--tolerance", type=_tolerance, default=CONSISTENCY_TOL)
     _add_output_args(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -454,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-computational", type=int, default=None)
     p.add_argument("--random-state", action="store_true",
                    help="start from a seeded random encoded state")
-    p.add_argument("--tolerance", type=float, default=FIDELITY_TOL)
+    p.add_argument("--tolerance", type=_tolerance, default=FIDELITY_TOL)
     _add_output_args(p)
     p.set_defaults(func=_cmd_braid_check)
 
@@ -468,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a schedule file")
     p.add_argument("--schedule", required=True)
     _add_stochastic_args(p)
-    p.add_argument("--tolerance", type=float, default=FIDELITY_TOL)
+    p.add_argument("--tolerance", type=_tolerance, default=FIDELITY_TOL)
     _add_output_args(p)
     p.set_defaults(func=_cmd_run)
     return parser

@@ -12,11 +12,14 @@ conventions are physically distinct measurement processes.  Every step is
 a local gather table of :mod:`anyonbraid.fusion_space`, applied in turn.
 
 All functions are pure: they return new states and leave inputs untouched.
-Stochastic sampling takes an explicit ``numpy.random.Generator``; concurrent
-trials must not share one generator stream.  Sampling runs on batches: the
-columns of a ``(dim, T)`` amplitude matrix are measured together, column
-``t`` drawing from its own generator, and a single state is sampled as a
-batch of one.
+Sampling runs on batches: the columns of a ``(dim, T)`` amplitude matrix
+are measured together, each with one uniform draw from its own stream, and
+a single state is sampled as a batch of one.  The draws of a batch come
+from :mod:`anyonbraid.streams`: trial ``t`` of a command draws
+``default_rng([seed, t])``, computed for all columns at once as arrays and
+equal to that generator's stream bit for bit.  A single measurement takes
+an explicit ``numpy.random.Generator``; concurrent trials must not share
+one generator stream.
 """
 
 from __future__ import annotations
@@ -107,10 +110,10 @@ def _collapse(op: _MeasurementOp, resolved, charges, prob):
     return _gather_all(op.backward, kept) / np.sqrt(prob)
 
 
-def _sample_columns(op: _MeasurementOp, amps, rngs):
+def _sample_columns(op: _MeasurementOp, amps, u):
     """Measure ``op``'s pair on every column of ``amps`` ``(dim, T)``.
 
-    Column ``t`` draws one ``rngs[t].random()`` and takes the first charge,
+    Column ``t`` takes its uniform draw ``u[t]`` and the first charge,
     in index order, whose cumulative Born weight exceeds it, skipping
     channels below :data:`PROBABILITY_FLOOR`; when the draw falls into
     round-off slack past the last channel it takes the likeliest.  Returns
@@ -119,14 +122,13 @@ def _sample_columns(op: _MeasurementOp, amps, rngs):
     """
     resolved = _gather_all(op.forward, amps)
     weights = _channel_weights(op, resolved)
-    u = np.array([rng.random() for rng in rngs])
     hit = (u < np.add.accumulate(weights, 0)) & (weights >= PROBABILITY_FLOOR)
     # Hits score 2, above every weight (at most 1 + round-off), and argmax
     # takes the first maximum: the first hit wins, and without a hit the
     # likeliest charge does; its probability is then at least 1/m, above
     # the floor.
     charges = np.where(hit, 2.0, weights).argmax(0)
-    prob = weights[charges, np.arange(len(rngs))]
+    prob = weights[charges, np.arange(len(u))]
     return charges, prob, _collapse(op, resolved, charges, prob)
 
 
@@ -171,7 +173,7 @@ def sample_measurement(state: StateVector, i: int, j: int, rng,
     fixed generator stream reproduces the trajectory exactly.
     """
     op = _measurement_op(state, i, j, routing)
-    charges, prob, post = _sample_columns(op, state.amps[:, None], [rng])
+    charges, prob, post = _sample_columns(op, state.amps[:, None], [rng.random()])
     outcome = MeasurementOutcome((i, j), state.model.charges[charges[0]],
                                  float(prob[0]), routing)
     return outcome, state._replace_amps(post[:, 0])

@@ -18,7 +18,6 @@ verifies against the directly applied R-matrix oracle.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -31,14 +30,14 @@ from .fusion_space import (StateVector, _braid_table, _gather_all, _transport,
 from .measurement import (_channel_weights, _measurement_op, _sample_columns,
                           pair_charge_distribution, project_pair)
 from .model import Charge
+from .streams import GeneratorStreams, blocks
 
 #: Stop a forced measurement after this many target-pair attempts.
 MAX_ATTEMPTS_DEFAULT = 1000
 
 #: Batched forced measurements run in lockstep blocks of this many trials.
-#: Only one block's generators (about 1.7 kB each) and amplitudes are alive
-#: at a time; larger blocks run no faster.
-BLOCK_TRIALS = 256
+#: Only one block's stream state, draws and amplitudes are alive at a time.
+BLOCK_TRIALS = 4096
 
 #: A recovery pair must carry the vacuum channel with at least this weight.
 VACUUM_TOL = 1e-9
@@ -210,31 +209,27 @@ class ForcedBlock:
         return self.state._replace_amps(self.amps[:, t])
 
 
-def _lockstep(state: StateVector, target_pair, recovery_pair, rngs,
+def _lockstep(state: StateVector, target_pair, recovery_pair, streams,
               max_attempts: int, routing: str) -> ForcedBlock:
-    """Run one forced measurement per generator in ``rngs``, in lockstep.
+    """Run one forced measurement per trial of ``streams``, in lockstep.
 
     Every round measures the target pair, then the recovery pair, on the
-    columns still active; a column leaves when its target outcome is the
-    vacuum or after ``max_attempts`` rounds.
+    columns still active, measurement ``s`` of each drawing
+    ``streams.row(s, live)``; a column leaves when its target outcome is
+    the vacuum or after ``max_attempts`` rounds.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     ops = (_measurement_op(state, *target_pair, routing),
            _measurement_op(state, *recovery_pair, routing))
-    T = len(rngs)
+    T = len(streams)
     live = np.arange(T)
     amps = state.amps[:, None].repeat(T, 1)
     final = None  # allocated when the first columns leave early
-    outcomes, probabilities = [], []
+    rounds = []  # (live, charges, prob) of every measurement round
     for s in range(2 * max_attempts):
-        charges, prob, amps = _sample_columns(ops[s % 2], amps, rngs)
-        if len(live) == T:
-            outcomes.append(charges)
-            probabilities.append(prob)
-        else:
-            outcomes.append(_widen(charges, live, T, -1))
-            probabilities.append(_widen(prob, live, T, 0.0))
+        charges, prob, amps = _sample_columns(ops[s % 2], amps, streams.row(s, live))
+        rounds.append((live, charges, prob))
         if s % 2:
             continue
         going = np.count_nonzero(charges)  # the vacuum is charge 0
@@ -246,20 +241,19 @@ def _lockstep(state: StateVector, target_pair, recovery_pair, rngs,
                 final = np.empty((len(amps), T), dtype=complex)
             final[:, live[~keep]] = amps[:, ~keep]
             live, amps = live[keep], amps[:, keep]
-            rngs = [rng for rng, k in zip(rngs, keep.tolist()) if k]
-    if final is None:
+    if final is None:  # no column left early, so every round is a full row
         final = amps
+        outcomes = np.array([charges for _, charges, _ in rounds])
+        probabilities = np.array([prob for _, _, prob in rounds])
     else:
         final[:, live] = amps
+        outcomes = np.full((len(rounds), T), -1)
+        probabilities = np.zeros((len(rounds), T))
+        for s, (cols, charges, prob) in enumerate(rounds):
+            outcomes[s, cols] = charges
+            probabilities[s, cols] = prob
     return ForcedBlock(state, target_pair, recovery_pair, routing,
-                       np.array(outcomes), np.array(probabilities), final)
-
-
-def _widen(values, live, T: int, fill):
-    """``values`` of the active columns ``live`` as a row over all ``T``."""
-    row = np.full(T, fill, dtype=values.dtype)
-    row[live] = values
-    return row
+                       outcomes, probabilities, final)
 
 
 def _checked_pairs(state: StateVector, target_pair, recovery_pair, routing):
@@ -279,28 +273,27 @@ def _checked_pairs(state: StateVector, target_pair, recovery_pair, routing):
     return target_pair, recovery_pair
 
 
-def forced_measurements(state: StateVector, target_pair, recovery_pair, rngs,
+def forced_measurements(state: StateVector, target_pair, recovery_pair, streams,
                         max_attempts: int = MAX_ATTEMPTS_DEFAULT,
                         routing: str = "over") -> Iterator[ForcedBlock]:
     """Forced measurements of ``target_pair`` on ``state``, one trial per
-    generator in ``rngs``, undoing failures via ``recovery_pair``.
+    stream, undoing failures via ``recovery_pair``.
 
-    Trials run in lockstep blocks of at most :data:`BLOCK_TRIALS`; one
-    :class:`ForcedBlock` is yielded per block, and ``rngs`` is consumed
-    lazily, so only one block's generators and amplitudes are alive at a
-    time.  Trial ``t`` draws one ``rngs[t].random()`` per measurement in
-    the order it makes them, exactly as it would run alone.  A trial that
-    runs out of attempts is flagged in its block's ``succeeded``.
+    ``streams`` is a :class:`~anyonbraid.streams.TrialStreams` or an
+    iterable of ``numpy.random.Generator``.  Trials run in lockstep blocks
+    of at most :data:`BLOCK_TRIALS`; one :class:`ForcedBlock` is yielded per
+    block, and ``streams`` is consumed lazily, so only one block's streams
+    and amplitudes are alive at a time.  Trial ``t`` draws the next double
+    of its stream per measurement in the order it makes them, exactly as it
+    would run alone.  A trial that runs out of attempts is flagged in its
+    block's ``succeeded``.
 
     The pairs must overlap in exactly one leaf and the recovery pair must
     start in a definite vacuum channel; ``max_attempts`` must be at least 1.
     """
     pairs = _checked_pairs(state, target_pair, recovery_pair, routing)
-    rngs = iter(rngs)
-    while chunk := list(itertools.islice(rngs, BLOCK_TRIALS)):
-        block = _lockstep(state, *pairs, chunk, max_attempts, routing)
-        del chunk  # free this block's generators before the next are made
-        yield block
+    for chunk in blocks(streams, BLOCK_TRIALS):
+        yield _lockstep(state, *pairs, chunk, max_attempts, routing)
 
 
 def forced_measurement(state: StateVector, target_pair, recovery_pair, rng,
@@ -315,7 +308,7 @@ def forced_measurement(state: StateVector, target_pair, recovery_pair, rng,
     ``max_attempts`` attempts.
     """
     pairs = _checked_pairs(state, target_pair, recovery_pair, routing)
-    block = _lockstep(state, *pairs, [rng], max_attempts, routing)
+    block = _lockstep(state, *pairs, GeneratorStreams([rng]), max_attempts, routing)
     record = block.record(0)
     if record.target_outcomes()[-1] != state.model.vacuum:
         raise MaxAttemptsExceeded(

@@ -366,13 +366,15 @@ class TestInputErrors:
         "run": ["run", "--schedule", "schedule.json"],
     }
 
-    def _parse_error(self, capsys, argv, option):
+    def _parse_error(self, capsys, argv, option, message="must be >= "):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
         assert "Traceback" not in err
-        assert f"error: argument {option}: must be >= " in err.splitlines()[-1]
+        assert f"error: argument {option}: {message}" in err.splitlines()[-1]
         assert sum("error:" in line for line in err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", sorted(STOCHASTIC))
@@ -387,6 +389,25 @@ class TestInputErrors:
     def test_zero_trials(self, capsys):
         self._parse_error(capsys, [*self.STOCHASTIC["teleport-stats"], "--trials", "0",
                                    "--seed", "1"], "--trials")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["braid-check", "run", "verify"])
+    def test_bad_tolerance(self, capsys, command, value):
+        # each would otherwise run its check and fail it (exit 1)
+        argv = ([*self.STOCHASTIC[command], "--seed", "1"] if command in self.STOCHASTIC
+                else ["verify", "--model", "fibonacci"])
+        self._parse_error(capsys, [*argv, "--tolerance", value], "--tolerance",
+                          "must be finite and >= 0")
+
+    @pytest.mark.parametrize("command", ["braid-check", "compile"])
+    def test_zero_n_computational(self, capsys, command):
+        # 0 is not "unset": it must not fall back to the word's own size
+        seed = ["--seed", "1"] if command == "braid-check" else []
+        code, out, err = run_cli(capsys, command, "--model", "ising", "--word", "s1",
+                                 "--n-computational", "0", *seed)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "at least 2" in err
 
     def test_zero_max_attempts_in_library(self, ising):
         from anyonbraid import forced_measurement, forced_measurements
