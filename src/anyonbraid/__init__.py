@@ -12,8 +12,8 @@ from .compiler import (ArrayLayout, BraidWord, Schedule, ScheduleStep,
                        schedule_from_dict)
 from .errors import (AnyonError, BasisMismatch, FusionError, InvalidPosition,
                      MaxAttemptsExceeded, ModelError, ModelFileError,
-                     NotPhaseEquivalent, ProtocolError, ScheduleError,
-                     UnknownChargeError, UnsupportedCharge,
+                     NotPhaseEquivalent, ProtocolError, RegisterTooLarge,
+                     ScheduleError, UnknownChargeError, UnsupportedCharge,
                      ZeroProbabilityOutcome)
 from .fusion_space import (StateVector, apply_braid, attach_pair, empty_state,
                            entangled_pair_state, fidelity, inner, random_state,

@@ -64,12 +64,15 @@ def _load_model(args, gate=True):
 
     Built-in names win over a same-named file in the working directory;
     a path with a directory separator or a ``.model`` suffix is always a
-    file.  ``gate=False`` loads a file without its consistency gate.
+    file.  A file must pass its consistency checks at
+    :data:`~anyonbraid.model.CONSISTENCY_TOL`; ``gate=False`` loads it
+    unchecked.  (``--tolerance`` is an oracle-fidelity bound on
+    ``braid-check`` and ``run``, not a consistency bound.)
     """
     name = args.model
     is_path = os.sep in name or name.endswith(".model")
     if is_path or (not is_builtin_name(name) and os.path.exists(name)):
-        tolerance = getattr(args, "tolerance", CONSISTENCY_TOL) if gate else None
+        tolerance = CONSISTENCY_TOL if gate else None
         try:
             return load_model_file(name, tolerance)
         except AnyonError as exc:
@@ -377,7 +380,10 @@ def _cmd_run(args) -> int:
     except AnyonError as exc:
         raise _CliError(f"bad schedule: {exc}", 2) from exc
     layout = schedule.layout
-    _, initial = cp.build_array(layout.model, layout.charge, len(layout.computational))
+    try:
+        _, initial = cp.build_array(layout.model, layout.charge, len(layout.computational))
+    except AnyonError as exc:
+        raise _CliError(f"bad schedule: {exc}", 2) from exc
     final, records, fid, _, defect = _checked_run(schedule, initial, args)
     passed = _passed(fid, defect, args)
     payload = {
@@ -386,7 +392,7 @@ def _cmd_run(args) -> int:
         "records": _braid_payload(records),
         "resource_defect": defect,
         "oracle_fidelity": fid,
-        "final_state": json.loads(fs.state_to_json(final)),
+        "final_state": fs.state_to_dict(final),
         "passed": passed,
     }
     _emit(payload, args)

@@ -18,9 +18,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import (ProtocolError, ScheduleError, UnsupportedCharge,
+from .errors import (ProtocolError, RegisterTooLarge, ScheduleError, UnsupportedCharge,
                      ZeroProbabilityOutcome)
-from .fusion_space import StateVector, attach_pair, empty_state, random_state
+from .fusion_space import (MAX_LEAVES, StateVector, _ranks, attach_pair, empty_state,
+                           random_state)
 from .measurement import pair_charge_distribution, project_pair
 from .model import AnyonModel
 from .teleport import (MAX_ATTEMPTS_DEFAULT, BraidRecord, _quad_steps,
@@ -176,11 +177,18 @@ def array_layout(model: AnyonModel, a, n_computational: int) -> ArrayLayout:
     """The layout :func:`build_array` gives ``n_computational`` anyons of
     charge ``a``: computational anyon ``i`` on leaf ``3 i``, the resource
     pair between anyons ``i`` and ``i+1`` on leaves ``(3 i + 1, 3 i + 2)``,
-    and for an odd count a boundary partner on the last leaf.
+    and for an odd count a boundary partner on the last leaf.  More than
+    :data:`~anyonbraid.fusion_space.MAX_LEAVES` leaves raise
+    :class:`RegisterTooLarge`.
     """
     ca = model.charge(a)
     if n_computational < 2:
         raise ProtocolError("an array needs at least 2 computational anyons")
+    n_leaves = 3 * n_computational - 2 + n_computational % 2
+    if n_leaves > MAX_LEAVES:
+        raise RegisterTooLarge(
+            f"an array of {n_computational} computational anyons has {n_leaves} "
+            f"leaves, over the limit of {MAX_LEAVES}")
     if model.dual(ca) != ca:
         raise UnsupportedCharge(
             f"computational charge must be self-dual; dual({ca.label}) = "
@@ -198,10 +206,13 @@ def build_array(model: AnyonModel, a, n_computational: int) -> tuple[ArrayLayout
     self-dual charge; with an odd count the last anyon's creation partner
     stays at the right end of the array as a spectator.  One resource pair
     in the vacuum channel is inserted between each adjacent computational
-    pair, so braid quads are contiguous.
+    pair, so braid quads are contiguous.  A register over the size limits
+    of :mod:`anyonbraid.fusion_space` raises :class:`RegisterTooLarge`
+    before any of it is built.
     """
     layout = array_layout(model, a, n_computational)
     ca = model.charge(a)
+    _ranks(model, (ca.index,) * layout.n_leaves, model.vacuum.index)  # size check
     state = empty_state(model)
     for _ in range((n_computational + 1) // 2):
         state = attach_pair(state, state.num_leaves, ca)

@@ -29,6 +29,10 @@ class InvalidPosition(AnyonError):
     """A leaf or reassociation position is out of range for the state."""
 
 
+class RegisterTooLarge(AnyonError):
+    """A register has more leaves or basis states than the simulator accepts."""
+
+
 class ZeroProbabilityOutcome(AnyonError):
     """A projection was requested onto an outcome of (numerically) zero probability."""
 

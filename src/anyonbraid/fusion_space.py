@@ -8,7 +8,16 @@ fusion chain: leaves ``l_0, ..., l_{n-1}`` fuse in order,
 and a basis row is fixed by its free internal labels ``(y_1, ..., y_{n-2})``.
 Rows are enumerated in lexicographic order of the internal labels, which
 fixes the basis indexing.  A basis is stored as its ``(dim, n)`` matrix of
-chain labels ``(y_0, ..., y_{n-1})``, one row per basis state.
+chain labels ``(y_0, ..., y_{n-1})``, one row per basis state, as
+:data:`LABEL` charge indices.
+
+A row's index is a sum of per-column terms, the ranking of paths in the
+fusion DAG: with ``counts[j, y]`` the number of ways to complete a chain
+holding ``y`` in column ``j``, column ``j`` adds the completions of all
+smaller labels it could have held, ``terms[j, y_{j-1}, y_j]``.  The suffix
+counts give a register's dimension before anything is enumerated, so a
+register over :data:`MAX_LEAVES` leaves or :data:`MAX_DIM` basis states is
+refused with :class:`~anyonbraid.errors.RegisterTooLarge` up front.
 
 All kets are orthonormal and all public operations keep states unit-norm:
 the diagrammatic normalization prefactors of the underlying formalism are
@@ -32,6 +41,16 @@ measurement, the quad-braid oracle) are sequences of such tables, applied
 in turn and never multiplied out.  The same tables act on a batch of
 states stored as ``(dim, T)`` columns.
 
+Source and destination basis of a table differ only in the terms of
+columns ``pos`` and ``pos + 1``, so the source row of every entry is the
+destination row minus the destination's two terms plus the source's, read
+from ``(m, m, m)`` tables: no row is sorted or looked up.  The basis where
+a pair carries an explicit charge is never enumerated either.  Its terms
+differ from the standard ones only in those two columns, the inverse
+F-move is built over the standard rows, and the labels of each resolved
+row, which give the forward F-move and the pair channels, are scattered
+from the standard rows that reach it.
+
 States are immutable; operations return new states, so independent Monte
 Carlo trials can fan out across workers freely.
 """
@@ -42,14 +61,24 @@ import json
 import math
 import numpy as np
 
-from .errors import BasisMismatch, InvalidPosition, UnknownChargeError
+from .errors import BasisMismatch, InvalidPosition, RegisterTooLarge, UnknownChargeError
 from .model import AnyonModel, Charge
 
 #: Unit-norm tolerance enforced on construction.
 NORM_TOL = 1e-9
 
-#: Row keys are folded in int64 and rank-compressed before they pass this.
-_KEY_LIMIT = 2 ** 62
+#: Dtype of chain labels.  They are charge indices, and a model of 256
+#: charges would need a dense F table of 2**52 entries.
+LABEL = np.uint8
+
+#: Largest number of leaves a register may have.
+MAX_LEAVES = 1024
+
+#: Largest basis dimension a register may have.  Its ``(dim, n)`` chain
+#: matrix and every ``(w, dim)`` gather table are dense: a Fibonacci array
+#: of 10 computational anyons (28 leaves, dim 196,418) fits and checks a
+#: braid in under 0.5 GB; one of 11 (32 leaves, dim 1,346,269) is refused.
+MAX_DIM = 2 ** 20
 
 
 class StateVector:
@@ -102,73 +131,102 @@ class StateVector:
 
 
 # ---------------------------------------------------------------------------
-# Basis enumeration.
+# Basis enumeration and ranks.
 # ---------------------------------------------------------------------------
 
 
-def _basis(model, leaves, total, pos=0):
-    """Chain-label matrix of the standard basis (``pos = 0``) or of the
-    basis where pair ``(pos, pos+1)`` has an explicit channel.
+def _ranks(model, leaves, total):
+    """Suffix path counts and column rank terms of the standard basis.
 
-    In the resolved basis column ``pos`` holds the pair charge ``c``; the
-    chain constraint becomes ``c in fuse(l_pos, l_{pos+1})`` with the next
-    chain label fusing from the charge before the pair.  ``pos = 0``
-    coincides with the standard basis.  Rows are in lexicographic order.
+    ``counts[j, y]`` is the number of ways to complete a chain that holds
+    ``y`` in column ``j`` (``counts[n-1]`` marks the total), and
+    ``terms[j, p, y] = sum_{y' < y} N[p, l_j, y'] counts[j, y']`` counts the
+    rows that hold ``p`` in column ``j - 1`` and a label below ``y`` in
+    column ``j``.  A row's index is ``sum_j terms[j, y_{j-1}, y_j]``, with
+    ``y_{-1}`` the vacuum.  Counts are summed in Python integers and then
+    clipped above :data:`MAX_DIM`, which keeps every count a row can reach
+    exact.  Raises :class:`RegisterTooLarge` for more than
+    :data:`MAX_LEAVES` leaves or :data:`MAX_DIM` basis states, before
+    anything is enumerated.
     """
-    key = ("basis", leaves, total, pos)
+    key = ("ranks", leaves, total)
     hit = model._cache.get(key)
     if hit is not None:
         return hit
     n = len(leaves)
-    if n < 2:
-        reachable = int(total == (leaves[0] if n else 0))
-        rows = np.tile(np.array(leaves, dtype=np.intp), (reachable, 1))
-    else:
-        N = model.N
-        rows = np.array([[leaves[0]]], dtype=np.intp)
-        for j in range(1, n):
-            if pos and j == pos:
-                allowed = np.broadcast_to(N[leaves[j], leaves[j + 1]],
-                                          (len(rows), model.num_charges))
-            elif pos and j == pos + 1:
-                allowed = N[rows[:, -2], rows[:, -1]]
-            else:
-                allowed = N[rows[:, -1], leaves[j]]
-            if j < n - 1:
-                # row-major nonzero keeps parents in order, children ascending
-                parent, child = np.nonzero(allowed)
-                rows = np.column_stack([rows[parent], child])
-            else:
-                rows = rows[allowed[:, total] != 0]
-                rows = np.column_stack([rows, np.full(len(rows), total, dtype=np.intp)])
+    if n > MAX_LEAVES:
+        raise RegisterTooLarge(f"register of {n} leaves exceeds the limit of "
+                               f"{MAX_LEAVES} leaves")
+    steps = (model.N[:, list(leaves), :] != 0).astype(np.int64).transpose(1, 0, 2)
+    counts = np.zeros((n, model.num_charges), dtype=object)
+    if n:
+        counts[-1, total] = 1
+    for j in range(n - 2, -1, -1):
+        counts[j] = steps[j + 1] @ counts[j + 1]
+    if n and counts[0, leaves[0]] > MAX_DIM:
+        raise RegisterTooLarge(f"register of {n} leaves has {counts[0, leaves[0]]} "
+                               f"basis states, over the limit of {MAX_DIM}")
+    counts = np.minimum(counts, MAX_DIM + 1).astype(np.int64)
+    weights = steps * counts[:, None, :]
+    terms = np.cumsum(weights, axis=2) - weights
+    model._cache[key] = (counts, terms)
+    return counts, terms
+
+
+def _basis(model, leaves, total):
+    """Chain-label matrix of the standard basis, rows in lexicographic order.
+
+    The rows that share a prefix ending in ``y`` at column ``j`` are
+    contiguous and number ``counts[j, y]``, so each column is its prefixes'
+    last labels, in order, each repeated by its count.  Only labels from
+    which the chain still reaches ``total`` extend a prefix.
+    """
+    key = ("basis", leaves, total)
+    hit = model._cache.get(key)
+    if hit is not None:
+        return hit
+    counts, _ = _ranks(model, leaves, total)
+    n = len(leaves)
+    dim = int(counts[0, leaves[0]]) if n else int(total == 0)
+    rows = np.empty((dim, n), dtype=LABEL)
+    labels = np.full(min(dim, 1), leaves[0] if n else 0, dtype=np.intp)
+    for j in range(n):
+        if j:
+            # row-major nonzero keeps prefixes in order, labels ascending
+            labels = np.nonzero(model.N[labels, leaves[j]] * counts[j])[1]
+        rows[:, j] = np.repeat(labels, counts[j, labels])
     rows.flags.writeable = False
     model._cache[key] = rows
     return rows
 
 
-def _row_keys(m, *matrices):
-    """Integer keys ordering the rows of label matrices lexicographically.
+def _pair_terms(model, leaves, total, pos, resolved=False):
+    """Rank terms and admissibility of chain columns ``pos`` and ``pos+1``.
 
-    Keys are computed jointly, so equal rows of different matrices get equal
-    keys.  Labels are folded in base ``m``; whenever the next fold could
-    overflow, keys are replaced by their ranks, which keeps the order.
+    Returns ``(rank, allowed)``, each of shape ``(m, m, m)`` and indexed
+    ``[x, p, q]``: for a row holding ``p`` in column ``pos - 1``, ``x`` in
+    column ``pos`` and ``q`` in column ``pos + 1``, the part of its index
+    that the two columns contribute, and whether that row exists once its
+    other columns do.  ``resolved=True`` gives them in the basis where
+    ``x`` is the charge ``c`` of pair ``(pos, pos+1)``: column ``pos``
+    ranks ``c`` among the channels of ``l_pos l_{pos+1}`` by the
+    completions of ``p c``, and column ``pos + 1`` ranks ``q`` among the
+    channels of ``p c``.  Every other column keeps its standard term: by
+    associativity the count of completions on either side of the pair is
+    the same in both bases.
     """
-    rows = np.concatenate(matrices)
-    keys = np.zeros(len(rows), dtype=np.int64)
-    for col in rows.T:
-        if len(keys) and keys.max() >= _KEY_LIMIT // m:
-            keys = np.unique(keys, return_inverse=True)[1].astype(np.int64)
-        keys = keys * m + col
-    return np.split(keys, np.cumsum([len(a) for a in matrices])[:-1])
-
-
-def _lookup(model, basis, queries):
-    """Row of ``basis`` equal to each query row (0 where absent), and a
-    mask of the queries that were found."""
-    keys, wanted = _row_keys(model.num_charges, basis, queries)
-    index = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    found = keys[index] == wanted
-    return np.where(found, index, 0), found
+    counts, terms = _ranks(model, leaves, total)
+    N = model.N != 0
+    if resolved:
+        allowed = N & N[leaves[pos], leaves[pos + 1]][None, :, None]  # [p, c, q]
+        weights = allowed * counts[pos + 1]
+        per_channel = weights.sum(2)
+        rank = ((np.cumsum(per_channel, 1) - per_channel)[:, :, None]
+                + np.cumsum(weights, 2) - weights)
+    else:
+        allowed = N[:, leaves[pos], :, None] & N[None, :, leaves[pos + 1], :]  # [p, x, q]
+        rank = terms[pos][:, :, None] + terms[pos + 1][None, :, :]
+    return rank.transpose(1, 0, 2), allowed.transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -176,28 +234,47 @@ def _lookup(model, basis, queries):
 # ---------------------------------------------------------------------------
 
 
-def _local_table(model, src, dst, pos, local):
+def _sources(labels, src, dst_rank):
+    """Source row of every destination row and label at the rewritten column.
+
+    ``labels`` are the destination rows' labels ``(p, x, q)`` in columns
+    ``pos - 1``, ``pos`` and ``pos + 1``, ``src`` the source basis's
+    :func:`_pair_terms` and ``dst_rank`` the destination's.  Both bases
+    agree outside the two columns, so source and destination index differ
+    by their terms there.  Returns ``(index, found, site)``: ``index`` and
+    ``found`` of shape ``(m, dim)``, by source label and destination row,
+    with ``index`` 0 where no source row holds that label, and ``site``
+    each destination row's flat ``[x, p, q]`` position.
+    """
+    p, x, q = (column.astype(np.intp) for column in labels)
+    src_rank, src_allowed = src
+    m = len(src_rank)
+    pq = p * m + q
+    site = x * (m * m) + pq
+    found = src_allowed.reshape(m, m * m)[:, pq]
+    base = np.arange(len(x)) - dst_rank.reshape(-1)[site]
+    index = np.where(found, src_rank.reshape(m, m * m)[:, pq] + base, 0)
+    return index, found, site
+
+
+def _local_table(sources, local):
     """Gather table of an operator that rewrites chain column ``pos``.
 
-    ``src`` and ``dst`` are the chain matrices of the input and output
-    bases; they agree outside column ``pos``.  ``local[p, q, x, y]`` is the
-    amplitude sent from label ``y`` to label ``x`` at ``pos`` between the
-    neighbours ``p`` (column ``pos - 1``) and ``q`` (column ``pos + 1``).
+    ``sources`` is as returned by :func:`_sources`.  ``local[p, q, x, y]``
+    is the amplitude sent from label ``y`` to label ``x`` at ``pos`` between
+    the neighbours ``p`` (column ``pos - 1``) and ``q`` (column ``pos + 1``).
     Entries that vanish are dropped, so the width ``w`` is the largest
-    number of labels any output row draws from.  Returns ``(index, value)``
-    of shape ``(w, dim)``.
+    number of labels any output row draws from; each row keeps its labels
+    in ascending order.  Returns ``(index, value)`` of shape ``(w, dim)``.
     """
-    m = model.num_charges
-    dim = len(dst)
-    queries = np.repeat(dst, m, axis=0)
-    queries[:, pos] = np.tile(np.arange(m), dim)
-    index, found = _lookup(model, src, queries)
-    value = local[dst[:, pos - 1], dst[:, pos + 1], dst[:, pos]] * found.reshape(dim, m)
+    index, found, site = sources
+    m = len(local)
+    value = local.transpose(3, 2, 0, 1).reshape(m, m * m * m)[:, site] * found
     nonzero = value != 0
-    width = max(int(nonzero.sum(1).max(initial=0)), 1)
-    order = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
-    index = np.ascontiguousarray(np.take_along_axis(index.reshape(dim, m), order, 1).T)
-    value = np.ascontiguousarray(np.take_along_axis(value, order, 1).T)
+    width = max(int(nonzero.sum(0).max(initial=0)), 1)
+    order = np.argsort(~nonzero, axis=0, kind="stable")[:width]
+    index = np.take_along_axis(index, order, 0)
+    value = np.take_along_axis(value, order, 0)
     index.flags.writeable = False
     value.flags.writeable = False
     return index, value
@@ -222,31 +299,52 @@ def _gather_all(tables, amps):
     return amps
 
 
-def _f_move_table(model, leaves, total, pos, inverse=False):
-    """Gather table of the F-move resolving pair ``(pos, pos+1)``, ``pos >= 1``.
+def _resolution(model, leaves, total, pos):
+    """F-move tables and channels of pair ``(pos, pos+1)``, ``pos >= 1``.
 
-    The forward table maps standard amplitudes into the resolved basis,
-    ``res[.., p, c, q, ..] = sum_e F^{p a b}_q[e, c] std[.., p, e, q, ..]``;
-    ``inverse=True`` gives its adjoint, from the resolved basis back.
+    Returns ``(forward, inverse, channels)``.  The forward table maps
+    standard amplitudes into the resolved basis,
+    ``res[.., p, c, q, ..] = sum_e F^{p a b}_q[e, c] std[.., p, e, q, ..]``,
+    the inverse table is its adjoint, and ``channels`` is the pair charge
+    ``c`` of each resolved row.  The inverse table is built over the
+    standard chains; the labels ``(p, c, q)`` of each resolved row are
+    scattered from the standard rows that reach it, which gives the forward
+    table and the channels without enumerating the resolved basis.
     """
-    key = ("f_move", leaves, total, pos, inverse)
+    key = ("resolution", leaves, total, pos)
     hit = model._cache.get(key)
     if hit is not None:
         return hit
     F = model.F[:, leaves[pos], leaves[pos + 1]]  # [before, after, e, c]
     std = _basis(model, leaves, total)
-    res = _basis(model, leaves, total, pos)
-    if inverse:
-        table = _local_table(model, res, std, pos, np.conj(F))
-    else:
-        table = _local_table(model, std, res, pos, F.transpose(0, 1, 3, 2))
-    model._cache[key] = table
-    return table
+    std_labels = (std[:, pos - 1], std[:, pos], std[:, pos + 1])
+    std_terms = _pair_terms(model, leaves, total, pos)
+    res_terms = _pair_terms(model, leaves, total, pos, resolved=True)
+    sources = _sources(std_labels, res_terms, std_terms[0])
+    index, found, _ = sources
+    c, row = np.nonzero(found)
+    res_labels = np.empty((3, len(std)), dtype=LABEL)
+    res_labels[:, index[c, row]] = std_labels[0][row], c, std_labels[2][row]
+    inverse = _local_table(sources, np.conj(F))
+    forward = _local_table(_sources(res_labels, std_terms, res_terms[0]),
+                           F.transpose(0, 1, 3, 2))
+    channels = res_labels[1]
+    channels.flags.writeable = False
+    model._cache[key] = (forward, inverse, channels)
+    return forward, inverse, channels
+
+
+def _f_move_table(model, leaves, total, pos, inverse=False):
+    """Gather table of the F-move resolving pair ``(pos, pos+1)``, ``pos >= 1``,
+    or with ``inverse=True`` of its adjoint (see :func:`_resolution`)."""
+    return _resolution(model, leaves, total, pos)[1 if inverse else 0]
 
 
 def _pair_channels(model, leaves, total, pos):
     """Per-row collective charge of pair ``(pos, pos+1)`` in its resolved basis."""
-    return _basis(model, leaves, total, pos)[:, max(pos, 1)]
+    if pos == 0:
+        return _basis(model, leaves, total)[:, 1]
+    return _resolution(model, leaves, total, pos)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +369,18 @@ def _braid_table(model, leaves, total, pos, sign):
     a, b = leaves[pos], leaves[pos + 1]
     swapped = leaves[:pos] + (b, a) + leaves[pos + 2:]
     phases = model.R[a, b] if sign > 0 else np.conj(model.R[b, a])
-    src = _basis(model, leaves, total)
     if pos == 0:
+        src = _basis(model, leaves, total)
         index = np.arange(len(src))[None, :]
         value = phases[src[:, 1]][None, :]
     else:
         local = np.einsum("pqxc,c,pqyc->pqxy", np.conj(model.F[:, b, a]), phases,
                           model.F[:, a, b])
-        index, value = _local_table(model, src, _basis(model, swapped, total), pos, local)
+        dst = _basis(model, swapped, total)
+        labels = (dst[:, pos - 1], dst[:, pos], dst[:, pos + 1])
+        sources = _sources(labels, _pair_terms(model, leaves, total, pos),
+                           _pair_terms(model, swapped, total, pos)[0])
+        index, value = _local_table(sources, local)
     model._cache[key] = (swapped, index, value)
     return swapped, index, value
 
@@ -356,18 +458,25 @@ def attach_pair(state: StateVector, position: int, a) -> StateVector:
     cab = model.dual(ca).index
     new_leaves = state.leaves[:position] + (ca, cab) + state.leaves[position:]
     new_basis = _basis(model, new_leaves, state.total)
+    _, old_terms = _ranks(model, state.leaves, state.total)
+    _, new_terms = _ranks(model, new_leaves, state.total)
     out = np.zeros(len(new_basis), dtype=complex)
     chains = state.chains
-    y = chains[:, position - 1] if position else np.zeros(len(chains), dtype=np.intp)
+    y = chains[:, position - 1] if position else np.zeros(len(chains), dtype=LABEL)
+    # Re-rank the columns before the pair; those after it keep their terms,
+    # since the chain completes from each of them as before.
+    base = np.arange(len(chains))
+    before = np.zeros(len(chains), dtype=LABEL)
+    for j in range(position):
+        base += (new_terms[j] - old_terms[j])[before, chains[:, j]]
+        before = chains[:, j]
     for z in range(model.num_charges):
         amp = np.conj(model.F[y, ca, cab, y, z, 0]) * model.N[y, ca, z]
         keep = amp != 0
         # The running charge goes y -> z (absorb a) -> y (absorb dual a)
         # and the rest of the chain is untouched.
-        rows = np.column_stack([chains[keep, :position],
-                                np.full(int(keep.sum()), z, dtype=np.intp),
-                                y[keep], chains[keep, position:]])
-        index, _ = _lookup(model, new_basis, rows)
+        index = (base[keep] + new_terms[position][y[keep], z]
+                 + new_terms[position + 1][z, y[keep]])
         out[index] += amp[keep] * state.amps[keep]
     return StateVector(model, new_leaves, state.total, out, _chains=new_basis)
 
@@ -408,21 +517,26 @@ def _internals(chains) -> list:
     return chains[:, 1:chains.shape[1] - 1].tolist()
 
 
-def state_to_json(state: StateVector) -> str:
-    """Dump leaves, total and (internal labels, re, im) rows as JSON text."""
+def state_to_dict(state: StateVector) -> dict:
+    """Leaves, total and (internal labels, re, im) rows, ready for JSON."""
     labels = state.model.labels
     rows = [
         {"internals": [labels[i] for i in internals],
          "re": float(z.real), "im": float(z.imag)}
         for internals, z in zip(_internals(state.chains), state.amps)
     ]
-    return json.dumps({
+    return {
         "model": state.model.name,
         "params": state.model.params,
         "leaves": [labels[i] for i in state.leaves],
         "total": labels[state.total],
         "amplitudes": rows,
-    }, indent=2)
+    }
+
+
+def state_to_json(state: StateVector) -> str:
+    """Dump :func:`state_to_dict` as JSON text."""
+    return json.dumps(state_to_dict(state), indent=2)
 
 
 def state_from_json(model: AnyonModel, text: str) -> StateVector:

@@ -4,7 +4,9 @@ from hypothesis import settings
 
 from anyonbraid import (StateVector, attach_pair, entangled_pair_state,
                         load_builtin, project_pair, random_state)
-from anyonbraid.fusion_space import _basis, _f_move_table, _gather
+from anyonbraid.fusion_space import _f_move_table, _gather
+
+import dense_oracle as dense
 
 # Property tests draw the same examples on every run and have no per-example
 # deadline, so they neither flake nor trip on a slow shared machine.
@@ -95,8 +97,9 @@ def rerooted_reference(state):
     returns to the standard chain.  No projector is involved.
     """
     model = state.model
-    resolved = _basis(model, state.leaves, state.total, 1)
-    res_index = {row: k for k, row in enumerate(map(tuple, resolved.tolist()))}
+    resolved = dense._resolved_trees(model, state.leaves, state.total, 1)
+    res_index = {(state.leaves[0], *tree, state.total): k
+                 for k, tree in enumerate(resolved)}
     amps = np.zeros(len(resolved), dtype=complex)
     for row, amp in zip(map(tuple, state.chains.tolist()), state.amps):
         if amp == 0:

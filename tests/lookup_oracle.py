@@ -1,0 +1,119 @@
+"""Reference gather tables built by sorting and looking up whole rows.
+
+This is the construction the local ranks of :mod:`anyonbraid.fusion_space`
+replaced.  Both bases of a table are enumerated as ``(dim, n)`` chain-label
+matrices (the resolved basis included, from
+:func:`dense_oracle._resolved_trees`); every destination row is copied once
+per candidate label at ``pos`` and looked up in the source basis by integer
+row keys and a binary search.  Entry order, widths, padding and values are
+those of the tables the library builds, so the two must agree bit for bit.
+It is test-only: it allocates an ``(m dim, n)`` query matrix per table and
+sorts every key.
+"""
+
+import numpy as np
+
+import dense_oracle as dense
+
+#: Row keys are folded in int64 and rank-compressed before they pass this.
+_KEY_LIMIT = 2 ** 62
+
+
+def _row_keys(m, *matrices):
+    """Integer keys ordering the rows of label matrices lexicographically.
+
+    Keys are computed jointly, so equal rows of different matrices get equal
+    keys.  Labels are folded in base ``m``; whenever the next fold could
+    overflow, keys are replaced by their ranks, which keeps the order.
+    """
+    rows = np.concatenate(matrices)
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        if len(keys) and keys.max() >= _KEY_LIMIT // m:
+            keys = np.unique(keys, return_inverse=True)[1].astype(np.int64)
+        keys = keys * m + col
+    return np.split(keys, np.cumsum([len(a) for a in matrices])[:-1])
+
+
+def _lookup(model, basis, queries):
+    """Row of ``basis`` equal to each query row (0 where absent), and a
+    mask of the queries that were found."""
+    keys, wanted = _row_keys(model.num_charges, basis, queries)
+    index = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    found = keys[index] == wanted
+    return np.where(found, index, 0), found
+
+
+def chains(model, leaves, total, pos=0):
+    """Chain-label matrix of the standard basis (``pos = 0``) or of the basis
+    where pair ``(pos, pos+1)`` carries an explicit charge in column ``pos``."""
+    trees = dense._resolved_trees(model, leaves, total, pos)
+    return np.array([(leaves[0], *t, total) for t in trees], dtype=np.intp).reshape(
+        len(trees), len(leaves))
+
+
+def local_table(model, src, dst, pos, local):
+    """Gather table of an operator that rewrites chain column ``pos``, from
+    source and destination chain matrices that agree outside it."""
+    m = model.num_charges
+    dim = len(dst)
+    queries = np.repeat(dst, m, axis=0)
+    queries[:, pos] = np.tile(np.arange(m), dim)
+    index, found = _lookup(model, src, queries)
+    value = local[dst[:, pos - 1], dst[:, pos + 1], dst[:, pos]] * found.reshape(dim, m)
+    nonzero = value != 0
+    width = max(int(nonzero.sum(1).max(initial=0)), 1)
+    order = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
+    index = np.ascontiguousarray(np.take_along_axis(index.reshape(dim, m), order, 1).T)
+    value = np.ascontiguousarray(np.take_along_axis(value, order, 1).T)
+    return index, value
+
+
+def f_move_table(model, leaves, total, pos, inverse=False):
+    """F-move resolving pair ``(pos, pos+1)``, ``pos >= 1``, or its inverse."""
+    F = model.F[:, leaves[pos], leaves[pos + 1]]  # [before, after, e, c]
+    std = chains(model, leaves, total)
+    res = chains(model, leaves, total, pos)
+    if inverse:
+        return local_table(model, res, std, pos, np.conj(F))
+    return local_table(model, std, res, pos, F.transpose(0, 1, 3, 2))
+
+
+def pair_channels(model, leaves, total, pos):
+    """Per-row collective charge of pair ``(pos, pos+1)`` in its resolved basis."""
+    return chains(model, leaves, total, pos)[:, max(pos, 1)]
+
+
+def braid_table(model, leaves, total, pos, sign):
+    """``(new_leaves, index, value)`` of the exchange of leaves ``(pos, pos+1)``."""
+    a, b = leaves[pos], leaves[pos + 1]
+    swapped = leaves[:pos] + (b, a) + leaves[pos + 2:]
+    phases = model.R[a, b] if sign > 0 else np.conj(model.R[b, a])
+    src = chains(model, leaves, total)
+    if pos == 0:
+        return swapped, np.arange(len(src))[None, :], phases[src[:, 1]][None, :]
+    local = np.einsum("pqxc,c,pqyc->pqxy", np.conj(model.F[:, b, a]), phases,
+                      model.F[:, a, b])
+    index, value = local_table(model, src, chains(model, swapped, total), pos, local)
+    return swapped, index, value
+
+
+def attach_pair_amps(state, position, a):
+    """Amplitudes of ``attach_pair(state, position, a)``, placed by lookup."""
+    model = state.model
+    ca = model.charge(a).index
+    cab = model.dual(ca).index
+    new_leaves = state.leaves[:position] + (ca, cab) + state.leaves[position:]
+    new_basis = chains(model, new_leaves, state.total)
+    out = np.zeros(len(new_basis), dtype=complex)
+    old = chains(model, state.leaves, state.total)
+    y = old[:, position - 1] if position else np.zeros(len(old), dtype=np.intp)
+    for z in range(model.num_charges):
+        amp = np.conj(model.F[y, ca, cab, y, z, 0]) * model.N[y, ca, z]
+        keep = amp != 0
+        rows = np.column_stack([old[keep, :position],
+                                np.full(int(keep.sum()), z, dtype=np.intp),
+                                y[keep], old[keep, position:]])
+        index, _ = _lookup(model, new_basis, rows)
+        out[index] += amp[keep] * state.amps[keep]
+    return new_leaves, out

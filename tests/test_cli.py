@@ -437,6 +437,85 @@ class TestInputErrors:
         assert str(path) in err
 
 
+def model_file_text(model, name):
+    """``model`` in the model-file format, every admissible F and R entry
+    listed."""
+    labels = model.labels
+    m = len(labels)
+    lines = [f"name: {name}", "charges: " + " ".join(labels),
+             "dual: " + " ".join(f"{labels[a]}:{model.dual(a).label}" for a in range(m)),
+             "qdim: " + " ".join(f"{labels[a]}:{float(model.qd[a])!r}" for a in range(m)),
+             "[fusion]"]
+    for a in range(m):
+        for b in range(a, m):
+            lines.append(f"{labels[a]} {labels[b]} -> "
+                         + " ".join(labels[c] for c in np.flatnonzero(model.N[a, b])))
+    for section, table, entries in (("[f]", model.F, np.argwhere(model.F != 0)),
+                                    ("[r]", model.R, np.argwhere(model.N != 0))):
+        lines.append(section)
+        lines += [" ".join(labels[i] for i in idx)
+                  + f" {float(table[tuple(idx)].real)!r} {float(table[tuple(idx)].imag)!r}"
+                  for idx in entries.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+class TestModelFileGate:
+    """A model file is gated at the consistency tolerance on every command;
+    ``--tolerance`` of ``braid-check`` and ``run`` bounds oracle fidelity."""
+
+    def test_fidelity_tolerance_does_not_gate_the_model(self, capsys, tmp_path):
+        from anyonbraid import load_builtin
+
+        path = tmp_path / "fib.model"
+        path.write_text(model_file_text(load_builtin("fibonacci"), "fib"))
+        code, _, _ = run_cli(capsys, "verify", "--model", str(path), "--tolerance", "0")
+        assert code == 1  # its residuals are round-off, not zero
+        # At --tolerance 0 only an exact oracle fidelity passes: seed 4 gives
+        # 1.0, seed 1 gives 1 - 2e-16.  The file decides as the built-in does.
+        for seed, want in (("4", 0), ("1", 1)):
+            argv = ("--charge", "1", "--word", "s1", "--seed", seed, "--tolerance", "0")
+            code, out, err = run_cli(capsys, "braid-check", "--model", str(path), *argv)
+            assert (code, err) == (want, "")
+            builtin = run_cli(capsys, "braid-check", "--model", "fibonacci", *argv)
+            assert builtin[0] == want
+            assert out.replace('"fib"', '"fibonacci"') == builtin[1]
+
+
+class TestRegisterLimits:
+    """Registers over the size limits exit 2 with one ``error:`` line,
+    refused before any basis is built."""
+
+    def _refused(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        return err
+
+    def test_word_beyond_leaf_limit(self, capsys):
+        err = self._refused(capsys, "braid-check", "--model", "ising",
+                            "--word", "s99999999999999999999", "--seed", "1")
+        assert "100000000000000000000 computational anyons" in err
+        assert "299999999999999999998 leaves, over the limit of 1024" in err
+
+    @pytest.mark.parametrize("command", ["braid-check", "compile"])
+    def test_dimension_over_limit(self, capsys, command):
+        seed = ["--seed", "1"] if command == "braid-check" else []
+        err = self._refused(capsys, command, "--model", "fibonacci", "--word", "s1",
+                            "--n-computational", "40", *seed)
+        # Fibonacci's 118 leaves in the vacuum have F(117) basis states
+        assert "118 leaves has 1264937032042997393488322 basis states" in err
+
+    def test_schedule_over_dimension_limit(self, capsys, tmp_path):
+        from anyonbraid import BraidWord, compile_word, load_builtin
+        from anyonbraid.compiler import array_layout
+
+        layout = array_layout(load_builtin("fibonacci"), "1", 40)
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(compile_word(BraidWord.parse("s1"), layout).to_dict()))
+        err = self._refused(capsys, "run", "--schedule", str(path), "--seed", "1")
+        assert "basis states, over the limit of 1048576" in err
+
+
 class TestGoldens:
     """Stdout pinned byte for byte; ``tests/data/README.md`` lists the
     commands and the commit that generated each file."""

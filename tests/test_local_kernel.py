@@ -13,7 +13,7 @@ import pytest
 
 from anyonbraid import StateVector, build_array, random_state
 from anyonbraid.fusion_space import (_basis, _braid_table, _f_move_table,
-                                     _gather_all, _transport)
+                                     _gather_all, _pair_channels, _transport)
 from anyonbraid.measurement import _measurement_op
 from anyonbraid.teleport import direct_quad_braid
 
@@ -50,10 +50,14 @@ def test_basis_matches_depth_first_enumeration(registers):
         assert _internals(_basis(model, leaves, total)) == dense._chain_trees(
             model, leaves, total)
         for pos in range(state.num_leaves - 1):
-            chains = _basis(model, leaves, total, pos)
-            assert _internals(chains) == dense._resolved_trees(model, leaves, total, pos)
+            # The resolved basis is never enumerated; its channels are.
+            trees = dense._resolved_trees(model, leaves, total, pos)
+            chains = np.array([(leaves[0], *t, total) for t in trees])
+            assert _internals(chains) == trees
             assert list(chains[:, 0]) == [leaves[0]] * len(chains)
             assert list(chains[:, -1]) == [total] * len(chains)
+            assert list(_pair_channels(model, leaves, total, pos)) == list(
+                chains[:, max(pos, 1)])
 
 
 def test_every_f_move_site(registers):

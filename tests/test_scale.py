@@ -4,7 +4,9 @@ memory budgets.
 Fibonacci with 8 computational anyons has 22 leaves and dim 10946; a dense
 dim x dim operator there is 1.9 GB, and a dense operator cache for one
 braid exceeded 7.9 GB.  The local kernel keeps the whole run, operator
-tables included, under the budget below.
+tables included, under the budget below.  With 10 anyons (dim 196,418)
+gather tables built from local ranks keep it under 400 MiB; the resolved
+chain matrices of a sort-based lookup alone took 420 MiB there.
 
 su2_k at k=11 has 2,987,920 pentagon equations; a table of all their index
 tuples peaked near 800 MB.  Joining left and right fusion trees block by
@@ -23,18 +25,26 @@ from anyonbraid.compiler import RESOURCE_TOL
 #: Peak traced allocation allowed for the whole run.
 MEMORY_BUDGET_BYTES = 256 * 2 ** 20
 
+#: Peak traced allocation allowed for the same check with 10 computational
+#: anyons (28 leaves, dim 196,418); it measured 346 MiB.  Operator tables
+#: dominate it: every resource pair is measured after every braid.
+WIDE_BUDGET_BYTES = 400 * 2 ** 20
+
 #: Peak traced allocation allowed to verify su2_k at k=11.
 VERIFY_BUDGET_BYTES = 450 * 2 ** 20
 
 
-def test_fibonacci_22_leaves_braids_within_memory_budget():
+def _checked_braid(n_comp, word, random_start):
+    """Run ``word`` on a fresh Fibonacci array of ``n_comp`` anyons under
+    tracemalloc; returns the register shape, braid count, oracle fidelity,
+    resource defect and traced peak."""
     tracemalloc.start()
     try:
         model = load_builtin("fibonacci")  # fresh operator cache
-        layout, initial = build_array(model, "1", 8)
-        assert (initial.num_leaves, initial.dim) == (22, 10946)
-        state = random_encoded_state(layout, np.random.default_rng(8))
-        word = BraidWord.parse("s1 s7'")
+        layout, state = build_array(model, "1", n_comp)
+        if random_start:
+            state = random_encoded_state(layout, np.random.default_rng(8))
+        word = BraidWord.parse(word)
         final, records = execute(compile_word(word, layout), state,
                                  np.random.default_rng(9))
         oracle = direct_braid_reference(word, layout, state)
@@ -43,10 +53,25 @@ def test_fibonacci_22_leaves_braids_within_memory_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(records) == 2
+    return (state.num_leaves, state.dim), len(records), oracle_fidelity, defect, peak
+
+
+def test_fibonacci_22_leaves_braids_within_memory_budget():
+    shape, braids, oracle_fidelity, defect, peak = _checked_braid(8, "s1 s7'", True)
+    assert shape == (22, 10946)
+    assert braids == 2
     assert oracle_fidelity >= 1.0 - 1e-9
     assert defect < RESOURCE_TOL
     assert peak < MEMORY_BUDGET_BYTES, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_fibonacci_28_leaves_braids_within_memory_budget():
+    shape, braids, oracle_fidelity, defect, peak = _checked_braid(10, "s1 s9'", False)
+    assert shape == (28, 196418)
+    assert braids == 2
+    assert oracle_fidelity >= 1.0 - 1e-9
+    assert defect < RESOURCE_TOL
+    assert peak < WIDE_BUDGET_BYTES, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_su2_k11_verifies_within_memory_budget():
