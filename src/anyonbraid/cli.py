@@ -362,8 +362,11 @@ def _cmd_compile(args) -> int:
     schedule = _compiled_word(args)[3]
     text = json.dumps(schedule.to_dict(), indent=2)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise _CliError(f"cannot write schedule {args.output}: {exc}", 2) from exc
     else:
         print(text)
     return 0

@@ -12,14 +12,15 @@ conventions are physically distinct measurement processes.  Every step is
 a local gather table of :mod:`anyonbraid.fusion_space`, applied in turn.
 
 All functions are pure: they return new states and leave inputs untouched.
-Sampling runs on batches: the columns of a ``(dim, T)`` amplitude matrix
-are measured together, each with one uniform draw from its own stream, and
-a single state is sampled as a batch of one.  The draws of a batch come
-from :mod:`anyonbraid.streams`: trial ``t`` of a command draws
-``default_rng([seed, t])``, computed for all columns at once as arrays and
-equal to that generator's stream bit for bit.  A single measurement takes
-an explicit ``numpy.random.Generator``; concurrent trials must not share
-one generator stream.
+There is one sampler, :func:`_sample_columns`.  It measures the columns of a
+``(dim, T)`` amplitude matrix together, each with one uniform draw from its
+own stream, and a single state as a batch of one: a ``(dim,)`` vector with
+a scalar draw, through the same gathers and the same arithmetic.  The draws
+of a batch come from :mod:`anyonbraid.streams`: trial ``t`` of a command
+draws ``default_rng([seed, t])``, computed for all columns at once as
+arrays and equal to that generator's stream bit for bit.  A single
+measurement takes an explicit ``numpy.random.Generator``; concurrent trials
+must not share one generator stream.
 """
 
 from __future__ import annotations
@@ -95,11 +96,12 @@ def _measurement_op(state: StateVector, i: int, j: int, routing: str) -> _Measur
     return op
 
 
-def _channel_weights(op: _MeasurementOp, resolved):
-    """Born weight of every charge, by charge index, of the resolved
-    amplitudes: shape ``(m,)`` for one state ``(dim,)`` and ``(m, T)`` for
-    the columns of ``(dim, T)``."""
-    return op.indicator.dot(np.abs(resolved) ** 2)
+def _resolve(op: _MeasurementOp, amps):
+    """The amplitudes ``W amps``, where the pair has an explicit charge, and
+    the Born weight of every charge, by charge index: shape ``(m,)`` for one
+    state ``(dim,)`` and ``(m, T)`` for the columns of ``(dim, T)``."""
+    resolved = _gather_all(op.forward, amps)
+    return resolved, op.indicator.dot(np.abs(resolved) ** 2)
 
 
 def _collapse(op: _MeasurementOp, resolved, charges, prob):
@@ -110,25 +112,25 @@ def _collapse(op: _MeasurementOp, resolved, charges, prob):
     return _gather_all(op.backward, kept) / np.sqrt(prob)
 
 
-def _sample_columns(op: _MeasurementOp, amps, u):
-    """Measure ``op``'s pair on every column of ``amps`` ``(dim, T)``.
+def _sample_columns(op: _MeasurementOp, resolved, weights, u):
+    """Measure ``op``'s pair on resolved amplitudes and their weights
+    (:func:`_resolve`): the columns of a batch ``(dim, T)`` with draws ``u``
+    of shape ``(T,)``, or one state ``(dim,)`` with a scalar draw ``u``.
 
     Column ``t`` takes its uniform draw ``u[t]`` and the first charge,
     in index order, whose cumulative Born weight exceeds it, skipping
     channels below :data:`PROBABILITY_FLOOR`; when the draw falls into
     round-off slack past the last channel it takes the likeliest.  Returns
     the charge index, its probability and the collapsed amplitudes of each
-    column.
+    column, or of the one state.
     """
-    resolved = _gather_all(op.forward, amps)
-    weights = _channel_weights(op, resolved)
     hit = (u < np.add.accumulate(weights, 0)) & (weights >= PROBABILITY_FLOOR)
     # Hits score 2, above every weight (at most 1 + round-off), and argmax
     # takes the first maximum: the first hit wins, and without a hit the
     # likeliest charge does; its probability is then at least 1/m, above
     # the floor.
     charges = np.where(hit, 2.0, weights).argmax(0)
-    prob = weights[charges, np.arange(len(u))]
+    prob = weights[charges] if weights.ndim == 1 else weights[charges, np.arange(len(u))]
     return charges, prob, _collapse(op, resolved, charges, prob)
 
 
@@ -140,7 +142,7 @@ def pair_charge_distribution(state: StateVector, i: int, j: int,
     appear with probability 0.0 only if they are structurally admissible.
     """
     op = _measurement_op(state, i, j, routing)
-    weights = _channel_weights(op, _gather_all(op.forward, state.amps))
+    _, weights = _resolve(op, state.amps)
     return {state.model.charges[c]: float(weights[c]) for c in op.present}
 
 
@@ -154,8 +156,8 @@ def project_pair(state: StateVector, i: int, j: int, c,
     """
     ci = state.model.charge(c).index
     op = _measurement_op(state, i, j, routing)
-    resolved = _gather_all(op.forward, state.amps)
-    prob = float(_channel_weights(op, resolved)[ci])
+    resolved, weights = _resolve(op, state.amps)
+    prob = float(weights[ci])
     if prob < PROBABILITY_FLOOR:
         raise ZeroProbabilityOutcome(
             f"outcome {state.model.labels[ci]} on pair {(i, j)} has probability {prob:.3e}")
@@ -166,14 +168,14 @@ def sample_measurement(state: StateVector, i: int, j: int, rng,
                        routing: str = "over") -> tuple[MeasurementOutcome, StateVector]:
     """Draw one measurement outcome for pair ``(i, j)`` and collapse.
 
-    A batch of one of the lockstep sampler: the measurement operator is
-    applied once, its resolved amplitudes give the channel weights and,
-    masked, the post-measurement state.  Sampling is inverse-CDF over the
-    channels in charge-index order with one ``rng.random()`` draw, so a
-    fixed generator stream reproduces the trajectory exactly.
+    A batch of one of the sampler, on the state's ``(dim,)`` amplitudes:
+    the measurement operator is applied once, its resolved amplitudes give
+    the channel weights and, masked, the post-measurement state.  Sampling
+    is inverse-CDF over the channels in charge-index order with one
+    ``rng.random()`` draw, so a fixed generator stream reproduces the
+    trajectory exactly.
     """
     op = _measurement_op(state, i, j, routing)
-    charges, prob, post = _sample_columns(op, state.amps[:, None], [rng.random()])
-    outcome = MeasurementOutcome((i, j), state.model.charges[charges[0]],
-                                 float(prob[0]), routing)
-    return outcome, state._replace_amps(post[:, 0])
+    charge, prob, post = _sample_columns(op, *_resolve(op, state.amps), rng.random())
+    outcome = MeasurementOutcome((i, j), state.model.charges[charge], float(prob), routing)
+    return outcome, state._replace_amps(post)

@@ -488,19 +488,26 @@ def check_model_size(m: int) -> None:
             f"(su2_k up to k = {MAX_CHARGES - 1})")
 
 
-def _fill_tables(m, fusion, f_func, r_func):
-    """Dense F/R arrays from per-entry functions, zero off the admissible set."""
+def _fill_tables(m, fusion, f_values, r_func):
+    """Dense F/R arrays, zero off the admissible set.  ``f_values`` maps the
+    ``(E, 6)`` array of admissible F indices to their E values in one call;
+    ``r_func`` gives one R entry."""
     N = np.zeros((m, m, m), dtype=np.int8)
     for (a, b), cs in fusion.items():
         for c in cs:
             N[a, b, c] = 1
     F = np.zeros((m,) * 6, dtype=complex)
-    for idx in np.argwhere(_admissible_f(N)).tolist():
-        F[tuple(idx)] = f_func(*idx)
+    idx = np.argwhere(_admissible_f(N))
+    F[tuple(idx.T)] = f_values(idx)
     R = np.zeros((m, m, m), dtype=complex)
     for a, b, c in np.argwhere(N).tolist():
         R[a, b, c] = r_func(a, b, c)
     return N, F, R
+
+
+def _per_entry(f_func):
+    """``f_values`` for :func:`_fill_tables` from a function of one entry."""
+    return lambda idx: [f_func(*i) for i in idx.tolist()]
 
 
 def fibonacci_model() -> AnyonModel:
@@ -521,7 +528,7 @@ def fibonacci_model() -> AnyonModel:
         return 1.0
 
     fusion = {(0, 0): [0], (0, 1): [1], (1, 0): [1], (1, 1): [0, 1]}
-    N, F, R = _fill_tables(2, fusion, f_func, r_func)
+    N, F, R = _fill_tables(2, fusion, _per_entry(f_func), r_func)
     return AnyonModel("fibonacci", ["0", "1"], N, np.array([1.0, phi]), F, R,
                       meta={"computational_charge": "1",
                             "chirality": "counterclockwise",
@@ -556,7 +563,7 @@ def ising_model() -> AnyonModel:
 
     fusion = {(0, 0): [0], (0, s): [s], (s, 0): [s], (0, p): [p], (p, 0): [p],
               (s, s): [0, p], (s, p): [s], (p, s): [s], (p, p): [0]}
-    N, F, R = _fill_tables(3, fusion, f_func, r_func)
+    N, F, R = _fill_tables(3, fusion, _per_entry(f_func), r_func)
     return AnyonModel("ising", ["0", "1/2", "1"], N,
                       np.array([1.0, math.sqrt(2.0), 1.0]), F, R,
                       meta={"computational_charge": "1/2",
@@ -587,31 +594,33 @@ def su2k_model(k: int) -> AnyonModel:
     for n in range(1, 2 * k + 4):
         qfact[n] = qfact[n - 1] * qnum[n]
 
-    def admissible(a, b, c):
-        return (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b and a + b + c <= 2 * k
-
     def delta(a, b, c):
         num = (qfact[(-a + b + c) // 2] * qfact[(a - b + c) // 2]
                * qfact[(a + b - c) // 2])
-        return math.sqrt(num / qfact[(a + b + c) // 2 + 1])
+        return np.sqrt(num / qfact[(a + b + c) // 2 + 1])
 
-    def sixj(a, b, e, c, d, f):
-        # Racah sum for {a b e; c d f} with doubled-integer arguments.
-        for x, y, z in ((a, b, e), (a, d, f), (c, b, f), (c, d, e)):
-            if not admissible(x, y, z):
-                return 0.0
-        t1, t2, t3, t4 = (a + b + e) // 2, (e + c + d) // 2, (b + c + f) // 2, (a + f + d) // 2
+    def f_values(idx):
+        # The q-6j symbols {a b e; c d f} of every admissible entry at once
+        # (doubled-integer spins), by the Racah sum over z.  An admissible
+        # index makes all four triangles of the symbol admissible.  The
+        # terms are added in increasing z, as one entry at a time adds them.
+        a, b, c, d, e, f = idx.T
+        t1, t2 = (a + b + e) // 2, (e + c + d) // 2
+        t3, t4 = (b + c + f) // 2, (a + f + d) // 2
         s12, s13, s23 = (a + b + c + d) // 2, (a + e + c + f) // 2, (b + e + d + f) // 2
-        total = 0.0
-        for z in range(max(t1, t2, t3, t4), min(s12, s13, s23) + 1):
-            denom = (qfact[z - t1] * qfact[z - t2] * qfact[z - t3] * qfact[z - t4]
-                     * qfact[s12 - z] * qfact[s13 - z] * qfact[s23 - z])
-            total += (-1) ** z * qfact[z + 1] / denom
-        return total * delta(a, b, e) * delta(e, c, d) * delta(c, b, f) * delta(a, f, d)
-
-    def f_func(a, b, c, d, e, f):
-        sign = (-1) ** ((a + b + c + d) // 2)
-        return sign * math.sqrt(qnum[e + 1] * qnum[f + 1]) * sixj(a, b, e, c, d, f)
+        low = np.maximum.reduce([t1, t2, t3, t4])
+        terms = np.minimum.reduce([s12, s13, s23]) - low + 1
+        total = np.zeros(len(idx))
+        for j in range(terms.max(initial=0)):
+            at = np.flatnonzero(terms > j)
+            z = low[at] + j
+            denom = (qfact[z - t1[at]] * qfact[z - t2[at]] * qfact[z - t3[at]]
+                     * qfact[z - t4[at]] * qfact[s12[at] - z] * qfact[s13[at] - z]
+                     * qfact[s23[at] - z])
+            total[at] += np.where(z % 2, -qfact[z + 1], qfact[z + 1]) / denom
+        sixj = total * delta(a, b, e) * delta(e, c, d) * delta(c, b, f) * delta(a, f, d)
+        sign = np.where((a + b + c + d) // 2 % 2, -1.0, 1.0)
+        return sign * np.sqrt(qnum[e + 1] * qnum[f + 1]) * sixj
 
     q = np.exp(2j * np.pi / (k + 2))
 
@@ -624,7 +633,7 @@ def su2k_model(k: int) -> AnyonModel:
         for b in range(m):
             top = min(a + b, 2 * k - a - b)
             fusion[(a, b)] = list(range(abs(a - b), top + 1, 2))
-    N, F, R = _fill_tables(m, fusion, f_func, r_func)
+    N, F, R = _fill_tables(m, fusion, f_values, r_func)
     qd = qnum[1:m + 1].copy()
     return AnyonModel("su2_k", [_spin_label(n) for n in range(m)], N, qd, F, R,
                       params={"k": k},

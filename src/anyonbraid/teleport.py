@@ -10,10 +10,17 @@ anyonic teleportation: the encoded state information moves from the leaf
 unique to the target pair to the leaf unique to the recovery pair, up to a
 global phase that depends only on the outcome string.
 
+Many trials of one forced measurement run in lockstep as the columns of a
+``(dim, T)`` block (:func:`forced_measurements`); a single forced
+measurement is a block of one trial, run on the state's ``(dim,)`` vector
+through the same sampler.
+
 Three forced measurements on a contiguous quad of leaves compose to the
 braiding exchange of the two outer anyons while restoring the middle
 entangled pair, which is what :func:`measurement_braid` implements and
-verifies against the directly applied R-matrix oracle.
+verifies against the directly applied R-matrix oracle.  The phase of each
+teleport is taken against the analytic teleported state, which the first
+attempt of its forced measurement has already computed.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 from .errors import MaxAttemptsExceeded, NotPhaseEquivalent, ProtocolError
 from .fusion_space import (StateVector, _braid_table, _gather_all, _transport,
                            inner)
-from .measurement import (_channel_weights, _measurement_op, _sample_columns,
+from .measurement import (_collapse, _measurement_op, _resolve, _sample_columns,
                           pair_charge_distribution, project_pair)
 from .model import Charge
 from .streams import GeneratorStreams, blocks
@@ -144,7 +151,10 @@ def teleport_reference(state: StateVector, target_pair: tuple[int, int],
     vacuum and renormalize.
 
     Every forced-measurement trajectory ends in this state up to a global
-    phase, regardless of how many attempts it took.
+    phase, regardless of how many attempts it took.  :func:`measurement_braid`
+    takes the same state from the first attempt of each forced measurement
+    (:meth:`ForcedBlock.reference`) instead of applying the measurement
+    operator again.
     """
     post, _ = project_pair(state, target_pair[0], target_pair[1], 0, routing)
     return post
@@ -158,9 +168,11 @@ class ForcedBlock:
     Measurement ``s`` of a trial is on the target pair for even ``s`` and
     on the recovery pair for odd ``s``; ``outcomes[s, t]`` is its charge
     index (the vacuum is 0), or -1 once trial ``t`` has stopped, and
-    ``probabilities[s, t]`` its Born probability.  ``amps[:, t]`` holds the final amplitudes of
-    trial ``t`` (the state after its last measurement when it ran out of
-    attempts).
+    ``probabilities[s, t]`` its Born probability.  ``amps[:, t]`` holds the
+    final amplitudes of trial ``t`` (the state after its last measurement
+    when it ran out of attempts).  ``first`` holds the resolved amplitudes
+    ``W state`` of the first target measurement, which every trial starts
+    with, and their channel weights, for :meth:`reference`.
     """
 
     state: StateVector
@@ -170,6 +182,7 @@ class ForcedBlock:
     outcomes: np.ndarray
     probabilities: np.ndarray
     amps: np.ndarray
+    first: tuple[np.ndarray, np.ndarray]
 
     @property
     def attempts(self) -> np.ndarray:
@@ -208,6 +221,19 @@ class ForcedBlock:
     def final_state(self, t: int) -> StateVector:
         return self.state._replace_amps(self.amps[:, t])
 
+    def reference(self) -> StateVector:
+        """The teleported state ``W^dag mask_0 W state / sqrt(p_0)``, in
+        which every successful trial ends up to a global phase:
+        :func:`teleport_reference` of ``state``, bit for bit for a block of
+        one trial.
+
+        It is built from :attr:`first`, so ``W state`` is not applied
+        again.  A trial that drew the vacuum at once ends in it exactly.
+        """
+        resolved, weights = self.first
+        op = _measurement_op(self.state, *self.target_pair, self.routing)
+        return self.state._replace_amps(_collapse(op, resolved, 0, weights[0]))
+
 
 def _lockstep(state: StateVector, target_pair, recovery_pair, streams,
               max_attempts: int, routing: str) -> ForcedBlock:
@@ -216,23 +242,36 @@ def _lockstep(state: StateVector, target_pair, recovery_pair, streams,
     Every round measures the target pair, then the recovery pair, on the
     columns still active, measurement ``s`` of each drawing
     ``streams.row(s, live)``; a column leaves when its target outcome is
-    the vacuum or after ``max_attempts`` rounds.
+    the vacuum or after ``max_attempts`` rounds.  A block of one trial runs
+    as a ``(dim,)`` vector with scalar draws, through the same sampler.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     ops = (_measurement_op(state, *target_pair, routing),
            _measurement_op(state, *recovery_pair, routing))
     T = len(streams)
+    one = T == 1
     live = np.arange(T)
-    amps = state.amps[:, None].repeat(T, 1)
+    amps = state.amps if one else state.amps[:, None].repeat(T, 1)
     final = None  # allocated when the first columns leave early
     rounds = []  # (live, charges, prob) of every measurement round
     for s in range(2 * max_attempts):
-        charges, prob, amps = _sample_columns(ops[s % 2], amps, streams.row(s, live))
+        # Draw first and drop the resolved amplitudes after sampling, so the
+        # draws' temporaries are never alive beside them (peak memory).
+        u = streams.row(s, live)
+        op = ops[s % 2]
+        resolved, weights = _resolve(op, amps)
+        charges, prob, amps = _sample_columns(op, resolved, weights, u[0] if one else u)
         rounds.append((live, charges, prob))
+        if not s:
+            # Every column starts from ``state``: keep column 0 only.
+            first = (resolved, weights) if one else (resolved[:, 0].copy(),
+                                                     weights[:, 0].copy())
+        del resolved, weights
         if s % 2:
             continue
-        going = np.count_nonzero(charges)  # the vacuum is charge 0
+        # the vacuum is charge 0; a vector's charge is a scalar
+        going = int(charges != 0) if one else np.count_nonzero(charges)
         if not going:
             break
         if going < len(live):
@@ -242,9 +281,9 @@ def _lockstep(state: StateVector, target_pair, recovery_pair, streams,
             final[:, live[~keep]] = amps[:, ~keep]
             live, amps = live[keep], amps[:, keep]
     if final is None:  # no column left early, so every round is a full row
-        final = amps
-        outcomes = np.array([charges for _, charges, _ in rounds])
-        probabilities = np.array([prob for _, _, prob in rounds])
+        final = amps[:, None] if one else amps
+        outcomes = np.array([charges for _, charges, _ in rounds]).reshape(-1, T)
+        probabilities = np.array([prob for _, _, prob in rounds]).reshape(-1, T)
     else:
         final[:, live] = amps
         outcomes = np.full((len(rounds), T), -1)
@@ -253,7 +292,7 @@ def _lockstep(state: StateVector, target_pair, recovery_pair, streams,
             outcomes[s, cols] = charges
             probabilities[s, cols] = prob
     return ForcedBlock(state, target_pair, recovery_pair, routing,
-                       outcomes, probabilities, final)
+                       outcomes, probabilities, final, first)
 
 
 def _checked_pairs(state: StateVector, target_pair, recovery_pair, routing):
@@ -265,7 +304,7 @@ def _checked_pairs(state: StateVector, target_pair, recovery_pair, routing):
         raise ProtocolError(
             f"target {target_pair} and recovery {recovery_pair} must share exactly one leaf")
     op = _measurement_op(state, *recovery_pair, routing)
-    weights = _channel_weights(op, _gather_all(op.forward, state.amps))
+    _, weights = _resolve(op, state.amps)
     if weights[state.model.vacuum.index] < 1.0 - VACUUM_TOL:
         dist = pair_charge_distribution(state, *recovery_pair, routing=routing)
         raise ProtocolError(
@@ -296,23 +335,32 @@ def forced_measurements(state: StateVector, target_pair, recovery_pair, streams,
         yield _lockstep(state, *pairs, chunk, max_attempts, routing)
 
 
-def forced_measurement(state: StateVector, target_pair, recovery_pair, rng,
-                       max_attempts: int = MAX_ATTEMPTS_DEFAULT,
-                       routing: str = "over") -> tuple[StateVector, MeasurementRecord]:
-    """Measure ``target_pair`` until it yields vacuum, undoing failures via
-    ``recovery_pair``: a batch of one of :func:`forced_measurements`.
-
-    Returns the post-measurement state (the teleported state, up to a
-    trajectory-dependent global phase) and the outcome record.  Raises
-    :class:`MaxAttemptsExceeded` when no vacuum outcome came within
-    ``max_attempts`` attempts.
-    """
+def _forced_block(state: StateVector, target_pair, recovery_pair, rng,
+                  max_attempts: int, routing: str) -> tuple[ForcedBlock, MeasurementRecord]:
+    """The block of one trial of :func:`forced_measurement` and its record."""
     pairs = _checked_pairs(state, target_pair, recovery_pair, routing)
     block = _lockstep(state, *pairs, GeneratorStreams([rng]), max_attempts, routing)
     record = block.record(0)
     if record.target_outcomes()[-1] != state.model.vacuum:
         raise MaxAttemptsExceeded(
             f"no vacuum outcome on {record.target_pair} within {max_attempts} attempts")
+    return block, record
+
+
+def forced_measurement(state: StateVector, target_pair, recovery_pair, rng,
+                       max_attempts: int = MAX_ATTEMPTS_DEFAULT,
+                       routing: str = "over") -> tuple[StateVector, MeasurementRecord]:
+    """Measure ``target_pair`` until it yields vacuum, undoing failures via
+    ``recovery_pair``: a batch of one of :func:`forced_measurements`, run on
+    the state's ``(dim,)`` amplitudes.
+
+    Returns the post-measurement state (the teleported state, up to a
+    trajectory-dependent global phase) and the outcome record.  Raises
+    :class:`MaxAttemptsExceeded` when no vacuum outcome came within
+    ``max_attempts`` attempts.
+    """
+    block, record = _forced_block(state, target_pair, recovery_pair, rng,
+                                  max_attempts, routing)
     return block.final_state(0), record
 
 
@@ -373,8 +421,12 @@ def braid_oracle_state(state: StateVector, quad, direction: str,
     if direction not in ("positive", "inverse"):
         raise ProtocolError(f"direction must be 'positive' or 'inverse', got {direction!r}")
     sign = +1 if direction == "positive" else -1
-    twist = state.model.twist(state.model.charges[state.leaves[quad[0]]])
-    convention = np.conj(twist) if sign > 0 else twist
+    model, a = state.model, state.leaves[quad[0]]
+    key = ("oracle convention", a, sign)  # cached with the model's operators
+    convention = model._cache.get(key)
+    if convention is None:
+        twist = model.twist(model.charges[a])
+        convention = model._cache[key] = np.conj(twist) if sign > 0 else twist
     braided = direct_quad_braid(state, quad, sign, routing)
     return braided._replace_amps(convention * braided.amps)
 
@@ -397,17 +449,22 @@ def measurement_braid(state: StateVector, quad, direction: str, rng,
     "under" convention for the non-adjacent measurement is a physically
     different process and raises :class:`NotPhaseEquivalent` when the
     output fails to match the oracle.
+
+    Each step phase is taken against the step's teleport reference, which
+    the forced measurement's first attempt yields (:meth:`ForcedBlock.reference`),
+    bit for bit equal to :func:`teleport_reference` of the step's input.
     """
     quad = _check_quad(state, quad)
     oracle = braid_oracle_state(state, quad, direction, routing)
     records = []
     phases = []
     for target, recovery in _quad_steps(quad, direction):
-        before = state
-        state, record = forced_measurement(before, target, recovery, rng,
-                                           max_attempts=max_attempts, routing=routing)
+        block, record = _forced_block(state, target, recovery, rng, max_attempts, routing)
+        state = block.final_state(0)
         records.append(record)
-        phases.append(relative_phase(state, teleport_reference(before, target, routing)))
+        # a first-attempt vacuum leaves exactly the reference state
+        reference = state if record.attempts == 1 else block.reference()
+        phases.append(relative_phase(state, reference))
     total = relative_phase(state, oracle)
     fid = abs(inner(state, oracle))
     return state, BraidRecord(tuple(records), direction, total, tuple(phases),

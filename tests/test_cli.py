@@ -409,6 +409,15 @@ class TestInputErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "at least 2" in err
 
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_compile_output(self, capsys, tmp_path, where):
+        output = tmp_path / "no_such_dir" / "x.json" if where == "missing_dir" else tmp_path
+        code, out, err = run_cli(capsys, "compile", "--model", "ising", "--word", "s1",
+                                 "--output", str(output))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write schedule") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_zero_max_attempts_in_library(self, ising):
         from anyonbraid import forced_measurement, forced_measurements
         from conftest import teleport_config

@@ -16,6 +16,7 @@ from anyonbraid.model import (MAX_CHARGES, _admissible_f, _tree_rows,
                               fibonacci_model)
 
 import pentagon_oracle
+import racah_oracle
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -52,6 +53,13 @@ class TestLoadBuiltin:
             load_builtin("su2_k", k=1)
         with pytest.raises(ModelError):
             load_builtin("su2_k")
+
+    @pytest.mark.parametrize("k", range(2, 12))
+    def test_su2_f_equals_scalar_racah_sum(self, k):
+        # every admissible entry summed at once, bit for bit the scalar sum
+        model = load_builtin("su2_k", k=k)
+        oracle = racah_oracle.su2k_f_table(k, model.N)
+        assert model.F.tobytes() == oracle.tobytes()
 
     def test_oversized_level_refused_before_allocating(self):
         # 61 charges: the dense F table alone would be 768 GiB

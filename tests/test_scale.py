@@ -8,6 +8,10 @@ tables included, under the budget below.  With 10 anyons (dim 196,418)
 gather tables built from local ranks keep it under 400 MiB; the resolved
 chain matrices of a sort-based lookup alone took 420 MiB there.
 
+A braid word can be arbitrarily long on fixed resources: ten thousand
+generators on one Ising pair of computational anyons keep every state
+normalised, the resource pair sharp and the phase bookkeeping exact.
+
 su2_k at k=11 has 2,987,920 pentagon equations; a table of all their index
 tuples peaked near 800 MB.  Joining left and right fusion trees block by
 block keeps the check under half of that.
@@ -19,8 +23,10 @@ import numpy as np
 
 from anyonbraid import (BraidWord, build_array, check_resources, compile_word,
                         direct_braid_reference, execute, fidelity, load_builtin,
-                        random_encoded_state)
+                        measurement_braid, random_encoded_state)
 from anyonbraid.compiler import RESOURCE_TOL
+from anyonbraid.fusion_space import NORM_TOL
+from anyonbraid.teleport import PHASE_TOL
 
 #: Peak traced allocation allowed for the whole run.
 MEMORY_BUDGET_BYTES = 256 * 2 ** 20
@@ -84,3 +90,19 @@ def test_su2_k11_verifies_within_memory_budget():
         tracemalloc.stop()
     assert report.passed
     assert peak < VERIFY_BUDGET_BYTES, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_soak_ten_thousand_generators_on_fixed_resources(ising):
+    layout, _ = build_array(ising, "1/2", 2)
+    start = random_encoded_state(layout, np.random.default_rng(30))
+    generators = np.random.default_rng(31).choice([1, -1], size=10_000)
+    rng = np.random.default_rng(32)
+    state = start
+    for g in generators.tolist():
+        state, record = measurement_braid(state, layout.quad(1),
+                                          "positive" if g > 0 else "inverse", rng)
+        assert abs(np.linalg.norm(state.amps) - 1.0) <= NORM_TOL
+        assert check_resources(layout, state) < RESOURCE_TOL
+        assert abs(record.extracted_phase - np.prod(record.step_phases)) <= PHASE_TOL
+    oracle = direct_braid_reference(BraidWord(tuple(generators.tolist())), layout, start)
+    assert fidelity(state, oracle) >= 1.0 - 1e-9

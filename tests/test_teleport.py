@@ -4,15 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from anyonbraid import (MaxAttemptsExceeded, NotPhaseEquivalent,
                         ProtocolError, StateVector, attach_pair,
                         braid_oracle_state, expected_attempt_bound,
                         expected_mean_attempts, failure_tail_probability,
-                        fidelity, forced_measurement, measurement_braid,
-                        pair_charge_distribution, project_pair, random_state,
-                        relative_phase, teleport_reference)
-from anyonbraid.teleport import direct_quad_braid
+                        fidelity, forced_measurement, forced_measurements,
+                        measurement_braid, pair_charge_distribution, project_pair,
+                        random_encoded_state, random_state, relative_phase,
+                        teleport_reference)
+from anyonbraid.compiler import array_layout
+from anyonbraid.streams import TrialStreams
+from anyonbraid.teleport import _quad_steps, direct_quad_braid
 
 from conftest import (five_leaf_config, random_five_leaf_state,
                       random_quad_state, rerooted_reference, teleport_config)
@@ -50,6 +55,28 @@ class TestForcedMeasurement:
                                                  np.random.default_rng([2, t]))
                 assert fidelity(out, rerooted_reference(state)) >= 1 - 1e-9
                 assert fidelity(out, teleport_reference(state, (1, 2))) >= 1 - 1e-9
+
+    def test_block_reference_is_teleport_reference(self, protocol_models):
+        # every block's reference is the analytic teleported state: bit for
+        # bit for a block of one, from column 0 of a larger block; a trial
+        # that drew the vacuum at once ends in it exactly
+        rng = np.random.default_rng(42)
+        for model, a in protocol_models:
+            state = random_five_leaf_state(model, a, rng)
+            want = teleport_reference(state, (1, 2))
+            firsts = set()
+            for t in range(12):
+                single, = forced_measurements(state, (1, 2), (0, 1),
+                                              [np.random.default_rng([43, t])])
+                firsts.add(int(single.outcomes[0, 0]))
+                assert np.array_equal(single.reference().amps, want.amps)
+                if single.outcomes[0, 0] == 0:  # the vacuum at once
+                    assert np.array_equal(single.final_state(0).amps, want.amps)
+                block, = forced_measurements(state, (1, 2), (0, 1),
+                                             TrialStreams(43, range(t, t + 3)))
+                np.testing.assert_allclose(block.reference().amps, want.amps,
+                                           rtol=0, atol=1e-12)
+            assert 0 in firsts and len(firsts) > 1
 
     def test_record_invariants(self, fibonacci):
         state = teleport_config(fibonacci, "1")
@@ -283,3 +310,26 @@ class TestMeasurementBraid:
             assert record.attempts == (1, 1, 1)
             assert record.extracted_phase == pytest.approx(
                 np.prod(record.step_phases), abs=1e-12)
+
+    @given(model_index=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1),
+           word=st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=5))
+    def test_step_phases_match_teleport_reference(self, protocol_models, su2_2,
+                                                  model_index, seed, word):
+        # each step phase is taken against the reference built from the
+        # step's first attempt; it must equal the phase against the
+        # stand-alone teleport_reference oracle bit for bit, on the states
+        # a replay of the same forced measurements passes through
+        model, a = [*protocol_models, (su2_2, "1/2")][model_index]
+        layout = array_layout(model, a, 3)
+        state = random_encoded_state(layout, np.random.default_rng([seed, 1]))
+        rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        for g in word:
+            quad, direction = layout.quad(abs(g)), "positive" if g > 0 else "inverse"
+            out, record = measurement_braid(state, quad, direction, rng)
+            for (target, recovery), phase, step in zip(
+                    _quad_steps(quad, direction), record.step_phases, record.steps):
+                after, replayed = forced_measurement(state, target, recovery, replay)
+                assert replayed == step
+                assert phase == relative_phase(after, teleport_reference(state, target))
+                state = after
+            assert np.array_equal(state.amps, out.amps)
