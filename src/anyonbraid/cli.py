@@ -297,8 +297,9 @@ def _passed(fid: float, defect: float, args) -> bool:
 
 
 def _compiled_word(args):
-    """The model, charge, initial array state and schedule of ``--word``
-    on ``--n-computational`` anyons (by default as many as the word uses)."""
+    """The model, charge and schedule of ``--word`` on
+    ``--n-computational`` anyons (by default as many as the word uses); the
+    register's size is checked, but no state is built."""
     model = _load_model(args)
     charge = _default_charge(model, args)
     word = _parse_word(args.word)
@@ -306,16 +307,17 @@ def _compiled_word(args):
     if n_comp is None:
         n_comp = max(2, word.max_strand() + 1)
     try:
-        layout, initial = cp.build_array(model, charge, n_comp)
-        return model, charge, initial, cp.compile_word(word, layout)
+        layout = cp.checked_layout(model, charge, n_comp)
+        return model, charge, cp.compile_word(word, layout)
     except AnyonError as exc:
         raise _CliError(str(exc), 2) from exc
 
 
 def _cmd_braid_check(args) -> int:
-    model, charge, initial, schedule = _compiled_word(args)
+    model, charge, schedule = _compiled_word(args)
     layout, word = schedule.layout, schedule.word
     n_comp = len(layout.computational)
+    _, initial = cp.build_array(model, charge, n_comp)
     if args.random_state:
         initial = cp.random_encoded_state(layout, _substream(args.seed, 2 ** 31))
     final, records, fid, phase, defect = _checked_run(schedule, initial, args)
@@ -359,7 +361,7 @@ def _cmd_braid_check(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    schedule = _compiled_word(args)[3]
+    schedule = _compiled_word(args)[2]
     text = json.dumps(schedule.to_dict(), indent=2)
     if args.output:
         try:

@@ -199,6 +199,15 @@ def array_layout(model: AnyonModel, a, n_computational: int) -> ArrayLayout:
     return ArrayLayout(model, ca.label, computational, resources, partner)
 
 
+def checked_layout(model: AnyonModel, a, n_computational: int) -> ArrayLayout:
+    """The layout of :func:`build_array`, without its state: the
+    :func:`array_layout`, after checking the register against the size
+    limits of :mod:`anyonbraid.fusion_space` (:class:`RegisterTooLarge`)."""
+    layout = array_layout(model, a, n_computational)
+    _ranks(model, (model.charge(a).index,) * layout.n_leaves, model.vacuum.index)
+    return layout
+
+
 def build_array(model: AnyonModel, a, n_computational: int) -> tuple[ArrayLayout, StateVector]:
     """Create the initial array state and its layout.
 
@@ -210,9 +219,8 @@ def build_array(model: AnyonModel, a, n_computational: int) -> tuple[ArrayLayout
     of :mod:`anyonbraid.fusion_space` raises :class:`RegisterTooLarge`
     before any of it is built.
     """
-    layout = array_layout(model, a, n_computational)
+    layout = checked_layout(model, a, n_computational)
     ca = model.charge(a)
-    _ranks(model, (ca.index,) * layout.n_leaves, model.vacuum.index)  # size check
     state = empty_state(model)
     for _ in range((n_computational + 1) // 2):
         state = attach_pair(state, state.num_leaves, ca)

@@ -115,7 +115,8 @@ def _collapse(op: _MeasurementOp, resolved, charges, prob):
 def _sample_columns(op: _MeasurementOp, resolved, weights, u):
     """Measure ``op``'s pair on resolved amplitudes and their weights
     (:func:`_resolve`): the columns of a batch ``(dim, T)`` with draws ``u``
-    of shape ``(T,)``, or one state ``(dim,)`` with a scalar draw ``u``.
+    of shape ``(T,)``, or one state ``(dim,)`` with a scalar draw ``u`` (or
+    a draw of shape ``(1,)``).
 
     Column ``t`` takes its uniform draw ``u[t]`` and the first charge,
     in index order, whose cumulative Born weight exceeds it, skipping

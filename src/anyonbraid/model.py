@@ -38,7 +38,7 @@ CONSISTENCY_TOL = 1e-10
 
 #: Most charges a model may have.  The dense F table holds m**6 complex
 #: entries, 256 MiB at 16 charges (su2_k at k = 15), and verifying such a
-#: model peaks near 1.7 GB of RSS.
+#: model peaks near 1 GB of RSS.
 MAX_CHARGES = 16
 
 
@@ -205,9 +205,9 @@ class AnyonModel:
         hexa = _hexagon_residual(self.N, self.F, self.R)
         unit = _unitarity_residual(self.N, self.F)
         qres = _qdim_residual(self.N, self.qd)
-        worst = max(pent, hexa, unit, qres)
+        worst = _worst(pent, hexa, unit, qres)
         return ConsistencyReport(pent, hexa, unit, qres, tolerance,
-                                 bool(worst < tolerance))
+                                 bool(np.isfinite(worst) and worst < tolerance))
 
     def vacuum_probability_residual(self) -> float:
         """Worst deviation of ``|[F_a^{a,dual(a),a}]_{e0}|^2`` from ``d_e/d_a^2``.
@@ -245,6 +245,10 @@ class AnyonModel:
             raise ModelError("F/R tables have wrong shape")
         if self.qd.shape != (m,):
             raise ModelError("quantum-dimension vector has wrong shape")
+        for what, arr in (("quantum dimensions", self.qd), ("F-symbols", self.F),
+                          ("R-symbols", self.R)):
+            if not np.isfinite(arr).all():
+                raise ModelError(f"{what} must be finite (found NaN or infinity)")
         if np.any((self.N != 0) & (self.N != 1)):
             raise ModelError("fusion multiplicities must be 0 or 1")
         eye = np.eye(m, dtype=np.int8)
@@ -281,6 +285,12 @@ class AnyonModel:
 # on the dense F array.  Inadmissible F entries are stored as exact zeros,
 # which lets the internal sums run over the full charge range.
 # ---------------------------------------------------------------------------
+
+
+def _worst(*residuals) -> float:
+    """The largest of ``residuals``, NaN if any is NaN (Python's ``max``
+    keeps its first argument against a NaN)."""
+    return float(np.max(residuals))
 
 
 def _expand_ranges(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,7 +344,7 @@ def _tree_rows(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     come sorted by their outer labels (a, b, c, d, e).
     """
     m = N.shape[0]
-    triples = np.argwhere(N)  # rows (x, y, z) with z in fuse(x, y)
+    triples = np.argwhere(N).astype(np.uint8)  # rows (x, y, z) with z in fuse(x, y)
     il, ir = _join_on(triples, [2], triples, [0])
     t = np.column_stack([triples[il], triples[ir][:, 1:]])  # a b f c g
     il, ir = _join_on(t, [4], triples, [0])
@@ -377,30 +387,32 @@ def _pentagon_residual(N: np.ndarray, F: np.ndarray, chunk: int = 65536) -> floa
     = sum_h [F_g^{abc}]_{fh} [F_e^{ahd}]_{gk} [F_k^{bcd}]_{hl}``
 
     over every pair of a left and a right fusion tree on the same outer
-    labels.  Factors that depend on one tree only are gathered once per
-    tree; the pair terms are flat gathers at a left plus a right offset.
+    labels.  Each tree keeps only integer offsets: the pair terms are flat
+    gathers at a left plus a right offset, and the three factors of the sum
+    are rows over h gathered per pair from copies of F with h last.
     """
     m = N.shape[0]
     left, right = _tree_rows(N)
     F = _real_if_real(F)
     flat = F.reshape(-1)
-    # h is the last axis of each right-hand factor's rows; the middle factor
-    # is gathered per pair, from a copy laid out so its row is contiguous.
+    rows = F.reshape(-1, m)                                                   # [a,b,c,g,f,h]
     mid = np.ascontiguousarray(F.transpose(0, 2, 3, 4, 5, 1)).reshape(-1, m)  # [a,d,e,g,k,h]
+    rrows = np.ascontiguousarray(F.transpose(0, 1, 2, 3, 5, 4)).reshape(-1, m)  # [b,c,d,k,l,h]
     a, b, c, d, e, f, g = left.T
-    left_rows = F[a, b, c, g, f, :]                                 # [F_g^{abc}]_{f.}
+    left_row = np.ravel_multi_index((a, b, c, g, f), (m,) * 5)      # [F_g^{abc}]_{f.}
     left_fcd = np.ravel_multi_index((f, c, d, e, g, 0), F.shape)    # + l
     left_abl = np.ravel_multi_index((a, b, 0, e, f, 0), F.shape)    # + l m^3 + k
     left_mid = np.ravel_multi_index((a, d, e, g, 0), (m,) * 5)      # + k
     a, b, c, d, e, l, k = right.T
-    right_rows = F[b, c, d, k, :, l]                                # [F_k^{bcd}]_{.l}
-    right_abl = l * m ** 3 + k
+    right_row = np.ravel_multi_index((b, c, d, k, l), (m,) * 5)     # [F_k^{bcd}]_{.l}
+    right_abl = np.ravel_multi_index((0, 0, l, 0, 0, k), F.shape)
     worst = 0.0
     for il, ir in _pentagon_pairs(left, right, m, chunk):
         lhs = flat[left_fcd[il] + l[ir]] * flat[left_abl[il] + right_abl[ir]]
-        rhs = np.einsum("rh,rh,rh->r", left_rows.take(il, axis=0),
-                        mid.take(left_mid[il] + k[ir], axis=0), right_rows.take(ir, axis=0))
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
+        rhs = np.einsum("rh,rh,rh->r", rows.take(left_row[il], axis=0),
+                        mid.take(left_mid[il] + k[ir], axis=0),
+                        rrows.take(right_row[ir], axis=0))
+        worst = _worst(worst, np.abs(lhs - rhs).max())
     return worst
 
 
@@ -429,16 +441,14 @@ def _hexagon_residual(N: np.ndarray, F: np.ndarray, R: np.ndarray) -> float:
     Rt = np.ascontiguousarray(R.transpose(0, 2, 1))           # [c, d, g]
     Ft = np.ascontiguousarray(F.transpose(0, 1, 2, 3, 5, 4))  # [a,b,c,d,f,g]
     mid = F[c, a, b, d, e, :] * Ft[a, b, c, d, f, :]
-    worst = 0.0
     # One hexagon per chirality: R and its inverse must both recouple
     # consistently with F.
     lhs = R[c, a, e] * F[a, c, b, d, e, f] * R[c, b, f]
     rhs = np.einsum("rg,rg->r", mid, Rt[c, d, :])
-    worst = max(worst, float(np.abs(lhs - rhs).max()))
+    worst = np.abs(lhs - rhs).max()
     lhs = np.conj(R[c, a, e]) * F[a, c, b, d, e, f] * np.conj(R[c, b, f])
     rhs = np.einsum("rg,rg->r", mid, np.conj(Rt[c, d, :]))
-    worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    return _worst(worst, np.abs(lhs - rhs).max())
 
 
 def _unitarity_residual(N: np.ndarray, F: np.ndarray) -> float:
@@ -450,8 +460,8 @@ def _unitarity_residual(N: np.ndarray, F: np.ndarray) -> float:
     eye = np.eye(m)
     mats = _real_if_real(F).reshape(m ** 4, m, m)
     adj = mats.conj().transpose(0, 2, 1)
-    worst = float(np.abs(mats @ adj - adm_e * eye).max())
-    return max(worst, float(np.abs(adj @ mats - adm_f * eye).max()))
+    return _worst(np.abs(mats @ adj - adm_e * eye).max(),
+                  np.abs(adj @ mats - adm_f * eye).max())
 
 
 def _qdim_residual(N: np.ndarray, qd: np.ndarray) -> float:

@@ -25,12 +25,14 @@ table sections.  Blank lines and ``#`` comments are ignored.  Example::
 
 Vacuum fusion rows are implied and the fusion table is symmetrized; the
 first listed charge is the vacuum.  F and R rows must sit at indices the
-fusion rules admit.  The loader validates the assembled model with
-:meth:`AnyonModel.verify_consistency` and rejects it when any residual
-exceeds the tolerance.
+fusion rules admit, and every value must be finite.  The loader validates
+the assembled model with :meth:`AnyonModel.verify_consistency` and rejects
+it when any residual exceeds the tolerance.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -100,6 +102,8 @@ def parse_model_text(text: str, tolerance: float | None = CONSISTENCY_TOL) -> An
             qd[i] = float(val)
         except ValueError:
             raise ModelFileError(f"qdim for {labels[i]!r} is not a number: {val!r}") from None
+        if not math.isfinite(qd[i]):
+            raise ModelFileError(f"qdim for {labels[i]!r} is not finite: {val!r}")
 
     N = np.zeros((m, m, m), dtype=np.int8)
     N[0] = np.eye(m, dtype=np.int8)
@@ -123,6 +127,8 @@ def parse_model_text(text: str, tolerance: float | None = CONSISTENCY_TOL) -> An
             im_part = float(parts[1]) if len(parts) > 1 else 0.0
         except (ValueError, IndexError):
             raise ModelFileError(f"line {lineno}: expected 're [im]' value") from None
+        if not (math.isfinite(re_part) and math.isfinite(im_part)):
+            raise ModelFileError(f"line {lineno}: value {' '.join(parts)} is not finite")
         return complex(re_part, im_part)
 
     admissible = _admissible_f(N)

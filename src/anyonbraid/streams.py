@@ -243,7 +243,7 @@ class GeneratorStreams:
     """A list of ``numpy.random.Generator`` objects behind the interface of
     :class:`TrialStreams`: :meth:`row` calls ``rng.random()`` once for each
     live column, so the rounds must come in order, one row each, as in the
-    lockstep engine."""
+    lockstep engine.  A single generator's row is its scalar draw."""
 
     def __init__(self, rngs: Sequence[np.random.Generator]):
         self.rngs = list(rngs)
@@ -251,7 +251,9 @@ class GeneratorStreams:
     def __len__(self) -> int:
         return len(self.rngs)
 
-    def row(self, s: int, live: np.ndarray) -> np.ndarray:
+    def row(self, s: int, live: np.ndarray):
+        if len(self.rngs) == 1:
+            return self.rngs[0].random()
         return np.array([self.rngs[i].random() for i in live.tolist()])
 
 

@@ -261,7 +261,7 @@ def _lockstep(state: StateVector, target_pair, recovery_pair, streams,
         u = streams.row(s, live)
         op = ops[s % 2]
         resolved, weights = _resolve(op, amps)
-        charges, prob, amps = _sample_columns(op, resolved, weights, u[0] if one else u)
+        charges, prob, amps = _sample_columns(op, resolved, weights, u)
         rounds.append((live, charges, prob))
         if not s:
             # Every column starts from ``state``: keep column 0 only.

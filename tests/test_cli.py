@@ -51,6 +51,23 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["report"]["max_hexagon_residual"] > 1e-10
 
+    @pytest.mark.parametrize("old,new,where", [
+        ("1 1 1 1 1 1 -0.6180339887498948", "1 1 1 1 1 1 nan", "line "),
+        ("1:1.618033988749895", "1:nan", "qdim for '1'"),
+    ])
+    def test_non_finite_file_is_usage_error(self, capsys, tmp_path, old, new, where):
+        from anyonbraid import load_builtin
+
+        text = model_file_text(load_builtin("fibonacci"), "fib")
+        assert old in text
+        path = tmp_path / "nan.model"
+        path.write_text(text.replace(old, new))
+        for command in (["verify"], ["braid-check", "--word", "s1", "--seed", "1"]):
+            code, out, err = run_cli(capsys, *command, "--model", str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert where in err and "not finite" in err
+
     def test_malformed_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "junk.model"
         path.write_text("not a model at all")
@@ -272,6 +289,18 @@ class TestCompileRun:
         assert payload["format"] == "anyonbraid-schedule-v1"
         assert len(payload["steps"]) == 6
         assert payload["steps"][0]["kind"] == "forced_measurement"
+
+    def test_compile_builds_no_state(self, capsys, monkeypatch):
+        from anyonbraid import compiler
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compile attached a pair")
+
+        monkeypatch.setattr(compiler, "attach_pair", refuse)
+        code, out, _ = run_cli(capsys, "compile", "--model", "fibonacci",
+                               "--n-computational", "6", "--word", "s1 s5'")
+        assert code == 0
+        assert json.loads(out)["layout"]["computational"] == [0, 3, 6, 9, 12, 15]
 
     def test_compile_run_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "schedule.json"

@@ -10,10 +10,11 @@ from scipy.optimize import minimize, minimize_scalar
 
 from anyonbraid import (AnyonModel, Charge, FusionError, ModelError,
                         UnknownChargeError, load_builtin)
+from anyonbraid import model as model_module
 from anyonbraid.model import (MAX_CHARGES, _admissible_f, _tree_rows,
                               _hexagon_residual, _pentagon_pairs,
-                              _pentagon_residual, check_model_size,
-                              fibonacci_model)
+                              _pentagon_residual, _unitarity_residual,
+                              check_model_size, fibonacci_model)
 
 import pentagon_oracle
 import racah_oracle
@@ -265,6 +266,32 @@ class TestVerifyConsistency:
         bad = AnyonModel("fib-d", fibonacci.labels, fibonacci.N,
                          np.array([1.0, PHI + 1e-3]), fibonacci.F, fibonacci.R)
         assert bad.verify_consistency(1e-10).qdim_residual > 1e-5
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("table", ["qd", "F", "R"])
+    def test_non_finite_data_rejected(self, fibonacci, table, value):
+        data = {"qd": fibonacci.qd.copy(), "F": fibonacci.F.copy(), "R": fibonacci.R.copy()}
+        data[table][(1,) * data[table].ndim] = value
+        with pytest.raises(ModelError, match="finite"):
+            AnyonModel("fib-bad", fibonacci.labels, fibonacci.N,
+                       data["qd"], data["F"], data["R"])
+
+    @pytest.mark.parametrize("chunk", [1, 3, 65536])
+    def test_residual_maxima_propagate_nan(self, fibonacci, chunk):
+        # Python's max(worst, nan) keeps worst: a NaN must not read as 0
+        F = fibonacci.F.copy()
+        F[1, 1, 1, 1, 1, 1] = math.nan
+        assert math.isnan(_pentagon_residual(fibonacci.N, F, chunk))
+        assert math.isnan(_hexagon_residual(fibonacci.N, F, fibonacci.R))
+        assert math.isnan(_unitarity_residual(fibonacci.N, F))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("check", ["_pentagon_residual", "_hexagon_residual",
+                                       "_unitarity_residual", "_qdim_residual"])
+    def test_non_finite_residual_never_passes(self, fibonacci, monkeypatch, check, value):
+        monkeypatch.setattr(model_module, check, lambda *tables: value)
+        report = fibonacci.verify_consistency(math.inf)
+        assert not report.passed
 
     def test_qdim_fusion_identity(self, all_models):
         for m in all_models:

@@ -122,6 +122,17 @@ class TestRejection:
         with pytest.raises(ModelError, match="400 charges need a dense F table"):
             parse_model_text(text)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("old,new,match", [
+        ("[f]\n", "[f]\n1 1 1 0 2 2  {}\n", "line 14: value"),
+        ("1 1 2  -0.5  0.8660254037844386", "1 1 2  -0.5  {}", "line 17: value"),
+        ("qdim: 0:1 1:1", "qdim: 0:1 1:{}", "qdim for '1'"),
+    ], ids=["f", "r", "qdim"])
+    def test_non_finite_value_names_its_place(self, old, new, match, value):
+        bad = Z3_TEXT.replace(old, new.format(value), 1)
+        with pytest.raises(ModelFileError, match=f"{match}.*not finite"):
+            parse_model_text(bad, tolerance=None)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelFileError, match="cannot read"):
             load_model_file(tmp_path / "absent.model")

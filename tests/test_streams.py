@@ -84,6 +84,14 @@ def test_generator_streams_draw_in_order():
     assert [len(b) for b in blocks(iter(rngs), 3)] == [3, 1]
 
 
+def test_a_single_generator_draws_a_scalar():
+    adapter = GeneratorStreams([np.random.default_rng([14, 3])])
+    want = reference(14, [3], 3)
+    for s in range(3):
+        u = adapter.row(s, np.arange(1))
+        assert isinstance(u, float) and u == want[s, 0]
+
+
 def test_negative_seed_is_refused():
     with pytest.raises(ValueError, match="non-negative"):
         TrialStreams(-1, range(3))
