@@ -16,8 +16,7 @@ from .errors import (AnyonError, BasisMismatch, FusionError, InvalidPosition,
                      ScheduleError, UnknownChargeError, UnsupportedCharge,
                      ZeroProbabilityOutcome)
 from .fusion_space import (StateVector, apply_braid, attach_pair, empty_state,
-                           entangled_pair_state, fidelity, inner, random_state,
-                           state_from_json, state_to_json)
+                           entangled_pair_state, fidelity, inner, random_state)
 from .measurement import (MeasurementOutcome, pair_charge_distribution,
                           project_pair, sample_measurement)
 from .model import (AnyonModel, Charge, ConsistencyReport, fibonacci_model,

@@ -21,6 +21,9 @@ PCG64 jump-ahead in numpy integer arithmetic), equal to
 ``default_rng([seed, t]).random()`` bit for bit, without one ``Generator``
 per trial.
 
+JSON is streamed by :func:`_write_json`, byte for byte what the standard
+library's encoder prints at an indent of two spaces.
+
 Exit codes: 0 pass, 1 check failed, 2 usage or parse error.
 """
 
@@ -32,6 +35,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -105,6 +109,14 @@ def _phase(z: complex) -> dict:
             "arg": float(np.angle(z))}
 
 
+def _state_head(state) -> dict:
+    """The fields of ``state``'s ``final_state`` record before its rows."""
+    labels = state.model.labels
+    return {"model": state.model.name, "params": state.model.params,
+            "leaves": [labels[i] for i in state.leaves],
+            "total": labels[state.total]}
+
+
 def _flatten(obj, prefix=""):
     if isinstance(obj, dict):
         for key, value in obj.items():
@@ -112,6 +124,16 @@ def _flatten(obj, prefix=""):
     elif isinstance(obj, (list, tuple)):
         for i, value in enumerate(obj):
             yield from _flatten(value, f"{prefix}{i}.")
+    elif isinstance(obj, fs.StateVector):
+        yield from _flatten(_state_head(obj), prefix)
+        labels = obj.model.labels
+        rows = zip(obj.chains[:, 1:-1].tolist(), obj.amps.tolist())
+        for r, (internals, z) in enumerate(rows):
+            row = f"{prefix}amplitudes.{r}."
+            for j, c in enumerate(internals):
+                yield f"{row}internals.{j}", labels[c]
+            yield f"{row}re", z.real
+            yield f"{row}im", z.imag
     else:
         yield prefix[:-1], obj
 
@@ -126,7 +148,128 @@ def _emit(payload: dict, args) -> None:
         for key, value in _flatten(payload):
             print(f"{key},{value}")
     else:
-        print(json.dumps(payload, indent=2))
+        _write_json(payload)
+
+
+# ---------------------------------------------------------------------------
+# JSON output
+# ---------------------------------------------------------------------------
+
+#: Amplitude rows of a state rendered per chunk of ``tolist`` conversions.
+_STATE_CHUNK = 4096
+
+#: Pieces of text held before they are written out.
+_FLUSH_PIECES = 8192
+
+
+def _float_text(x: float) -> str:
+    """``x`` as ``json.dumps`` spells it."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write_json(obj, out=None) -> None:
+    """Write ``obj`` to ``out`` as ``print`` of ``json.dumps`` at an indent
+    of two spaces prints it, text written as the walk goes rather than
+    built whole.
+
+    ``out`` defaults to ``sys.stdout`` as it is at call time.  Dict keys
+    must be strings, as they are in every payload here.  A
+    :class:`~anyonbraid.fusion_space.StateVector` is written as the dict of
+    :func:`_state_head` plus its ``amplitudes`` rows (internal labels, re,
+    im), rendered in chunks straight from its chain and amplitude arrays.
+    """
+    out = sys.stdout if out is None else out
+    buf = []
+    put = buf.append
+
+    def flush():
+        out.write("".join(buf))
+        buf.clear()
+
+    def value(o, nl):
+        # ``nl`` is a newline plus the indent of the line ``o`` starts on
+        if isinstance(o, str):
+            put(_encode_str(o))
+        elif o is None:
+            put("null")
+        elif o is True:
+            put("true")
+        elif o is False:
+            put("false")
+        elif isinstance(o, int):
+            put(int.__repr__(o))
+        elif isinstance(o, float):
+            put(_float_text(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                put("[]")
+                return
+            inner = nl + "  "
+            sep = "[" + inner
+            for item in o:
+                put(sep)
+                sep = "," + inner
+                value(item, inner)
+                if len(buf) > _FLUSH_PIECES:
+                    flush()
+            put(nl + "]")
+        elif isinstance(o, dict):
+            if not o:
+                put("{}")
+                return
+            put("{")
+            items(o.items(), nl + "  ")
+            put(nl + "}")
+        elif isinstance(o, fs.StateVector):
+            inner = nl + "  "
+            put("{")
+            items(_state_head(o).items(), inner)
+            put(f",{inner}\"amplitudes\": ")
+            rows(o, inner)
+            put(nl + "}")
+        else:
+            raise TypeError(f"Object of type {o.__class__.__name__} "
+                            f"is not JSON serializable")
+
+    def items(pairs, inner):
+        sep = inner
+        for key, v in pairs:
+            put(f"{sep}{_encode_str(key)}: ")
+            sep = "," + inner
+            value(v, inner)
+
+    def rows(state, nl):
+        row, field, label = nl + "  ", nl + "    ", nl + "      "
+        labels = [label + _encode_str(text) for text in state.model.labels]
+        head = f"{row}{{{field}\"internals\": ["
+        if state.chains.shape[1] > 2:
+            close = f"{field}],{field}\"re\": "
+        else:
+            close = f"],{field}\"re\": "
+        im, end = f",{field}\"im\": ", row + "}"
+        sep = "["
+        for lo in range(0, state.dim, _STATE_CHUNK):
+            chains = state.chains[lo:lo + _STATE_CHUNK, 1:-1].tolist()
+            amps = state.amps[lo:lo + _STATE_CHUNK]
+            put(sep)
+            put(",".join([
+                f"{head}{','.join([labels[c] for c in internals])}{close}"
+                f"{_float_text(re)}{im}{_float_text(imag)}{end}"
+                for internals, re, imag in zip(chains, amps.real.tolist(),
+                                                amps.imag.tolist())]))
+            flush()
+            sep = ","
+        put(nl + "]")
+
+    value(obj, "\n")
+    put("\n")
+    flush()
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +460,10 @@ def _cmd_braid_check(args) -> int:
     model, charge, schedule = _compiled_word(args)
     layout, word = schedule.layout, schedule.word
     n_comp = len(layout.computational)
-    _, initial = cp.build_array(model, charge, n_comp)
     if args.random_state:
         initial = cp.random_encoded_state(layout, _substream(args.seed, 2 ** 31))
+    else:
+        initial = cp.build_array(model, charge, n_comp)[1]
     final, records, fid, phase, defect = _checked_run(schedule, initial, args)
     payload = {
         "config": {
@@ -361,16 +505,15 @@ def _cmd_braid_check(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    schedule = _compiled_word(args)[2]
-    text = json.dumps(schedule.to_dict(), indent=2)
+    schedule = _compiled_word(args)[2].to_dict()
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                _write_json(schedule, fh)
         except OSError as exc:  # a missing directory, a directory, no permission
             raise _CliError(f"cannot write schedule {args.output}: {exc}", 2) from exc
     else:
-        print(text)
+        _write_json(schedule)
     return 0
 
 
@@ -397,7 +540,7 @@ def _cmd_run(args) -> int:
         "records": _braid_payload(records),
         "resource_defect": defect,
         "oracle_fidelity": fid,
-        "final_state": fs.state_to_dict(final),
+        "final_state": final,
         "passed": passed,
     }
     _emit(payload, args)

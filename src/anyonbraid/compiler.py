@@ -232,11 +232,13 @@ def build_array(model: AnyonModel, a, n_computational: int) -> tuple[ArrayLayout
 
 def random_encoded_state(layout: ArrayLayout, rng) -> StateVector:
     """A random register state compatible with the layout: resource pairs in
-    the vacuum channel, everything else Haar-like random."""
+    the vacuum channel, everything else Haar-like random.  The register is
+    that of :func:`build_array`, every leaf of the layout's charge and the
+    total the vacuum, which is not built."""
     model = layout.model
-    _, initial = build_array(model, layout.charge, len(layout.computational))
+    leaves = (layout.charge,) * layout.n_leaves
     while True:
-        state = random_state(model, initial.leaves, initial.total, rng)
+        state = random_state(model, leaves, model.vacuum, rng)
         try:
             for pair in layout.resources:
                 state, _ = project_pair(state, pair[0], pair[1], 0)

@@ -57,11 +57,10 @@ Carlo trials can fan out across workers freely.
 
 from __future__ import annotations
 
-import json
 import math
 import numpy as np
 
-from .errors import BasisMismatch, InvalidPosition, RegisterTooLarge, UnknownChargeError
+from .errors import BasisMismatch, InvalidPosition, RegisterTooLarge
 from .model import AnyonModel, Charge
 
 #: Unit-norm tolerance enforced on construction.
@@ -271,13 +270,27 @@ def _local_table(sources, local):
     m = len(local)
     value = local.transpose(3, 2, 0, 1).reshape(m, m * m * m)[:, site] * found
     nonzero = value != 0
-    width = max(int(nonzero.sum(0).max(initial=0)), 1)
-    order = np.argsort(~nonzero, axis=0, kind="stable")[:width]
-    index = np.take_along_axis(index, order, 0)
-    value = np.take_along_axis(value, order, 0)
+    kept = np.cumsum(nonzero, axis=0)
+    count = kept[-1]
+    width = max(int(count.max(initial=0)), 1)
+    # Each row's kept entries take its first slots, in label order, and the
+    # dropped ones the slots after them, in label order too: the order a
+    # stable sort of the rows by ``~nonzero`` would give.
+    slot = np.where(nonzero, kept - 1, count + np.arange(m)[:, None] - kept)
+    dest = (slot * len(site) + np.arange(len(site))).reshape(-1)
+    index, value = _scatter(index, dest, width), _scatter(value, dest, width)
     index.flags.writeable = False
     value.flags.writeable = False
     return index, value
+
+
+def _scatter(array, dest, width):
+    """The first ``width`` rows of ``array`` with each entry moved to its
+    flat position ``dest``."""
+    out = np.empty(array.size, array.dtype)
+    out[dest] = array.reshape(-1)
+    out = out.reshape(array.shape)
+    return out if width == len(out) else out[:width].copy()
 
 
 def _gather(table, amps):
@@ -505,51 +518,3 @@ def random_state(model: AnyonModel, leaves, total, rng) -> StateVector:
         raise ValueError("empty basis: total charge unreachable")
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return StateVector(model, leaves, total, amps / np.linalg.norm(amps))
-
-
-# ---------------------------------------------------------------------------
-# Serialization: bit-exact text round-trip at double precision.
-# ---------------------------------------------------------------------------
-
-
-def _internals(chains) -> list:
-    """Internal labels ``(y_1, ..., y_{n-2})`` of each chain row, as lists."""
-    return chains[:, 1:chains.shape[1] - 1].tolist()
-
-
-def state_to_dict(state: StateVector) -> dict:
-    """Leaves, total and (internal labels, re, im) rows, ready for JSON."""
-    labels = state.model.labels
-    rows = [
-        {"internals": [labels[i] for i in internals],
-         "re": float(z.real), "im": float(z.imag)}
-        for internals, z in zip(_internals(state.chains), state.amps)
-    ]
-    return {
-        "model": state.model.name,
-        "params": state.model.params,
-        "leaves": [labels[i] for i in state.leaves],
-        "total": labels[state.total],
-        "amplitudes": rows,
-    }
-
-
-def state_to_json(state: StateVector) -> str:
-    """Dump :func:`state_to_dict` as JSON text."""
-    return json.dumps(state_to_dict(state), indent=2)
-
-
-def state_from_json(model: AnyonModel, text: str) -> StateVector:
-    """Rebuild a state dumped by :func:`state_to_json` against ``model``."""
-    data = json.loads(text)
-    leaves = tuple(model.charge(l).index for l in data["leaves"])
-    total = model.charge(data["total"]).index
-    chains = _basis(model, leaves, total)
-    idx = {tuple(internals): n for n, internals in enumerate(_internals(chains))}
-    amps = np.zeros(len(chains), dtype=complex)
-    for row in data["amplitudes"]:
-        internals = tuple(model.charge(l).index for l in row["internals"])
-        if internals not in idx:
-            raise UnknownChargeError(f"row {row['internals']} is not an admissible tree")
-        amps[idx[internals]] = row["re"] + 1j * row["im"]
-    return StateVector(model, leaves, total, amps, _chains=chains)

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import io
 import json
 import math
 import os
@@ -7,8 +8,11 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anyonbraid.cli import main
+from anyonbraid import compiler
+from anyonbraid.cli import _write_json, main
 
 from test_model_io import Z3_TEXT
 
@@ -253,6 +257,23 @@ class TestBraidCheck:
         assert code == 0
         payload = json.loads(out)
         assert payload["compare"]["fidelity"] >= 1 - 1e-9
+
+    def test_random_state_builds_no_array(self, capsys, monkeypatch):
+        """``--random-state`` draws its register from the layout alone; the
+        default start is the one built register."""
+        calls = []
+        build_array = compiler.build_array
+        monkeypatch.setattr(compiler, "build_array",
+                            lambda *a: calls.append(a) or build_array(*a))
+        argv = ["braid-check", "--model", "fibonacci", "--n-computational", "3",
+                "--word", "s1 s2' s1 s2", "--seed", "5"]
+        code, out, _ = run_cli(capsys, *argv, "--random-state")
+        assert code == 0
+        assert calls == []
+        assert out == (DATA / "braid_check_fibonacci.json").read_text()
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_bad_word_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "braid-check", "--model", "ising",
@@ -589,6 +610,29 @@ class TestGoldens:
         del got["report"][unitarity], want["report"][unitarity]
         assert got == want
 
+    def test_braid_check_csv(self, capsys):
+        code, out, _ = run_cli(capsys, "braid-check", "--model", "fibonacci",
+                               "--n-computational", "3", "--word", "s1 s2' s1 s2",
+                               "--seed", "5", "--random-state", "--format", "csv")
+        assert code == 0
+        assert out == (DATA / "braid_check_fibonacci.csv").read_text()
+
+    @pytest.mark.parametrize("name,argv", [
+        ("run_fibonacci.csv", ["--format", "csv"]),
+        ("run_fibonacci.txt", ["--human"]),
+    ])
+    def test_run_tables(self, capsys, tmp_path, monkeypatch, name, argv):
+        """``final_state`` flattened row by row, as before it was streamed."""
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run_cli(capsys, "compile", "--model", "fibonacci",
+                             "--n-computational", "3", "--word", "s2 s1'",
+                             "--output", "schedule.json")
+        assert code == 0
+        code, out, _ = run_cli(capsys, "run", "--schedule", "schedule.json",
+                               "--seed", "7", *argv)
+        assert code == 0
+        assert out == (DATA / name).read_text()
+
     def test_compile_then_run(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the run payload records the schedule path
         argv = ["compile", "--model", "fibonacci", "--n-computational", "3",
@@ -602,3 +646,54 @@ class TestGoldens:
         code, out, _ = run_cli(capsys, "run", "--schedule", "schedule.json", "--seed", "7")
         assert code == 0
         assert out == (DATA / "run_fibonacci.json").read_text()
+
+
+# Strings that need escapes or are not ASCII, besides whatever text draws.
+_TRICKY = st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
+                           "é", "φ", "\u2028", "☃", "\U0001f600"])
+_TEXT = st.text(st.one_of(st.characters(), _TRICKY), max_size=8)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e-310, 1.7976931348623157e308, 0.1, 1e16, 1e-7,
+                     math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64),
+)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+class TestJsonWriter:
+    """The writer prints what ``print(json.dumps(payload, indent=2))`` prints."""
+
+    @settings(max_examples=150)
+    @given(payload=_PAYLOADS)
+    def test_matches_json_dumps(self, payload):
+        out = io.StringIO()
+        _write_json(payload, out)
+        assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+    def test_edge_values(self):
+        payload = {"empty": [[], (), {}], "tuple": (1, (2,)), "floats": [
+            -0.0, 5e-324, math.nan, math.inf, -math.inf, np.float64(0.1),
+            np.float64(-math.inf)], "ints": [True, False, 0, -2 ** 70, None],
+            "text": "é\"\\\n\x00☃", "": {"": ""}}
+        out = io.StringIO()
+        _write_json(payload, out)
+        assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+        assert "np.float64" not in out.getvalue()
+
+    def test_writes_to_stdout_at_call_time(self, capsys):
+        _write_json({"a": [1, "b"]})
+        assert capsys.readouterr().out == json.dumps({"a": [1, "b"]}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("payload", [{"x": np.int64(1)}, [object()], {1: 2}])
+    def test_unserialisable_raises_type_error(self, payload):
+        """What ``json.dumps`` refuses, and dict keys that are not strings."""
+        with pytest.raises(TypeError):
+            _write_json(payload, io.StringIO())

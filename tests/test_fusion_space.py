@@ -1,5 +1,6 @@
 """Fusion-chain bases, state vectors, F-move tables, braids, serialization."""
 
+import io
 import itertools
 import math
 
@@ -9,8 +10,11 @@ import pytest
 from anyonbraid import (BasisMismatch, InvalidPosition, StateVector,
                         apply_braid, attach_pair, empty_state,
                         entangled_pair_state, inner, pair_charge_distribution,
-                        random_state, state_from_json, state_to_json)
+                        random_state)
+from anyonbraid.cli import _write_json
 from anyonbraid.fusion_space import _basis, _f_move_table, _gather
+
+from state_oracle import state_from_json, state_to_json
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -233,16 +237,39 @@ class TestInner:
 
 
 class TestSerialization:
+    """The reference dump of :mod:`state_oracle` and the rows ``run`` writes
+    straight from the arrays, each read back bit for bit."""
+
+    @staticmethod
+    def _dumps(state):
+        out = io.StringIO()
+        _write_json(state, out)
+        return state_to_json(state), out.getvalue()
+
     def test_bit_exact_roundtrip(self, protocol_models):
         rng = np.random.default_rng(12)
         for model, a in protocol_models:
             state = random_state(model, (a,) * 5, a, rng)
-            text = state_to_json(state)
-            again = state_from_json(model, text)
+            reference, written = self._dumps(state)
+            assert written == reference + "\n"
+            again = state_from_json(model, written)
             assert again.leaves == state.leaves
             assert again.total == state.total
             assert np.array_equal(again.amps, state.amps)
 
     def test_labels_in_dump(self, ising):
-        text = state_to_json(entangled_pair_state(ising, "1/2"))
-        assert '"1/2"' in text
+        for text in self._dumps(entangled_pair_state(ising, "1/2")):
+            assert '"1/2"' in text
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_short_chains(self, fibonacci, n):
+        """Registers of at most two leaves have no internal labels."""
+        leaves = ("1",) * n
+        total = "1" if n % 2 else "0"
+        if n == 0:
+            state = empty_state(fibonacci)
+        else:
+            state = random_state(fibonacci, leaves, total, np.random.default_rng(n))
+        reference, written = self._dumps(state)
+        assert written == reference + "\n"
+        assert np.array_equal(state_from_json(fibonacci, written).amps, state.amps)

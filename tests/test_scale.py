@@ -17,8 +17,15 @@ tuples peaked near 800 MB.  Joining left and right fusion trees block by
 block brought the check to 220 MiB, and gathering each equation's factor
 rows from copies of F with the summed index last, with only integer
 offsets kept per tree, to 132 MiB.
+
+``run`` prints the final state of a 28-leaf register as 6.3 million lines
+of JSON.  A dict per row handed to ``json.dumps(indent=2)`` peaked at
+665 MiB there; rows written chunk by chunk straight from the chain and
+amplitude arrays stay within the budget below.
 """
 
+import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -26,9 +33,12 @@ import numpy as np
 from anyonbraid import (BraidWord, build_array, check_resources, compile_word,
                         direct_braid_reference, execute, fidelity, load_builtin,
                         measurement_braid, random_encoded_state)
+from anyonbraid.cli import _write_json
 from anyonbraid.compiler import RESOURCE_TOL
 from anyonbraid.fusion_space import NORM_TOL
 from anyonbraid.teleport import PHASE_TOL
+
+from state_oracle import state_to_dict
 
 #: Peak traced allocation allowed for the whole run.
 MEMORY_BUDGET_BYTES = 256 * 2 ** 20
@@ -40,6 +50,11 @@ WIDE_BUDGET_BYTES = 400 * 2 ** 20
 
 #: Peak traced allocation allowed to verify su2_k at k=11.
 VERIFY_BUDGET_BYTES = 180 * 2 ** 20
+
+#: Peak traced allocation allowed to write the JSON of a Fibonacci state of
+#: 10 computational anyons, the state itself not counted; it measured
+#: 5.3 MiB, about one chunk of rows and its text.
+STATE_WRITE_BUDGET_BYTES = 32 * 2 ** 20
 
 
 def _checked_braid(n_comp, word, random_start):
@@ -80,6 +95,55 @@ def test_fibonacci_28_leaves_braids_within_memory_budget():
     assert oracle_fidelity >= 1.0 - 1e-9
     assert defect < RESOURCE_TOL
     assert peak < WIDE_BUDGET_BYTES, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+class _LineCounter:
+    """A sink that keeps only the number of lines written to it."""
+
+    def __init__(self):
+        self.lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+
+
+def _random_register_state(n_comp, seed):
+    """A Fibonacci register state of ``n_comp`` computational anyons with
+    random amplitudes, which print at full length."""
+    _, state = build_array(load_builtin("fibonacci"), "1", n_comp)
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=state.dim) + 1j * rng.normal(size=state.dim)
+    return state._replace_amps(amps / np.linalg.norm(amps))
+
+
+def _state_lines(state):
+    """Lines of ``{"final_state": state}`` at indent 2: the rows' internal
+    labels plus six more lines per row, and the leaves plus eleven more."""
+    return state.dim * (state.num_leaves - 2 + 6) + state.num_leaves + 11
+
+
+def test_streamed_state_matches_reference_dump():
+    state = _random_register_state(8, 60)
+    assert (state.num_leaves, state.dim) == (22, 10946)
+    out = io.StringIO()
+    _write_json({"final_state": state}, out)
+    text = out.getvalue()
+    assert text == json.dumps({"final_state": state_to_dict(state)}, indent=2) + "\n"
+    assert text.count("\n") == _state_lines(state)
+
+
+def test_fibonacci_28_leaves_state_streams_within_memory_budget():
+    state = _random_register_state(10, 61)
+    assert (state.num_leaves, state.dim) == (28, 196418)
+    sink = _LineCounter()
+    tracemalloc.start()
+    try:
+        _write_json({"final_state": state}, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.lines == _state_lines(state)
+    assert peak < STATE_WRITE_BUDGET_BYTES, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_su2_k11_verifies_within_memory_budget():
