@@ -15,10 +15,9 @@ from .errors import (AnyonError, BasisMismatch, FusionError, InvalidPosition,
                      NotPhaseEquivalent, ProtocolError, RegisterTooLarge,
                      ScheduleError, UnknownChargeError, UnsupportedCharge,
                      ZeroProbabilityOutcome)
-from .fusion_space import (StateVector, apply_braid, attach_pair, empty_state,
+from .fusion_space import (StateVector, attach_pair, empty_state,
                            entangled_pair_state, fidelity, inner, random_state)
-from .measurement import (MeasurementOutcome, pair_charge_distribution,
-                          project_pair, sample_measurement)
+from .measurement import pair_charge_distribution, project_pair
 from .model import (AnyonModel, Charge, ConsistencyReport, fibonacci_model,
                     ising_model, load_builtin, su2k_model)
 from .model_io import load_model_file, parse_model_text
@@ -26,6 +25,6 @@ from .teleport import (BraidRecord, ForcedBlock, MeasurementRecord,
                        braid_oracle_state, expected_attempt_bound,
                        expected_mean_attempts, failure_tail_probability,
                        forced_measurement, forced_measurements,
-                       measurement_braid, relative_phase, teleport_reference)
+                       measurement_braid, relative_phase)
 
 __version__ = "0.1.0"

@@ -52,9 +52,7 @@ FIDELITY_TOL = 1e-9
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """A usage or parse error: exit code 2."""
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
@@ -80,28 +78,28 @@ def _load_model(args, gate=True):
         try:
             return load_model_file(name, tolerance)
         except AnyonError as exc:
-            raise _CliError(f"model file error: {exc}", 2) from exc
+            raise _CliError(f"model file error: {exc}") from exc
     try:
         return load_builtin(name, k=args.k)
     except AnyonError as exc:
-        raise _CliError(str(exc), 2) from exc
+        raise _CliError(str(exc)) from exc
 
 
 def _parse_word(text: str) -> "cp.BraidWord":
     try:
         return cp.BraidWord.parse(text)
     except AnyonError as exc:
-        raise _CliError(str(exc), 2) from exc
+        raise _CliError(str(exc)) from exc
 
 
 def _default_charge(model, args):
     label = args.charge or model.meta.get("computational_charge")
     if label is None:
-        raise _CliError("this model has no default charge; pass --charge", 2)
+        raise _CliError("this model has no default charge; pass --charge")
     try:
         return model.charge(label)
     except AnyonError as exc:
-        raise _CliError(str(exc), 2) from exc
+        raise _CliError(str(exc)) from exc
 
 
 def _phase(z: complex) -> dict:
@@ -450,10 +448,10 @@ def _compiled_word(args):
     if n_comp is None:
         n_comp = max(2, word.max_strand() + 1)
     try:
-        layout = cp.checked_layout(model, charge, n_comp)
+        layout = cp.array_layout(model, charge, n_comp)
         return model, charge, cp.compile_word(word, layout)
     except AnyonError as exc:
-        raise _CliError(str(exc), 2) from exc
+        raise _CliError(str(exc)) from exc
 
 
 def _cmd_braid_check(args) -> int:
@@ -477,19 +475,20 @@ def _cmd_braid_check(args) -> int:
     if args.compare_word:
         other = _parse_word(args.compare_word)
         if other.max_strand() + 1 > n_comp:
-            raise _CliError("compare word needs more strands than the layout has", 2)
+            raise _CliError("compare word needs more strands than the layout has")
         final_b, records_b = cp.execute(cp.compile_word(other, layout), initial,
                                         _substream(args.seed, 1),
                                         routing=args.routing,
                                         max_attempts=args.max_attempts)
         fid_b = fs.fidelity(final, final_b)
+        defect_b = cp.check_resources(layout, final_b)
         payload["compare"] = {
             "word": str(other),
             "fidelity": fid_b,
             "phase": _phase(tp.relative_phase(final, final_b)) if fid_b > 0.5 else None,
             "braids": _braid_payload(records_b),
         }
-        passed = fid_b >= 1.0 - args.tolerance
+        passed = _passed(fid_b, max(defect, defect_b), args)
     else:
         payload["oracle_fidelity"] = fid
         payload["phase_vs_oracle"] = phase
@@ -511,7 +510,7 @@ def _cmd_compile(args) -> int:
             with open(args.output, "w", encoding="utf-8") as fh:
                 _write_json(schedule, fh)
         except OSError as exc:  # a missing directory, a directory, no permission
-            raise _CliError(f"cannot write schedule {args.output}: {exc}", 2) from exc
+            raise _CliError(f"cannot write schedule {args.output}: {exc}") from exc
     else:
         _write_json(schedule)
     return 0
@@ -522,16 +521,13 @@ def _cmd_run(args) -> int:
         with open(args.schedule, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
-        raise _CliError(f"cannot read schedule {args.schedule}: {exc}", 2) from exc
+        raise _CliError(f"cannot read schedule {args.schedule}: {exc}") from exc
     try:
         schedule = cp.schedule_from_dict(data)
     except AnyonError as exc:
-        raise _CliError(f"bad schedule: {exc}", 2) from exc
+        raise _CliError(f"bad schedule: {exc}") from exc
     layout = schedule.layout
-    try:
-        _, initial = cp.build_array(layout.model, layout.charge, len(layout.computational))
-    except AnyonError as exc:
-        raise _CliError(f"bad schedule: {exc}", 2) from exc
+    _, initial = cp.build_array(layout.model, layout.charge, len(layout.computational))
     final, records, fid, _, defect = _checked_run(schedule, initial, args)
     passed = _passed(fid, defect, args)
     payload = {
@@ -655,7 +651,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 2
     except AnyonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -177,9 +177,9 @@ def array_layout(model: AnyonModel, a, n_computational: int) -> ArrayLayout:
     """The layout :func:`build_array` gives ``n_computational`` anyons of
     charge ``a``: computational anyon ``i`` on leaf ``3 i``, the resource
     pair between anyons ``i`` and ``i+1`` on leaves ``(3 i + 1, 3 i + 2)``,
-    and for an odd count a boundary partner on the last leaf.  More than
-    :data:`~anyonbraid.fusion_space.MAX_LEAVES` leaves raise
-    :class:`RegisterTooLarge`.
+    and for an odd count a boundary partner on the last leaf.  A register
+    over the size limits of :mod:`anyonbraid.fusion_space` raises
+    :class:`RegisterTooLarge`; nothing of it is built.
     """
     ca = model.charge(a)
     if n_computational < 2:
@@ -193,19 +193,11 @@ def array_layout(model: AnyonModel, a, n_computational: int) -> ArrayLayout:
         raise UnsupportedCharge(
             f"computational charge must be self-dual; dual({ca.label}) = "
             f"{model.dual(ca).label}")
+    _ranks(model, (ca.index,) * n_leaves, model.vacuum.index)
     computational = tuple(3 * i for i in range(n_computational))
     resources = tuple((3 * i + 1, 3 * i + 2) for i in range(n_computational - 1))
     partner = 3 * n_computational - 2 if n_computational % 2 else None
     return ArrayLayout(model, ca.label, computational, resources, partner)
-
-
-def checked_layout(model: AnyonModel, a, n_computational: int) -> ArrayLayout:
-    """The layout of :func:`build_array`, without its state: the
-    :func:`array_layout`, after checking the register against the size
-    limits of :mod:`anyonbraid.fusion_space` (:class:`RegisterTooLarge`)."""
-    layout = array_layout(model, a, n_computational)
-    _ranks(model, (model.charge(a).index,) * layout.n_leaves, model.vacuum.index)
-    return layout
 
 
 def build_array(model: AnyonModel, a, n_computational: int) -> tuple[ArrayLayout, StateVector]:
@@ -219,7 +211,7 @@ def build_array(model: AnyonModel, a, n_computational: int) -> tuple[ArrayLayout
     of :mod:`anyonbraid.fusion_space` raises :class:`RegisterTooLarge`
     before any of it is built.
     """
-    layout = checked_layout(model, a, n_computational)
+    layout = array_layout(model, a, n_computational)
     ca = model.charge(a)
     state = empty_state(model)
     for _ in range((n_computational + 1) // 2):
@@ -273,19 +265,18 @@ def execute(schedule: Schedule, state: StateVector, rng,
     """Run a schedule stochastically.
 
     Returns the final state and one :class:`BraidRecord` per generator of
-    the word (its three forced measurements).  Resource pairs are checked
-    to be back in the vacuum channel after every braid.
+    the word (its three forced measurements).  Only the braids run here:
+    each checks its quad's resource pair before its first step, and a braid
+    changes no other resource pair, so whether every resource pair is back
+    in the vacuum channel is for the caller to check on the final state,
+    with :func:`check_resources`, as the CLI does.
     """
     records = []
-    for b, g in enumerate(schedule.word.generators):
+    for g in schedule.word.generators:
         quad, direction = _braid_unit(schedule.layout, g)
         state, record = measurement_braid(state, quad, direction, rng, routing=routing,
                                           max_attempts=max_attempts)
         records.append(record)
-        defect = check_resources(schedule.layout, state)
-        if defect > RESOURCE_TOL:
-            raise ProtocolError(
-                f"resource pair not replenished after braid {b}: defect {defect:.3e}")
     return state, records
 
 
@@ -316,7 +307,8 @@ def schedule_from_dict(data: dict, model: AnyonModel | None = None) -> Schedule:
     :func:`anyonbraid.model.load_builtin`.  The layout must be exactly the
     one :func:`build_array` gives for its model, charge and number of
     computational anyons, and the steps must be those its braid word
-    compiles to; anything else raises :class:`ScheduleError`.
+    compiles to; anything else raises :class:`ScheduleError`.  A layout
+    over the register size limits raises :class:`RegisterTooLarge`.
     """
     from .model import load_builtin
 

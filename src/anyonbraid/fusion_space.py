@@ -61,7 +61,7 @@ import math
 import numpy as np
 
 from .errors import BasisMismatch, InvalidPosition, RegisterTooLarge
-from .model import AnyonModel, Charge
+from .model import AnyonModel
 
 #: Unit-norm tolerance enforced on construction.
 NORM_TOL = 1e-9
@@ -116,9 +116,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return len(self.chains)
-
-    def leaf_charges(self) -> tuple[Charge, ...]:
-        return tuple(self.model.charges[i] for i in self.leaves)
 
     def _replace_amps(self, amps) -> "StateVector":
         return StateVector(self.model, self.leaves, self.total, amps, _chains=self.chains)
@@ -396,22 +393,6 @@ def _braid_table(model, leaves, total, pos, sign):
         index, value = _local_table(sources, local)
     model._cache[key] = (swapped, index, value)
     return swapped, index, value
-
-
-def apply_braid(state: StateVector, pos: int, sign: int = +1) -> StateVector:
-    """Exchange adjacent leaves ``pos`` and ``pos + 1``.
-
-    ``sign=+1`` applies the counterclockwise crossing, ``sign=-1`` the
-    clockwise one; the two compose to the identity.
-    """
-    n = state.num_leaves
-    if not 0 <= pos <= n - 2:
-        raise InvalidPosition(f"no adjacent pair at {pos} for {n} leaves")
-    if sign not in (+1, -1):
-        raise ValueError("braid sign must be +1 or -1")
-    new_leaves, index, value = _braid_table(state.model, state.leaves, state.total, pos, sign)
-    return StateVector(state.model, new_leaves, state.total,
-                       _gather((index, value), state.amps))
 
 
 def _transport(model, leaves, total, i, j, routing="over"):

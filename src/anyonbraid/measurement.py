@@ -12,20 +12,19 @@ conventions are physically distinct measurement processes.  Every step is
 a local gather table of :mod:`anyonbraid.fusion_space`, applied in turn.
 
 All functions are pure: they return new states and leave inputs untouched.
-There is one sampler, :func:`_sample_columns`.  It measures the columns of a
-``(dim, T)`` amplitude matrix together, each with one uniform draw from its
-own stream, and a single state as a batch of one: a ``(dim,)`` vector with
-a scalar draw, through the same gathers and the same arithmetic.  The draws
-of a batch come from :mod:`anyonbraid.streams`: trial ``t`` of a command
-draws ``default_rng([seed, t])``, computed for all columns at once as
-arrays and equal to that generator's stream bit for bit.  A single
-measurement takes an explicit ``numpy.random.Generator``; concurrent trials
-must not share one generator stream.
+There is one sampler, :func:`_sample_columns`, which the forced
+measurements of :mod:`anyonbraid.teleport` run.  It measures the columns
+of a ``(dim, T)`` amplitude matrix together, each with one uniform draw
+from its own stream, and a single state as a batch of one: a ``(dim,)``
+vector with a scalar draw, through the same gathers and the same
+arithmetic.  The draws of a batch come from :mod:`anyonbraid.streams`:
+trial ``t`` of a command draws ``default_rng([seed, t])``, computed for
+all columns at once as arrays and equal to that generator's stream bit
+for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,16 +37,6 @@ from .model import Charge
 #: Outcomes below this Born probability are treated as impossible; this
 #: separates exact zeros from round-off.
 PROBABILITY_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """One sampled pair measurement: where, what was found, how likely."""
-
-    pair: tuple[int, int]
-    charge: Charge
-    probability: float
-    routing: str
 
 
 class _MeasurementOp(NamedTuple):
@@ -88,8 +77,8 @@ def _measurement_op(state: StateVector, i: int, j: int, routing: str) -> _Measur
         forward = forward + [_f_move_table(model, moved, state.total, i)]
         backward = [_f_move_table(model, moved, state.total, i, inverse=True)] + backward
     channels = _pair_channels(model, moved, state.total, i)
-    present = tuple(int(c) for c in np.unique(channels))
     indicator = (channels == np.arange(model.num_charges)[:, None]).astype(float)
+    present = tuple(np.flatnonzero(indicator.any(1)).tolist())
     indicator.flags.writeable = False
     op = _MeasurementOp(channels, present, forward, backward, indicator)
     model._cache[key] = op
@@ -163,20 +152,3 @@ def project_pair(state: StateVector, i: int, j: int, c,
         raise ZeroProbabilityOutcome(
             f"outcome {state.model.labels[ci]} on pair {(i, j)} has probability {prob:.3e}")
     return state._replace_amps(_collapse(op, resolved, ci, prob)), prob
-
-
-def sample_measurement(state: StateVector, i: int, j: int, rng,
-                       routing: str = "over") -> tuple[MeasurementOutcome, StateVector]:
-    """Draw one measurement outcome for pair ``(i, j)`` and collapse.
-
-    A batch of one of the sampler, on the state's ``(dim,)`` amplitudes:
-    the measurement operator is applied once, its resolved amplitudes give
-    the channel weights and, masked, the post-measurement state.  Sampling
-    is inverse-CDF over the channels in charge-index order with one
-    ``rng.random()`` draw, so a fixed generator stream reproduces the
-    trajectory exactly.
-    """
-    op = _measurement_op(state, i, j, routing)
-    charge, prob, post = _sample_columns(op, *_resolve(op, state.amps), rng.random())
-    outcome = MeasurementOutcome((i, j), state.model.charges[charge], float(prob), routing)
-    return outcome, state._replace_amps(post)

@@ -158,10 +158,6 @@ class AnyonModel:
         ia, ib = self.charge(a).index, self.charge(b).index
         return tuple(self._charges[c] for c in np.flatnonzero(self.N[ia, ib]))
 
-    def n_symbol(self, a, b, c) -> int:
-        return int(self.N[self.charge(a).index, self.charge(b).index,
-                          self.charge(c).index])
-
     def f_symbol(self, a, b, c, d, e, f) -> complex:
         """Matrix element ``[F_d^{abc}]_{ef}``; 0 for inadmissible indices."""
         idx = tuple(self.charge(x).index for x in (a, b, c, d, e, f))
@@ -374,7 +370,7 @@ def _pentagon_pairs(left: np.ndarray, right: np.ndarray, m: int, chunk: int):
     # right trees are cut at tree boundaries, so a block may exceed `chunk`
     # by the pairs of one right tree (at most m**2)
     cuts = np.searchsorted(ends, np.arange(chunk, ends[-1], chunk), side="left")
-    bounds = np.unique(np.concatenate([[0], cuts, [len(right)]]))
+    bounds = sorted({0, *cuts.tolist(), len(right)})
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
         il, ir = _expand_ranges(lo[r0:r1], counts[r0:r1])
         yield il, ir + r0

@@ -20,9 +20,9 @@ bit, without building one ``Generator`` per trial:
 - Each draw is the XSL-RR 128/64 output of the state, and ``random()`` is
   its top 53 bits times ``2**-53``.
 
-:class:`GeneratorStreams` adapts a list of ``Generator`` objects to the
-same interface, one ``rng.random()`` per column and row, for library
-callers that pass their own generators.
+:func:`anyonbraid.teleport.forced_measurements` takes a
+:class:`TrialStreams` and runs it in slices; a single trajectory draws
+from its own ``Generator`` instead.
 """
 
 from __future__ import annotations
@@ -237,37 +237,3 @@ class TrialStreams:
         self._block = self.random(range(s, s + PREFETCH_ROWS), live)
         self._first, self._cols = s, np.array(live)
         return self._block[0]
-
-
-class GeneratorStreams:
-    """A list of ``numpy.random.Generator`` objects behind the interface of
-    :class:`TrialStreams`: :meth:`row` calls ``rng.random()`` once for each
-    live column, so the rounds must come in order, one row each, as in the
-    lockstep engine.  A single generator's row is its scalar draw."""
-
-    def __init__(self, rngs: Sequence[np.random.Generator]):
-        self.rngs = list(rngs)
-
-    def __len__(self) -> int:
-        return len(self.rngs)
-
-    def row(self, s: int, live: np.ndarray):
-        if len(self.rngs) == 1:
-            return self.rngs[0].random()
-        return np.array([self.rngs[i].random() for i in live.tolist()])
-
-
-def blocks(streams, size: int) -> Iterator:
-    """``streams`` in consecutive blocks of at most ``size`` trials.
-
-    A :class:`TrialStreams` is sliced; any other iterable of generators is
-    consumed lazily, ``size`` at a time, each block a
-    :class:`GeneratorStreams`.
-    """
-    if isinstance(streams, TrialStreams):
-        for start in range(0, len(streams), size):
-            yield streams[start:start + size]
-        return
-    rngs = iter(streams)
-    while chunk := list(itertools.islice(rngs, size)):
-        yield GeneratorStreams(chunk)

@@ -11,9 +11,10 @@ unique to the target pair to the leaf unique to the recovery pair, up to a
 global phase that depends only on the outcome string.
 
 Many trials of one forced measurement run in lockstep as the columns of a
-``(dim, T)`` block (:func:`forced_measurements`); a single forced
+``(dim, T)`` block (:func:`forced_measurements`), each drawing from its
+:class:`~anyonbraid.streams.TrialStreams` column; a single forced
 measurement is a block of one trial, run on the state's ``(dim,)`` vector
-through the same sampler.
+through the same sampler with its generator's draws.
 
 Three forced measurements on a contiguous quad of leaves compose to the
 braiding exchange of the two outer anyons while restoring the middle
@@ -21,6 +22,14 @@ entangled pair, which is what :func:`measurement_braid` implements and
 verifies against the directly applied R-matrix oracle.  The phase of each
 teleport is taken against the analytic teleported state, which the first
 attempt of its forced measurement has already computed.
+
+Each check runs once, where it is needed.  The public forced measurements
+check their pairs.  A braid checks its quad, its direction and the quad's
+resource pair once, before its first step: the recovery pair of steps 2
+and 3 is the target pair the step before has just forced into the vacuum.
+Whether every resource pair of a register is back in the vacuum is for
+the caller to check on the final state
+(:func:`anyonbraid.compiler.check_resources`).
 """
 
 from __future__ import annotations
@@ -35,9 +44,8 @@ from .errors import MaxAttemptsExceeded, NotPhaseEquivalent, ProtocolError
 from .fusion_space import (StateVector, _braid_table, _gather_all, _transport,
                            inner)
 from .measurement import (_collapse, _measurement_op, _resolve, _sample_columns,
-                          pair_charge_distribution, project_pair)
+                          pair_charge_distribution)
 from .model import Charge
-from .streams import GeneratorStreams, blocks
 
 #: Stop a forced measurement after this many target-pair attempts.
 MAX_ATTEMPTS_DEFAULT = 1000
@@ -145,21 +153,6 @@ def relative_phase(s1: StateVector, s2: StateVector, tol: float = PHASE_TOL) -> 
     return ov / mag
 
 
-def teleport_reference(state: StateVector, target_pair: tuple[int, int],
-                       routing: str = "over") -> StateVector:
-    """Analytic single-shot teleported state: project the target pair onto
-    vacuum and renormalize.
-
-    Every forced-measurement trajectory ends in this state up to a global
-    phase, regardless of how many attempts it took.  :func:`measurement_braid`
-    takes the same state from the first attempt of each forced measurement
-    (:meth:`ForcedBlock.reference`) instead of applying the measurement
-    operator again.
-    """
-    post, _ = project_pair(state, target_pair[0], target_pair[1], 0, routing)
-    return post
-
-
 @dataclass
 class ForcedBlock:
     """Lockstep forced measurements of one block of trials, as raw arrays.
@@ -223,9 +216,10 @@ class ForcedBlock:
 
     def reference(self) -> StateVector:
         """The teleported state ``W^dag mask_0 W state / sqrt(p_0)``, in
-        which every successful trial ends up to a global phase:
-        :func:`teleport_reference` of ``state``, bit for bit for a block of
-        one trial.
+        which every successful trial ends up to a global phase: the
+        projection of ``state``'s target pair onto the vacuum
+        (:func:`~anyonbraid.measurement.project_pair`), bit for bit for a
+        block of one trial.
 
         It is built from :attr:`first`, so ``W state`` is not applied
         again.  A trial that drew the vacuum at once ends in it exactly.
@@ -235,21 +229,21 @@ class ForcedBlock:
         return self.state._replace_amps(_collapse(op, resolved, 0, weights[0]))
 
 
-def _lockstep(state: StateVector, target_pair, recovery_pair, streams,
+def _lockstep(state: StateVector, target_pair, recovery_pair, draw, T: int,
               max_attempts: int, routing: str) -> ForcedBlock:
-    """Run one forced measurement per trial of ``streams``, in lockstep.
+    """Run one forced measurement per trial, ``T`` trials in lockstep.
 
     Every round measures the target pair, then the recovery pair, on the
     columns still active, measurement ``s`` of each drawing
-    ``streams.row(s, live)``; a column leaves when its target outcome is
-    the vacuum or after ``max_attempts`` rounds.  A block of one trial runs
-    as a ``(dim,)`` vector with scalar draws, through the same sampler.
+    ``draw(s, live)``; a column leaves when its target outcome is the
+    vacuum or after ``max_attempts`` rounds.  A block of one trial runs as
+    a ``(dim,)`` vector, through the same sampler.  The pairs are not
+    checked here.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     ops = (_measurement_op(state, *target_pair, routing),
            _measurement_op(state, *recovery_pair, routing))
-    T = len(streams)
     one = T == 1
     live = np.arange(T)
     amps = state.amps if one else state.amps[:, None].repeat(T, 1)
@@ -258,7 +252,7 @@ def _lockstep(state: StateVector, target_pair, recovery_pair, streams,
     for s in range(2 * max_attempts):
         # Draw first and drop the resolved amplitudes after sampling, so the
         # draws' temporaries are never alive beside them (peak memory).
-        u = streams.row(s, live)
+        u = draw(s, live)
         op = ops[s % 2]
         resolved, weights = _resolve(op, amps)
         charges, prob, amps = _sample_columns(op, resolved, weights, u)
@@ -318,28 +312,29 @@ def forced_measurements(state: StateVector, target_pair, recovery_pair, streams,
     """Forced measurements of ``target_pair`` on ``state``, one trial per
     stream, undoing failures via ``recovery_pair``.
 
-    ``streams`` is a :class:`~anyonbraid.streams.TrialStreams` or an
-    iterable of ``numpy.random.Generator``.  Trials run in lockstep blocks
-    of at most :data:`BLOCK_TRIALS`; one :class:`ForcedBlock` is yielded per
-    block, and ``streams`` is consumed lazily, so only one block's streams
-    and amplitudes are alive at a time.  Trial ``t`` draws the next double
-    of its stream per measurement in the order it makes them, exactly as it
-    would run alone.  A trial that runs out of attempts is flagged in its
-    block's ``succeeded``.
+    ``streams`` is a :class:`~anyonbraid.streams.TrialStreams`.  Trials run
+    in lockstep blocks of at most :data:`BLOCK_TRIALS`, each a slice of
+    ``streams``; one :class:`ForcedBlock` is yielded per block, so only one
+    block's streams and amplitudes are alive at a time.  Trial ``t`` draws
+    the next double of its stream per measurement in the order it makes
+    them, exactly as it would run alone.  A trial that runs out of attempts
+    is flagged in its block's ``succeeded``.
 
     The pairs must overlap in exactly one leaf and the recovery pair must
     start in a definite vacuum channel; ``max_attempts`` must be at least 1.
     """
     pairs = _checked_pairs(state, target_pair, recovery_pair, routing)
-    for chunk in blocks(streams, BLOCK_TRIALS):
-        yield _lockstep(state, *pairs, chunk, max_attempts, routing)
+    for start in range(0, len(streams), BLOCK_TRIALS):
+        chunk = streams[start:start + BLOCK_TRIALS]
+        yield _lockstep(state, *pairs, chunk.row, len(chunk), max_attempts, routing)
 
 
 def _forced_block(state: StateVector, target_pair, recovery_pair, rng,
                   max_attempts: int, routing: str) -> tuple[ForcedBlock, MeasurementRecord]:
-    """The block of one trial of :func:`forced_measurement` and its record."""
-    pairs = _checked_pairs(state, target_pair, recovery_pair, routing)
-    block = _lockstep(state, *pairs, GeneratorStreams([rng]), max_attempts, routing)
+    """The block of one trial of :func:`forced_measurement` on ``rng``'s
+    draws and its record; the pairs are not checked here."""
+    block = _lockstep(state, target_pair, recovery_pair, lambda s, live: rng.random(),
+                      1, max_attempts, routing)
     record = block.record(0)
     if record.target_outcomes()[-1] != state.model.vacuum:
         raise MaxAttemptsExceeded(
@@ -359,8 +354,8 @@ def forced_measurement(state: StateVector, target_pair, recovery_pair, rng,
     :class:`MaxAttemptsExceeded` when no vacuum outcome came within
     ``max_attempts`` attempts.
     """
-    block, record = _forced_block(state, target_pair, recovery_pair, rng,
-                                  max_attempts, routing)
+    pairs = _checked_pairs(state, target_pair, recovery_pair, routing)
+    block, record = _forced_block(state, *pairs, rng, max_attempts, routing)
     return block.final_state(0), record
 
 
@@ -373,9 +368,7 @@ def _quad_steps(quad, direction: str):
     q1, q2, q3, q4 = quad
     if direction == "positive":
         return (((q1, q2), (q2, q3)), ((q2, q4), (q1, q2)), ((q2, q3), (q2, q4)))
-    if direction == "inverse":
-        return (((q2, q4), (q2, q3)), ((q1, q2), (q2, q4)), ((q2, q3), (q1, q2)))
-    raise ProtocolError(f"direction must be 'positive' or 'inverse', got {direction!r}")
+    return (((q2, q4), (q2, q3)), ((q1, q2), (q2, q4)), ((q2, q3), (q1, q2)))
 
 
 def direct_quad_braid(state: StateVector, quad, sign: int,
@@ -397,12 +390,15 @@ def direct_quad_braid(state: StateVector, quad, sign: int,
     return state._replace_amps(_gather_all(steps, state.amps))
 
 
-def _check_quad(state, quad):
+def _check_quad(state, quad, direction):
+    """``quad`` as ints, after checking it and ``direction``."""
     quad = tuple(int(q) for q in quad)
     if list(quad) != list(range(quad[0], quad[0] + 4)):
         raise ProtocolError(f"quad {quad} must be four contiguous ascending leaves")
     if not (0 <= quad[0] and quad[3] < state.num_leaves):
         raise ProtocolError(f"quad {quad} out of range for {state.num_leaves} leaves")
+    if direction not in ("positive", "inverse"):
+        raise ProtocolError(f"direction must be 'positive' or 'inverse', got {direction!r}")
     return quad
 
 
@@ -417,9 +413,11 @@ def braid_oracle_state(state: StateVector, quad, direction: str,
     that twist factor is folded in here so that the protocol's total phase
     is exactly the product of its per-teleport phases.
     """
-    quad = _check_quad(state, quad)
-    if direction not in ("positive", "inverse"):
-        raise ProtocolError(f"direction must be 'positive' or 'inverse', got {direction!r}")
+    return _braid_oracle(state, _check_quad(state, quad, direction), direction, routing)
+
+
+def _braid_oracle(state: StateVector, quad, direction: str, routing: str) -> StateVector:
+    """:func:`braid_oracle_state` of a checked quad and direction."""
     sign = +1 if direction == "positive" else -1
     model, a = state.model, state.leaves[quad[0]]
     key = ("oracle convention", a, sign)  # cached with the model's operators
@@ -439,8 +437,8 @@ def measurement_braid(state: StateVector, quad, direction: str, rng,
 
     ``quad = (q1, q2, q3, q4)`` must be contiguous, with the computational
     charge on ``q1, q4`` and the entangled resource pair on ``(q2, q3)`` in
-    the vacuum channel; the first forced measurement, whose recovery pair it
-    is, raises :class:`ProtocolError` otherwise.  ``direction="positive"``
+    the vacuum channel, the first step's recovery pair; it raises
+    :class:`ProtocolError` otherwise.  ``direction="positive"``
     reproduces the counterclockwise exchange of ``q1`` and ``q4`` up to a
     global phase, with the resource pair restored in place; ``"inverse"``
     its inverse.
@@ -452,13 +450,16 @@ def measurement_braid(state: StateVector, quad, direction: str, rng,
 
     Each step phase is taken against the step's teleport reference, which
     the forced measurement's first attempt yields (:meth:`ForcedBlock.reference`),
-    bit for bit equal to :func:`teleport_reference` of the step's input.
+    bit for bit equal to the projection of the step's input onto the vacuum
+    of its target pair.
     """
-    quad = _check_quad(state, quad)
-    oracle = braid_oracle_state(state, quad, direction, routing)
+    quad = _check_quad(state, quad, direction)
+    steps = _quad_steps(quad, direction)
+    _checked_pairs(state, *steps[0], routing)
+    oracle = _braid_oracle(state, quad, direction, routing)
     records = []
     phases = []
-    for target, recovery in _quad_steps(quad, direction):
+    for target, recovery in steps:
         block, record = _forced_block(state, target, recovery, rng, max_attempts, routing)
         state = block.final_state(0)
         records.append(record)

@@ -4,7 +4,8 @@ from hypothesis import settings
 
 from anyonbraid import (StateVector, attach_pair, entangled_pair_state,
                         load_builtin, project_pair, random_state)
-from anyonbraid.fusion_space import _f_move_table, _gather
+from anyonbraid.fusion_space import _braid_table, _f_move_table, _gather
+from anyonbraid.measurement import _measurement_op, _resolve, _sample_columns
 
 import dense_oracle as dense
 
@@ -40,6 +41,23 @@ def protocol_models(ising, fibonacci, su2_3):
     """The built-in models exercised at protocol level, with their
     computational charges."""
     return [(ising, "1/2"), (fibonacci, "1"), (su2_3, "1/2")]
+
+
+def sample_pair(state, i, j, rng, routing="over"):
+    """One Born-sampled measurement of pair ``(i, j)`` through the sampler
+    every command runs, a batch of one with the scalar draw
+    ``rng.random()``: the charge found, its probability and the collapsed
+    state."""
+    op = _measurement_op(state, i, j, routing)
+    charge, prob, post = _sample_columns(op, *_resolve(op, state.amps), rng.random())
+    return state.model.charges[charge], float(prob), state._replace_amps(post)
+
+
+def braid(state, pos, sign=+1):
+    """The elementary exchange of leaves ``pos`` and ``pos + 1``, applied
+    as its cached gather table."""
+    leaves, index, value = _braid_table(state.model, state.leaves, state.total, pos, sign)
+    return StateVector(state.model, leaves, state.total, _gather((index, value), state.amps))
 
 
 def teleport_config(model, a):

@@ -21,10 +21,6 @@ DATA = pathlib.Path(__file__).parent / "data"
 TARGET, RECOVERY = (1, 2), (0, 1)
 
 
-def generators(seed, trials):
-    return (np.random.default_rng([seed, t]) for t in range(trials))
-
-
 def blocks_as_trials(blocks):
     """Per-trial ``(record or None, final state)`` of a batched run."""
     out = []
@@ -37,8 +33,8 @@ def blocks_as_trials(blocks):
 
 def assert_matches_batch_of_one(state, streams, max_attempts=1000):
     """Run the trials of ``streams`` (a :class:`TrialStreams`) batched, and
-    check each against its forced measurement alone on its own
-    ``default_rng([seed, t])``.
+    check each against its block of one, ``TrialStreams(seed, [t])``, and
+    its forced measurement alone on its own ``default_rng([seed, t])``.
 
     Alone, a trial is a block of one, run as a ``(dim,)`` vector.  On these
     few-leaf states it equals its column of the batch bit for bit: every
@@ -50,7 +46,7 @@ def assert_matches_batch_of_one(state, streams, max_attempts=1000):
     columns = [(block, t) for block in blocks for t in range(block.outcomes.shape[1])]
     for t, (record, final), (block, col) in zip(streams.trials, batched, columns):
         single, = forced_measurements(state, TARGET, RECOVERY,
-                                      [np.random.default_rng([streams.seed, t])],
+                                      TrialStreams(streams.seed, [t]),
                                       max_attempts=max_attempts)
         rounds = len(single.outcomes)
         assert single.amps.shape == (state.dim, 1)
@@ -91,10 +87,9 @@ class TestBatchOfOne:
         assert_matches_batch_of_one(state, TrialStreams(24, range(trials)))
         want = [BLOCK_TRIALS] * (trials // BLOCK_TRIALS) + (
             [trials % BLOCK_TRIALS] if trials % BLOCK_TRIALS else [])
-        for streams in (TrialStreams(24, range(trials)), generators(24, trials)):
-            sizes = [block.outcomes.shape[1] for block in forced_measurements(
-                state, TARGET, RECOVERY, streams)]
-            assert sizes == want
+        sizes = [block.outcomes.shape[1] for block in forced_measurements(
+            state, TARGET, RECOVERY, TrialStreams(24, range(trials)))]
+        assert sizes == want
 
     def test_max_attempts_fails_trials_one_by_one(self, protocol_models):
         for model, a in protocol_models:
@@ -104,7 +99,7 @@ class TestBatchOfOne:
             failed = sum(record is None for record, _ in batched)
             assert 0 < failed < 200
             block, = forced_measurements(teleport_config(model, a), TARGET, RECOVERY,
-                                         generators(25, 200), max_attempts=1)
+                                         TrialStreams(25, range(200)), max_attempts=1)
             assert int(np.count_nonzero(~block.succeeded)) == failed
             assert set(block.attempts.tolist()) == {1}
 
@@ -140,10 +135,12 @@ class TestBatchOfOne:
         state = teleport_config(model, a)
         streams = TrialStreams(seed, range(first, first + trials))
         batched = assert_matches_batch_of_one(state, streams)
-        # the same trials as a list of generators take the adapter path
-        rngs = [np.random.default_rng([seed, t]) for t in streams.trials]
-        for (record, _), (other, _) in zip(batched, blocks_as_trials(
-                forced_measurements(state, TARGET, RECOVERY, rngs))):
+        # the same trials in two slices of the streams, as separate blocks
+        cut = trials // 2
+        parts = [blocks_as_trials(forced_measurements(state, TARGET, RECOVERY, part))
+                 for part in (streams[:cut], streams[cut:])]
+        assert len(parts[0]) + len(parts[1]) == trials
+        for (record, _), (other, _) in zip(batched, parts[0] + parts[1]):
             assert record == other
 
 

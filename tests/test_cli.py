@@ -5,6 +5,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -470,6 +472,7 @@ class TestInputErrors:
 
     def test_zero_max_attempts_in_library(self, ising):
         from anyonbraid import forced_measurement, forced_measurements
+        from anyonbraid.streams import TrialStreams
         from conftest import teleport_config
 
         state = teleport_config(ising, "1/2")
@@ -477,7 +480,8 @@ class TestInputErrors:
         with pytest.raises(ValueError, match="max_attempts"):
             forced_measurement(state, (1, 2), (0, 1), rng, max_attempts=0)
         with pytest.raises(ValueError, match="max_attempts"):
-            list(forced_measurements(state, (1, 2), (0, 1), [rng], max_attempts=0))
+            list(forced_measurements(state, (1, 2), (0, 1), TrialStreams(1, [0]),
+                                     max_attempts=0))
 
     def test_non_utf8_model_file(self, capsys, tmp_path):
         path = tmp_path / "bad.model"
@@ -565,14 +569,51 @@ class TestRegisterLimits:
         assert "118 leaves has 1264937032042997393488322 basis states" in err
 
     def test_schedule_over_dimension_limit(self, capsys, tmp_path):
-        from anyonbraid import BraidWord, compile_word, load_builtin
-        from anyonbraid.compiler import array_layout
+        from anyonbraid import BraidWord, build_array, compile_word, load_builtin
 
-        layout = array_layout(load_builtin("fibonacci"), "1", 40)
+        # the header of a 40-anyon layout, written by hand: the library
+        # refuses to build a layout that size
+        data = compile_word(BraidWord.parse("s1"),
+                            build_array(load_builtin("fibonacci"), "1", 2)[0]).to_dict()
+        data["layout"].update(n_computational=40,
+                              computational=[3 * i for i in range(40)],
+                              resources=[[3 * i + 1, 3 * i + 2] for i in range(39)])
         path = tmp_path / "schedule.json"
-        path.write_text(json.dumps(compile_word(BraidWord.parse("s1"), layout).to_dict()))
+        path.write_text(json.dumps(data))
         err = self._refused(capsys, "run", "--schedule", str(path), "--seed", "1")
         assert "basis states, over the limit of 1048576" in err
+
+
+#: Runs ``anyonbraid.cli.main`` on its arguments in a fresh interpreter and
+#: prints the exit code and whether ``numpy.ma`` was imported.
+_IMPORT_PROBE = """
+import contextlib, io, sys
+from anyonbraid.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+class TestImports:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--model", "su2_k", "--k", "3"],
+        ["teleport-stats", "--model", "fibonacci", "--seed", "1", "--trials", "20"],
+        ["braid-check", "--model", "ising", "--word", "s1 s2'", "--seed", "2"],
+        ["compile", "--model", "fibonacci", "--word", "s1 s2"],
+        ["run", "--schedule", "schedule.json", "--seed", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_no_command_imports_numpy_ma(self, capsys, tmp_path, argv):
+        # numpy imports numpy.ma lazily, about 10 ms, on a process's first
+        # np.unique; no command needs it
+        assert main(["compile", "--model", "ising", "--word", "s1",
+                     "--output", str(tmp_path / "schedule.json")]) == 0
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], cwd=tmp_path,
+                                env=env, capture_output=True, text=True, timeout=300)
+        assert result.stdout.split() == ["0", "False"], result.stderr
 
 
 class TestGoldens:

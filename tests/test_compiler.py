@@ -11,8 +11,10 @@ from anyonbraid import (BraidWord, ProtocolError, Schedule, ScheduleError,
                         compile_word, direct_braid_reference, execute,
                         fidelity, pair_charge_distribution, project_pair,
                         random_encoded_state, random_state, relative_phase,
-                        sample_measurement, schedule_from_dict)
+                        schedule_from_dict)
 from anyonbraid.model_io import parse_model_text
+
+from conftest import sample_pair
 
 from test_model_io import Z3_TEXT
 
@@ -241,19 +243,19 @@ class TestDirectBraidReference:
 class TestReadout:
     def test_fresh_resource_pair(self, ising):
         layout, state = build_array(ising, "1/2", 2)
-        outcome, _ = sample_measurement(state, *layout.resources[0],
-                                        np.random.default_rng(47))
-        assert outcome.charge == ising.vacuum
-        assert outcome.probability == pytest.approx(1.0)
+        charge, probability, _ = sample_pair(state, *layout.resources[0],
+                                             np.random.default_rng(47))
+        assert charge == ising.vacuum
+        assert probability == pytest.approx(1.0)
 
     def test_full_twist_leaves_distribution(self, ising):
         layout, state = build_array(ising, "1/2", 2)
         final, _ = execute(compile_word(BraidWord.parse("s1 s1"), layout),
                            state, np.random.default_rng(48))
         pair = (layout.computational[0], layout.computational[1])
-        outcome, _ = sample_measurement(final, *pair, np.random.default_rng(49))
-        assert outcome.charge == ising.vacuum
-        assert outcome.probability == pytest.approx(1.0, abs=1e-9)
+        charge, probability, _ = sample_pair(final, *pair, np.random.default_rng(49))
+        assert charge == ising.vacuum
+        assert probability == pytest.approx(1.0, abs=1e-9)
 
     def test_statistics_match_oracle_distribution(self, fibonacci):
         layout, _ = build_array(fibonacci, "1", 3)
@@ -267,8 +269,8 @@ class TestReadout:
         counts = {c: 0 for c in want}
         for t in range(n):
             final, _ = execute(schedule, state, np.random.default_rng([51, t, 0]))
-            outcome, _ = sample_measurement(final, *pair, np.random.default_rng([51, t, 1]))
-            counts[outcome.charge] += 1
+            charge, _, _ = sample_pair(final, *pair, np.random.default_rng([51, t, 1]))
+            counts[charge] += 1
         for charge, p in want.items():
             sigma = math.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(counts[charge] / n - p) <= 3 * sigma + 1e-9

@@ -7,13 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from anyonbraid import (BasisMismatch, InvalidPosition, StateVector,
-                        apply_braid, attach_pair, empty_state,
-                        entangled_pair_state, inner, pair_charge_distribution,
-                        random_state)
+from anyonbraid import (BasisMismatch, InvalidPosition, ProtocolError, StateVector,
+                        attach_pair, braid_oracle_state, empty_state,
+                        entangled_pair_state, inner, measurement_braid,
+                        pair_charge_distribution, random_state)
 from anyonbraid.cli import _write_json
 from anyonbraid.fusion_space import _basis, _f_move_table, _gather
 
+from conftest import braid
 from state_oracle import state_from_json, state_to_json
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -171,12 +172,12 @@ class TestApplyBraid:
         for model, a in protocol_models:
             state = random_state(model, (a,) * 4, "0", rng)
             for pos in range(3):
-                back = apply_braid(apply_braid(state, pos, +1), pos, -1)
+                back = braid(braid(state, pos, +1), pos, -1)
                 assert np.allclose(back.amps, state.amps, atol=1e-12)
 
     def test_ising_pair_phase_and_distribution(self, ising):
         pair = entangled_pair_state(ising, "1/2")
-        braided = apply_braid(pair, 0, +1)
+        braided = braid(pair, 0, +1)
         assert braided.amps[0] == pytest.approx(ising.r_symbol("1/2", "1/2", "0"))
         dist = pair_charge_distribution(braided, 0, 1)
         assert dist[ising.vacuum] == pytest.approx(1.0)
@@ -186,21 +187,25 @@ class TestApplyBraid:
         for model, a in [*protocol_models, (su2_2, "1/2")]:
             for total in model.fuse(a, model.fuse(a, a)[0]):
                 state = random_state(model, (a, a, a), total, rng)
-                lhs = apply_braid(apply_braid(apply_braid(state, 0, +1), 1, +1), 0, +1)
-                rhs = apply_braid(apply_braid(apply_braid(state, 1, +1), 0, +1), 1, +1)
+                lhs = braid(braid(braid(state, 0, +1), 1, +1), 0, +1)
+                rhs = braid(braid(braid(state, 1, +1), 0, +1), 1, +1)
                 assert np.max(np.abs(lhs.amps - rhs.amps)) < 1e-10
 
     def test_norm_drift(self, fibonacci):
         rng = np.random.default_rng(9)
         state = random_state(fibonacci, ("1",) * 7, "1", rng)
         for pos in range(6):
-            state = apply_braid(state, pos, +1)
+            state = braid(state, pos, +1)
         assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-12
 
     def test_invalid_position(self, fibonacci):
-        pair = entangled_pair_state(fibonacci, "1")
-        with pytest.raises(InvalidPosition):
-            apply_braid(pair, 1, +1)
+        # braids reach a register through quads, which must lie inside it
+        state = attach_pair(entangled_pair_state(fibonacci, "1"), 1, "1")
+        for quad in ((1, 2, 3, 4), (-1, 0, 1, 2)):
+            with pytest.raises(ProtocolError, match="out of range"):
+                braid_oracle_state(state, quad, "positive")
+            with pytest.raises(ProtocolError, match="out of range"):
+                measurement_braid(state, quad, "positive", np.random.default_rng(1))
 
 
 class TestInner:

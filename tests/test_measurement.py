@@ -7,9 +7,9 @@ import pytest
 
 from anyonbraid import (InvalidPosition, ZeroProbabilityOutcome,
                         entangled_pair_state, fidelity, pair_charge_distribution,
-                        project_pair, random_state, sample_measurement)
+                        project_pair, random_state)
 
-from conftest import teleport_config
+from conftest import sample_pair, teleport_config
 from dense_oracle import _braid_matrix, transport_matrix
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -169,15 +169,15 @@ class TestSampling:
         pair = entangled_pair_state(ising, "1/2")
         rng = np.random.default_rng(26)
         for _ in range(32):
-            outcome, post = sample_measurement(pair, 0, 1, rng)
-            assert outcome.charge == ising.vacuum
-            assert outcome.probability == pytest.approx(1.0)
+            charge, probability, post = sample_pair(pair, 0, 1, rng)
+            assert charge == ising.vacuum
+            assert probability == pytest.approx(1.0)
 
     def test_frequencies_within_3_sigma(self, fibonacci):
         state = teleport_config(fibonacci, "1")
         rng = np.random.default_rng(27)
         n = 10_000
-        hits = sum(sample_measurement(state, 1, 2, rng)[0].charge.index == 0
+        hits = sum(sample_pair(state, 1, 2, rng)[0].index == 0
                    for _ in range(n))
         p = PHI ** -2
         sigma = math.sqrt(p * (1 - p) / n)
@@ -190,9 +190,9 @@ class TestSampling:
             rng = np.random.default_rng(seed)
             s, seq = state, []
             for _ in range(8):
-                out, s = sample_measurement(s, 1, 2, rng)
+                *out, s = sample_pair(s, 1, 2, rng)
                 seq.append(out)
-                out, s = sample_measurement(s, 0, 1, rng)
+                *out, s = sample_pair(s, 0, 1, rng)
                 seq.append(out)
             return seq, s
 

@@ -44,8 +44,8 @@ from state_oracle import state_to_dict
 MEMORY_BUDGET_BYTES = 256 * 2 ** 20
 
 #: Peak traced allocation allowed for the same check with 10 computational
-#: anyons (28 leaves, dim 196,418); it measured 346 MiB.  Operator tables
-#: dominate it: every resource pair is measured after every braid.
+#: anyons (28 leaves, dim 196,418); it measured 351 MiB.  Operator tables
+#: dominate it; every resource pair is measured once, on the final state.
 WIDE_BUDGET_BYTES = 400 * 2 ** 20
 
 #: Peak traced allocation allowed to verify su2_k at k=11.

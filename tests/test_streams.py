@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anyonbraid.streams import PREFETCH_ROWS, GeneratorStreams, TrialStreams, blocks
+from anyonbraid import forced_measurement, forced_measurements, teleport
+from anyonbraid.streams import PREFETCH_ROWS, TrialStreams
+
+from conftest import teleport_config
 
 #: Seeds of 1, 2, 3 and 5 32-bit words: 5 words overflow SeedSequence's pool
 #: of 4 even before the trial id is appended.
@@ -53,7 +56,7 @@ def test_slices_and_ranges():
     part = streams[300:310]
     assert len(part) == 10 and part.trials == range(300, 310)
     assert np.array_equal(part.random(range(3)), reference(5, range(300, 310), 3))
-    assert [len(b) for b in blocks(streams, 400)] == [400, 400, 200]
+    assert [len(streams[i:i + 400]) for i in range(0, 1000, 400)] == [400, 400, 200]
 
 
 def test_row_follows_lockstep_rounds():
@@ -75,21 +78,49 @@ def test_row_refills_for_a_column_outside_the_block():
     assert np.array_equal(streams.row(1, np.array([5, 9])), want[1, [5, 9]])
 
 
-def test_generator_streams_draw_in_order():
-    rngs = [np.random.default_rng([13, t]) for t in range(4)]
-    adapter = GeneratorStreams(rngs)
-    want = reference(13, range(4), 2)
-    assert np.array_equal(adapter.row(0, np.arange(4)), want[0])
-    assert np.array_equal(adapter.row(1, np.array([1, 3])), want[1, [1, 3]])
-    assert [len(b) for b in blocks(iter(rngs), 3)] == [3, 1]
+def _spy_draws(monkeypatch):
+    """Record the draw and the resolved amplitudes' shape of every sampled
+    measurement of the lockstep engine."""
+    seen = []
+    sample = teleport._sample_columns
+
+    def spy(op, resolved, weights, u):
+        seen.append((u, resolved.shape))
+        return sample(op, resolved, weights, u)
+
+    monkeypatch.setattr(teleport, "_sample_columns", spy)
+    return seen
 
 
-def test_a_single_generator_draws_a_scalar():
-    adapter = GeneratorStreams([np.random.default_rng([14, 3])])
-    want = reference(14, [3], 3)
-    for s in range(3):
-        u = adapter.row(s, np.arange(1))
-        assert isinstance(u, float) and u == want[s, 0]
+def test_generator_streams_draw_in_order(fibonacci, monkeypatch):
+    # a single trajectory draws its generator's doubles, one per
+    # measurement in the order it makes them, and no others
+    seen = _spy_draws(monkeypatch)
+    state = teleport_config(fibonacci, "1")
+    for t in range(4):
+        rng = np.random.default_rng([13, t])
+        seen.clear()
+        _, record = forced_measurement(state, (1, 2), (0, 1), rng)
+        made = len(record.outcomes) - 1  # without the initial vacuum recovery
+        want = reference(13, [t], made + 1)[:, 0]
+        assert [u for u, _ in seen] == want[:made].tolist()
+        assert rng.random() == want[made]
+
+
+def test_a_single_generator_draws_a_scalar(fibonacci, monkeypatch):
+    # a generator hands the engine scalar draws and a block of one trial
+    # of TrialStreams a draw of shape (1,); both run on a (dim,) vector
+    seen = _spy_draws(monkeypatch)
+    state = teleport_config(fibonacci, "1")
+    forced_measurement(state, (1, 2), (0, 1), np.random.default_rng([14, 3]))
+    single = list(seen)
+    seen.clear()
+    block, = forced_measurements(state, (1, 2), (0, 1), TrialStreams(14, [3]))
+    assert block.amps.shape == (state.dim, 1)
+    want = reference(14, [3], len(single))[:, 0]
+    assert all(isinstance(u, float) and shape == (state.dim,) for u, shape in single)
+    assert all(u.shape == (1,) and shape == (state.dim,) for u, shape in seen)
+    assert [u for u, _ in single] == [float(u[0]) for u, _ in seen] == want.tolist()
 
 
 def test_negative_seed_is_refused():

@@ -13,14 +13,14 @@ from anyonbraid import (MaxAttemptsExceeded, NotPhaseEquivalent,
                         expected_mean_attempts, failure_tail_probability,
                         fidelity, forced_measurement, forced_measurements,
                         measurement_braid, pair_charge_distribution, project_pair,
-                        random_encoded_state, random_state, relative_phase,
-                        teleport_reference)
+                        random_encoded_state, random_state, relative_phase)
 from anyonbraid.compiler import array_layout
 from anyonbraid.streams import TrialStreams
 from anyonbraid.teleport import _quad_steps, direct_quad_braid
 
 from conftest import (five_leaf_config, random_five_leaf_state,
                       random_quad_state, rerooted_reference, teleport_config)
+from teleport_oracle import teleport_reference
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -67,7 +67,7 @@ class TestForcedMeasurement:
             firsts = set()
             for t in range(12):
                 single, = forced_measurements(state, (1, 2), (0, 1),
-                                              [np.random.default_rng([43, t])])
+                                              TrialStreams(43, [t]))
                 firsts.add(int(single.outcomes[0, 0]))
                 assert np.array_equal(single.reference().amps, want.amps)
                 if single.outcomes[0, 0] == 0:  # the vacuum at once
