@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -42,7 +43,7 @@ import numpy as np
 from . import compiler as cp
 from . import fusion_space as fs
 from . import teleport as tp
-from .errors import AnyonError
+from .errors import AnyonError, NotPhaseEquivalent
 from .model import CONSISTENCY_TOL, is_builtin_name, load_builtin
 from .model_io import load_model_file
 from .streams import TrialStreams
@@ -105,6 +106,16 @@ def _default_charge(model, args):
 def _phase(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag),
             "arg": float(np.angle(z))}
+
+
+def _phase_between(s1, s2):
+    """The :func:`_phase` of ``s1`` against ``s2``, or ``None`` when they
+    differ beyond a global phase (a failed check still prints its
+    payload)."""
+    try:
+        return _phase(tp.relative_phase(s1, s2))
+    except NotPhaseEquivalent:
+        return None
 
 
 def _state_head(state) -> dict:
@@ -265,9 +276,14 @@ def _write_json(obj, out=None) -> None:
             sep = ","
         put(nl + "]")
 
-    value(obj, "\n")
-    put("\n")
-    flush()
+    try:
+        value(obj, "\n")
+        put("\n")
+        flush()
+    finally:
+        # value reaches itself through its closure cell: left in place, that
+        # cycle would hold out and buf until the garbage collector runs
+        del value
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +437,16 @@ def _checked_run(schedule, initial, args):
     against the direct-braid oracle.
 
     Returns the final state, the braid records, the oracle fidelity, the
-    phase against the oracle (``None`` at fidelity 0.5 or below) and the
-    resource defect.
+    phase against the oracle (``None`` unless the two are equal up to a
+    global phase) and the resource defect.
     """
     final, records = cp.execute(schedule, initial, _substream(args.seed, 0),
                                 routing=args.routing, max_attempts=args.max_attempts)
     oracle = cp.direct_braid_reference(schedule.word, schedule.layout, initial,
                                        routing=args.routing)
     fid = fs.fidelity(final, oracle)
-    phase = _phase(tp.relative_phase(final, oracle)) if fid > 0.5 else None
-    return final, records, fid, phase, cp.check_resources(schedule.layout, final)
+    return (final, records, fid, _phase_between(final, oracle),
+            cp.check_resources(schedule.layout, final))
 
 
 def _passed(fid: float, defect: float, args) -> bool:
@@ -485,7 +501,7 @@ def _cmd_braid_check(args) -> int:
         payload["compare"] = {
             "word": str(other),
             "fidelity": fid_b,
-            "phase": _phase(tp.relative_phase(final, final_b)) if fid_b > 0.5 else None,
+            "phase": _phase_between(final, final_b),
             "braids": _braid_payload(records_b),
         }
         passed = _passed(fid_b, max(defect, defect_b), args)
@@ -644,9 +660,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The :func:`build_parser` parser, built on first use and shared by
+    later calls of :func:`main`: parsing keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

@@ -37,8 +37,8 @@ from .errors import FusionError, ModelError, UnknownChargeError
 CONSISTENCY_TOL = 1e-10
 
 #: Most charges a model may have.  The dense F table holds m**6 complex
-#: entries, 256 MiB at 16 charges (su2_k at k = 15), and verifying such a
-#: model peaks near 1 GB of RSS.
+#: entries, 256 MiB at 16 charges (su2_k at k = 15), and building and
+#: verifying such a model peaks near 560 MB of RSS.
 MAX_CHARGES = 16
 
 
@@ -283,6 +283,10 @@ class AnyonModel:
 # ---------------------------------------------------------------------------
 
 
+#: Equations (or matrix entries) per block of a block walk.
+_BLOCK = 65536
+
+
 def _worst(*residuals) -> float:
     """The largest of ``residuals``, NaN if any is NaN (Python's ``max``
     keeps its first argument against a NaN)."""
@@ -326,9 +330,10 @@ def _join_on(left: np.ndarray, left_cols, right: np.ndarray, right_cols) -> tupl
 
 
 def _real_if_real(F: np.ndarray) -> np.ndarray:
-    """``F``, or its real part when no entry has an imaginary part; real
-    arithmetic halves the memory traffic of the gathers and products."""
-    return F if np.any(F.imag) else np.ascontiguousarray(F.real)
+    """``F``, or a view of its real part when no entry has an imaginary
+    part; real arithmetic halves the memory traffic of the gathers and
+    products, and the view copies nothing."""
+    return F if np.any(F.imag) else F.real
 
 
 def _tree_rows(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -336,8 +341,10 @@ def _tree_rows(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Left trees ((ab)_f c)_g d -> e are rows (a, b, c, d, e, f, g) with f in
     ab, g in fc and e in gd; right trees a(b(cd)_l)_k -> e are rows
-    (a, b, c, d, e, l, k) with l in cd, k in bl and e in ak.  Left trees
-    come sorted by their outer labels (a, b, c, d, e).
+    (a, b, c, d, e, l, k) with l in cd, k in bl and e in ak.  Both come
+    sorted by their outer labels (a, b, c, d, e).  Fusion is associative,
+    so both bases of a space have the same dimension, and the trees of one
+    outer label sit at the same rows of both tables.
     """
     m = N.shape[0]
     triples = np.argwhere(N).astype(np.uint8)  # rows (x, y, z) with z in fuse(x, y)
@@ -346,46 +353,58 @@ def _tree_rows(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     il, ir = _join_on(t, [4], triples, [0])
     t = np.column_stack([t[il], triples[ir][:, 1:]])  # a b f c g d e
     left = t[:, [0, 1, 3, 5, 6, 2, 4]]
-    left = left[np.argsort(np.ravel_multi_index(left[:, :5].T, (m,) * 5), kind="stable")]
     il, ir = _join_on(triples, [2], triples, [1])
     t = np.column_stack([triples[il], triples[ir][:, [0, 2]]])  # c d l b k
     il, ir = _join_on(t, [4], triples, [1])
     t = np.column_stack([t[il], triples[ir][:, [0, 2]]])  # c d l b k a e
     right = t[:, [5, 3, 0, 1, 6, 2, 4]]
-    return left, right
+
+    def by_outer(trees):
+        return trees[np.argsort(_ravel(m, *trees[:, :5].T), kind="stable")]
+
+    return by_outer(left), by_outer(right)
 
 
-def _pentagon_pairs(left: np.ndarray, right: np.ndarray, m: int, chunk: int):
-    """Yield index arrays (il, ir) of left and right trees with equal outer
-    labels (a, b, c, d, e), in blocks of about ``chunk`` pairs.
+def _ravel(m: int, *index) -> np.ndarray:
+    """Flat int32 offsets of ``index`` in an array of shape ``(m,) * len(index)``,
+    without the intp copy of every index that ``np.ravel_multi_index`` makes."""
+    flat = np.int32(0)
+    for i in index:
+        flat = flat * m + i
+    return flat
 
-    ``left`` must be sorted by its outer labels.  Each pair is one pentagon
-    equation; every pair is yielded once.
+
+def _equal_blocks(keys: np.ndarray, chunk: int = _BLOCK):
+    """Yield ``(G, D)`` arrays of row numbers of ``keys``, an ``(n, q)``
+    table whose equal rows are adjacent.
+
+    Each row of a block holds the D row numbers of one key, every key of a
+    block has the same D, and a block holds about ``chunk`` D x D entries
+    (at least one key).
     """
-    lkey = np.ravel_multi_index(left[:, :5].T, (m,) * 5)
-    rkey = np.ravel_multi_index(right[:, :5].T, (m,) * 5)
-    lo = np.searchsorted(lkey, rkey, side="left")
-    counts = np.searchsorted(lkey, rkey, side="right") - lo
-    ends = np.cumsum(counts)
-    # right trees are cut at tree boundaries, so a block may exceed `chunk`
-    # by the pairs of one right tree (at most m**2)
-    cuts = np.searchsorted(ends, np.arange(chunk, ends[-1], chunk), side="left")
-    bounds = sorted({0, *cuts.tolist(), len(right)})
-    for r0, r1 in zip(bounds[:-1], bounds[1:]):
-        il, ir = _expand_ranges(lo[r0:r1], counts[r0:r1])
-        yield il, ir + r0
+    starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
+    dims = np.diff(np.r_[starts, len(keys)])
+    for D in np.flatnonzero(np.bincount(dims)).tolist():
+        first = starts[dims == D]
+        step = max(1, chunk // D ** 2)
+        for g in range(0, len(first), step):
+            yield first[g:g + step, None] + np.arange(D)
 
 
-def _pentagon_residual(N: np.ndarray, F: np.ndarray, chunk: int = 65536) -> float:
+def _pentagon_residual(N: np.ndarray, F: np.ndarray, chunk: int = _BLOCK) -> float:
     """Worst residual of the pentagon equation
 
     ``[F_e^{fcd}]_{gl} [F_e^{abl}]_{fk}
     = sum_h [F_g^{abc}]_{fh} [F_e^{ahd}]_{gk} [F_k^{bcd}]_{hl}``
 
     over every pair of a left and a right fusion tree on the same outer
-    labels.  Each tree keeps only integer offsets: the pair terms are flat
-    gathers at a left plus a right offset, and the three factors of the sum
-    are rows over h gathered per pair from copies of F with h last.
+    labels.  The D left and D right trees of one outer label give a D x D
+    block of equations, and blocks of equal D are walked as ``(G, D, D)``
+    arrays of about ``chunk`` equations.  Each tree keeps only int32
+    offsets into F: the row ``[F_g^{abc}]_{f.}`` is gathered once per left
+    tree and the column ``[F_k^{bcd}]_{.l}`` once per right tree, the
+    middle factor once per pair from a copy of F with h last, and every
+    sum runs over ascending h.
     """
     m = N.shape[0]
     left, right = _tree_rows(N)
@@ -393,21 +412,22 @@ def _pentagon_residual(N: np.ndarray, F: np.ndarray, chunk: int = 65536) -> floa
     flat = F.reshape(-1)
     rows = F.reshape(-1, m)                                                   # [a,b,c,g,f,h]
     mid = np.ascontiguousarray(F.transpose(0, 2, 3, 4, 5, 1)).reshape(-1, m)  # [a,d,e,g,k,h]
-    rrows = np.ascontiguousarray(F.transpose(0, 1, 2, 3, 5, 4)).reshape(-1, m)  # [b,c,d,k,l,h]
+    column = np.arange(0, m * m, m, dtype=np.int32)                           # h m
     a, b, c, d, e, f, g = left.T
-    left_row = np.ravel_multi_index((a, b, c, g, f), (m,) * 5)      # [F_g^{abc}]_{f.}
-    left_fcd = np.ravel_multi_index((f, c, d, e, g, 0), F.shape)    # + l
-    left_abl = np.ravel_multi_index((a, b, 0, e, f, 0), F.shape)    # + l m^3 + k
-    left_mid = np.ravel_multi_index((a, d, e, g, 0), (m,) * 5)      # + k
+    left_row = _ravel(m, a, b, c, g, f)       # [F_g^{abc}]_{f.}
+    left_fcd = _ravel(m, f, c, d, e, g, 0)    # + l
+    left_abl = _ravel(m, a, b, 0, e, f, 0)    # + l m^3 + k
+    left_mid = _ravel(m, a, d, e, g, 0)       # + k
     a, b, c, d, e, l, k = right.T
-    right_row = np.ravel_multi_index((b, c, d, k, l), (m,) * 5)     # [F_k^{bcd}]_{.l}
-    right_abl = np.ravel_multi_index((0, 0, l, 0, 0, k), F.shape)
+    right_col = _ravel(m, b, c, d, k, 0, l)   # [F_k^{bcd}]_{.l}, + h m
+    right_abl = _ravel(m, 0, 0, l, 0, 0, k)
     worst = 0.0
-    for il, ir in _pentagon_pairs(left, right, m, chunk):
+    for trees in _equal_blocks(left[:, :5], chunk):
+        il, ir = trees[:, :, None], trees[:, None, :]
         lhs = flat[left_fcd[il] + l[ir]] * flat[left_abl[il] + right_abl[ir]]
-        rhs = np.einsum("rh,rh,rh->r", rows.take(left_row[il], axis=0),
+        rhs = np.einsum("gih,gijh,gjh->gij", rows[left_row[trees]],
                         mid.take(left_mid[il] + k[ir], axis=0),
-                        rrows.take(right_row[ir], axis=0))
+                        flat[right_col[trees][:, :, None] + column])
         worst = _worst(worst, np.abs(lhs - rhs).max())
     return worst
 
@@ -434,9 +454,8 @@ def _hexagon_residual(N: np.ndarray, F: np.ndarray, R: np.ndarray) -> float:
     if len(tuples) == 0:
         return 0.0
     a, b, c, d, e, f = tuples.T
-    Rt = np.ascontiguousarray(R.transpose(0, 2, 1))           # [c, d, g]
-    Ft = np.ascontiguousarray(F.transpose(0, 1, 2, 3, 5, 4))  # [a,b,c,d,f,g]
-    mid = F[c, a, b, d, e, :] * Ft[a, b, c, d, f, :]
+    Rt = np.ascontiguousarray(R.transpose(0, 2, 1))  # [c, d, g]
+    mid = F[c, a, b, d, e, :] * F[a, b, c, d, :, f]
     # One hexagon per chirality: R and its inverse must both recouple
     # consistently with F.
     lhs = R[c, a, e] * F[a, c, b, d, e, f] * R[c, b, f]
@@ -449,15 +468,30 @@ def _hexagon_residual(N: np.ndarray, F: np.ndarray, R: np.ndarray) -> float:
 
 def _unitarity_residual(N: np.ndarray, F: np.ndarray) -> float:
     """Worst deviation of each ``F_d^{abc}`` from a unitary on its admissible
-    rows ``e`` and columns ``f``, checked as both ``F F^+`` and ``F^+ F``."""
+    rows ``e`` and columns ``f``, checked as both ``F F^+`` and ``F^+ F``,
+    plus the largest ``|F|`` off the admissible set, where F must vanish.
+
+    Each matrix is checked on its D x D admissible block, and blocks of
+    equal D are batched as ``(G, D, D)`` arrays.
+    """
     m = N.shape[0]
-    adm_e = np.einsum("abe,ecd->abcde", N, N).reshape(m ** 4, m, 1)
-    adm_f = np.einsum("bcf,afd->abcdf", N, N).reshape(m ** 4, m, 1)
-    eye = np.eye(m)
-    mats = _real_if_real(F).reshape(m ** 4, m, m)
-    adj = mats.conj().transpose(0, 2, 1)
-    return _worst(np.abs(mats @ adj - adm_e * eye).max(),
-                  np.abs(adj @ mats - adm_f * eye).max())
+    F = _real_if_real(F)
+    admissible = _admissible_f(N)
+    # rows (a, b, c, d, e) and (a, b, c, d, f), sorted; fusion is
+    # associative, so every matrix has as many admissible rows as columns
+    es = np.argwhere(admissible.any(axis=5))
+    fs = np.argwhere(admissible.any(axis=4))
+    worst = 0.0
+    for at in _equal_blocks(es[:, :4]):
+        a, b, c, d = es[at[:, 0], :4].T[:, :, None, None]
+        mats = F[a, b, c, d, es[at, 4][:, :, None], fs[at, 4][:, None, :]]
+        adj = mats.conj().transpose(0, 2, 1)
+        eye = np.eye(at.shape[1])
+        worst = _worst(worst, np.abs(mats @ adj - eye).max(),
+                       np.abs(adj @ mats - eye).max())
+    # one charge a at a time, so no temporary is the size of F
+    return worst + _worst(*(np.abs(F[x][~admissible[x]]).max(initial=0.0)
+                            for x in range(m)))
 
 
 def _qdim_residual(N: np.ndarray, qd: np.ndarray) -> float:

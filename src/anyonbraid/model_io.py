@@ -132,7 +132,9 @@ def parse_model_text(text: str, tolerance: float | None = CONSISTENCY_TOL) -> An
         return complex(re_part, im_part)
 
     admissible = _admissible_f(N)
-    F = np.where(admissible, 1.0 + 0.0j, 0.0)
+    # C order, so that AnyonModel keeps this array instead of copying it
+    F = np.zeros(admissible.shape, dtype=complex)
+    F[admissible] = 1.0
     for lineno, line in sections["f"]:
         parts = line.split()
         if len(parts) not in (7, 8):

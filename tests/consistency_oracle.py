@@ -1,0 +1,44 @@
+"""Reference hexagon and unitarity checks on dense copies of F.
+
+These are the formulations that :func:`anyonbraid.model._hexagon_residual`
+and :func:`anyonbraid.model._unitarity_residual` replaced.  The hexagon
+gathers its factor rows from a transposed complex copy of F, so it must
+agree with the library bit for bit.  The unitarity check multiplies every
+full ``m x m`` matrix ``F_d^{abc}``, inadmissible zeros included, with its
+adjoint, which the library does on the admissible blocks only; the
+products may round differently in the last place.  Both are test-only: at
+su2_k k=11 they traced 63 and 69 MiB.
+"""
+
+import numpy as np
+
+from anyonbraid.model import _hexagon_tuples
+
+
+def hexagon_residual(N: np.ndarray, F: np.ndarray, R: np.ndarray) -> float:
+    tuples = _hexagon_tuples(N)
+    if len(tuples) == 0:
+        return 0.0
+    a, b, c, d, e, f = tuples.T
+    Rt = np.ascontiguousarray(R.transpose(0, 2, 1))           # [c, d, g]
+    Ft = np.ascontiguousarray(F.transpose(0, 1, 2, 3, 5, 4))  # [a,b,c,d,f,g]
+    mid = F[c, a, b, d, e, :] * Ft[a, b, c, d, f, :]
+    lhs = R[c, a, e] * F[a, c, b, d, e, f] * R[c, b, f]
+    rhs = np.einsum("rg,rg->r", mid, Rt[c, d, :])
+    worst = np.abs(lhs - rhs).max()
+    lhs = np.conj(R[c, a, e]) * F[a, c, b, d, e, f] * np.conj(R[c, b, f])
+    rhs = np.einsum("rg,rg->r", mid, np.conj(Rt[c, d, :]))
+    return float(np.max([worst, np.abs(lhs - rhs).max()]))
+
+
+def unitarity_residual(N: np.ndarray, F: np.ndarray) -> float:
+    m = N.shape[0]
+    adm_e = np.einsum("abe,ecd->abcde", N, N).reshape(m ** 4, m, 1)
+    adm_f = np.einsum("bcf,afd->abcdf", N, N).reshape(m ** 4, m, 1)
+    eye = np.eye(m)
+    if not np.any(F.imag):
+        F = np.ascontiguousarray(F.real)
+    mats = F.reshape(m ** 4, m, m)
+    adj = mats.conj().transpose(0, 2, 1)
+    return float(np.max([np.abs(mats @ adj - adm_e * eye).max(),
+                         np.abs(adj @ mats - adm_f * eye).max()]))

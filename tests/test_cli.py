@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import gc
 import io
 import json
 import math
@@ -7,13 +8,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyonbraid import compiler
+from anyonbraid import cli, compiler
 from anyonbraid.cli import _write_json, main
 
 from test_model_io import Z3_TEXT
@@ -295,6 +297,33 @@ class TestBraidCheck:
                                "--routing", "under")
         assert code == 1
 
+    def test_failed_compare_prints_payload(self, capsys):
+        # the two words differ, and their overlap is neither near 0 nor 1
+        code, out, err = run_cli(capsys, "braid-check", "--model", "fibonacci",
+                                 "--n-computational", "3", "--word", "s1 s2' s1 s2",
+                                 "--compare-word", "s2 s1'", "--seed", "7",
+                                 "--random-state")
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert 0.5 < payload["compare"]["fidelity"] < 1 - 1e-6
+        assert payload["compare"]["phase"] is None
+        assert payload["passed"] is False
+
+    def test_failed_oracle_check_prints_payload(self, capsys, monkeypatch):
+        # an oracle of another word, overlapping the run as above
+        reference = compiler.direct_braid_reference
+        monkeypatch.setattr(compiler, "direct_braid_reference",
+                            lambda word, *a, **kw: reference(
+                                compiler.BraidWord.parse("s2 s1'"), *a, **kw))
+        code, out, err = run_cli(capsys, "braid-check", "--model", "fibonacci",
+                                 "--n-computational", "3", "--word", "s1 s2' s1 s2",
+                                 "--seed", "7", "--random-state")
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert 0.5 < payload["oracle_fidelity"] < 1 - 1e-6
+        assert payload["phase_vs_oracle"] is None
+        assert payload["passed"] is False
+
     def test_byte_identical_reruns(self, capsys):
         args = ("braid-check", "--model", "su2_k", "--k", "3", "--word",
                 "s1 s2'", "--seed", "21")
@@ -407,6 +436,34 @@ class TestCompileRun:
         code, _, _ = run_cli(capsys, "run", "--schedule",
                              str(tmp_path / "none.json"), "--seed", "1")
         assert code == 2
+
+
+class TestParserReuse:
+    ROW = [
+        ["teleport-stats", "--model", "fibonacci", "--seed", "1", "--trials", "3",
+         "--trace"],
+        ["verify", "--model", "ising", "--format", "csv"],
+        ["braid-check", "--model", "ising", "--word", "s1", "--seed", "2", "--human"],
+        ["teleport-stats", "--model", "fibonacci", "--seed", "1", "--trials", "3"],
+        ["verify", "--model", "ising"],
+        ["braid-check", "--model", "ising", "--word", "s1", "--seed", "2"],
+    ]
+
+    def test_calls_in_a_row_print_what_a_fresh_parser_prints(self, capsys, monkeypatch):
+        fresh = []
+        for argv in self.ROW:
+            cli._parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        built = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        assert [run_cli(capsys, *argv) for argv in self.ROW] == fresh
+        assert len(built) == 1
+        # flags of one call do not leak into the next
+        assert [out.startswith("{") for _, out, _ in fresh] == [
+            True, False, False, True, True, True]
 
 
 class TestInputErrors:
@@ -728,6 +785,25 @@ class TestJsonWriter:
         _write_json(payload, out)
         assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
         assert "np.float64" not in out.getvalue()
+
+    @pytest.mark.parametrize("payload", [{"a": [1, {"b": "c"}]}, {"a": object()}],
+                             ids=["written", "unserialisable"])
+    def test_releases_its_sink_without_the_garbage_collector(self, payload):
+        # in-process callers (the benchmark, tests) pass a StringIO that
+        # holds the whole text; no reference cycle may keep it alive
+        out = io.StringIO()
+        sink = weakref.ref(out)
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                _write_json(payload, out)
+            except TypeError:
+                pass
+            del out
+            assert sink() is None
+        finally:
+            gc.enable()
 
     def test_writes_to_stdout_at_call_time(self, capsys):
         _write_json({"a": [1, "b"]})

@@ -11,11 +11,12 @@ from scipy.optimize import minimize, minimize_scalar
 from anyonbraid import (AnyonModel, Charge, FusionError, ModelError,
                         UnknownChargeError, load_builtin)
 from anyonbraid import model as model_module
-from anyonbraid.model import (MAX_CHARGES, _admissible_f, _tree_rows,
-                              _hexagon_residual, _pentagon_pairs,
-                              _pentagon_residual, _unitarity_residual,
+from anyonbraid.model import (MAX_CHARGES, _admissible_f, _equal_blocks,
+                              _hexagon_residual, _pentagon_residual,
+                              _tree_rows, _unitarity_residual,
                               check_model_size, fibonacci_model)
 
+import consistency_oracle
 import pentagon_oracle
 import racah_oracle
 
@@ -293,6 +294,19 @@ class TestVerifyConsistency:
         report = fibonacci.verify_consistency(math.inf)
         assert not report.passed
 
+    @pytest.mark.parametrize("at", [(0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0)],
+                             ids=["row-off-block", "empty-matrix"])
+    def test_nonzero_inadmissible_entry_detected(self, fibonacci, at):
+        # off the admissible blocks F must vanish, in a matrix with a block
+        # and in one with none
+        F = fibonacci.F.copy()
+        F[at] = 1e-3
+        bad = AnyonModel("fib-off", fibonacci.labels, fibonacci.N, fibonacci.qd,
+                         F, fibonacci.R)
+        report = bad.verify_consistency(1e-10)
+        assert not report.passed
+        assert report.max_unitarity_residual >= 1e-3
+
     def test_qdim_fusion_identity(self, all_models):
         for m in all_models:
             for a in range(m.num_charges):
@@ -311,9 +325,17 @@ class TestPentagonStreaming:
     def test_same_equations_as_tuple_table(self, name, k):
         N = load_builtin(name, k=k).N
         left, right = _tree_rows(N)
+        # the trees of one outer label sit at the same rows of both tables
+        assert np.array_equal(left[:, :5], right[:, :5])
+        pairs = []
         # small blocks, so most models are walked in several
-        rows = np.concatenate([np.column_stack([left[il], right[ir]])
-                               for il, ir in _pentagon_pairs(left, right, N.shape[0], 5000)])
+        for trees in _equal_blocks(left[:, :5], 500):
+            G, D = trees.shape
+            assert G * D * D <= max(500, D * D)
+            il = np.broadcast_to(trees[:, :, None], (G, D, D)).ravel()
+            ir = np.broadcast_to(trees[:, None, :], (G, D, D)).ravel()
+            pairs.append(np.column_stack([left[il], right[ir]]))
+        rows = np.concatenate(pairs)
         assert np.array_equal(rows[:, :5], rows[:, 7:12])  # same outer labels
         got = rows[:, [0, 1, 5, 2, 6, 3, 4, 12, 13]]  # a b f c g d e l k
         want = pentagon_oracle.pentagon_tuples(N)
@@ -341,6 +363,44 @@ class TestPentagonStreaming:
         want = pentagon_oracle.pentagon_residual(model.N, F)
         assert want > 0.0
         assert _pentagon_residual(model.N, F, chunk) == want
+
+
+class TestDenseOracles:
+    """The hexagon and unitarity checks against their dense formulations in
+    ``tests/consistency_oracle.py``: the hexagon bit for bit, unitarity
+    within 1e-15, whose block products may round differently in the last
+    place."""
+
+    @pytest.mark.parametrize("name,k", [("fibonacci", None), ("ising", None)]
+                             + [("su2_k", k) for k in (2, 3, 5, 7)])
+    def test_builtin_residuals(self, name, k):
+        model = load_builtin(name, k=k)
+        N, F, R = model.N, model.F, model.R
+        assert _hexagon_residual(N, F, R) == consistency_oracle.hexagon_residual(N, F, R)
+        assert _unitarity_residual(N, F) == pytest.approx(
+            consistency_oracle.unitarity_residual(N, F), rel=0, abs=1e-15)
+
+    @given(spec=st.sampled_from([("fibonacci", None), ("ising", None),
+                                 ("su2_k", 3), ("su2_k", 4)]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.floats(1e-9, 1e-1),
+           imaginary=st.booleans())
+    def test_perturbed_residuals(self, spec, seed, scale, imaginary):
+        model = load_builtin(*spec)
+        rng = np.random.default_rng(seed)
+        admissible = _admissible_f(model.N)
+        F = model.F.copy()
+        noise = rng.normal(size=int(admissible.sum())) * scale
+        if imaginary:
+            noise = noise + 1j * rng.normal(size=noise.size) * scale
+        F[admissible] += noise
+        R = model.R * np.exp(1j * scale * rng.normal(size=model.R.shape))
+        want = consistency_oracle.hexagon_residual(model.N, F, R)
+        assert want > 0.0
+        assert _hexagon_residual(model.N, F, R) == want
+        want = consistency_oracle.unitarity_residual(model.N, F)
+        assert want > 0.0
+        assert _unitarity_residual(model.N, F) == pytest.approx(want, rel=0, abs=1e-15)
 
 
 class TestStructuralValidation:

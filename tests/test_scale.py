@@ -16,7 +16,9 @@ su2_k at k=11 has 2,987,920 pentagon equations; a table of all their index
 tuples peaked near 800 MB.  Joining left and right fusion trees block by
 block brought the check to 220 MiB, and gathering each equation's factor
 rows from copies of F with the summed index last, with only integer
-offsets kept per tree, to 132 MiB.
+offsets kept per tree, to 132 MiB.  Walking each fusion space as one block
+of equations, with the outer factors gathered once per tree and one dense
+copy of F, brought the whole of ``verify_consistency`` to 55 MiB.
 
 ``run`` prints the final state of a 28-leaf register as 6.3 million lines
 of JSON.  A dict per row handed to ``json.dumps(indent=2)`` peaked at
@@ -48,8 +50,9 @@ MEMORY_BUDGET_BYTES = 256 * 2 ** 20
 #: dominate it; every resource pair is measured once, on the final state.
 WIDE_BUDGET_BYTES = 400 * 2 ** 20
 
-#: Peak traced allocation allowed to verify su2_k at k=11.
-VERIFY_BUDGET_BYTES = 180 * 2 ** 20
+#: Peak traced allocation allowed to verify su2_k at k=11; it measured
+#: 54.5 MiB, of which the one dense copy of F is 22.8 MiB.
+VERIFY_BUDGET_BYTES = 96 * 2 ** 20
 
 #: Peak traced allocation allowed to write the JSON of a Fibonacci state of
 #: 10 computational anyons, the state itself not counted; it measured
