@@ -350,6 +350,7 @@ def _cmd_teleport_stats(args) -> int:
     n = len(attempts)
     mean = float(np.mean(attempts)) if n else float("nan")
     std = float(np.std(attempts, ddof=1)) if n > 1 else float("nan")
+    expected_mean = tp.expected_mean_attempts(model, charge)
     channels = {}
     for c in sorted(np.flatnonzero(tried), key=lambda c: model.labels[c]):
         expected = float(model.qd[c] / da2)
@@ -381,9 +382,9 @@ def _cmd_teleport_stats(args) -> int:
             "trials": n,
             "mean": mean,
             "std": std,
-            "expected_mean": tp.expected_mean_attempts(model, charge),
+            "expected_mean": expected_mean,
             "bound": da2,
-            "mean_z": (mean - tp.expected_mean_attempts(model, charge))
+            "mean_z": (mean - expected_mean)
                       / (std / math.sqrt(n)) if n > 1 and std > 0 else float("nan"),
         },
         "tail_probabilities": tails,

@@ -22,7 +22,7 @@ from .errors import (ProtocolError, RegisterTooLarge, ScheduleError, Unsupported
                      ZeroProbabilityOutcome)
 from .fusion_space import (MAX_LEAVES, StateVector, _ranks, attach_pair, empty_state,
                            random_state)
-from .measurement import pair_charge_distribution, project_pair
+from .measurement import _vacuum_weight, project_pair
 from .model import AnyonModel
 from .teleport import (MAX_ATTEMPTS_DEFAULT, BraidRecord, _quad_steps,
                        direct_quad_braid, measurement_braid)
@@ -241,11 +241,8 @@ def random_encoded_state(layout: ArrayLayout, rng) -> StateVector:
 
 def check_resources(layout: ArrayLayout, state: StateVector) -> float:
     """Worst deviation of any resource pair from a sharp vacuum channel."""
-    worst = 0.0
-    for pair in layout.resources:
-        dist = pair_charge_distribution(state, pair[0], pair[1])
-        worst = max(worst, abs(1.0 - dist.get(layout.model.vacuum, 0.0)))
-    return worst
+    return max((abs(1.0 - _vacuum_weight(state, pair)) for pair in layout.resources),
+               default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -25,31 +25,33 @@ absorbed into the isometry definitions here, so Born probabilities and
 fidelities are unchanged while phase bookkeeping stays explicit.  No
 operation bends a charge line through a cup or cap.
 
-Operators are local.  The F-move resolving pair ``(pos, pos+1)`` and the
-elementary braid of those leaves rewrite only chain label ``y_pos``, with
-matrix elements that depend on its neighbours ``y_{pos-1}, y_{pos+1}``.
-The F-move is internal: it takes a state into the basis where the pair
-carries an explicit collective charge, for a measurement or a braid, and
-back.  Each is stored, per model and basis, as a row-gather table
+Operators are local.  The elementary braid of leaves ``(pos, pos+1)`` and
+the projector of that pair onto one of its fusion channels rewrite only
+chain label ``y_pos``, with matrix elements that depend on its neighbours
+``y_{pos-1}, y_{pos+1}``.  Both are ``F^-1 D F``: the F-move ``F``
+resolves the pair's collective charge ``c``, ``D`` is diagonal in ``c``
+(the phase ``R_c`` for a braid, ``delta_c`` for a projector), and the
+inverse F-move returns to the chain basis, with the pair swapped for a
+braid.  One builder multiplies the three out per neighbourhood, so no
+amplitude is ever held in the basis where the pair carries its charge.
+Each operator is stored, per model and basis, as a row-gather table
 ``(index, value)``: output row ``r`` is ``sum_k value[k, r] *
 amps[index[k, r]]``, with ``k`` running over at most the number of charges
 ``m``.  Both arrays have shape ``(w, dim)``, slot-major so that applying a
 table, ``(value * amps[index]).sum(0)``, reduces over contiguous rows.  A
 table costs O(dim * m) memory and time; no operator is ever a dim x dim
-matrix.  Composite operators (transport of a charge line, non-adjacent
-measurement, the quad-braid oracle) are sequences of such tables, applied
-in turn and never multiplied out.  The same tables act on a batch of
-states stored as ``(dim, T)`` columns.
+matrix.  The projectors of one pair onto its ``P`` channels are stacked
+into one table of shape ``(w, P, dim)``, which gives all ``P`` projections
+in one gather.  Composite operators (transport of a charge line,
+non-adjacent measurement, the quad-braid oracle) are sequences of such
+tables, applied in turn and never multiplied out.  The same tables act on
+a batch of states stored as ``(dim, T)`` columns.
 
-Source and destination basis of a table differ only in the terms of
-columns ``pos`` and ``pos + 1``, so the source row of every entry is the
-destination row minus the destination's two terms plus the source's, read
-from ``(m, m, m)`` tables: no row is sorted or looked up.  The basis where
-a pair carries an explicit charge is never enumerated either.  Its terms
-differ from the standard ones only in those two columns, the inverse
-F-move is built over the standard rows, and the labels of each resolved
-row, which give the forward F-move and the pair channels, are scattered
-from the standard rows that reach it.
+Source and destination basis of a table differ at most in the order of
+the pair's leaves, which changes only the terms of columns ``pos`` and
+``pos + 1``, so the source row of every entry is the destination row minus
+the destination's two terms plus the source's, read from ``(m, m, m)``
+tables: no row is sorted or looked up.
 
 States are immutable; operations return new states, so independent Monte
 Carlo trials can fan out across workers freely.
@@ -196,32 +198,19 @@ def _basis(model, leaves, total):
     return rows
 
 
-def _pair_terms(model, leaves, total, pos, resolved=False):
+def _pair_terms(model, leaves, total, pos):
     """Rank terms and admissibility of chain columns ``pos`` and ``pos+1``.
 
     Returns ``(rank, allowed)``, each of shape ``(m, m, m)`` and indexed
     ``[x, p, q]``: for a row holding ``p`` in column ``pos - 1``, ``x`` in
     column ``pos`` and ``q`` in column ``pos + 1``, the part of its index
     that the two columns contribute, and whether that row exists once its
-    other columns do.  ``resolved=True`` gives them in the basis where
-    ``x`` is the charge ``c`` of pair ``(pos, pos+1)``: column ``pos``
-    ranks ``c`` among the channels of ``l_pos l_{pos+1}`` by the
-    completions of ``p c``, and column ``pos + 1`` ranks ``q`` among the
-    channels of ``p c``.  Every other column keeps its standard term: by
-    associativity the count of completions on either side of the pair is
-    the same in both bases.
+    other columns do.
     """
-    counts, terms = _ranks(model, leaves, total)
+    _, terms = _ranks(model, leaves, total)
     N = model.N != 0
-    if resolved:
-        allowed = N & N[leaves[pos], leaves[pos + 1]][None, :, None]  # [p, c, q]
-        weights = allowed * counts[pos + 1]
-        per_channel = weights.sum(2)
-        rank = ((np.cumsum(per_channel, 1) - per_channel)[:, :, None]
-                + np.cumsum(weights, 2) - weights)
-    else:
-        allowed = N[:, leaves[pos], :, None] & N[None, :, leaves[pos + 1], :]  # [p, x, q]
-        rank = terms[pos][:, :, None] + terms[pos + 1][None, :, :]
+    allowed = N[:, leaves[pos], :, None] & N[None, :, leaves[pos + 1], :]  # [p, x, q]
+    rank = terms[pos][:, :, None] + terms[pos + 1][None, :, :]
     return rank.transpose(1, 0, 2), allowed.transpose(1, 0, 2)
 
 
@@ -230,20 +219,20 @@ def _pair_terms(model, leaves, total, pos, resolved=False):
 # ---------------------------------------------------------------------------
 
 
-def _sources(labels, src, dst_rank):
-    """Source row of every destination row and label at the rewritten column.
+def _sources(model, leaves, out_leaves, total, pos):
+    """Source row of every destination row and label at column ``pos``.
 
-    ``labels`` are the destination rows' labels ``(p, x, q)`` in columns
-    ``pos - 1``, ``pos`` and ``pos + 1``, ``src`` the source basis's
-    :func:`_pair_terms` and ``dst_rank`` the destination's.  Both bases
-    agree outside the two columns, so source and destination index differ
-    by their terms there.  Returns ``(index, found, site)``: ``index`` and
-    ``found`` of shape ``(m, dim)``, by source label and destination row,
-    with ``index`` 0 where no source row holds that label, and ``site``
-    each destination row's flat ``[x, p, q]`` position.
+    The bases of ``leaves`` (source) and ``out_leaves`` (destination) agree
+    outside columns ``pos`` and ``pos + 1``, so their indices differ by
+    their :func:`_pair_terms` there.  Returns ``(index, found, site)``:
+    ``index`` and ``found`` of shape ``(m, dim)``, by source label and
+    destination row, with ``index`` 0 where no source row holds that
+    label, and ``site`` each destination row's flat ``[x, p, q]`` position.
     """
-    p, x, q = (column.astype(np.intp) for column in labels)
-    src_rank, src_allowed = src
+    dst = _basis(model, out_leaves, total)
+    p, x, q = (dst[:, j].astype(np.intp) for j in (pos - 1, pos, pos + 1))
+    src_rank, src_allowed = _pair_terms(model, leaves, total, pos)
+    dst_rank, _ = _pair_terms(model, out_leaves, total, pos)
     m = len(src_rank)
     pq = p * m + q
     site = x * (m * m) + pq
@@ -291,15 +280,16 @@ def _scatter(array, dest, width):
 
 
 def _gather(table, amps):
-    """Apply one gather table to amplitudes of shape ``(dim,)`` or ``(dim, T)``."""
+    """Apply one gather table to amplitudes of shape ``(dim,)`` or ``(dim, T)``;
+    a ``(w, P, dim)`` stack of ``P`` tables gives ``(P, dim)`` or ``(P, dim, T)``."""
     index, value = table
     if amps.ndim == 1:
         out = amps[index]
     else:  # ``take`` gathers the rows of a batch faster than indexing
         out = amps.take(index, axis=0)
-        value = value[:, :, None]
+        value = value[..., None]
     out *= value
-    return np.add.reduce(out, 0)
+    return out[0] if len(out) == 1 else np.add.reduce(out, 0)
 
 
 def _gather_all(tables, amps):
@@ -309,67 +299,39 @@ def _gather_all(tables, amps):
     return amps
 
 
-def _resolution(model, leaves, total, pos):
-    """F-move tables and channels of pair ``(pos, pos+1)``, ``pos >= 1``.
+# ---------------------------------------------------------------------------
+# Pair operators: braids and channel projectors.
+# ---------------------------------------------------------------------------
 
-    Returns ``(forward, inverse, channels)``.  The forward table maps
-    standard amplitudes into the resolved basis,
-    ``res[.., p, c, q, ..] = sum_e F^{p a b}_q[e, c] std[.., p, e, q, ..]``,
-    the inverse table is its adjoint, and ``channels`` is the pair charge
-    ``c`` of each resolved row.  The inverse table is built over the
-    standard chains; the labels ``(p, c, q)`` of each resolved row are
-    scattered from the standard rows that reach it, which gives the forward
-    table and the channels without enumerating the resolved basis.
+
+def _pair_tables(model, leaves, total, pos, phases, out_leaves):
+    """Gather tables ``(index, value)`` of ``F^-1 diag(phi) F`` on leaves
+    ``(pos, pos+1)``, one per phase vector ``phi`` of ``phases``.
+
+    ``F`` resolves the pair's charge ``c``, channel ``c`` takes ``phi[c]``,
+    and the inverse F-move returns to the basis of ``out_leaves``: the
+    leaves with the pair swapped for a braid, unchanged for a projector.
+    At ``pos = 0`` the pair channel is a chain label: the tables are
+    diagonal.
     """
-    key = ("resolution", leaves, total, pos)
-    hit = model._cache.get(key)
-    if hit is not None:
-        return hit
-    F = model.F[:, leaves[pos], leaves[pos + 1]]  # [before, after, e, c]
-    std = _basis(model, leaves, total)
-    std_labels = (std[:, pos - 1], std[:, pos], std[:, pos + 1])
-    std_terms = _pair_terms(model, leaves, total, pos)
-    res_terms = _pair_terms(model, leaves, total, pos, resolved=True)
-    sources = _sources(std_labels, res_terms, std_terms[0])
-    index, found, _ = sources
-    c, row = np.nonzero(found)
-    res_labels = np.empty((3, len(std)), dtype=LABEL)
-    res_labels[:, index[c, row]] = std_labels[0][row], c, std_labels[2][row]
-    inverse = _local_table(sources, np.conj(F))
-    forward = _local_table(_sources(res_labels, std_terms, res_terms[0]),
-                           F.transpose(0, 1, 3, 2))
-    channels = res_labels[1]
-    channels.flags.writeable = False
-    model._cache[key] = (forward, inverse, channels)
-    return forward, inverse, channels
-
-
-def _f_move_table(model, leaves, total, pos, inverse=False):
-    """Gather table of the F-move resolving pair ``(pos, pos+1)``, ``pos >= 1``,
-    or with ``inverse=True`` of its adjoint (see :func:`_resolution`)."""
-    return _resolution(model, leaves, total, pos)[1 if inverse else 0]
-
-
-def _pair_channels(model, leaves, total, pos):
-    """Per-row collective charge of pair ``(pos, pos+1)`` in its resolved basis."""
     if pos == 0:
-        return _basis(model, leaves, total)[:, 1]
-    return _resolution(model, leaves, total, pos)[2]
-
-
-# ---------------------------------------------------------------------------
-# Braids.
-# ---------------------------------------------------------------------------
+        src = _basis(model, leaves, total)
+        index = np.arange(len(src))[None, :]
+        return [(index, phi[src[:, 1]][None, :]) for phi in phases]
+    F_out = np.conj(model.F[:, out_leaves[pos], out_leaves[pos + 1]])
+    F_in = model.F[:, leaves[pos], leaves[pos + 1]]
+    sources = _sources(model, leaves, out_leaves, total, pos)
+    return [_local_table(sources, np.einsum("pqxc,c,pqyc->pqxy", F_out, phi, F_in))
+            for phi in phases]
 
 
 def _braid_table(model, leaves, total, pos, sign):
     """Gather table of the elementary exchange of leaves (pos, pos+1).
 
-    Returns ``(new_leaves, index, value)``.  The exchange is ``F^-1 R F``:
-    resolve the pair, multiply each channel ``c`` by ``R_c^{ab}``
-    (``sign=+1``, counterclockwise) or ``conj(R_c^{ba})`` (``sign=-1``),
-    and unresolve with the leaves swapped.  At ``pos = 0`` the pair channel
-    is already a chain label, so the table is diagonal.  The adjoint is the
+    Returns ``(new_leaves, index, value)``.  The exchange is ``F^-1 R F``
+    (:func:`_pair_tables`): each channel ``c`` of the pair takes the phase
+    ``R_c^{ab}`` (``sign=+1``, counterclockwise) or ``conj(R_c^{ba})``
+    (``sign=-1``), and the pair leaves swapped.  The adjoint is the
     opposite-sign table of the swapped leaves.
     """
     key = ("braid", leaves, total, pos, sign)
@@ -379,20 +341,38 @@ def _braid_table(model, leaves, total, pos, sign):
     a, b = leaves[pos], leaves[pos + 1]
     swapped = leaves[:pos] + (b, a) + leaves[pos + 2:]
     phases = model.R[a, b] if sign > 0 else np.conj(model.R[b, a])
-    if pos == 0:
-        src = _basis(model, leaves, total)
-        index = np.arange(len(src))[None, :]
-        value = phases[src[:, 1]][None, :]
-    else:
-        local = np.einsum("pqxc,c,pqyc->pqxy", np.conj(model.F[:, b, a]), phases,
-                          model.F[:, a, b])
-        dst = _basis(model, swapped, total)
-        labels = (dst[:, pos - 1], dst[:, pos], dst[:, pos + 1])
-        sources = _sources(labels, _pair_terms(model, leaves, total, pos),
-                           _pair_terms(model, swapped, total, pos)[0])
-        index, value = _local_table(sources, local)
+    (index, value), = _pair_tables(model, leaves, total, pos, [phases], swapped)
     model._cache[key] = (swapped, index, value)
     return swapped, index, value
+
+
+def _projector_table(model, leaves, total, pos):
+    """Projectors of leaves ``(pos, pos+1)`` onto their channels, stacked.
+
+    Returns ``(present, index, value)``: ``present`` holds the channels the
+    pair carries in some basis row, ascending, and slice ``[:, k]`` of the
+    ``(w, P, dim)`` gather table is the projector ``F^-1 delta_c F`` onto
+    channel ``c = present[k]`` (:func:`_pair_tables`), padded with zero
+    entries to the widest projector.
+    """
+    key = ("projectors", leaves, total, pos)
+    hit = model._cache.get(key)
+    if hit is not None:
+        return hit
+    channels = np.flatnonzero(model.N[leaves[pos], leaves[pos + 1]])
+    deltas = np.identity(model.num_charges, dtype=complex)[channels]
+    tables = _pair_tables(model, leaves, total, pos, deltas, leaves)
+    kept = [k for k, (_, value) in enumerate(tables) if value.any()]
+    width = max(len(tables[k][0]) for k in kept)
+    index, value = (np.zeros((width, len(kept), tables[0][0].shape[1]), dtype)
+                    for dtype in (np.intp, complex))
+    for slot, k in enumerate(kept):
+        index[:len(tables[k][0]), slot], value[:len(tables[k][1]), slot] = tables[k]
+    present = channels[kept]
+    for array in (present, index, value):
+        array.flags.writeable = False
+    model._cache[key] = (present, index, value)
+    return present, index, value
 
 
 def _transport(model, leaves, total, i, j, routing="over"):

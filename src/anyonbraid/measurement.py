@@ -2,14 +2,17 @@
 
 A measurement of the collective charge of leaves ``(i, j)`` projects the
 state onto a definite fusion channel and renormalizes (Born rule).  For
-adjacent leaves this is one F-move into the pair-resolved basis, a channel
-mask, and the inverse F-move.  For non-adjacent pairs the charge line of
-leaf ``j`` is first transported next to ``i`` by elementary braids, passing
-either over (``routing="over"``, counterclockwise crossings) or under
-(``"under"``) the intervening lines, and transported back afterwards with
-the inverse braids.  The routing is an explicit parameter because the two
-conventions are physically distinct measurement processes.  Every step is
-a local gather table of :mod:`anyonbraid.fusion_space`, applied in turn.
+adjacent leaves one gather of the pair's stacked channel projectors
+``F^-1 delta_c F`` gives the projection onto every channel it can carry;
+a channel's Born weight is the squared norm of its projection, and the
+outcome keeps its projection, renormalized.  For non-adjacent pairs the
+charge line of leaf ``j`` is first transported next to ``i`` by
+elementary braids, passing either over (``routing="over"``,
+counterclockwise crossings) or under (``"under"``) the intervening lines,
+and transported back afterwards with the inverse braids.  The routing is
+an explicit parameter because the two conventions are physically distinct
+measurement processes.  Every step is a local gather table of
+:mod:`anyonbraid.fusion_space`, applied in turn.
 
 All functions are pure: they return new states and leave inputs untouched.
 There is one sampler, :func:`_sample_columns`, which the forced
@@ -17,10 +20,11 @@ measurements of :mod:`anyonbraid.teleport` run.  It measures the columns
 of a ``(dim, T)`` amplitude matrix together, each with one uniform draw
 from its own stream, and a single state as a batch of one: a ``(dim,)``
 vector with a scalar draw, through the same gathers and the same
-arithmetic.  The draws of a batch come from :mod:`anyonbraid.streams`:
-trial ``t`` of a command draws ``default_rng([seed, t])``, computed for
-all columns at once as arrays and equal to that generator's stream bit
-for bit.
+arithmetic.  The Born weights are summed in one fixed order, so every
+column of a batch equals its batch of one bit for bit.  The draws of a
+batch come from :mod:`anyonbraid.streams`: trial ``t`` of a command draws
+``default_rng([seed, t])``, computed for all columns at once as arrays and
+equal to that generator's stream bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidPosition, ZeroProbabilityOutcome
-from .fusion_space import (StateVector, _f_move_table, _gather_all, _pair_channels,
+from .fusion_space import (StateVector, _gather, _gather_all, _projector_table,
                            _transport)
 from .model import Charge
 
@@ -42,20 +46,19 @@ PROBABILITY_FLOOR = 1e-12
 class _MeasurementOp(NamedTuple):
     """Local form of the measurement of one pair.
 
-    ``forward`` is the gather-table sequence ``W = U T`` taking standard
-    amplitudes into the basis where the (possibly transported) pair has an
-    explicit collective charge, ``channels`` the pair charge of each row
-    there, ``present`` the distinct channels in index order, and
-    ``backward`` the sequence of ``W^dag``.  ``indicator[c]`` is the 0/1
-    row mask ``channels == c`` for every charge ``c``, so the projector onto
-    channel ``c`` is ``W^dag diag(indicator[c]) W``.
+    ``forward`` is the gather-table sequence of the transport ``T`` that
+    brings the pair's second leaf next to its first (empty for an adjacent
+    pair) and ``backward`` that of ``T^dag``.  ``project`` is the stacked
+    gather table of the transported pair's projectors ``Pi_c`` onto each
+    channel ``c`` of ``present`` (charge indices, ascending), so the
+    projector of the pair onto channel ``present[k]`` is
+    ``T^dag Pi_c T``.
     """
 
-    channels: np.ndarray
-    present: tuple[int, ...]
+    present: np.ndarray
     forward: list
+    project: tuple
     backward: list
-    indicator: np.ndarray
 
 
 def _measurement_op(state: StateVector, i: int, j: int, routing: str) -> _MeasurementOp:
@@ -73,36 +76,55 @@ def _measurement_op(state: StateVector, i: int, j: int, routing: str) -> _Measur
     else:
         moved, forward, backward = _transport(model, state.leaves, state.total,
                                               i, j, routing)
-    if i > 0:
-        forward = forward + [_f_move_table(model, moved, state.total, i)]
-        backward = [_f_move_table(model, moved, state.total, i, inverse=True)] + backward
-    channels = _pair_channels(model, moved, state.total, i)
-    indicator = (channels == np.arange(model.num_charges)[:, None]).astype(float)
-    present = tuple(np.flatnonzero(indicator.any(1)).tolist())
-    indicator.flags.writeable = False
-    op = _MeasurementOp(channels, present, forward, backward, indicator)
+    present, *project = _projector_table(model, moved, state.total, i)
+    op = _MeasurementOp(present, forward, tuple(project), backward)
     model._cache[key] = op
     return op
 
 
 def _resolve(op: _MeasurementOp, amps):
-    """The amplitudes ``W amps``, where the pair has an explicit charge, and
-    the Born weight of every charge, by charge index: shape ``(m,)`` for one
-    state ``(dim,)`` and ``(m, T)`` for the columns of ``(dim, T)``."""
-    resolved = _gather_all(op.forward, amps)
-    return resolved, op.indicator.dot(np.abs(resolved) ** 2)
+    """The projections ``Pi_c T amps`` onto every channel of ``op.present``
+    and their Born weights, the squared norms: shapes ``(P, dim)`` and
+    ``(P,)`` for one state ``(dim,)``, ``(P, dim, T)`` and ``(P, T)`` for
+    the columns of ``(dim, T)``.
+
+    A weight adds its rows one after another, for a vector as for each
+    column of a block, so a column gets the bits it would get alone: a
+    reduce over the rows of several columns adds them so, but it would sum
+    one column, or a vector, pairwise.
+    """
+    projections = _gather(op.project, _gather_all(op.forward, amps))
+    squares = np.abs(projections)
+    squares *= squares
+    if squares.ndim == 3 and squares.shape[2] > 1:
+        return projections, np.add.reduce(squares, 1)
+    return projections, np.add.accumulate(squares, 1)[:, -1]
 
 
-def _collapse(op: _MeasurementOp, resolved, charges, prob):
-    """Keep channel ``charges`` of the resolved amplitudes (one charge per
-    column of a batch), map back and divide by the square root of its
-    probability ``prob``."""
-    kept = resolved * op.indicator.take(charges, axis=0).T
-    return _gather_all(op.backward, kept) / np.sqrt(prob)
+def _vacuum_weight(state: StateVector, pair, routing: str = "over") -> float:
+    """Born weight of the vacuum channel of ``pair`` on ``state``; the
+    vacuum, charge 0, is the first channel when the pair can carry it."""
+    op = _measurement_op(state, *pair, routing)
+    _, weights = _resolve(op, state.amps)
+    return float(weights[0]) if op.present[0] == 0 else 0.0
 
 
-def _sample_columns(op: _MeasurementOp, resolved, weights, u):
-    """Measure ``op``'s pair on resolved amplitudes and their weights
+def _collapse(op: _MeasurementOp, projections, k, prob):
+    """The projection onto channel ``op.present[k]`` (one slot ``k`` per
+    column of a batch), mapped back by ``T^dag`` and divided by the square
+    root of its probability ``prob``."""
+    if projections.ndim == 2:
+        return _gather_all(op.backward, projections[k]) / np.sqrt(prob)
+    kept = projections[0].copy()
+    for slot in range(1, len(projections)):
+        np.copyto(kept, projections[slot], where=k == slot)
+    kept = _gather_all(op.backward, kept)
+    kept /= np.sqrt(prob)
+    return kept
+
+
+def _sample_columns(op: _MeasurementOp, projections, weights, u):
+    """Measure ``op``'s pair from its projections and their weights
     (:func:`_resolve`): the columns of a batch ``(dim, T)`` with draws ``u``
     of shape ``(T,)``, or one state ``(dim,)`` with a scalar draw ``u`` (or
     a draw of shape ``(1,)``).
@@ -117,11 +139,11 @@ def _sample_columns(op: _MeasurementOp, resolved, weights, u):
     hit = (u < np.add.accumulate(weights, 0)) & (weights >= PROBABILITY_FLOOR)
     # Hits score 2, above every weight (at most 1 + round-off), and argmax
     # takes the first maximum: the first hit wins, and without a hit the
-    # likeliest charge does; its probability is then at least 1/m, above
+    # likeliest channel does; its probability is then at least 1/m, above
     # the floor.
-    charges = np.where(hit, 2.0, weights).argmax(0)
-    prob = weights[charges] if weights.ndim == 1 else weights[charges, np.arange(len(u))]
-    return charges, prob, _collapse(op, resolved, charges, prob)
+    k = np.where(hit, 2.0, weights).argmax(0)
+    prob = weights[k] if weights.ndim == 1 else weights[k, np.arange(len(u))]
+    return op.present[k], prob, _collapse(op, projections, k, prob)
 
 
 def pair_charge_distribution(state: StateVector, i: int, j: int,
@@ -133,7 +155,8 @@ def pair_charge_distribution(state: StateVector, i: int, j: int,
     """
     op = _measurement_op(state, i, j, routing)
     _, weights = _resolve(op, state.amps)
-    return {state.model.charges[c]: float(weights[c]) for c in op.present}
+    return {state.model.charges[c]: float(w)
+            for c, w in zip(op.present.tolist(), weights.tolist())}
 
 
 def project_pair(state: StateVector, i: int, j: int, c,
@@ -146,9 +169,10 @@ def project_pair(state: StateVector, i: int, j: int, c,
     """
     ci = state.model.charge(c).index
     op = _measurement_op(state, i, j, routing)
-    resolved, weights = _resolve(op, state.amps)
-    prob = float(weights[ci])
+    projections, weights = _resolve(op, state.amps)
+    k = int(np.searchsorted(op.present, ci))
+    prob = float(weights[k]) if ci in op.present else 0.0
     if prob < PROBABILITY_FLOOR:
         raise ZeroProbabilityOutcome(
             f"outcome {state.model.labels[ci]} on pair {(i, j)} has probability {prob:.3e}")
-    return state._replace_amps(_collapse(op, resolved, ci, prob)), prob
+    return state._replace_amps(_collapse(op, projections, k, prob)), prob

@@ -44,7 +44,7 @@ from .errors import MaxAttemptsExceeded, NotPhaseEquivalent, ProtocolError
 from .fusion_space import (StateVector, _braid_table, _gather_all, _transport,
                            inner)
 from .measurement import (_collapse, _measurement_op, _resolve, _sample_columns,
-                          pair_charge_distribution)
+                          _vacuum_weight, pair_charge_distribution)
 from .model import Charge
 
 #: Stop a forced measurement after this many target-pair attempts.
@@ -163,9 +163,9 @@ class ForcedBlock:
     index (the vacuum is 0), or -1 once trial ``t`` has stopped, and
     ``probabilities[s, t]`` its Born probability.  ``amps[:, t]`` holds the
     final amplitudes of trial ``t`` (the state after its last measurement
-    when it ran out of attempts).  ``first`` holds the resolved amplitudes
-    ``W state`` of the first target measurement, which every trial starts
-    with, and their channel weights, for :meth:`reference`.
+    when it ran out of attempts).  ``first`` holds the projections of
+    ``state`` onto the target pair's channels, which the first measurement
+    of every trial makes, and their weights, for :meth:`reference`.
     """
 
     state: StateVector
@@ -215,18 +215,18 @@ class ForcedBlock:
         return self.state._replace_amps(self.amps[:, t])
 
     def reference(self) -> StateVector:
-        """The teleported state ``W^dag mask_0 W state / sqrt(p_0)``, in
-        which every successful trial ends up to a global phase: the
-        projection of ``state``'s target pair onto the vacuum
-        (:func:`~anyonbraid.measurement.project_pair`), bit for bit for a
-        block of one trial.
+        """The teleported state ``Pi_0 state / sqrt(p_0)``, in which every
+        successful trial ends up to a global phase: the projection of
+        ``state``'s target pair onto the vacuum
+        (:func:`~anyonbraid.measurement.project_pair`), bit for bit.
 
-        It is built from :attr:`first`, so ``W state`` is not applied
-        again.  A trial that drew the vacuum at once ends in it exactly.
+        It is built from the vacuum projection in :attr:`first`, the first
+        channel, so no projector is applied again.  A trial that drew the
+        vacuum at once ends in it exactly.
         """
-        resolved, weights = self.first
+        projections, weights = self.first
         op = _measurement_op(self.state, *self.target_pair, self.routing)
-        return self.state._replace_amps(_collapse(op, resolved, 0, weights[0]))
+        return self.state._replace_amps(_collapse(op, projections, 0, weights[0]))
 
 
 def _lockstep(state: StateVector, target_pair, recovery_pair, draw, T: int,
@@ -250,18 +250,18 @@ def _lockstep(state: StateVector, target_pair, recovery_pair, draw, T: int,
     final = None  # allocated when the first columns leave early
     rounds = []  # (live, charges, prob) of every measurement round
     for s in range(2 * max_attempts):
-        # Draw first and drop the resolved amplitudes after sampling, so the
-        # draws' temporaries are never alive beside them (peak memory).
+        # Draw first and drop the projections after sampling, so the draws'
+        # temporaries are never alive beside them (peak memory).
         u = draw(s, live)
         op = ops[s % 2]
-        resolved, weights = _resolve(op, amps)
-        charges, prob, amps = _sample_columns(op, resolved, weights, u)
+        projections, weights = _resolve(op, amps)
+        charges, prob, amps = _sample_columns(op, projections, weights, u)
         rounds.append((live, charges, prob))
         if not s:
             # Every column starts from ``state``: keep column 0 only.
-            first = (resolved, weights) if one else (resolved[:, 0].copy(),
-                                                     weights[:, 0].copy())
-        del resolved, weights
+            first = (projections, weights) if one else (projections[:, :, 0].copy(),
+                                                         weights[:, 0].copy())
+        del projections, weights
         if s % 2:
             continue
         # the vacuum is charge 0; a vector's charge is a scalar
@@ -297,9 +297,7 @@ def _checked_pairs(state: StateVector, target_pair, recovery_pair, routing):
     if len(set(target_pair) & set(recovery_pair)) != 1:
         raise ProtocolError(
             f"target {target_pair} and recovery {recovery_pair} must share exactly one leaf")
-    op = _measurement_op(state, *recovery_pair, routing)
-    _, weights = _resolve(op, state.amps)
-    if weights[state.model.vacuum.index] < 1.0 - VACUUM_TOL:
+    if _vacuum_weight(state, recovery_pair, routing) < 1.0 - VACUUM_TOL:
         dist = pair_charge_distribution(state, *recovery_pair, routing=routing)
         raise ProtocolError(
             f"recovery pair {recovery_pair} lacks a definite vacuum channel: {dist}")

@@ -4,7 +4,7 @@ from hypothesis import settings
 
 from anyonbraid import (StateVector, attach_pair, entangled_pair_state,
                         load_builtin, project_pair, random_state)
-from anyonbraid.fusion_space import _braid_table, _f_move_table, _gather
+from anyonbraid.fusion_space import _braid_table, _gather
 from anyonbraid.measurement import _measurement_op, _resolve, _sample_columns
 
 import dense_oracle as dense
@@ -111,11 +111,12 @@ def rerooted_reference(state):
 
     Amplitudes are carried over row by row: the chain label pattern
     (l_0, 0, a, rest...) of the input equals the resolved-basis pattern
-    (l_0, pair charge 0, a, rest...) of the output; one inverse F-move
-    returns to the standard chain.  No projector is involved.
+    (l_0, pair charge 0, a, rest...) of the output; one inverse F-move,
+    the adjoint of the dense F-move matrix, returns to the standard chain.
+    No projector is involved.
     """
     model = state.model
-    resolved = dense._resolved_trees(model, state.leaves, state.total, 1)
+    resolved, U = dense._resolve_matrix(model, state.leaves, state.total, 1)
     res_index = {(state.leaves[0], *tree, state.total): k
                  for k, tree in enumerate(resolved)}
     amps = np.zeros(len(resolved), dtype=complex)
@@ -124,5 +125,4 @@ def rerooted_reference(state):
             continue
         assert row[1] == 0, "input must have (0,1) in the vacuum channel"
         amps[res_index[row]] = amp
-    back = _f_move_table(model, state.leaves, state.total, 1, inverse=True)
-    return StateVector(model, state.leaves, state.total, _gather(back, amps))
+    return StateVector(model, state.leaves, state.total, U.conj().T @ amps)

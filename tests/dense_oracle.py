@@ -1,8 +1,9 @@
 """Dense reference operators for the local fusion-chain kernel.
 
 These builders construct every operator as an explicit dim x dim matrix:
-the pair-resolving F-move ``U``, the elementary braid ``B = Us^dag R U``,
-transports as products of braids and the quad-braid oracle ``T^dag B T``.
+the pair-resolving F-move ``U``, the channel projector
+``U^dag delta_c U``, the elementary braid ``B = Us^dag R U``, transports
+as products of braids and the quad-braid oracle ``T^dag B T``.
 They are the reference the local gather tables of
 :mod:`anyonbraid.fusion_space` are checked against, together with the
 depth-first basis enumeration they index, whose rows are tuples of
@@ -121,6 +122,13 @@ def _pair_channels(model, leaves, total, pos):
             return res, np.array([total] * len(res))
         return res, np.array([t[0] for t in res])
     return res, np.array([t[pos - 1] for t in res])
+
+
+def projector_matrix(model, leaves, total, pos, c):
+    """Projector ``U^dag delta_c U`` of pair ``(pos, pos+1)`` onto channel ``c``."""
+    _, channels = _pair_channels(model, leaves, total, pos)
+    _, U = _resolve_matrix(model, leaves, total, pos)
+    return U.conj().T @ ((channels == c)[:, None] * U)
 
 
 def _braid_matrix(model, leaves, total, pos, sign):

@@ -2,10 +2,9 @@
 
 This is the construction the local ranks of :mod:`anyonbraid.fusion_space`
 replaced.  Both bases of a table are enumerated as ``(dim, n)`` chain-label
-matrices (the resolved basis included, from
-:func:`dense_oracle._resolved_trees`); every destination row is copied once
-per candidate label at ``pos`` and looked up in the source basis by integer
-row keys and a binary search.  Entry order, widths, padding and values are
+matrices (from :func:`dense_oracle._chain_trees`); every destination row is
+copied once per candidate label at ``pos`` and looked up in the source
+basis by integer row keys and a binary search.  Entry order, widths, padding and values are
 those of the tables the library builds, so the two must agree bit for bit.
 It is test-only: it allocates an ``(m dim, n)`` query matrix per table and
 sorts every key.
@@ -44,10 +43,9 @@ def _lookup(model, basis, queries):
     return np.where(found, index, 0), found
 
 
-def chains(model, leaves, total, pos=0):
-    """Chain-label matrix of the standard basis (``pos = 0``) or of the basis
-    where pair ``(pos, pos+1)`` carries an explicit charge in column ``pos``."""
-    trees = dense._resolved_trees(model, leaves, total, pos)
+def chains(model, leaves, total):
+    """Chain-label matrix of the standard basis."""
+    trees = dense._chain_trees(model, leaves, total)
     return np.array([(leaves[0], *t, total) for t in trees], dtype=np.intp).reshape(
         len(trees), len(leaves))
 
@@ -67,21 +65,6 @@ def local_table(model, src, dst, pos, local):
     index = np.ascontiguousarray(np.take_along_axis(index.reshape(dim, m), order, 1).T)
     value = np.ascontiguousarray(np.take_along_axis(value, order, 1).T)
     return index, value
-
-
-def f_move_table(model, leaves, total, pos, inverse=False):
-    """F-move resolving pair ``(pos, pos+1)``, ``pos >= 1``, or its inverse."""
-    F = model.F[:, leaves[pos], leaves[pos + 1]]  # [before, after, e, c]
-    std = chains(model, leaves, total)
-    res = chains(model, leaves, total, pos)
-    if inverse:
-        return local_table(model, res, std, pos, np.conj(F))
-    return local_table(model, std, res, pos, F.transpose(0, 1, 3, 2))
-
-
-def pair_channels(model, leaves, total, pos):
-    """Per-row collective charge of pair ``(pos, pos+1)`` in its resolved basis."""
-    return chains(model, leaves, total, pos)[:, max(pos, 1)]
 
 
 def braid_table(model, leaves, total, pos, sign):

@@ -6,14 +6,14 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyonbraid import (MaxAttemptsExceeded, forced_measurement,
-                        forced_measurements)
+from anyonbraid import (MaxAttemptsExceeded, build_array, forced_measurement,
+                        forced_measurements, random_encoded_state)
 from anyonbraid.cli import main
 from anyonbraid.streams import TrialStreams
-from anyonbraid.teleport import BLOCK_TRIALS
+from anyonbraid.teleport import BLOCK_TRIALS, _quad_steps
 
 from conftest import random_five_leaf_state, teleport_config
 
@@ -31,21 +31,22 @@ def blocks_as_trials(blocks):
     return out
 
 
-def assert_matches_batch_of_one(state, streams, max_attempts=1000):
+def assert_matches_batch_of_one(state, streams, max_attempts=1000,
+                                pairs=(TARGET, RECOVERY)):
     """Run the trials of ``streams`` (a :class:`TrialStreams`) batched, and
     check each against its block of one, ``TrialStreams(seed, [t])``, and
     its forced measurement alone on its own ``default_rng([seed, t])``.
 
-    Alone, a trial is a block of one, run as a ``(dim,)`` vector.  On these
-    few-leaf states it equals its column of the batch bit for bit: every
-    outcome, every probability and the final amplitudes."""
-    blocks = list(forced_measurements(state, TARGET, RECOVERY, streams,
+    Alone, a trial is a block of one, run as a ``(dim,)`` vector.  It
+    equals its column of the batch bit for bit: every outcome, every
+    probability and the final amplitudes."""
+    blocks = list(forced_measurements(state, *pairs, streams,
                                       max_attempts=max_attempts))
     batched = blocks_as_trials(blocks)
     assert len(batched) == len(streams)
     columns = [(block, t) for block in blocks for t in range(block.outcomes.shape[1])]
     for t, (record, final), (block, col) in zip(streams.trials, batched, columns):
-        single, = forced_measurements(state, TARGET, RECOVERY,
+        single, = forced_measurements(state, *pairs,
                                       TrialStreams(streams.seed, [t]),
                                       max_attempts=max_attempts)
         rounds = len(single.outcomes)
@@ -59,10 +60,9 @@ def assert_matches_batch_of_one(state, streams, max_attempts=1000):
         if record is None:
             assert not single.succeeded[0]
             with pytest.raises(MaxAttemptsExceeded):
-                forced_measurement(state, TARGET, RECOVERY, rng,
-                                   max_attempts=max_attempts)
+                forced_measurement(state, *pairs, rng, max_attempts=max_attempts)
             continue
-        single_state, single_record = forced_measurement(state, TARGET, RECOVERY, rng,
+        single_state, single_record = forced_measurement(state, *pairs, rng,
                                                          max_attempts=max_attempts)
         assert single_record == record
         assert np.array_equal(single_state.amps, final.amps)
@@ -142,6 +142,24 @@ class TestBatchOfOne:
         assert len(parts[0]) + len(parts[1]) == trials
         for (record, _), (other, _) in zip(batched, parts[0] + parts[1]):
             assert record == other
+
+    @settings(max_examples=20)
+    @given(register=st.sampled_from([(0, 3), (0, 4), (0, 6), (0, 8), (1, 6), (1, 7)]),
+           direction=st.sampled_from(["positive", "inverse"]),
+           generator=st.integers(1, 7), trials=st.integers(2, 6),
+           seed=st.integers(0, 2 ** 64))
+    def test_property_large_registers(self, fibonacci, ising, register, direction,
+                                      generator, trials, seed):
+        # Fibonacci dim 13 to 10,946 and Ising dim 128 and 512, the first
+        # step of a braid, whose target pair is adjacent for "positive" and
+        # transported for "inverse".  Blocks of a few trials also narrow to
+        # a single live column, which is summed as a vector is.
+        model, charge = ((fibonacci, "1"), (ising, "1/2"))[register[0]]
+        layout, _ = build_array(model, charge, register[1])
+        state = random_encoded_state(layout, np.random.default_rng(seed))
+        quad = layout.quad(1 + (generator - 1) % (register[1] - 1))
+        assert_matches_batch_of_one(state, TrialStreams(seed, range(trials)),
+                                    pairs=_quad_steps(quad, direction)[0])
 
 
 @pytest.mark.parametrize("name,model_args,seed", [

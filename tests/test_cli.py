@@ -590,9 +590,9 @@ class TestModelFileGate:
         path.write_text(model_file_text(load_builtin("fibonacci"), "fib"))
         code, _, _ = run_cli(capsys, "verify", "--model", str(path), "--tolerance", "0")
         assert code == 1  # its residuals are round-off, not zero
-        # At --tolerance 0 only an exact oracle fidelity passes: seed 4 gives
-        # 1.0, seed 1 gives 1 - 2e-16.  The file decides as the built-in does.
-        for seed, want in (("4", 0), ("1", 1)):
+        # At --tolerance 0 only an exact oracle fidelity passes: seed 1 gives
+        # 1.0, seed 4 gives 1 - 2e-16.  The file decides as the built-in does.
+        for seed, want in (("1", 0), ("4", 1)):
             argv = ("--charge", "1", "--word", "s1", "--seed", seed, "--tolerance", "0")
             code, out, err = run_cli(capsys, "braid-check", "--model", str(path), *argv)
             assert (code, err) == (want, "")

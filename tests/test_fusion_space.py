@@ -1,4 +1,4 @@
-"""Fusion-chain bases, state vectors, F-move tables, braids, serialization."""
+"""Fusion-chain bases, state vectors, pair projectors, braids, serialization."""
 
 import io
 import itertools
@@ -12,7 +12,7 @@ from anyonbraid import (BasisMismatch, InvalidPosition, ProtocolError, StateVect
                         entangled_pair_state, inner, measurement_braid,
                         pair_charge_distribution, random_state)
 from anyonbraid.cli import _write_json
-from anyonbraid.fusion_space import _basis, _f_move_table, _gather
+from anyonbraid.fusion_space import _basis, _gather, _projector_table
 
 from conftest import braid
 from state_oracle import state_from_json, state_to_json
@@ -134,36 +134,49 @@ class TestAttachPair:
                 assert after_right[c] == pytest.approx(p, abs=1e-10)
 
 
-def f_move(state, pos, inverse=False, amps=None):
-    """Amplitudes of ``state`` (or ``amps`` in the resolved basis, for the
-    inverse) after the F-move table resolving pair ``(pos, pos+1)``."""
-    table = _f_move_table(state.model, state.leaves, state.total, pos, inverse)
-    return _gather(table, state.amps if amps is None else amps)
+def projections(state, pos):
+    """Projections of ``state`` onto each channel of pair ``(pos, pos+1)``,
+    ``F^-1 delta_c F`` with the F-move resolving the pair, and the channels."""
+    present, *table = _projector_table(state.model, state.leaves, state.total, pos)
+    return present.tolist(), _gather(table, state.amps)
 
 
 class TestApplyFMove:
+    """The F-move resolving a pair, seen through the channel projectors
+    built from it."""
+
     def test_fibonacci_row_example(self, fibonacci):
+        # F resolves row y_1 = 0 into channels 0 and 1 with amplitudes
+        # 1/phi and phi^-1/2; F^-1 takes each back to the rows (1/phi,
+        # phi^-1/2) and (phi^-1/2, -1/phi).
         state = StateVector(fibonacci, ("1", "1", "1"), "1", [1.0, 0.0])
-        assert np.allclose(f_move(state, 1), [1 / PHI, PHI ** -0.5], atol=1e-12)
+        present, (vacuum, tau) = projections(state, 1)
+        assert present == [0, 1]
+        assert np.allclose(vacuum, [PHI ** -2, PHI ** -1.5], atol=1e-12)
+        assert np.allclose(tau, [PHI ** -1, -PHI ** -1.5], atol=1e-12)
 
     def test_roundtrip_identity(self, protocol_models):
         rng = np.random.default_rng(5)
         for model, a in protocol_models:
             state = random_state(model, (a,) * 5, a, rng)
-            for pos in range(1, 4):
-                back = f_move(state, pos, inverse=True, amps=f_move(state, pos))
-                assert np.allclose(back, state.amps, atol=1e-12)
+            for pos in range(4):
+                _, parts = projections(state, pos)
+                assert np.allclose(parts.sum(0), state.amps, atol=1e-12)
 
     def test_single_channel_is_trivial(self, ising):
-        # leaves (psi, sigma): one admissible channel, 1x1 F element
+        # leaves (psi, sigma, sigma), total psi: the pair (sigma, sigma) can
+        # only be in the vacuum, a 1x1 F element
         state = StateVector(ising, ("1", "1/2", "1/2"), "1", [1.0])
-        assert abs(f_move(state, 1)[0]) == pytest.approx(1.0)
+        present, parts = projections(state, 1)
+        assert present == [ising.vacuum.index]
+        assert abs(parts[0, 0]) == pytest.approx(1.0)
 
     def test_unitary_norm_drift(self, protocol_models):
         rng = np.random.default_rng(6)
         for model, a in protocol_models:
             state = random_state(model, (a,) * 6, "0", rng)
-            assert abs(np.linalg.norm(f_move(state, 2)) - 1.0) < 1e-12
+            _, parts = projections(state, 2)
+            assert abs(np.sum(np.abs(parts) ** 2) - 1.0) < 1e-12
 
 
 class TestApplyBraid:

@@ -2,8 +2,8 @@
 
 Every operator of the protocol is checked on ``build_array`` registers of
 2 to 5 computational anyons (up to 14 leaves, dim 233) for Fibonacci,
-Ising and su2_k k=3: bases, F-moves, elementary braids, transports,
-measurement projectors and quad-braid oracles.  A gather-table sequence is
+Ising and su2_k k=3: bases, pair channel projectors, elementary braids,
+transports, measurement projectors and quad-braid oracles.  A gather-table sequence is
 turned into its matrix by applying it to the identity, which also
 exercises the batched ``(dim, T)`` path.
 """
@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from anyonbraid import StateVector, build_array, random_state
-from anyonbraid.fusion_space import (_basis, _braid_table, _f_move_table,
-                                     _gather_all, _pair_channels, _transport)
-from anyonbraid.measurement import _measurement_op
+from anyonbraid.fusion_space import (_basis, _braid_table, _gather_all,
+                                     _projector_table, _transport)
+from anyonbraid.measurement import _measurement_op, _resolve
 from anyonbraid.teleport import direct_quad_braid
 
 import dense_oracle as dense
@@ -50,30 +50,29 @@ def test_basis_matches_depth_first_enumeration(registers):
         assert _internals(_basis(model, leaves, total)) == dense._chain_trees(
             model, leaves, total)
         for pos in range(state.num_leaves - 1):
-            # The resolved basis is never enumerated; its channels are.
+            # The resolved basis is never enumerated; the channels it
+            # holds are those the pair's projectors are built for.
             trees = dense._resolved_trees(model, leaves, total, pos)
             chains = np.array([(leaves[0], *t, total) for t in trees])
-            assert _internals(chains) == trees
-            assert list(chains[:, 0]) == [leaves[0]] * len(chains)
-            assert list(chains[:, -1]) == [total] * len(chains)
-            assert list(_pair_channels(model, leaves, total, pos)) == list(
-                chains[:, max(pos, 1)])
+            present, *_ = _projector_table(model, leaves, total, pos)
+            assert present.tolist() == sorted(set(chains[:, max(pos, 1)].tolist()))
 
 
 def test_every_f_move_site(registers):
+    # Each pair projector is F^dag delta_c F, its F-move taken at the site.
     rng = np.random.default_rng(7)
     for model, _, state in registers:
         leaves, total, dim = state.leaves, state.total, state.dim
         probe = random_state(model, leaves, total, rng).amps
-        for pos in range(1, state.num_leaves - 1):
-            _, U = dense._resolve_matrix(model, leaves, total, pos)
-            forward = _f_move_table(model, leaves, total, pos)
-            inverse = _f_move_table(model, leaves, total, pos, inverse=True)
-            resolved = _gather_all([forward], probe)
-            _close(resolved, U @ probe)
-            _close(_gather_all([inverse], resolved), probe)
-            _close(_matrix([forward], dim), U)
-            _close(_matrix([inverse], dim), U.conj().T)
+        for pos in range(state.num_leaves - 1):
+            present, *table = _projector_table(model, leaves, total, pos)
+            projections = _gather_all([table], probe)
+            projectors = _matrix([table], dim)
+            for c, projection, projector in zip(present.tolist(), projections, projectors):
+                want = dense.projector_matrix(model, leaves, total, pos, c)
+                _close(projection, want @ probe)
+                _close(projector, want)
+            _close(projections.sum(0), probe)
 
 
 def test_every_braid_site_both_signs(registers):
@@ -103,7 +102,7 @@ def test_every_transport_both_routings(registers):
 
 
 def test_every_measurement_projector(registers):
-    # W = U T and the projectors W^dag diag(channels == c) W are compared on
+    # The projections Pi_c T and the projectors T^dag Pi_c T are compared on
     # a batch of random probes; their factors are compared in full above.
     rng = np.random.default_rng(11)
     for model, _, state in registers:
@@ -114,21 +113,18 @@ def test_every_measurement_projector(registers):
                 for routing in ROUTINGS if j > i + 1 else ROUTINGS[:1]:
                     moved, T = dense.transport_matrix(model, state.leaves, state.total,
                                                       i, j, routing)
-                    _, U = dense._resolve_matrix(model, moved, state.total, i)
                     _, channels = dense._pair_channels(model, moved, state.total, i)
                     op = _measurement_op(state, i, j, routing)
-                    got, present = op.channels, op.present
-                    forward, backward = op.forward, op.backward
-                    assert list(got) == list(channels)
-                    assert present == tuple(sorted(set(channels.tolist())))
-                    reference = U @ (T @ probes)
-                    resolved = _gather_all(forward, probes)
-                    _close(resolved, reference)
-                    for c in present:
-                        mask = (channels == c)[:, None]
-                        assert np.array_equal(op.indicator[c], mask[:, 0])
-                        _close(_gather_all(backward, np.where(mask, resolved, 0.0)),
-                               T.conj().T @ (U.conj().T @ (mask * reference)))
+                    assert op.present.tolist() == sorted(set(channels.tolist()))
+                    projections, weights = _resolve(op, probes)
+                    for c, projection, weight in zip(op.present.tolist(), projections,
+                                                     weights):
+                        projector = dense.projector_matrix(model, moved, state.total, i, c)
+                        reference = projector @ (T @ probes)
+                        _close(projection, reference)
+                        _close(weight, np.sum(np.abs(reference) ** 2, 0))
+                        _close(_gather_all(op.backward, projection),
+                               T.conj().T @ reference)
 
 
 def test_every_quad_oracle(registers):

@@ -1,9 +1,10 @@
 """Gather tables from local ranks against the sort-and-lookup oracle.
 
 Registers of up to 7 leaves with mixed charges, every admissible total and
-every position: both F-move directions, both braid signs, the pair channels
-and ``attach_pair``.  The tables must agree with :mod:`lookup_oracle` bit
-for bit, padding slots included.
+every position: both braid signs and ``attach_pair``, which must agree with
+:mod:`lookup_oracle` bit for bit, padding slots included, and the stacked
+channel projectors, which must match the dense ``F^dag delta_c F`` of
+:mod:`dense_oracle` and be idempotent, Hermitian and sum to the identity.
 """
 
 import numpy as np
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 from anyonbraid import (RegisterTooLarge, StateVector, attach_pair, build_array,
                         load_builtin)
 from anyonbraid.fusion_space import (MAX_DIM, MAX_LEAVES, _basis, _braid_table,
-                                     _f_move_table, _pair_channels, _ranks)
+                                     _gather, _projector_table, _ranks)
 
+import dense_oracle as dense
 import lookup_oracle as oracle
 
 MODELS = [load_builtin(name, k=k) for name, k in
@@ -41,6 +43,22 @@ def _same_table(got, want):
     _same_bits(got[1], want[1])
 
 
+def _check_projectors(model, leaves, total, pos):
+    """The stacked projectors of pair ``(pos, pos+1)`` against the dense
+    oracle, on the channels the basis carries."""
+    present, *table = _projector_table(model, leaves, total, pos)
+    _, channels = dense._pair_channels(model, leaves, total, pos)
+    assert present.tolist() == sorted(set(channels.tolist()))
+    dim = len(channels)
+    projectors = _gather(table, np.eye(dim, dtype=complex))
+    for c, projector in zip(present.tolist(), projectors):
+        want = dense.projector_matrix(model, leaves, total, pos, c)
+        assert np.max(np.abs(projector - want)) < 1e-12
+        assert np.max(np.abs(projector @ projector - projector)) < 1e-12
+        assert np.max(np.abs(projector - projector.conj().T)) < 1e-12
+    assert np.max(np.abs(projectors.sum(0) - np.eye(dim))) < 1e-12
+
+
 @settings(max_examples=100)  # five models of up to 7 leaves
 @given(registers(), st.integers(0, 2 ** 32 - 1))
 def test_tables_match_lookup_oracle(register, seed):
@@ -51,12 +69,7 @@ def test_tables_match_lookup_oracle(register, seed):
         std = _basis(model, leaves, total)
         assert np.array_equal(std, oracle.chains(model, leaves, total))
         for pos in range(len(leaves) - 1):
-            assert np.array_equal(_pair_channels(model, leaves, total, pos),
-                                  oracle.pair_channels(model, leaves, total, pos))
-            if pos:
-                for inverse in (False, True):
-                    _same_table(_f_move_table(model, leaves, total, pos, inverse),
-                                oracle.f_move_table(model, leaves, total, pos, inverse))
+            _check_projectors(model, leaves, total, pos)
             for sign in (+1, -1):
                 swapped, *table = _braid_table(model, leaves, total, pos, sign)
                 want_swapped, *want = oracle.braid_table(model, leaves, total, pos, sign)

@@ -5,8 +5,10 @@ Fibonacci with 8 computational anyons has 22 leaves and dim 10946; a dense
 dim x dim operator there is 1.9 GB, and a dense operator cache for one
 braid exceeded 7.9 GB.  The local kernel keeps the whole run, operator
 tables included, under the budget below.  With 10 anyons (dim 196,418)
-gather tables built from local ranks keep it under 400 MiB; the resolved
-chain matrices of a sort-based lookup alone took 420 MiB there.
+gather tables built from local ranks kept it under 400 MiB (351 MiB); the
+resolved chain matrices of a sort-based lookup alone took 420 MiB there.
+Measuring each pair through its channel projectors, with no F-move tables
+into a resolved basis, keeps it under 340 MiB (309 MiB).
 
 A braid word can be arbitrarily long on fixed resources: ten thousand
 generators on one Ising pair of computational anyons keep every state
@@ -46,9 +48,9 @@ from state_oracle import state_to_dict
 MEMORY_BUDGET_BYTES = 256 * 2 ** 20
 
 #: Peak traced allocation allowed for the same check with 10 computational
-#: anyons (28 leaves, dim 196,418); it measured 351 MiB.  Operator tables
+#: anyons (28 leaves, dim 196,418); it measured 309 MiB.  Operator tables
 #: dominate it; every resource pair is measured once, on the final state.
-WIDE_BUDGET_BYTES = 400 * 2 ** 20
+WIDE_BUDGET_BYTES = 340 * 2 ** 20
 
 #: Peak traced allocation allowed to verify su2_k at k=11; it measured
 #: 54.5 MiB, of which the one dense copy of F is 22.8 MiB.

@@ -79,14 +79,15 @@ def test_row_refills_for_a_column_outside_the_block():
 
 
 def _spy_draws(monkeypatch):
-    """Record the draw and the resolved amplitudes' shape of every sampled
-    measurement of the lockstep engine."""
+    """Record the draw and the projections' shape, one row of ``dim``
+    amplitudes per channel, of every sampled measurement of the lockstep
+    engine."""
     seen = []
     sample = teleport._sample_columns
 
-    def spy(op, resolved, weights, u):
-        seen.append((u, resolved.shape))
-        return sample(op, resolved, weights, u)
+    def spy(op, projections, weights, u):
+        seen.append((u, projections.shape))
+        return sample(op, projections, weights, u)
 
     monkeypatch.setattr(teleport, "_sample_columns", spy)
     return seen
@@ -109,7 +110,8 @@ def test_generator_streams_draw_in_order(fibonacci, monkeypatch):
 
 def test_a_single_generator_draws_a_scalar(fibonacci, monkeypatch):
     # a generator hands the engine scalar draws and a block of one trial
-    # of TrialStreams a draw of shape (1,); both run on a (dim,) vector
+    # of TrialStreams a draw of shape (1,); both run on a (dim,) vector,
+    # whose projections onto the two Fibonacci channels carry no trial axis
     seen = _spy_draws(monkeypatch)
     state = teleport_config(fibonacci, "1")
     forced_measurement(state, (1, 2), (0, 1), np.random.default_rng([14, 3]))
@@ -118,8 +120,8 @@ def test_a_single_generator_draws_a_scalar(fibonacci, monkeypatch):
     block, = forced_measurements(state, (1, 2), (0, 1), TrialStreams(14, [3]))
     assert block.amps.shape == (state.dim, 1)
     want = reference(14, [3], len(single))[:, 0]
-    assert all(isinstance(u, float) and shape == (state.dim,) for u, shape in single)
-    assert all(u.shape == (1,) and shape == (state.dim,) for u, shape in seen)
+    assert all(isinstance(u, float) and shape == (2, state.dim) for u, shape in single)
+    assert all(u.shape == (1,) and shape == (2, state.dim) for u, shape in seen)
     assert [u for u, _ in single] == [float(u[0]) for u, _ in seen] == want.tolist()
 
 
