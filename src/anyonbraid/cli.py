@@ -94,7 +94,7 @@ def _parse_word(text: str) -> "cp.BraidWord":
 
 
 def _default_charge(model, args):
-    label = args.charge or model.meta.get("computational_charge")
+    label = model.meta.get("computational_charge") if args.charge is None else args.charge
     if label is None:
         raise _CliError("this model has no default charge; pass --charge")
     try:
@@ -489,7 +489,7 @@ def _cmd_braid_check(args) -> int:
         "braids": _braid_payload(records),
         "resource_defect": defect,
     }
-    if args.compare_word:
+    if args.compare_word is not None:
         other = _parse_word(args.compare_word)
         if other.max_strand() + 1 > n_comp:
             raise _CliError("compare word needs more strands than the layout has")
@@ -522,7 +522,7 @@ def _cmd_braid_check(args) -> int:
 
 def _cmd_compile(args) -> int:
     schedule = _compiled_word(args)[2].to_dict()
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 _write_json(schedule, fh)

@@ -276,7 +276,8 @@ class AnyonModel:
 #
 # The pentagon check is the hot path: SU(2)_10 has 1,470,040 admissible
 # instances and SU(2)_12 5,770,583, but only 243,100 and 714,103 fusion trees
-# of each kind.  Trees are enumerated with vectorized joins, each equation is
+# of each kind.  Every index set is read from the F-admissibility mask
+# (trees extend its rows and columns by one fusion triple), each equation is
 # one (left tree, right tree) pair, and it is evaluated with gather operations
 # on the dense F array.  Inadmissible F entries are stored as exact zeros,
 # which lets the internal sums run over the full charge range.
@@ -293,42 +294,6 @@ def _worst(*residuals) -> float:
     return float(np.max(residuals))
 
 
-def _expand_ranges(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (lo[i] + j, i) for every i and every j < counts[i]."""
-    total = int(counts.sum())
-    i = np.repeat(np.arange(len(lo)), counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(lo, counts) + offsets, i
-
-
-def _join_keys(small: np.ndarray, big: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Matching row-index pairs (i_small, i_big) for equal key values."""
-    order = np.argsort(small, kind="stable")
-    sorted_small = small[order]
-    lo = np.searchsorted(sorted_small, big, side="left")
-    hi = np.searchsorted(sorted_small, big, side="right")
-    i_sorted, i_big = _expand_ranges(lo, hi - lo)
-    return order[i_sorted], i_big
-
-
-def _join_on(left: np.ndarray, left_cols, right: np.ndarray, right_cols) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices (il, ir) of the inner join of two integer tables.
-
-    Sorts whichever side is smaller; the pentagon enumeration joins a large
-    accumulated table against the short fusion-triple list at every step.
-    """
-    lk = left[:, left_cols[0]].astype(np.int64)
-    rk = right[:, right_cols[0]].astype(np.int64)
-    for lc, rc in zip(left_cols[1:], right_cols[1:]):
-        span = int(max(left[:, lc].max(initial=0), right[:, rc].max(initial=0))) + 1
-        lk = lk * span + left[:, lc]
-        rk = rk * span + right[:, rc]
-    if len(lk) <= len(rk):
-        return _join_keys(lk, rk)
-    ir, il = _join_keys(rk, lk)
-    return il, ir
-
-
 def _real_if_real(F: np.ndarray) -> np.ndarray:
     """``F``, or a view of its real part when no entry has an imaginary
     part; real arithmetic halves the memory traffic of the gathers and
@@ -336,28 +301,36 @@ def _real_if_real(F: np.ndarray) -> np.ndarray:
     return F if np.any(F.imag) else F.real
 
 
+def _with_triples(rows: np.ndarray, key: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """``rows`` with each row repeated once per fusion triple (x, y, z),
+    z in xy, whose x is the row's ``key``, and y, z appended."""
+    triples = np.argwhere(N).astype(np.uint8)  # sorted by x
+    per_x = np.bincount(triples[:, 0], minlength=N.shape[0])
+    counts = per_x[key]
+    start = np.cumsum(per_x) - per_x
+    # the p-th copy of a row takes triple start[key] + p
+    j = np.arange(counts.sum()) + np.repeat(start[key] - np.cumsum(counts) + counts, counts)
+    return np.column_stack([np.repeat(rows, counts, axis=0), triples[j, 1:]])
+
+
 def _tree_rows(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both bases of the fusion space of four charges a, b, c, d into e.
 
     Left trees ((ab)_f c)_g d -> e are rows (a, b, c, d, e, f, g) with f in
     ab, g in fc and e in gd; right trees a(b(cd)_l)_k -> e are rows
-    (a, b, c, d, e, l, k) with l in cd, k in bl and e in ak.  Both come
-    sorted by their outer labels (a, b, c, d, e).  Fusion is associative,
-    so both bases of a space have the same dimension, and the trees of one
-    outer label sit at the same rows of both tables.
+    (a, b, c, d, e, l, k) with l in cd, k in bl and e in ak.  Their inner
+    vertices are the admissible rows ``[F_g^{abc}]_{f.}`` and columns
+    ``[F_k^{bcd}]_{.l}``.  Both come sorted by their outer labels
+    (a, b, c, d, e).  Fusion is associative, so both bases of a space have
+    the same dimension, and the trees of one outer label sit at the same
+    rows of both tables.
     """
     m = N.shape[0]
-    triples = np.argwhere(N).astype(np.uint8)  # rows (x, y, z) with z in fuse(x, y)
-    il, ir = _join_on(triples, [2], triples, [0])
-    t = np.column_stack([triples[il], triples[ir][:, 1:]])  # a b f c g
-    il, ir = _join_on(t, [4], triples, [0])
-    t = np.column_stack([t[il], triples[ir][:, 1:]])  # a b f c g d e
-    left = t[:, [0, 1, 3, 5, 6, 2, 4]]
-    il, ir = _join_on(triples, [2], triples, [1])
-    t = np.column_stack([triples[il], triples[ir][:, [0, 2]]])  # c d l b k
-    il, ir = _join_on(t, [4], triples, [1])
-    t = np.column_stack([t[il], triples[ir][:, [0, 2]]])  # c d l b k a e
-    right = t[:, [5, 3, 0, 1, 6, 2, 4]]
+    admissible = _admissible_f(N)
+    t = np.argwhere(admissible.any(axis=5)).astype(np.uint8)  # a b c g f
+    left = _with_triples(t, t[:, 3], N)[:, [0, 1, 2, 5, 6, 4, 3]]  # + d e
+    t = np.argwhere(admissible.any(axis=4)).astype(np.uint8)  # b c d k l
+    right = _with_triples(t, t[:, 3], N)[:, [5, 0, 1, 2, 6, 4, 3]]  # + a e
 
     def by_outer(trees):
         return trees[np.argsort(_ravel(m, *trees[:, :5].T), kind="stable")]
@@ -432,28 +405,11 @@ def _pentagon_residual(N: np.ndarray, F: np.ndarray, chunk: int = _BLOCK) -> flo
     return worst
 
 
-def _hexagon_tuples(N: np.ndarray) -> np.ndarray:
-    """Admissible hexagon tuples, columns (a, b, c, d, e, f).
-
-    Admissibility: e in ac, d in eb, f in cb, d in af.
-    """
-    ace = np.argwhere(N)  # rows (a, c, e) with e in fuse(a, c)
-    ebd = np.argwhere(N)  # rows (e, b, d)
-    il, ir = _join_on(ace, [2], ebd, [0])
-    t = np.column_stack([ace[il], ebd[ir][:, [1, 2]]])  # a c e b d
-    cbf = np.argwhere(N)
-    il, ir = _join_on(t, [1, 3], cbf, [0, 1])
-    t = np.column_stack([t[il], cbf[ir][:, [2]]])  # a c e b d f
-    keep = N[t[:, 0], t[:, 5], t[:, 4]].astype(bool)  # d in fuse(a, f)
-    t = t[keep]
-    return t[:, [0, 3, 1, 4, 2, 5]]  # a b c d e f
-
-
 def _hexagon_residual(N: np.ndarray, F: np.ndarray, R: np.ndarray) -> float:
-    tuples = _hexagon_tuples(N)
-    if len(tuples) == 0:
-        return 0.0
-    a, b, c, d, e, f = tuples.T
+    """Worst residual of both hexagon equations over every admissible
+    tuple (a, b, c, d, e, f): e in ac, d in eb, f in cb and d in af, the
+    admissible indices of ``[F_d^{acb}]_{ef}``."""
+    a, c, b, d, e, f = np.unravel_index(np.flatnonzero(_admissible_f(N)), (len(N),) * 6)
     Rt = np.ascontiguousarray(R.transpose(0, 2, 1))  # [c, d, g]
     mid = F[c, a, b, d, e, :] * F[a, b, c, d, :, f]
     # One hexagon per chirality: R and its inverse must both recouple

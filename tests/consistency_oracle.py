@@ -8,11 +8,31 @@ full ``m x m`` matrix ``F_d^{abc}``, inadmissible zeros included, with its
 adjoint, which the library does on the admissible blocks only; the
 products may round differently in the last place.  Both are test-only: at
 su2_k k=11 they traced 63 and 69 MiB.
+
+The hexagon's tuples come from a relational join of the fusion triples,
+independent of the F-admissibility mask the library reads them from.
 """
 
 import numpy as np
 
-from anyonbraid.model import _hexagon_tuples
+from pentagon_oracle import _join_on
+
+
+def _hexagon_tuples(N: np.ndarray) -> np.ndarray:
+    """Admissible hexagon tuples, columns (a, b, c, d, e, f).
+
+    Admissibility: e in ac, d in eb, f in cb, d in af.
+    """
+    ace = np.argwhere(N)  # rows (a, c, e) with e in fuse(a, c)
+    ebd = np.argwhere(N)  # rows (e, b, d)
+    il, ir = _join_on(ace, [2], ebd, [0])
+    t = np.column_stack([ace[il], ebd[ir][:, [1, 2]]])  # a c e b d
+    cbf = np.argwhere(N)
+    il, ir = _join_on(t, [1, 3], cbf, [0, 1])
+    t = np.column_stack([t[il], cbf[ir][:, [2]]])  # a c e b d f
+    keep = N[t[:, 0], t[:, 5], t[:, 4]].astype(bool)  # d in fuse(a, f)
+    t = t[keep]
+    return t[:, [0, 3, 1, 4, 2, 5]]  # a b c d e f
 
 
 def hexagon_residual(N: np.ndarray, F: np.ndarray, R: np.ndarray) -> float:

@@ -6,11 +6,46 @@ triples into the full 9-column table of pentagon tuples and evaluates every
 equation with the same per-tuple arithmetic, so the two must report the same
 tuple set and bit-identical residuals.  It is test-only: at su2_k k=11 the
 table has 2,987,920 rows and a traced peak near 800 MB.
+
+The relational join it enumerates with is its own, independent of the
+F-admissibility mask the library reads its index sets from.
 """
 
 import numpy as np
 
-from anyonbraid.model import _join_on
+
+def _expand_ranges(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (lo[i] + j, i) for every i and every j < counts[i]."""
+    total = int(counts.sum())
+    i = np.repeat(np.arange(len(lo)), counts)
+    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(lo, counts) + offsets, i
+
+
+def _join_keys(small: np.ndarray, big: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matching row-index pairs (i_small, i_big) for equal key values."""
+    order = np.argsort(small, kind="stable")
+    sorted_small = small[order]
+    lo = np.searchsorted(sorted_small, big, side="left")
+    hi = np.searchsorted(sorted_small, big, side="right")
+    i_sorted, i_big = _expand_ranges(lo, hi - lo)
+    return order[i_sorted], i_big
+
+
+def _join_on(left: np.ndarray, left_cols, right: np.ndarray, right_cols) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices (il, ir) of the inner join of two integer tables on
+    the key columns ``left_cols`` and ``right_cols``, sorting whichever
+    side is smaller."""
+    lk = left[:, left_cols[0]].astype(np.int64)
+    rk = right[:, right_cols[0]].astype(np.int64)
+    for lc, rc in zip(left_cols[1:], right_cols[1:]):
+        span = int(max(left[:, lc].max(initial=0), right[:, rc].max(initial=0))) + 1
+        lk = lk * span + left[:, lc]
+        rk = rk * span + right[:, rc]
+    if len(lk) <= len(rk):
+        return _join_keys(lk, rk)
+    ir, il = _join_keys(rk, lk)
+    return il, ir
 
 
 def pentagon_tuples(N: np.ndarray) -> np.ndarray:

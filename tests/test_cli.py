@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import contextlib
 import gc
 import io
 import json
@@ -8,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 import weakref
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyonbraid import cli, compiler
+from anyonbraid import cli, compiler, model_io
 from anyonbraid.cli import _write_json, main
 
 from test_model_io import Z3_TEXT
@@ -324,6 +326,17 @@ class TestBraidCheck:
         assert payload["phase_vs_oracle"] is None
         assert payload["passed"] is False
 
+    def test_empty_compare_word_is_the_empty_word(self, capsys):
+        # "" is a word, not "unset": it must not fall back to the oracle
+        code, out, err = run_cli(capsys, "braid-check", "--model", "ising",
+                                 "--n-computational", "3", "--word", "s2",
+                                 "--compare-word", "", "--seed", "1")
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert payload["compare"]["word"] == ""
+        assert payload["compare"]["fidelity"] == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert "oracle_fidelity" not in payload
+
     def test_byte_identical_reruns(self, capsys):
         args = ("braid-check", "--model", "su2_k", "--k", "3", "--word",
                 "s1 s2'", "--seed", "21")
@@ -527,6 +540,25 @@ class TestInputErrors:
         assert err.startswith("error: cannot write schedule") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_empty_compile_output(self, capsys):
+        # "" is a path, not "unset": it must not fall back to stdout
+        code, out, err = run_cli(capsys, "compile", "--model", "ising", "--word", "s1",
+                                 "--output", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write schedule") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        [*STOCHASTIC["teleport-stats"], "--seed", "1"],
+        [*STOCHASTIC["braid-check"], "--seed", "1"],
+        ["compile", "--model", "ising", "--word", "s1"],
+    ], ids=lambda argv: argv[0])
+    def test_empty_charge(self, capsys, argv):
+        # "" is a label, not "unset": it must not fall back to the default
+        code, out, err = run_cli(capsys, *argv, "--charge", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: charge label '' not in model")
+        assert err.count("\n") == 1
+
     def test_zero_max_attempts_in_library(self, ising):
         from anyonbraid import forced_measurement, forced_measurements
         from anyonbraid.streams import TrialStreams
@@ -599,6 +631,58 @@ class TestModelFileGate:
             builtin = run_cli(capsys, "braid-check", "--model", "fibonacci", *argv)
             assert builtin[0] == want
             assert out.replace('"fib"', '"fibonacci"') == builtin[1]
+
+
+def _docstring_model():
+    """The Z3 example model file of :mod:`anyonbraid.model_io`'s docstring."""
+    block = model_io.__doc__.split("Example::\n", 1)[1].split("\nVacuum", 1)[0]
+    return textwrap.dedent(block)
+
+
+#: Tokens a mutation writes: non-finite and overflowing numbers, unknown
+#: labels and stray pieces of the format's syntax.
+_FUZZ_TOKENS = st.sampled_from(
+    ["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "0", "1", "2",
+     "-1", "0.5", "3", "x", "1/2", "->", ":", "0:1", "1:nan", "2:1e400", "#",
+     "[f]", "[r]", "[fusion]", "[x]", "name:", "charges:", "dual:", "qdim:"])
+
+
+class TestModelFileFuzz:
+    """A mutated model file ends ``verify`` in exit 0, 1 or 2, never an
+    exception, and exit 2 prints one ``error:`` line."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "z3.model"
+
+    def test_example_passes(self, capsys, path):
+        path.write_text(_docstring_model())
+        assert run_cli(capsys, "verify", "--model", str(path))[0] == 0
+
+    @settings(max_examples=400)
+    @given(edits=st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                                    st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                                    _FUZZ_TOKENS), min_size=1, max_size=6))
+    def test_mutated_example(self, path, edits):
+        lines = [line.split() for line in _docstring_model().splitlines()]
+        for kind, i, j, token in edits:
+            line = lines[i % len(lines)]
+            if kind == "insert":
+                line.insert(j % (len(line) + 1), token)
+            elif line:
+                j %= len(line)
+                if kind == "replace":
+                    line[j] = token
+                else:
+                    del line[j]
+        path.write_text("\n".join(" ".join(line) for line in lines) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--model", str(path)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert [line.startswith("error:") for line in err.getvalue().splitlines()] == [True]
 
 
 class TestRegisterLimits:
@@ -695,6 +779,7 @@ class TestGoldens:
         ("verify_ising", ["--model", "ising"]),
         ("verify_su2_k3", ["--model", "su2_k", "--k", "3"]),
         ("verify_su2_k7", ["--model", "su2_k", "--k", "7"]),
+        ("verify_su2_k11", ["--model", "su2_k", "--k", "11"]),
     ])
     def test_verify(self, capsys, name, argv):
         """Residuals as at the golden's commit: all exact but unitarity,

@@ -23,6 +23,24 @@ import racah_oracle
 PHI = (1 + math.sqrt(5)) / 2
 
 
+def zn_fusion(n):
+    """Fusion rules of the abelian Z_n anyons: a x b = a + b mod n."""
+    a, b = np.indices((n, n))
+    N = np.zeros((n, n, n), dtype=np.int8)
+    N[a, b, (a + b) % n] = 1
+    return N
+
+
+def zn_model(n):
+    """Z_n anyons with F = 1 on the admissible set and
+    R^{ab} = exp(2 pi i ab / n)."""
+    N = zn_fusion(n)
+    a, b = np.indices((n, n))
+    R = N * np.exp(2j * np.pi * a * b / n)[:, :, None]
+    return AnyonModel(f"z{n}", [str(x) for x in range(n)], N, np.ones(n),
+                      _admissible_f(N).astype(complex), R)
+
+
 @pytest.fixture(scope="module")
 def all_models():
     return [load_builtin("fibonacci"), load_builtin("ising"),
@@ -321,9 +339,10 @@ class TestPentagonStreaming:
     arithmetic."""
 
     @pytest.mark.parametrize("name,k", [("fibonacci", None), ("ising", None)]
-                             + [("su2_k", k) for k in range(2, 9)])
+                             + [("su2_k", k) for k in range(2, 9)]
+                             + [("z_n", n) for n in (1, 2, 5, 8, MAX_CHARGES)])
     def test_same_equations_as_tuple_table(self, name, k):
-        N = load_builtin(name, k=k).N
+        N = zn_fusion(k) if name == "z_n" else load_builtin(name, k=k).N
         left, right = _tree_rows(N)
         # the trees of one outer label sit at the same rows of both tables
         assert np.array_equal(left[:, :5], right[:, :5])
@@ -372,9 +391,10 @@ class TestDenseOracles:
     place."""
 
     @pytest.mark.parametrize("name,k", [("fibonacci", None), ("ising", None)]
-                             + [("su2_k", k) for k in (2, 3, 5, 7)])
+                             + [("su2_k", k) for k in (2, 3, 5, 7)]
+                             + [("z_n", n) for n in (1, 2, 5, 8)])
     def test_builtin_residuals(self, name, k):
-        model = load_builtin(name, k=k)
+        model = zn_model(k) if name == "z_n" else load_builtin(name, k=k)
         N, F, R = model.N, model.F, model.R
         assert _hexagon_residual(N, F, R) == consistency_oracle.hexagon_residual(N, F, R)
         assert _unitarity_residual(N, F) == pytest.approx(
