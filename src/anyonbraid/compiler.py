@@ -297,10 +297,10 @@ def direct_braid_reference(word: BraidWord, layout: ArrayLayout,
 # ---------------------------------------------------------------------------
 
 
-def schedule_from_dict(data: dict, model: AnyonModel | None = None) -> Schedule:
+def schedule_from_dict(data: dict) -> Schedule:
     """Rebuild a schedule dumped with ``Schedule.to_dict``.
 
-    If ``model`` is omitted it is reconstructed from the layout header via
+    The model is rebuilt from the layout header with
     :func:`anyonbraid.model.load_builtin`.  The layout must be exactly the
     one :func:`build_array` gives for its model, charge and number of
     computational anyons, and the steps must be those its braid word
@@ -315,8 +315,7 @@ def schedule_from_dict(data: dict, model: AnyonModel | None = None) -> Schedule:
         raise ScheduleError(f"unknown schedule format {data.get('format')!r}")
     try:
         lay = data["layout"]
-        if model is None:
-            model = load_builtin(lay["model"], k=lay["params"].get("k"))
+        model = load_builtin(lay["model"], k=lay["params"].get("k"))
         layout = array_layout(model, lay["charge"], len(lay["computational"]))
         word = BraidWord.parse(data["word"])
         steps = data["steps"]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FusionError, ModelError, UnknownChargeError
+from .errors import ModelError, UnknownChargeError
 
 #: Default tolerance for consistency checks.
 CONSISTENCY_TOL = 1e-10
@@ -158,30 +158,6 @@ class AnyonModel:
         ia, ib = self.charge(a).index, self.charge(b).index
         return tuple(self._charges[c] for c in np.flatnonzero(self.N[ia, ib]))
 
-    def f_symbol(self, a, b, c, d, e, f) -> complex:
-        """Matrix element ``[F_d^{abc}]_{ef}``; 0 for inadmissible indices."""
-        idx = tuple(self.charge(x).index for x in (a, b, c, d, e, f))
-        return complex(self.F[idx])
-
-    def r_symbol(self, a, b, c) -> complex:
-        """Exchange phase ``R_c^{ab}`` for the counterclockwise convention."""
-        ia, ib, ic = (self.charge(x).index for x in (a, b, c))
-        if not self.N[ia, ib, ic]:
-            raise FusionError(
-                f"{self.labels[ic]} is not a fusion channel of "
-                f"{self.labels[ia]} x {self.labels[ib]}")
-        return complex(self.R[ia, ib, ic])
-
-    def kappa(self, a) -> complex:
-        """The bending phase ``d_a * [F_a^{a,dual(a),a}]_{00}``.
-
-        Gauge-dependent in general; for self-dual ``a`` this is the
-        Frobenius-Schur indicator and equals +-1.
-        """
-        ia = self.charge(a).index
-        ab = self._dual[ia]
-        return complex(self.qd[ia] * self.F[ia, ab, ia, ia, 0, 0])
-
     def twist(self, a) -> complex:
         """Topological spin ``theta_a = sum_c (d_c / d_a) R_c^{aa}``."""
         ia = self.charge(a).index
@@ -198,8 +174,7 @@ class AnyonModel:
         Failures are reported, never raised.
         """
         pent = _pentagon_residual(self.N, self.F)
-        hexa = _hexagon_residual(self.N, self.F, self.R)
-        unit = _unitarity_residual(self.N, self.F)
+        hexa, unit = _block_residuals(self.N, self.F, self.R)
         qres = _qdim_residual(self.N, self.qd)
         worst = _worst(pent, hexa, unit, qres)
         return ConsistencyReport(pent, hexa, unit, qres, tolerance,
@@ -276,11 +251,13 @@ class AnyonModel:
 #
 # The pentagon check is the hot path: SU(2)_10 has 1,470,040 admissible
 # instances and SU(2)_12 5,770,583, but only 243,100 and 714,103 fusion trees
-# of each kind.  Every index set is read from the F-admissibility mask
-# (trees extend its rows and columns by one fusion triple), each equation is
-# one (left tree, right tree) pair, and it is evaluated with gather operations
-# on the dense F array.  Inadmissible F entries are stored as exact zeros,
-# which lets the internal sums run over the full charge range.
+# of each kind.  Every index set is read from the admissible rows and columns
+# of the F-matrices (two m^5 masks, whose product is F's admissible set):
+# pentagon trees extend them by one fusion triple, and one walk over F's
+# admissible blocks checks unitarity and both hexagons.  Each pentagon
+# equation is one (left tree, right tree) pair, evaluated with gather
+# operations on the dense F array.  Inadmissible F entries are stored as
+# exact zeros, which lets the internal sums run over the full charge range.
 # ---------------------------------------------------------------------------
 
 
@@ -313,6 +290,22 @@ def _with_triples(rows: np.ndarray, key: np.ndarray, N: np.ndarray) -> np.ndarra
     return np.column_stack([np.repeat(rows, counts, axis=0), triples[j, 1:]])
 
 
+def _admissible_blocks(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The admissible rows and columns of every F-matrix ``F_d^{abc}``, as
+    masks of rows ``(a, b, c, d, e)``, e in ab and d in ec, and of columns
+    ``(a, b, c, d, f)``, f in bc and d in af.
+
+    The admissible entries of F are their product.  Fusion is associative,
+    so each matrix has as many admissible rows as columns, and the
+    ``argwhere`` tables of both masks hold each matrix's D rows and D
+    columns at the same positions.
+    """
+    N = N.astype(bool)
+    rows = N[:, :, None, None, :] & N.transpose(1, 2, 0)[None, None]
+    columns = N[None, :, :, None, :] & N.transpose(0, 2, 1)[:, None, None]
+    return rows, columns
+
+
 def _tree_rows(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both bases of the fusion space of four charges a, b, c, d into e.
 
@@ -326,10 +319,10 @@ def _tree_rows(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows of both tables.
     """
     m = N.shape[0]
-    admissible = _admissible_f(N)
-    t = np.argwhere(admissible.any(axis=5)).astype(np.uint8)  # a b c g f
+    rows, columns = _admissible_blocks(N)
+    t = np.argwhere(rows).astype(np.uint8)  # a b c g f
     left = _with_triples(t, t[:, 3], N)[:, [0, 1, 2, 5, 6, 4, 3]]  # + d e
-    t = np.argwhere(admissible.any(axis=4)).astype(np.uint8)  # b c d k l
+    t = np.argwhere(columns).astype(np.uint8)  # b c d k l
     right = _with_triples(t, t[:, 3], N)[:, [5, 0, 1, 2, 6, 4, 3]]  # + a e
 
     def by_outer(trees):
@@ -405,49 +398,44 @@ def _pentagon_residual(N: np.ndarray, F: np.ndarray, chunk: int = _BLOCK) -> flo
     return worst
 
 
-def _hexagon_residual(N: np.ndarray, F: np.ndarray, R: np.ndarray) -> float:
-    """Worst residual of both hexagon equations over every admissible
-    tuple (a, b, c, d, e, f): e in ac, d in eb, f in cb and d in af, the
-    admissible indices of ``[F_d^{acb}]_{ef}``."""
-    a, c, b, d, e, f = np.unravel_index(np.flatnonzero(_admissible_f(N)), (len(N),) * 6)
-    Rt = np.ascontiguousarray(R.transpose(0, 2, 1))  # [c, d, g]
-    mid = F[c, a, b, d, e, :] * F[a, b, c, d, :, f]
-    # One hexagon per chirality: R and its inverse must both recouple
-    # consistently with F.
-    lhs = R[c, a, e] * F[a, c, b, d, e, f] * R[c, b, f]
-    rhs = np.einsum("rg,rg->r", mid, Rt[c, d, :])
-    worst = np.abs(lhs - rhs).max()
-    lhs = np.conj(R[c, a, e]) * F[a, c, b, d, e, f] * np.conj(R[c, b, f])
-    rhs = np.einsum("rg,rg->r", mid, np.conj(Rt[c, d, :]))
-    return _worst(worst, np.abs(lhs - rhs).max())
+def _block_residuals(N: np.ndarray, F: np.ndarray, R: np.ndarray) -> tuple[float, float]:
+    """Worst residuals of both hexagon equations and of F-unitarity, in one
+    walk over the admissible blocks of the F-matrices.
 
-
-def _unitarity_residual(N: np.ndarray, F: np.ndarray) -> float:
-    """Worst deviation of each ``F_d^{abc}`` from a unitary on its admissible
-    rows ``e`` and columns ``f``, checked as both ``F F^+`` and ``F^+ F``,
-    plus the largest ``|F|`` off the admissible set, where F must vanish.
-
-    Each matrix is checked on its D x D admissible block, and blocks of
-    equal D are batched as ``(G, D, D)`` arrays.
+    The block of ``F_d^{abc}`` holds its admissible rows ``e`` and columns
+    ``f``, and blocks of equal D are walked as ``(G, D, D)`` arrays.  Each
+    block must be unitary, checked as both ``F F^+`` and ``F^+ F``; unitarity
+    adds the largest ``|F|`` off the admissible set, where F must vanish.
+    Each entry ``(a, b, c, d, e, f)`` of a block is the hexagon tuple
+    ``(a, c, b, d, e, f)``: e in ac, d in eb, f in cb and d in af.
     """
     m = N.shape[0]
-    F = _real_if_real(F)
-    admissible = _admissible_f(N)
-    # rows (a, b, c, d, e) and (a, b, c, d, f), sorted; fusion is
-    # associative, so every matrix has as many admissible rows as columns
-    es = np.argwhere(admissible.any(axis=5))
-    fs = np.argwhere(admissible.any(axis=4))
-    worst = 0.0
+    rows, columns = _admissible_blocks(N)
+    es, fs = np.argwhere(rows), np.argwhere(columns)
+    Fu = _real_if_real(F)
+    # One hexagon per chirality: R and its inverse must both recouple
+    # consistently with F.  Each R comes with its copy [c, d, g].
+    chiralities = [(S, np.ascontiguousarray(S.transpose(0, 2, 1))) for S in (R, np.conj(R))]
+    hexagon = unitarity = 0.0
     for at in _equal_blocks(es[:, :4]):
         a, b, c, d = es[at[:, 0], :4].T[:, :, None, None]
-        mats = F[a, b, c, d, es[at, 4][:, :, None], fs[at, 4][:, None, :]]
+        e, f = es[at, 4][:, :, None], fs[at, 4][:, None, :]
+        mats = Fu[a, b, c, d, e, f]
         adj = mats.conj().transpose(0, 2, 1)
         eye = np.eye(at.shape[1])
-        worst = _worst(worst, np.abs(mats @ adj - eye).max(),
-                       np.abs(adj @ mats - eye).max())
+        unitarity = _worst(unitarity, np.abs(mats @ adj - eye).max(),
+                           np.abs(adj @ mats - eye).max())
+        # the block's entries, one per row, as hexagon tuples
+        a, c, b, d, e, f = (np.broadcast_to(x, mats.shape).ravel() for x in (a, b, c, d, e, f))
+        mid = F[c, a, b, d, e, :] * F[a, b, c, d, :, f]
+        for S, St in chiralities:
+            lhs = S[c, a, e] * F[a, c, b, d, e, f] * S[c, b, f]
+            rhs = np.einsum("rg,rg->r", mid, St[c, d, :])
+            hexagon = _worst(hexagon, np.abs(lhs - rhs).max())
     # one charge a at a time, so no temporary is the size of F
-    return worst + _worst(*(np.abs(F[x][~admissible[x]]).max(initial=0.0)
-                            for x in range(m)))
+    off = _worst(*(np.abs(Fu[x][~(rows[x][..., None] & columns[x][..., None, :])]).max(initial=0.0)
+                   for x in range(m)))
+    return hexagon, unitarity + off
 
 
 def _qdim_residual(N: np.ndarray, qd: np.ndarray) -> float:
@@ -459,17 +447,6 @@ def _qdim_residual(N: np.ndarray, qd: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Built-in models.
 # ---------------------------------------------------------------------------
-
-
-def _admissible_f(N: np.ndarray) -> np.ndarray:
-    """Boolean mask of the admissible F-symbol indices ``(a, b, c, d, e, f)``:
-    ``e in ab``, ``d in ec``, ``f in bc`` and ``d in af``."""
-    N = N.astype(bool)
-    abe = N[:, :, None, None, :, None]
-    ecd = N.transpose(1, 2, 0)[None, None, :, :, :, None]
-    bcf = N[None, :, :, None, None, :]
-    afd = N.transpose(0, 2, 1)[:, None, None, :, None, :]
-    return abe & ecd & bcf & afd
 
 
 def check_model_size(m: int) -> None:
@@ -493,7 +470,8 @@ def _fill_tables(m, fusion, f_values, r_func):
         for c in cs:
             N[a, b, c] = 1
     F = np.zeros((m,) * 6, dtype=complex)
-    idx = np.argwhere(_admissible_f(N))
+    rows, columns = _admissible_blocks(N)
+    idx = np.argwhere(rows[..., None] & columns[..., None, :])
     F[tuple(idx.T)] = f_values(idx)
     R = np.zeros((m, m, m), dtype=complex)
     for a, b, c in np.argwhere(N).tolist():
@@ -664,7 +642,11 @@ def load_builtin(name: str, k: int | None = None) -> AnyonModel:
     if key == "su2_k":
         if k is None:
             raise ModelError("su2_k requires the level parameter k")
-        return su2k_model(int(k))
+        try:
+            level = int(k)
+        except (OverflowError, TypeError, ValueError):  # inf, a list, NaN
+            raise ModelError(f"su2_k level {k!r} is not an integer") from None
+        return su2k_model(level)
     if k is not None:
         raise ModelError(f"model {name!r} does not take a level parameter")
     return fibonacci_model() if key == "fibonacci" else ising_model()

@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from .errors import ModelError, ModelFileError
-from .model import CONSISTENCY_TOL, AnyonModel, _admissible_f, check_model_size
+from .model import CONSISTENCY_TOL, AnyonModel, _admissible_blocks, check_model_size
 
 
 def parse_model_text(text: str, tolerance: float | None = CONSISTENCY_TOL) -> AnyonModel:
@@ -131,7 +131,8 @@ def parse_model_text(text: str, tolerance: float | None = CONSISTENCY_TOL) -> An
             raise ModelFileError(f"line {lineno}: value {' '.join(parts)} is not finite")
         return complex(re_part, im_part)
 
-    admissible = _admissible_f(N)
+    rows, columns = _admissible_blocks(N)
+    admissible = rows[..., None] & columns[..., None, :]
     # C order, so that AnyonModel keeps this array instead of copying it
     F = np.zeros(admissible.shape, dtype=complex)
     F[admissible] = 1.0

@@ -81,9 +81,6 @@ class MeasurementRecord:
     def target_outcomes(self) -> tuple[Charge, ...]:
         return self.outcomes[1::2]
 
-    def recovery_outcomes(self) -> tuple[Charge, ...]:
-        return self.outcomes[0::2]
-
 
 @dataclass(frozen=True)
 class BraidRecord:

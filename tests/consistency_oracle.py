@@ -1,21 +1,45 @@
-"""Reference hexagon and unitarity checks on dense copies of F.
+"""Reference admissibility mask, hexagon and unitarity checks on dense
+copies of F.
 
-These are the formulations that :func:`anyonbraid.model._hexagon_residual`
-and :func:`anyonbraid.model._unitarity_residual` replaced.  The hexagon
-gathers its factor rows from a transposed complex copy of F, so it must
-agree with the library bit for bit.  The unitarity check multiplies every
-full ``m x m`` matrix ``F_d^{abc}``, inadmissible zeros included, with its
-adjoint, which the library does on the admissible blocks only; the
-products may round differently in the last place.  Both are test-only: at
-su2_k k=11 they traced 63 and 69 MiB.
+The hexagon and unitarity checks are the formulations that
+:func:`anyonbraid.model._block_residuals` replaced with one walk over the
+admissible blocks of F.  The hexagon gathers its factor rows from a
+transposed complex copy of F, so it must agree with the library bit for
+bit.  The unitarity check multiplies every full ``m x m`` matrix
+``F_d^{abc}``, inadmissible zeros included, with its adjoint, which the
+library does on the admissible blocks only; the products may round
+differently in the last place.  Both are test-only: at su2_k k=11 they
+traced 63 and 69 MiB.
 
 The hexagon's tuples come from a relational join of the fusion triples,
-independent of the F-admissibility mask the library reads them from.
+independent of the F-matrix blocks the library reads them from.
 """
 
 import numpy as np
 
 from pentagon_oracle import _join_on
+
+
+def admissible_f(N: np.ndarray) -> np.ndarray:
+    """Boolean mask of the admissible F-symbol indices ``(a, b, c, d, e, f)``:
+    ``e in ab``, ``d in ec``, ``f in bc`` and ``d in af``, as four factors
+    over the whole ``m**6`` index space."""
+    N = N.astype(bool)
+    abe = N[:, :, None, None, :, None]
+    ecd = N.transpose(1, 2, 0)[None, None, :, :, :, None]
+    bcf = N[None, :, :, None, None, :]
+    afd = N.transpose(0, 2, 1)[:, None, None, :, None, :]
+    return abe & ecd & bcf & afd
+
+
+def kappa(model, a) -> complex:
+    """The bending phase ``d_a * [F_a^{a,dual(a),a}]_{00}`` of charge ``a``.
+
+    Gauge-dependent in general; for self-dual ``a`` this is the
+    Frobenius-Schur indicator and equals +-1.
+    """
+    ia = model.charge(a).index
+    return complex(model.qd[ia] * model.F[ia, model.dual(a).index, ia, ia, 0, 0])
 
 
 def _hexagon_tuples(N: np.ndarray) -> np.ndarray:

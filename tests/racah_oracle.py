@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from anyonbraid.model import _admissible_f
+from consistency_oracle import admissible_f
 
 
 def su2k_f_table(k: int, N: np.ndarray) -> np.ndarray:
@@ -46,7 +46,7 @@ def su2k_f_table(k: int, N: np.ndarray) -> np.ndarray:
         return total * delta(a, b, e) * delta(e, c, d) * delta(c, b, f) * delta(a, f, d)
 
     F = np.zeros((m,) * 6, dtype=complex)
-    for a, b, c, d, e, f in np.argwhere(_admissible_f(N)).tolist():
+    for a, b, c, d, e, f in np.argwhere(admissible_f(N)).tolist():
         sign = (-1) ** ((a + b + c + d) // 2)
         F[a, b, c, d, e, f] = (sign * math.sqrt(qnum[e + 1] * qnum[f + 1])
                                * sixj(a, b, e, c, d, f))

@@ -89,7 +89,7 @@ def test_criterion_3_forced_measurement_statistics():
             _, record = forced_measurement(initial, (1, 2), (0, 1),
                                            np.random.default_rng([3, t]))
             attempts.append(record.attempts)
-            for e, f in zip(record.recovery_outcomes(), record.target_outcomes()):
+            for e, f in zip(record.outcomes[0::2], record.target_outcomes()):
                 stats = per_e.setdefault(e.label, [0, 0])
                 stats[0] += 1
                 stats[1] += int(f.index == 0)

@@ -450,6 +450,20 @@ class TestCompileRun:
                              str(tmp_path / "none.json"), "--seed", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("level", ["1e400", "Infinity", "-Infinity", "NaN"])
+    def test_non_integer_level_is_usage_error(self, capsys, tmp_path, level):
+        # json reads 1e400 and Infinity as inf, which int() cannot take
+        path = tmp_path / "s.json"
+        run_cli(capsys, "compile", "--model", "su2_k", "--k", "3", "--word", "s1",
+                "--output", str(path))
+        data = json.loads(path.read_text())
+        data["layout"]["params"]["k"] = "LEVEL"
+        path.write_text(json.dumps(data).replace('"LEVEL"', level))
+        code, out, err = run_cli(capsys, "run", "--schedule", str(path), "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad schedule: su2_k level")
+        assert err.count("\n") == 1
+
 
 class TestParserReuse:
     ROW = [
@@ -679,6 +693,68 @@ class TestModelFileFuzz:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["verify", "--model", str(path)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert [line.startswith("error:") for line in err.getvalue().splitlines()] == [True]
+
+
+#: What a schedule mutation writes: huge, negative, fractional and
+#: non-finite numbers, strings, null, lists and objects, or a deletion.
+_DELETE = object()
+_SCHEDULE_VALUES = st.one_of(
+    st.just(_DELETE), st.integers(), st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=False, allow_infinity=False), st.booleans(), st.none(),
+    st.sampled_from(["", "x", "1/2", "s1", "fibonacci", "su2_k"]),
+    st.lists(st.integers(-1, 20), max_size=3), st.just({}))
+
+
+def _slots(node):
+    """Every ``(container, key)`` of a schedule's JSON tree that ``run``
+    reads field by field: all but the steps' contents, which are compared
+    whole with the compiled word's."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        yield node, key
+        if isinstance(value, (dict, list)) and key != "steps":
+            yield from _slots(value)
+
+
+class TestScheduleFileFuzz:
+    """A mutated schedule file ends ``run`` in exit 0, 1 or 2, never an
+    exception, and exit 2 prints one ``error:`` line."""
+
+    @pytest.fixture(scope="class")
+    def compiled(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "schedule.json"
+        schedules = []
+        for argv in (["--model", "fibonacci", "--n-computational", "3", "--word", "s1 s2'"],
+                     ["--model", "su2_k", "--k", "3", "--word", "s1"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["compile", *argv]) == 0
+            schedules.append(out.getvalue())
+        return path, schedules
+
+    @settings(max_examples=400)
+    @given(which=st.integers(0, 1), edits=st.integers(1, 3), draws=st.data())
+    def test_mutated_schedule(self, compiled, which, edits, draws):
+        path, schedules = compiled
+        data = json.loads(schedules[which])
+        for _ in range(edits):
+            slots = list(_slots(data))
+            if not slots:
+                break
+            container, key = draws.draw(st.sampled_from(slots))
+            value = draws.draw(_SCHEDULE_VALUES)
+            if value is _DELETE:
+                del container[key]
+            else:
+                container[key] = json.loads(json.dumps(value))  # a fresh copy
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", "--schedule", str(path), "--seed", "1"])
         assert code in (0, 1, 2)
         if code == 2:
             assert out.getvalue() == ""

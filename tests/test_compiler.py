@@ -202,7 +202,7 @@ class TestDirectBraidReference:
             base = random_state(ising, ("1/2",) * 4, total, np.random.default_rng(44))
             state, _ = project_pair(base, 1, 2, 0)
             twisted = direct_braid_reference(word, layout, state)
-            expected = ising.r_symbol("1/2", "1/2", channel) ** 2
+            expected = ising.R[1, 1, ising.charge(channel).index] ** 2
             assert relative_phase(twisted, state) == pytest.approx(expected, abs=1e-10)
 
     def test_matrix_unitary_and_braid_relations(self, fibonacci):

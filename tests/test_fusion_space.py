@@ -191,7 +191,7 @@ class TestApplyBraid:
     def test_ising_pair_phase_and_distribution(self, ising):
         pair = entangled_pair_state(ising, "1/2")
         braided = braid(pair, 0, +1)
-        assert braided.amps[0] == pytest.approx(ising.r_symbol("1/2", "1/2", "0"))
+        assert braided.amps[0] == pytest.approx(ising.R[1, 1, 0])
         dist = pair_charge_distribution(braided, 0, 1)
         assert dist[ising.vacuum] == pytest.approx(1.0)
 

@@ -8,17 +8,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
-from anyonbraid import (AnyonModel, Charge, FusionError, ModelError,
-                        UnknownChargeError, load_builtin)
+from anyonbraid import (AnyonModel, Charge, ModelError, UnknownChargeError,
+                        load_builtin)
 from anyonbraid import model as model_module
-from anyonbraid.model import (MAX_CHARGES, _admissible_f, _equal_blocks,
-                              _hexagon_residual, _pentagon_residual,
-                              _tree_rows, _unitarity_residual,
+from anyonbraid.model import (MAX_CHARGES, _admissible_blocks, _block_residuals,
+                              _equal_blocks, _pentagon_residual, _tree_rows,
                               check_model_size, fibonacci_model)
 
 import consistency_oracle
 import pentagon_oracle
 import racah_oracle
+from consistency_oracle import admissible_f, kappa
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -38,7 +38,7 @@ def zn_model(n):
     a, b = np.indices((n, n))
     R = N * np.exp(2j * np.pi * a * b / n)[:, :, None]
     return AnyonModel(f"z{n}", [str(x) for x in range(n)], N, np.ones(n),
-                      _admissible_f(N).astype(complex), R)
+                      admissible_f(N).astype(complex), R)
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +73,11 @@ class TestLoadBuiltin:
             load_builtin("su2_k", k=1)
         with pytest.raises(ModelError):
             load_builtin("su2_k")
+
+    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan, "x", [3]])
+    def test_su2_level_not_an_integer(self, k):
+        with pytest.raises(ModelError, match="is not an integer"):
+            load_builtin("su2_k", k=k)
 
     @pytest.mark.parametrize("k", range(2, 12))
     def test_su2_f_equals_scalar_racah_sum(self, k):
@@ -150,28 +155,26 @@ class TestFuse:
 
 class TestFSymbols:
     def test_fibonacci_f00(self, fibonacci):
-        assert fibonacci.f_symbol("1", "1", "1", "1", "0", "0") == pytest.approx(1 / PHI)
+        assert fibonacci.F[1, 1, 1, 1, 0, 0] == pytest.approx(1 / PHI)
 
     def test_column_zero_is_qdim_ratio(self, all_models):
         # |[F_a^{a abar a}]_{e0}|^2 = d_e / d_a^2
         for m in all_models:
-            for a in m.charges:
-                abar = m.dual(a)
-                for e in m.fuse(a, abar):
-                    got = abs(m.f_symbol(a, abar, a, a, e, "0")) ** 2
-                    want = m.qd[e.index] / m.qd[a.index] ** 2
+            for a in range(m.num_charges):
+                abar = m.dual(a).index
+                for e in np.flatnonzero(m.N[a, abar]):
+                    got = abs(m.F[a, abar, a, a, e, 0]) ** 2
+                    want = m.qd[e] / m.qd[a] ** 2
                     assert got == pytest.approx(want, abs=1e-12)
 
     def test_vacuum_f_is_trivial(self, all_models):
         for m in all_models:
-            for b in m.charges:
-                for c in m.charges:
-                    for d in m.fuse(b, c):
-                        assert m.f_symbol("0", b, c, d, b, d) == pytest.approx(1.0)
+            for b, c, d in np.argwhere(m.N):
+                assert m.F[0, b, c, d, b, d] == pytest.approx(1.0)
 
     def test_inadmissible_is_zero(self, fibonacci):
-        assert fibonacci.f_symbol("1", "1", "1", "0", "0", "0") == 0
-        assert fibonacci.f_symbol("0", "0", "0", "0", "1", "0") == 0
+        assert fibonacci.F[1, 1, 1, 0, 0, 0] == 0
+        assert fibonacci.F[0, 0, 0, 0, 1, 0] == 0
 
     def test_f_matrices_unitary(self, all_models):
         for m in all_models:
@@ -195,24 +198,18 @@ class TestFSymbols:
 class TestRSymbols:
     def test_phases(self, all_models):
         for m in all_models:
-            for a in m.charges:
-                for b in m.charges:
-                    for c in m.fuse(a, b):
-                        assert abs(m.r_symbol(a, b, c)) == pytest.approx(1.0)
+            for a, b, c in np.argwhere(m.N):
+                assert abs(m.R[a, b, c]) == pytest.approx(1.0)
 
     def test_vacuum_braiding_trivial(self, all_models):
         for m in all_models:
-            for a in m.charges:
-                assert m.r_symbol("0", a, a) == pytest.approx(1.0)
-                assert m.r_symbol(a, "0", a) == pytest.approx(1.0)
-
-    def test_inadmissible_channel(self, ising):
-        with pytest.raises(FusionError):
-            ising.r_symbol("1/2", "1/2", "1/2")
+            for a in range(m.num_charges):
+                assert m.R[0, a, a] == pytest.approx(1.0)
+                assert m.R[a, 0, a] == pytest.approx(1.0)
 
     def test_fibonacci_convention(self, fibonacci):
-        assert fibonacci.r_symbol("1", "1", "0") == pytest.approx(np.exp(-4j * np.pi / 5))
-        assert fibonacci.r_symbol("1", "1", "1") == pytest.approx(np.exp(3j * np.pi / 5))
+        assert fibonacci.R[1, 1, 0] == pytest.approx(np.exp(-4j * np.pi / 5))
+        assert fibonacci.R[1, 1, 1] == pytest.approx(np.exp(3j * np.pi / 5))
 
     def test_twists(self, ising, fibonacci, su2_2):
         assert ising.twist("1/2") == pytest.approx(np.exp(1j * np.pi / 8))
@@ -222,23 +219,23 @@ class TestRSymbols:
 
 class TestKappa:
     def test_fibonacci_tau(self, fibonacci):
-        assert fibonacci.kappa("1") == pytest.approx(PHI * (1 / PHI))
-        assert fibonacci.kappa("1") == pytest.approx(1.0)
+        assert kappa(fibonacci, "1") == pytest.approx(PHI * (1 / PHI))
+        assert kappa(fibonacci, "1") == pytest.approx(1.0)
 
     def test_vacuum(self, all_models):
         for m in all_models:
-            assert m.kappa("0") == pytest.approx(1.0)
+            assert kappa(m, "0") == pytest.approx(1.0)
 
     def test_ising_and_su2_2_differ_in_sign(self, ising, su2_2):
-        assert ising.kappa("1/2") == pytest.approx(1.0)
-        assert su2_2.kappa("1/2") == pytest.approx(-1.0)
+        assert kappa(ising, "1/2") == pytest.approx(1.0)
+        assert kappa(su2_2, "1/2") == pytest.approx(-1.0)
 
     def test_self_dual_kappa_is_sign(self, all_models):
         for m in all_models:
             for c in m.charges:
                 if m.dual(c) == c:
-                    assert m.kappa(c).imag == pytest.approx(0.0, abs=1e-12)
-                    assert abs(m.kappa(c).real) == pytest.approx(1.0)
+                    assert kappa(m, c).imag == pytest.approx(0.0, abs=1e-12)
+                    assert abs(kappa(m, c).real) == pytest.approx(1.0)
 
 
 class TestIsAbelian:
@@ -301,14 +298,20 @@ class TestVerifyConsistency:
         F = fibonacci.F.copy()
         F[1, 1, 1, 1, 1, 1] = math.nan
         assert math.isnan(_pentagon_residual(fibonacci.N, F, chunk))
-        assert math.isnan(_hexagon_residual(fibonacci.N, F, fibonacci.R))
-        assert math.isnan(_unitarity_residual(fibonacci.N, F))
+        hexagon, unitarity = _block_residuals(fibonacci.N, F, fibonacci.R)
+        assert math.isnan(hexagon)
+        assert math.isnan(unitarity)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("check", ["_pentagon_residual", "_hexagon_residual",
                                        "_unitarity_residual", "_qdim_residual"])
     def test_non_finite_residual_never_passes(self, fibonacci, monkeypatch, check, value):
-        monkeypatch.setattr(model_module, check, lambda *tables: value)
+        if check in ("_hexagon_residual", "_unitarity_residual"):
+            # both come from one block walk
+            pair = (value, 0.0) if check == "_hexagon_residual" else (0.0, value)
+            monkeypatch.setattr(model_module, "_block_residuals", lambda *tables: pair)
+        else:
+            monkeypatch.setattr(model_module, check, lambda *tables: value)
         report = fibonacci.verify_consistency(math.inf)
         assert not report.passed
 
@@ -331,6 +334,21 @@ class TestVerifyConsistency:
                 for b in range(m.num_charges):
                     total = sum(m.qd[c] for c in np.flatnonzero(m.N[a, b]))
                     assert m.qd[a] * m.qd[b] == pytest.approx(total, abs=1e-10)
+
+
+class TestAdmissibleBlocks:
+    """The row and column masks of the F-matrices against the four-factor
+    mask of ``tests/consistency_oracle.py``."""
+
+    @pytest.mark.parametrize("name,k", [("fibonacci", None), ("ising", None)]
+                             + [("su2_k", k) for k in range(2, MAX_CHARGES)]
+                             + [("z_n", n) for n in (1, 2, 5, 8, MAX_CHARGES)])
+    def test_product_is_the_admissible_set(self, name, k):
+        N = zn_fusion(k) if name == "z_n" else load_builtin(name, k=k).N
+        rows, columns = _admissible_blocks(N)
+        assert np.array_equal(rows[..., None] & columns[..., None, :], admissible_f(N))
+        # each matrix's D rows and D columns sit at the same positions
+        assert np.array_equal(np.argwhere(rows)[:, :4], np.argwhere(columns)[:, :4])
 
 
 class TestPentagonStreaming:
@@ -373,7 +391,7 @@ class TestPentagonStreaming:
     def test_perturbed_residual_matches_oracle(self, spec, seed, scale, imaginary, chunk):
         model = load_builtin(*spec)
         rng = np.random.default_rng(seed)
-        admissible = _admissible_f(model.N)
+        admissible = admissible_f(model.N)
         F = model.F.copy()
         noise = rng.normal(size=int(admissible.sum())) * scale
         if imaginary:
@@ -396,8 +414,9 @@ class TestDenseOracles:
     def test_builtin_residuals(self, name, k):
         model = zn_model(k) if name == "z_n" else load_builtin(name, k=k)
         N, F, R = model.N, model.F, model.R
-        assert _hexagon_residual(N, F, R) == consistency_oracle.hexagon_residual(N, F, R)
-        assert _unitarity_residual(N, F) == pytest.approx(
+        hexagon, unitarity = _block_residuals(N, F, R)
+        assert hexagon == consistency_oracle.hexagon_residual(N, F, R)
+        assert unitarity == pytest.approx(
             consistency_oracle.unitarity_residual(N, F), rel=0, abs=1e-15)
 
     @given(spec=st.sampled_from([("fibonacci", None), ("ising", None),
@@ -408,19 +427,20 @@ class TestDenseOracles:
     def test_perturbed_residuals(self, spec, seed, scale, imaginary):
         model = load_builtin(*spec)
         rng = np.random.default_rng(seed)
-        admissible = _admissible_f(model.N)
+        admissible = admissible_f(model.N)
         F = model.F.copy()
         noise = rng.normal(size=int(admissible.sum())) * scale
         if imaginary:
             noise = noise + 1j * rng.normal(size=noise.size) * scale
         F[admissible] += noise
         R = model.R * np.exp(1j * scale * rng.normal(size=model.R.shape))
+        hexagon, unitarity = _block_residuals(model.N, F, R)
         want = consistency_oracle.hexagon_residual(model.N, F, R)
         assert want > 0.0
-        assert _hexagon_residual(model.N, F, R) == want
+        assert hexagon == want
         want = consistency_oracle.unitarity_residual(model.N, F)
         assert want > 0.0
-        assert _unitarity_residual(model.N, F) == pytest.approx(want, rel=0, abs=1e-15)
+        assert unitarity == pytest.approx(want, rel=0, abs=1e-15)
 
 
 class TestStructuralValidation:
@@ -482,7 +502,7 @@ class TestPentagonSolverOracle:
         assert math.cos(opt.x) == pytest.approx(1 / PHI, abs=1e-8)
 
     def test_matches_shipped_table(self, fibonacci):
-        assert fibonacci.f_symbol("1", "1", "1", "1", "0", "0") == pytest.approx(1 / PHI)
+        assert fibonacci.F[1, 1, 1, 1, 0, 0] == pytest.approx(1 / PHI)
 
 
 class TestHexagonSolverOracle:
@@ -493,7 +513,7 @@ class TestHexagonSolverOracle:
             R = fibonacci.R.copy()
             R[1, 1, 0] = np.exp(1j * angles[0])
             R[1, 1, 1] = np.exp(1j * angles[1])
-            return _hexagon_residual(N, F, R)
+            return _block_residuals(N, F, R)[0]
 
         solutions = []
         grid = np.linspace(-math.pi, math.pi, 24, endpoint=False)

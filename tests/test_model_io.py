@@ -51,7 +51,7 @@ class TestZ3:
     def test_braiding_phase(self):
         model = parse_model_text(Z3_TEXT)
         omega = np.exp(2j * np.pi / 3)
-        assert model.r_symbol("1", "1", "2") == pytest.approx(omega, abs=1e-12)
+        assert model.R[1, 1, 2] == pytest.approx(omega, abs=1e-12)
 
 
 class TestFileRoundTrip:
