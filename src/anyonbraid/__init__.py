@@ -10,7 +10,7 @@ from .compiler import (ArrayLayout, BraidWord, Schedule, ScheduleStep,
                        build_array, check_resources, compile_word,
                        direct_braid_reference, execute, random_encoded_state,
                        schedule_from_dict)
-from .errors import (AnyonError, BasisMismatch, FusionError, InvalidPosition,
+from .errors import (AnyonError, BasisMismatch, InvalidPosition,
                      MaxAttemptsExceeded, ModelError, ModelFileError,
                      NotPhaseEquivalent, ProtocolError, RegisterTooLarge,
                      ScheduleError, UnknownChargeError, UnsupportedCharge,

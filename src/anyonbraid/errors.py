@@ -9,10 +9,6 @@ class UnknownChargeError(AnyonError):
     """A charge label or index does not belong to the model."""
 
 
-class FusionError(AnyonError):
-    """A requested fusion channel is not allowed by the fusion rules."""
-
-
 class ModelError(AnyonError):
     """Model data is structurally invalid (shapes, duals, vacuum, ...)."""
 

@@ -53,12 +53,22 @@ the pair's leaves, which changes only the terms of columns ``pos`` and
 the destination's two terms plus the source's, read from ``(m, m, m)``
 tables: no row is sorted or looked up.
 
+Each model has one cache.  A builder wrapped by :func:`_cached` (a
+basis, its rank tables, a braid or projector table, and a measurement
+operator of :mod:`anyonbraid.measurement`) is memoized in
+``model._cache`` under the key ``(builder, *args)``, so it runs once per
+model and arguments.  Its value is made read-only at that one store
+point: every array in it, at any depth of tuples, and a value holds
+arrays and tuples, never lists, so no caller can alter a table that
+others share.
+
 States are immutable; operations return new states, so independent Monte
 Carlo trials can fan out across workers freely.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numpy as np
 
@@ -129,10 +139,39 @@ class StateVector:
 
 
 # ---------------------------------------------------------------------------
+# The per-model cache.
+# ---------------------------------------------------------------------------
+
+
+def _cached(build):
+    """Memoize ``build(model, *args)`` in ``model._cache`` under
+    ``(build, *args)``, freezing the value when it is stored."""
+    @functools.wraps(build)
+    def cached(model, *args):
+        key = (build, *args)
+        value = model._cache.get(key)
+        if value is None:
+            value = model._cache[key] = _frozen(build(model, *args))
+        return value
+    return cached
+
+
+def _frozen(value):
+    """``value`` with every array in it, at any depth of tuples, read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _frozen(item)
+    return value
+
+
+# ---------------------------------------------------------------------------
 # Basis enumeration and ranks.
 # ---------------------------------------------------------------------------
 
 
+@_cached
 def _ranks(model, leaves, total):
     """Suffix path counts and column rank terms of the standard basis.
 
@@ -147,10 +186,6 @@ def _ranks(model, leaves, total):
     :data:`MAX_LEAVES` leaves or :data:`MAX_DIM` basis states, before
     anything is enumerated.
     """
-    key = ("ranks", leaves, total)
-    hit = model._cache.get(key)
-    if hit is not None:
-        return hit
     n = len(leaves)
     if n > MAX_LEAVES:
         raise RegisterTooLarge(f"register of {n} leaves exceeds the limit of "
@@ -167,10 +202,10 @@ def _ranks(model, leaves, total):
     counts = np.minimum(counts, MAX_DIM + 1).astype(np.int64)
     weights = steps * counts[:, None, :]
     terms = np.cumsum(weights, axis=2) - weights
-    model._cache[key] = (counts, terms)
     return counts, terms
 
 
+@_cached
 def _basis(model, leaves, total):
     """Chain-label matrix of the standard basis, rows in lexicographic order.
 
@@ -179,10 +214,6 @@ def _basis(model, leaves, total):
     last labels, in order, each repeated by its count.  Only labels from
     which the chain still reaches ``total`` extend a prefix.
     """
-    key = ("basis", leaves, total)
-    hit = model._cache.get(key)
-    if hit is not None:
-        return hit
     counts, _ = _ranks(model, leaves, total)
     n = len(leaves)
     dim = int(counts[0, leaves[0]]) if n else int(total == 0)
@@ -193,8 +224,6 @@ def _basis(model, leaves, total):
             # row-major nonzero keeps prefixes in order, labels ascending
             labels = np.nonzero(model.N[labels, leaves[j]] * counts[j])[1]
         rows[:, j] = np.repeat(labels, counts[j, labels])
-    rows.flags.writeable = False
-    model._cache[key] = rows
     return rows
 
 
@@ -264,10 +293,7 @@ def _local_table(sources, local):
     # stable sort of the rows by ``~nonzero`` would give.
     slot = np.where(nonzero, kept - 1, count + np.arange(m)[:, None] - kept)
     dest = (slot * len(site) + np.arange(len(site))).reshape(-1)
-    index, value = _scatter(index, dest, width), _scatter(value, dest, width)
-    index.flags.writeable = False
-    value.flags.writeable = False
-    return index, value
+    return _scatter(index, dest, width), _scatter(value, dest, width)
 
 
 def _scatter(array, dest, width):
@@ -325,6 +351,7 @@ def _pair_tables(model, leaves, total, pos, phases, out_leaves):
             for phi in phases]
 
 
+@_cached
 def _braid_table(model, leaves, total, pos, sign):
     """Gather table of the elementary exchange of leaves (pos, pos+1).
 
@@ -334,18 +361,14 @@ def _braid_table(model, leaves, total, pos, sign):
     (``sign=-1``), and the pair leaves swapped.  The adjoint is the
     opposite-sign table of the swapped leaves.
     """
-    key = ("braid", leaves, total, pos, sign)
-    hit = model._cache.get(key)
-    if hit is not None:
-        return hit
     a, b = leaves[pos], leaves[pos + 1]
     swapped = leaves[:pos] + (b, a) + leaves[pos + 2:]
     phases = model.R[a, b] if sign > 0 else np.conj(model.R[b, a])
     (index, value), = _pair_tables(model, leaves, total, pos, [phases], swapped)
-    model._cache[key] = (swapped, index, value)
     return swapped, index, value
 
 
+@_cached
 def _projector_table(model, leaves, total, pos):
     """Projectors of leaves ``(pos, pos+1)`` onto their channels, stacked.
 
@@ -355,10 +378,6 @@ def _projector_table(model, leaves, total, pos):
     channel ``c = present[k]`` (:func:`_pair_tables`), padded with zero
     entries to the widest projector.
     """
-    key = ("projectors", leaves, total, pos)
-    hit = model._cache.get(key)
-    if hit is not None:
-        return hit
     channels = np.flatnonzero(model.N[leaves[pos], leaves[pos + 1]])
     deltas = np.identity(model.num_charges, dtype=complex)[channels]
     tables = _pair_tables(model, leaves, total, pos, deltas, leaves)
@@ -368,18 +387,14 @@ def _projector_table(model, leaves, total, pos):
                     for dtype in (np.intp, complex))
     for slot, k in enumerate(kept):
         index[:len(tables[k][0]), slot], value[:len(tables[k][1]), slot] = tables[k]
-    present = channels[kept]
-    for array in (present, index, value):
-        array.flags.writeable = False
-    model._cache[key] = (present, index, value)
-    return present, index, value
+    return channels[kept], index, value
 
 
 def _transport(model, leaves, total, i, j, routing="over"):
     """Composite braid that carries leaf ``j`` to position ``i + 1``.
 
-    Returns ``(new_leaves, forward, backward)``: the gather tables of the
-    transport ``T`` and of ``T^dag`` (transporting back), each in
+    Returns ``(new_leaves, forward, backward)``: tuples of the gather tables
+    of the transport ``T`` and of ``T^dag`` (transporting back), each in
     application order.  With ``routing="over"`` every crossing on the way is
     the counterclockwise (+1) elementary braid; ``"under"`` uses the inverse
     crossings.
@@ -395,7 +410,7 @@ def _transport(model, leaves, total, i, j, routing="over"):
         forward.append((index, value))
         backward.append((back_index, back_value))
         cur = moved
-    return cur, forward, backward[::-1]
+    return cur, tuple(forward), tuple(backward[::-1])
 
 
 # ---------------------------------------------------------------------------

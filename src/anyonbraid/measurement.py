@@ -34,8 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidPosition, ZeroProbabilityOutcome
-from .fusion_space import (StateVector, _gather, _gather_all, _projector_table,
-                           _transport)
+from .fusion_space import (StateVector, _cached, _gather, _gather_all,
+                           _projector_table, _transport)
 from .model import Charge
 
 #: Outcomes below this Born probability are treated as impossible; this
@@ -56,9 +56,9 @@ class _MeasurementOp(NamedTuple):
     """
 
     present: np.ndarray
-    forward: list
+    forward: tuple
     project: tuple
-    backward: list
+    backward: tuple
 
 
 def _measurement_op(state: StateVector, i: int, j: int, routing: str) -> _MeasurementOp:
@@ -66,20 +66,16 @@ def _measurement_op(state: StateVector, i: int, j: int, routing: str) -> _Measur
     n = state.num_leaves
     if not (0 <= i < j < n):
         raise InvalidPosition(f"invalid pair ({i}, {j}) for {n} leaves")
-    model = state.model
-    key = ("measure", state.leaves, state.total, i, j, routing)
-    hit = model._cache.get(key)
-    if hit is not None:
-        return hit
-    if j == i + 1:
-        moved, forward, backward = state.leaves, [], []
-    else:
-        moved, forward, backward = _transport(model, state.leaves, state.total,
-                                              i, j, routing)
-    present, *project = _projector_table(model, moved, state.total, i)
-    op = _MeasurementOp(present, forward, tuple(project), backward)
-    model._cache[key] = op
-    return op
+    return _pair_op(state.model, state.leaves, state.total, i, j, routing)
+
+
+@_cached
+def _pair_op(model, leaves, total, i, j, routing):
+    """The :class:`_MeasurementOp` of a valid pair ``(i, j)`` of ``leaves``;
+    an adjacent pair's transport is empty."""
+    moved, forward, backward = _transport(model, leaves, total, i, j, routing)
+    present, *project = _projector_table(model, moved, total, i)
+    return _MeasurementOp(present, forward, tuple(project), backward)
 
 
 def _resolve(op: _MeasurementOp, amps):

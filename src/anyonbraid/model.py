@@ -114,9 +114,13 @@ class AnyonModel:
         self._validate_tables()
         self._dual = self._find_duals()
         self._validate_duals()
-        # Scratch caches for basis/operator construction (see fusion_space).
-        # Entries are only ever added, never mutated, so concurrent readers
-        # at worst recompute a value.
+        channels = [np.flatnonzero(self.N[a, a]) for a in range(m)]
+        self._twists = tuple(complex(np.sum(self.qd[c] * self.R[a, a, c]) / self.qd[a])
+                             for a, c in enumerate(channels))
+        # The operator cache, read and written only through
+        # fusion_space._cached: keyed by builder and arguments, each value
+        # read-only from the moment it is stored and never replaced, so
+        # concurrent readers at worst build a value twice.
         self._cache: dict = {}
 
     # -- charge bookkeeping -------------------------------------------------
@@ -160,10 +164,7 @@ class AnyonModel:
 
     def twist(self, a) -> complex:
         """Topological spin ``theta_a = sum_c (d_c / d_a) R_c^{aa}``."""
-        ia = self.charge(a).index
-        channels = np.flatnonzero(self.N[ia, ia])
-        return complex(np.sum(self.qd[channels] * self.R[ia, ia, channels])
-                       / self.qd[ia])
+        return self._twists[self.charge(a).index]
 
     # -- consistency --------------------------------------------------------
 
@@ -644,6 +645,8 @@ def load_builtin(name: str, k: int | None = None) -> AnyonModel:
             raise ModelError("su2_k requires the level parameter k")
         try:
             level = int(k)
+            if level != k:  # 2.5 or "3", which int() truncates or parses
+                raise ValueError
         except (OverflowError, TypeError, ValueError):  # inf, a list, NaN
             raise ModelError(f"su2_k level {k!r} is not an integer") from None
         return su2k_model(level)

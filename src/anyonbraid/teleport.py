@@ -381,7 +381,7 @@ def direct_quad_braid(state: StateVector, quad, sign: int,
     moved, forward, backward = _transport(model, state.leaves, state.total,
                                           p, p + 3, routing)
     _, index, value = _braid_table(model, moved, state.total, p, sign)
-    steps = forward + [(index, value)] + backward
+    steps = forward + ((index, value),) + backward
     return state._replace_amps(_gather_all(steps, state.amps))
 
 
@@ -414,14 +414,9 @@ def braid_oracle_state(state: StateVector, quad, direction: str,
 def _braid_oracle(state: StateVector, quad, direction: str, routing: str) -> StateVector:
     """:func:`braid_oracle_state` of a checked quad and direction."""
     sign = +1 if direction == "positive" else -1
-    model, a = state.model, state.leaves[quad[0]]
-    key = ("oracle convention", a, sign)  # cached with the model's operators
-    convention = model._cache.get(key)
-    if convention is None:
-        twist = model.twist(model.charges[a])
-        convention = model._cache[key] = np.conj(twist) if sign > 0 else twist
+    twist = state.model.twist(state.leaves[quad[0]])
     braided = direct_quad_braid(state, quad, sign, routing)
-    return braided._replace_amps(convention * braided.amps)
+    return braided._replace_amps((np.conj(twist) if sign > 0 else twist) * braided.amps)
 
 
 def measurement_braid(state: StateVector, quad, direction: str, rng,

@@ -10,7 +10,7 @@ import anyonbraid
 
 PUBLIC_API = {
     # errors
-    "AnyonError", "BasisMismatch", "FusionError", "InvalidPosition",
+    "AnyonError", "BasisMismatch", "InvalidPosition",
     "MaxAttemptsExceeded", "ModelError", "ModelFileError", "NotPhaseEquivalent",
     "ProtocolError", "RegisterTooLarge", "ScheduleError", "UnknownChargeError",
     "UnsupportedCharge", "ZeroProbabilityOutcome",

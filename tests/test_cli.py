@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import textwrap
 import weakref
 
@@ -450,9 +451,10 @@ class TestCompileRun:
                              str(tmp_path / "none.json"), "--seed", "1")
         assert code == 2
 
-    @pytest.mark.parametrize("level", ["1e400", "Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("level", ["1e400", "Infinity", "-Infinity", "NaN", "2.5"])
     def test_non_integer_level_is_usage_error(self, capsys, tmp_path, level):
-        # json reads 1e400 and Infinity as inf, which int() cannot take
+        # json reads 1e400 and Infinity as inf, which int() cannot take,
+        # and int() would truncate 2.5
         path = tmp_path / "s.json"
         run_cli(capsys, "compile", "--model", "su2_k", "--k", "3", "--word", "s1",
                 "--output", str(path))
@@ -759,6 +761,132 @@ class TestScheduleFileFuzz:
         if code == 2:
             assert out.getvalue() == ""
             assert [line.startswith("error:") for line in err.getvalue().splitlines()] == [True]
+
+
+#: A valid argv of each command on a small register, as ``(flag, value)``
+#: pairs with ``None`` for a switch's value.  Capitalised values stand for
+#: paths that :class:`TestArgvFuzz` makes (see ``paths``).
+_ARGV_BASES = {
+    "verify": [("--model", "su2_k"), ("--k", "3"), ("--tolerance", "1e-10"),
+               ("--format", "json")],
+    "teleport-stats": [("--model", "ising"), ("--charge", "1/2"), ("--seed", "1"),
+                       ("--trials", "5"), ("--max-attempts", "20"),
+                       ("--routing", "over"), ("--trace", None), ("--format", "csv")],
+    "braid-check": [("--model", "fibonacci"), ("--word", "s1 s2'"), ("--seed", "2"),
+                    ("--n-computational", "3"), ("--compare-word", "s1 s2'"),
+                    ("--random-state", None), ("--tolerance", "1e-9"), ("--human", None)],
+    "compile": [("--model", "ising"), ("--word", "s1"), ("--n-computational", "2"),
+                ("--output", "OUTPUT")],
+    "run": [("--schedule", "SCHEDULE"), ("--seed", "3"), ("--routing", "over"),
+            ("--max-attempts", "50")],
+}
+
+_HUGE = "1" + "0" * 30
+
+#: What an argv mutation puts in place of a value: a huge, negative,
+#: fractional or non-finite number, an empty string, an unknown label, a
+#: missing path or a directory.
+_ARGV_VALUES = [_HUGE, "-3", "2.5", "inf", "nan", "", "zeta", "MISSING", "DIRECTORY"]
+
+#: Flags that put an array or a model just inside (True) or just outside
+#: (False) a size limit: 342 psi anyons of Ising have MAX_LEAVES leaves
+#: (dim 1) and 343 have 1028; Fibonacci arrays of 10 and 11 anyons have
+#: dim 196,418 and 1,346,269 about MAX_DIM; su2_k at level MAX_CHARGES
+#: has one charge too many.  Level MAX_CHARGES - 1 is left out: it builds
+#: a 256 MiB F table.
+_ARGV_SIZES = [
+    ({"--model": "ising", "--charge": "1", "--n-computational": "342"}, True),
+    ({"--model": "ising", "--charge": "1", "--n-computational": "343"}, False),
+    ({"--model": "fibonacci", "--charge": "1", "--n-computational": "10"}, True),
+    ({"--model": "fibonacci", "--charge": "1", "--n-computational": "11"}, False),
+    ({"--model": "su2_k", "--k": "16"}, False),
+]
+
+
+def _set_flag(pairs, flag, value):
+    """Give ``flag`` the value ``value``: in its first pair, else in a new one."""
+    for k, (name, _) in enumerate(pairs):
+        if name == flag:
+            pairs[k] = (flag, value)
+            return
+    pairs.append((flag, value))
+
+
+class TestArgvFuzz:
+    """A mutated argv ends ``cli.main`` in exit 0, 1 or 2, argparse's
+    ``SystemExit`` included, never another exception, and exit 2 prints one
+    ``error:`` line and no stdout.  Sizes on the accepted side of a limit
+    run on ``compile`` only, which builds no state."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("argv")
+        schedule = root / "schedule.json"
+        assert main(["compile", "--model", "ising", "--word", "s1 s2'",
+                     "--output", str(schedule)]) == 0
+        return {"SCHEDULE": str(schedule), "OUTPUT": str(root / "out.json"),
+                "MISSING": str(root / "missing" / "x"), "DIRECTORY": str(root)}
+
+    @staticmethod
+    def _run(paths, command, pairs):
+        argv = [command] + [paths.get(token, token) for pair in pairs
+                            for token in pair if token is not None]
+        out, err = io.StringIO(), io.StringIO()
+        home = os.getcwd()
+        # a fresh working directory, so that a file one example writes at a
+        # relative path ("--output zeta") is not read by the next one
+        with tempfile.TemporaryDirectory() as cwd:
+            os.chdir(cwd)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+            finally:
+                os.chdir(home)
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("command", sorted(_ARGV_BASES))
+    def test_bases_pass(self, paths, command):
+        assert self._run(paths, command, _ARGV_BASES[command])[0] == 0
+
+    @pytest.mark.parametrize("flags, accepted", _ARGV_SIZES)
+    def test_sizes_straddle_the_limits(self, paths, flags, accepted):
+        pairs = list(_ARGV_BASES["compile"])
+        for flag, value in flags.items():
+            _set_flag(pairs, flag, value)
+        assert self._run(paths, "compile", pairs)[0] == (0 if accepted else 2)
+
+    @settings(max_examples=300)
+    @given(command=st.sampled_from(sorted(_ARGV_BASES)), edits=st.integers(1, 3),
+           draws=st.data())
+    def test_mutated_argv(self, paths, command, edits, draws):
+        pairs = list(_ARGV_BASES[command])
+        for _ in range(edits):
+            kind = draws.draw(st.sampled_from(["drop", "duplicate", "value", "size"]))
+            if kind == "size":
+                sizes = [flags for flags, accepted in _ARGV_SIZES
+                         if command == "compile" or not accepted]
+                for flag, value in draws.draw(st.sampled_from(sizes)).items():
+                    _set_flag(pairs, flag, value)
+                continue
+            if not pairs:
+                continue
+            k = draws.draw(st.integers(0, len(pairs) - 1))
+            flag, value = pairs[k]
+            if kind == "drop":
+                del pairs[k]
+            elif kind == "duplicate":
+                pairs.append(pairs[k])
+            elif value is not None:
+                # a huge trial count would be accepted, and slow
+                values = [v for v in _ARGV_VALUES if (flag, v) != ("--trials", _HUGE)]
+                pairs[k] = (flag, draws.draw(st.sampled_from(values)))
+        code, out, err = self._run(paths, command, pairs)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == ""
+            assert sum("error:" in line for line in err.splitlines()) == 1
 
 
 class TestRegisterLimits:

@@ -7,14 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from anyonbraid import (BasisMismatch, InvalidPosition, ProtocolError, StateVector,
-                        attach_pair, braid_oracle_state, empty_state,
-                        entangled_pair_state, inner, measurement_braid,
-                        pair_charge_distribution, random_state)
+from anyonbraid import (BasisMismatch, BraidWord, InvalidPosition, ProtocolError,
+                        StateVector, attach_pair, braid_oracle_state, build_array,
+                        check_resources, compile_word, direct_braid_reference,
+                        empty_state, entangled_pair_state, execute,
+                        forced_measurements, inner, load_builtin, measurement_braid,
+                        pair_charge_distribution, random_encoded_state, random_state)
 from anyonbraid.cli import _write_json
 from anyonbraid.fusion_space import _basis, _gather, _projector_table
+from anyonbraid.streams import TrialStreams
 
-from conftest import braid
+from conftest import braid, teleport_config
 from state_oracle import state_from_json, state_to_json
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -219,6 +222,34 @@ class TestApplyBraid:
                 braid_oracle_state(state, quad, "positive")
             with pytest.raises(ProtocolError, match="out of range"):
                 measurement_braid(state, quad, "positive", np.random.default_rng(1))
+
+
+def mutable_parts(value):
+    """The writable arrays and the lists in ``value``, at any depth."""
+    if isinstance(value, np.ndarray):
+        return [value] if value.flags.writeable else []
+    if isinstance(value, list):
+        return [value]
+    if isinstance(value, tuple):
+        return [part for item in value for part in mutable_parts(item)]
+    return []
+
+
+class TestOperatorCache:
+    def test_holds_no_mutable_entry(self):
+        # a fresh model, whose cache holds only what the paths below build:
+        # s1 braids at position 0, so the oracle builds position-0 tables
+        model = load_builtin("ising")
+        layout, state = build_array(model, "1/2", 3)
+        word = BraidWord.parse("s1 s2'")
+        final, _ = execute(compile_word(word, layout), state, np.random.default_rng(1))
+        check_resources(layout, final)
+        direct_braid_reference(word, layout, state)
+        random_encoded_state(layout, np.random.default_rng(2))
+        list(forced_measurements(teleport_config(model, "1/2"), (1, 2), (0, 1),
+                                 TrialStreams(3, range(4))))
+        assert len(model._cache) > 20
+        assert [repr(key) for key, value in model._cache.items() if mutable_parts(value)] == []
 
 
 class TestInner:

@@ -74,10 +74,17 @@ class TestLoadBuiltin:
         with pytest.raises(ModelError):
             load_builtin("su2_k")
 
-    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan, "x", [3]])
+    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan, "x", [3],
+                                   2.5, np.float64(3.5), "3"])
     def test_su2_level_not_an_integer(self, k):
+        # 2.5 would build k=2 and "3" would build k=3 if int() decided
         with pytest.raises(ModelError, match="is not an integer"):
             load_builtin("su2_k", k=k)
+
+    @pytest.mark.parametrize("k", [3, 3.0, np.int64(3), np.float64(3.0)])
+    def test_su2_integral_level(self, k):
+        model = load_builtin("su2_k", k=k)
+        assert model.params == {"k": 3} and type(model.params["k"]) is int
 
     @pytest.mark.parametrize("k", range(2, 12))
     def test_su2_f_equals_scalar_racah_sum(self, k):
