@@ -344,8 +344,8 @@ def _pair_tables(model, leaves, total, pos, phases, out_leaves):
         src = _basis(model, leaves, total)
         index = np.arange(len(src))[None, :]
         return [(index, phi[src[:, 1]][None, :]) for phi in phases]
-    F_out = np.conj(model.F[:, out_leaves[pos], out_leaves[pos + 1]])
-    F_in = model.F[:, leaves[pos], leaves[pos + 1]]
+    F_out = np.conj(model.f_rows(slice(None), out_leaves[pos], out_leaves[pos + 1]))
+    F_in = model.f_rows(slice(None), leaves[pos], leaves[pos + 1])
     sources = _sources(model, leaves, out_leaves, total, pos)
     return [_local_table(sources, np.einsum("pqxc,c,pqyc->pqxy", F_out, phi, F_in))
             for phi in phases]
@@ -459,8 +459,9 @@ def attach_pair(state: StateVector, position: int, a) -> StateVector:
     for j in range(position):
         base += (new_terms[j] - old_terms[j])[before, chains[:, j]]
         before = chains[:, j]
-    for z in range(model.num_charges):
-        amp = np.conj(model.F[y, ca, cab, y, z, 0]) * model.N[y, ca, z]
+    every = np.arange(model.num_charges)
+    for z in every.tolist():
+        amp = (np.conj(model.f_rows(every, ca, cab, every, z)[:, 0]) * model.N[every, ca, z])[y]
         keep = amp != 0
         # The running charge goes y -> z (absorb a) -> y (absorb dual a)
         # and the rest of the chain is untouched.

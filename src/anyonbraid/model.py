@@ -26,6 +26,7 @@ counterclockwise exchange (the ``+1`` braid sign in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -36,9 +37,10 @@ from .errors import ModelError, UnknownChargeError
 #: Default tolerance for consistency checks.
 CONSISTENCY_TOL = 1e-10
 
-#: Most charges a model may have.  The dense F table holds m**6 complex
-#: entries, 256 MiB at 16 charges (su2_k at k = 15), and building and
-#: verifying such a model peaks near 560 MB of RSS.
+#: Most charges a model may have, kept where a dense F table of m**6
+#: complex entries was 256 MiB (16 charges, su2_k at k = 15).  F is stored
+#: as its admissible rows, 11.6 MiB there with a 4 MiB row index, and
+#: building and verifying su2_k at k = 15 peaks near 225 MB of RSS.
 MAX_CHARGES = 16
 
 
@@ -82,15 +84,22 @@ class AnyonModel:
         ``fusion[a, b, c] = N_ab^c`` with values 0 or 1.
     qdim : (m,) float array
         Quantum dimensions ``d_a``.
-    f_symbols : (m, m, m, m, m, m) complex array
-        ``f_symbols[a, b, c, d, e, f] = [F_d^{abc}]_{ef}``; entries at
-        inadmissible index combinations must be zero.
+    f_symbols : complex array, dense ``(m,) * 6`` or rows ``(n + 1, m)``
+        Either the dense table ``f_symbols[a, b, c, d, e, f] = [F_d^{abc}]_{ef}``
+        or F's row store: row r is ``[F_d^{abc}]_{e,.}`` for the r-th of the
+        n admissible rows ``(a, b, c, d, e)`` (e in ab and d in ec) in C
+        order, and the last row is zero.  Only the admissible entries are
+        kept; the largest ``|F|`` elsewhere, where F must vanish, counts
+        towards the unitarity residual.
     r_symbols : (m, m, m) complex array
         ``r_symbols[a, b, c] = R_c^{ab}``, a unit phase for admissible ``c``.
     params : dict, optional
         Construction parameters (e.g. ``{"k": 4}``).
     meta : dict, optional
         Free-form provenance notes (gauge, chirality, preferred charge).
+
+    F is read through :meth:`f_rows`; :attr:`F` is a dense copy, built on
+    first read for callers that want the whole ``(m,) * 6`` table.
     """
 
     def __init__(self, name, labels, fusion, qdim, f_symbols, r_symbols,
@@ -101,17 +110,17 @@ class AnyonModel:
         self.num_charges = m
         self.N = np.ascontiguousarray(fusion, dtype=np.int8)
         self.qd = np.ascontiguousarray(qdim, dtype=float)
-        self.F = np.ascontiguousarray(f_symbols, dtype=complex)
         self.R = np.ascontiguousarray(r_symbols, dtype=complex)
         self.params = dict(params or {})
         self.meta = dict(meta or {})
-        for arr in (self.N, self.qd, self.F, self.R):
-            arr.flags.writeable = False
         self._charges = tuple(Charge(i, lab) for i, lab in enumerate(self.labels))
         self._by_label = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._by_label) != m:
             raise ModelError(f"duplicate charge labels in model {self.name!r}")
         self._validate_tables()
+        self._f_row, self._f_store, self._f_off = _f_store(self.N, f_symbols)
+        for arr in (self.N, self.qd, self.R, self._f_row, self._f_store):
+            arr.flags.writeable = False
         self._dual = self._find_duals()
         self._validate_duals()
         channels = [np.flatnonzero(self.N[a, a]) for a in range(m)]
@@ -122,6 +131,21 @@ class AnyonModel:
         # read-only from the moment it is stored and never replaced, so
         # concurrent readers at worst build a value twice.
         self._cache: dict = {}
+
+    def f_rows(self, *index) -> np.ndarray:
+        """Rows ``[F_d^{abc}]_{e,.}`` of F at ``index``, a numpy index into
+        the axes ``(a, b, c, d, e)``, with ``f`` on a new last axis; entries
+        off the admissible set read as zero."""
+        return self._f_store[self._f_row[index]]
+
+    @functools.cached_property
+    def F(self) -> np.ndarray:
+        """The dense ``(m,) * 6`` table ``F[a, b, c, d, e, f] = [F_d^{abc}]_{ef}``,
+        zero off the admissible set; built from the rows on first read, then
+        kept, and read-only."""
+        dense = self.f_rows(...)
+        dense.flags.writeable = False
+        return dense
 
     # -- charge bookkeeping -------------------------------------------------
 
@@ -174,8 +198,9 @@ class AnyonModel:
 
         Failures are reported, never raised.
         """
-        pent = _pentagon_residual(self.N, self.F)
-        hexa, unit = _block_residuals(self.N, self.F, self.R)
+        pent = _pentagon_residual(self.N, self._f_store)
+        hexa, unit = _block_residuals(self.N, self._f_store, self.R)
+        unit = unit + self._f_off
         qres = _qdim_residual(self.N, self.qd)
         worst = _worst(pent, hexa, unit, qres)
         return ConsistencyReport(pent, hexa, unit, qres, tolerance,
@@ -192,7 +217,7 @@ class AnyonModel:
             ab = self._dual[a]
             da2 = self.qd[a] ** 2
             for e in np.flatnonzero(self.N[a, ab]):
-                got = abs(self.F[a, ab, a, a, e, 0]) ** 2
+                got = abs(self.f_rows(a, ab, a, a, e)[0]) ** 2
                 worst = max(worst, abs(got - self.qd[e] / da2))
         return worst
 
@@ -213,14 +238,12 @@ class AnyonModel:
         m = self.num_charges
         if self.N.shape != (m, m, m):
             raise ModelError("fusion table has wrong shape")
-        if self.F.shape != (m,) * 6 or self.R.shape != (m,) * 3:
+        if self.R.shape != (m,) * 3:
             raise ModelError("F/R tables have wrong shape")
         if self.qd.shape != (m,):
             raise ModelError("quantum-dimension vector has wrong shape")
-        for what, arr in (("quantum dimensions", self.qd), ("F-symbols", self.F),
-                          ("R-symbols", self.R)):
-            if not np.isfinite(arr).all():
-                raise ModelError(f"{what} must be finite (found NaN or infinity)")
+        for what, arr in (("quantum dimensions", self.qd), ("R-symbols", self.R)):
+            _require_finite(arr, what)
         if np.any((self.N != 0) & (self.N != 1)):
             raise ModelError("fusion multiplicities must be 0 or 1")
         eye = np.eye(m, dtype=np.int8)
@@ -255,10 +278,13 @@ class AnyonModel:
 # of each kind.  Every index set is read from the admissible rows and columns
 # of the F-matrices (two m^5 masks, whose product is F's admissible set):
 # pentagon trees extend them by one fusion triple, and one walk over F's
-# admissible blocks checks unitarity and both hexagons.  Each pentagon
-# equation is one (left tree, right tree) pair, evaluated with gather
-# operations on the dense F array.  Inadmissible F entries are stored as
-# exact zeros, which lets the internal sums run over the full charge range.
+# admissible blocks checks unitarity and both hexagons.  F is stored as its
+# admissible rows, an (n + 1, m) array addressed by one m^5 int32 index whose
+# misses point at a last, zero row.  Each pentagon equation is one (left
+# tree, right tree) pair, evaluated with gathers from that store and from
+# two more such padded tables of F's entries, whose rows run along another
+# axis of F.  Inadmissible entries read as exact zeros, which lets the
+# internal sums run over the full charge range.
 # ---------------------------------------------------------------------------
 
 
@@ -305,6 +331,64 @@ def _admissible_blocks(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = N[:, :, None, None, :] & N.transpose(1, 2, 0)[None, None]
     columns = N[None, :, :, None, :] & N.transpose(0, 2, 1)[:, None, None]
     return rows, columns
+
+
+def _admissible_entries(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F's admissible entries: the ``(E, 6)`` table of their indices
+    ``(a, b, c, d, e, f)`` in C order, and the number of each one's row
+    ``(a, b, c, d, e)`` among the admissible rows of :func:`_admissible_blocks`."""
+    rows, columns = _admissible_blocks(N)
+    es = np.argwhere(rows)
+    r, f = np.nonzero(columns[tuple(es[:, :4].T)])
+    return np.column_stack([es[r], f]).astype(np.uint8), r
+
+
+def _regroup(m: int, idx: np.ndarray, values: np.ndarray,
+             axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """F's entries ``values`` at ``idx``, an ``(E, 6)`` table, as padded rows
+    along ``axis``.
+
+    Returns the ``(n + 1, m)`` table whose row r holds, at column
+    ``idx[:, axis]``, the entries of the r-th of the n keys (their other
+    five labels, in C order), zero elsewhere and in the last row; and the
+    ``(m,) * 5`` int32 index of each key's row, where a miss points at that
+    zero row.  Along axis 5 this is F's row store.
+    """
+    keys, row = np.unique(_ravel(m, *np.delete(idx, axis, axis=1).T), return_inverse=True)
+    table = np.zeros((len(keys) + 1, m), values.dtype)
+    table[row, idx[:, axis]] = values
+    index = np.full(m ** 5, len(keys), dtype=np.int32)
+    index[keys] = np.arange(len(keys), dtype=np.int32)
+    return index.reshape((m,) * 5), table
+
+
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    if not np.isfinite(arr).all():
+        raise ModelError(f"{what} must be finite (found NaN or infinity)")
+
+
+def _f_store(N: np.ndarray, f_symbols) -> tuple[np.ndarray, np.ndarray, float]:
+    """F as its admissible rows: ``(index, store, off)``.
+
+    ``f_symbols`` is either the dense ``(m,) * 6`` table or the
+    ``(n + 1, m)`` row store of :func:`_regroup` along axis 5.  ``store`` keeps
+    its admissible entries, zero elsewhere, ``index`` numbers its rows, and
+    ``off`` is the largest ``|F|`` it dropped, where F must vanish.
+    """
+    m = N.shape[0]
+    F = np.asarray(f_symbols, dtype=complex)
+    idx, r = _admissible_entries(N)
+    if F.shape == (m,) * 6:
+        at = tuple(idx.T)
+    elif F.shape == (r[-1] + 2, m):
+        at = (r, idx[:, 5])
+    else:
+        raise ModelError("F/R tables have wrong shape")
+    _require_finite(F, "F-symbols")
+    outside = np.ones(F.shape, dtype=bool)
+    outside[at] = False
+    index, store = _regroup(m, idx, F[at], 5)
+    return index, store, float(np.abs(F).max(where=outside, initial=0.0))
 
 
 def _tree_rows(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -358,85 +442,92 @@ def _equal_blocks(keys: np.ndarray, chunk: int = _BLOCK):
             yield first[g:g + step, None] + np.arange(D)
 
 
-def _pentagon_residual(N: np.ndarray, F: np.ndarray, chunk: int = _BLOCK) -> float:
+def _pentagon_residual(N: np.ndarray, store: np.ndarray, chunk: int = _BLOCK) -> float:
     """Worst residual of the pentagon equation
 
     ``[F_e^{fcd}]_{gl} [F_e^{abl}]_{fk}
     = sum_h [F_g^{abc}]_{fh} [F_e^{ahd}]_{gk} [F_k^{bcd}]_{hl}``
 
     over every pair of a left and a right fusion tree on the same outer
-    labels.  The D left and D right trees of one outer label give a D x D
-    block of equations, and blocks of equal D are walked as ``(G, D, D)``
-    arrays of about ``chunk`` equations.  Each tree keeps only int32
-    offsets into F: the row ``[F_g^{abc}]_{f.}`` is gathered once per left
-    tree and the column ``[F_k^{bcd}]_{.l}`` once per right tree, the
-    middle factor once per pair from a copy of F with h last, and every
-    sum runs over ascending h.
+    labels, with F read from its row ``store``.  The D left and D right
+    trees of one outer label give a D x D block of equations, and blocks of
+    equal D are walked as ``(G, D, D)`` arrays of about ``chunk`` equations.
+    Each h-axis factor comes from a padded table of F's entries with h last
+    (:func:`_regroup`): the row ``[F_g^{abc}]_{f.}`` once per left tree,
+    the column ``[F_k^{bcd}]_{.l}`` once per right tree and the middle
+    factor once per pair.  Each tree keeps only int32 offsets, and every sum
+    runs over ascending h.
     """
     m = N.shape[0]
     left, right = _tree_rows(N)
-    F = _real_if_real(F)
-    flat = F.reshape(-1)
-    rows = F.reshape(-1, m)                                                   # [a,b,c,g,f,h]
-    mid = np.ascontiguousarray(F.transpose(0, 2, 3, 4, 5, 1)).reshape(-1, m)  # [a,d,e,g,k,h]
-    column = np.arange(0, m * m, m, dtype=np.int32)                           # h m
+    idx, r = _admissible_entries(N)
+    values = _real_if_real(store)[r, idx[:, 5]]
+    row_of, rows = _regroup(m, idx, values, 5)  # [a,b,c,d,e] -> f
+    mid_of, mid = _regroup(m, idx, values, 1)   # [a,c,d,e,f] -> b
+    col_of, cols = _regroup(m, idx, values, 4)  # [a,b,c,d,f] -> e
+    row_of, mid_of, flat = row_of.reshape(-1), mid_of.reshape(-1), rows.reshape(-1)
     a, b, c, d, e, f, g = left.T
-    left_row = _ravel(m, a, b, c, g, f)       # [F_g^{abc}]_{f.}
-    left_fcd = _ravel(m, f, c, d, e, g, 0)    # + l
-    left_abl = _ravel(m, a, b, 0, e, f, 0)    # + l m^3 + k
-    left_mid = _ravel(m, a, d, e, g, 0)       # + k
+    left_row = row_of[_ravel(m, a, b, c, g, f)]       # [F_g^{abc}]_{f.}
+    left_fcd = row_of[_ravel(m, f, c, d, e, g)] * m   # + l
+    left_abl = _ravel(m, a, b, 0, e, f)               # + l m^2, then + k
+    left_mid = _ravel(m, a, d, e, g, 0)               # + k
     a, b, c, d, e, l, k = right.T
-    right_col = _ravel(m, b, c, d, k, 0, l)   # [F_k^{bcd}]_{.l}, + h m
-    right_abl = _ravel(m, 0, 0, l, 0, 0, k)
+    right_col = col_of[b, c, d, k, l]                 # [F_k^{bcd}]_{.l}
+    right_abl = _ravel(m, l, 0, 0)
     worst = 0.0
     for trees in _equal_blocks(left[:, :5], chunk):
         il, ir = trees[:, :, None], trees[:, None, :]
-        lhs = flat[left_fcd[il] + l[ir]] * flat[left_abl[il] + right_abl[ir]]
+        lhs = (flat[left_fcd[il] + l[ir]]
+               * flat[row_of[left_abl[il] + right_abl[ir]] * m + k[ir]])
         rhs = np.einsum("gih,gijh,gjh->gij", rows[left_row[trees]],
-                        mid.take(left_mid[il] + k[ir], axis=0),
-                        flat[right_col[trees][:, :, None] + column])
+                        mid.take(mid_of[left_mid[il] + k[ir]], axis=0),
+                        cols[right_col[trees]])
         worst = _worst(worst, np.abs(lhs - rhs).max())
     return worst
 
 
-def _block_residuals(N: np.ndarray, F: np.ndarray, R: np.ndarray) -> tuple[float, float]:
+def _block_residuals(N: np.ndarray, store: np.ndarray, R: np.ndarray) -> tuple[float, float]:
     """Worst residuals of both hexagon equations and of F-unitarity, in one
-    walk over the admissible blocks of the F-matrices.
+    walk over the admissible blocks of the F-matrices, read from F's row
+    ``store``.
 
     The block of ``F_d^{abc}`` holds its admissible rows ``e`` and columns
     ``f``, and blocks of equal D are walked as ``(G, D, D)`` arrays.  Each
-    block must be unitary, checked as both ``F F^+`` and ``F^+ F``; unitarity
-    adds the largest ``|F|`` off the admissible set, where F must vanish.
-    Each entry ``(a, b, c, d, e, f)`` of a block is the hexagon tuple
+    block must be unitary, checked as both ``F F^+`` and ``F^+ F``.  Each
+    entry ``(a, b, c, d, e, f)`` of a block is the hexagon tuple
     ``(a, c, b, d, e, f)``: e in ac, d in eb, f in cb and d in af.
     """
     m = N.shape[0]
     rows, columns = _admissible_blocks(N)
     es, fs = np.argwhere(rows), np.argwhere(columns)
-    Fu = _real_if_real(F)
+    idx, r = _admissible_entries(N)
+    values = store[r, idx[:, 5]]
+    row_of, _ = _regroup(m, idx, values, 5)
+    col_of, cols = _regroup(m, idx, values, 4)  # [F_d^{abc}]_{.f}
+    Fu = _real_if_real(store)
     # One hexagon per chirality: R and its inverse must both recouple
     # consistently with F.  Each R comes with its copy [c, d, g].
     chiralities = [(S, np.ascontiguousarray(S.transpose(0, 2, 1))) for S in (R, np.conj(R))]
     hexagon = unitarity = 0.0
     for at in _equal_blocks(es[:, :4]):
-        a, b, c, d = es[at[:, 0], :4].T[:, :, None, None]
-        e, f = es[at, 4][:, :, None], fs[at, 4][:, None, :]
-        mats = Fu[a, b, c, d, e, f]
+        # the store's row of es[i] is row i
+        at_e, f = at[:, :, None], fs[at, 4][:, None, :]
+        mats = Fu[at_e, f]
         adj = mats.conj().transpose(0, 2, 1)
         eye = np.eye(at.shape[1])
         unitarity = _worst(unitarity, np.abs(mats @ adj - eye).max(),
                            np.abs(adj @ mats - eye).max())
         # the block's entries, one per row, as hexagon tuples
+        entries = store[at_e, f].ravel()
+        a, b, c, d = es[at[:, 0], :4].T[:, :, None, None]
+        e = es[at_e, 4]
         a, c, b, d, e, f = (np.broadcast_to(x, mats.shape).ravel() for x in (a, b, c, d, e, f))
-        mid = F[c, a, b, d, e, :] * F[a, b, c, d, :, f]
+        mid = store[row_of[c, a, b, d, e]] * cols[col_of[a, b, c, d, f]]
         for S, St in chiralities:
-            lhs = S[c, a, e] * F[a, c, b, d, e, f] * S[c, b, f]
+            lhs = S[c, a, e] * entries * S[c, b, f]
             rhs = np.einsum("rg,rg->r", mid, St[c, d, :])
             hexagon = _worst(hexagon, np.abs(lhs - rhs).max())
-    # one charge a at a time, so no temporary is the size of F
-    off = _worst(*(np.abs(Fu[x][~(rows[x][..., None] & columns[x][..., None, :])]).max(initial=0.0)
-                   for x in range(m)))
-    return hexagon, unitarity + off
+    return hexagon, unitarity
 
 
 def _qdim_residual(N: np.ndarray, qd: np.ndarray) -> float:
@@ -463,17 +554,16 @@ def check_model_size(m: int) -> None:
 
 
 def _fill_tables(m, fusion, f_values, r_func):
-    """Dense F/R arrays, zero off the admissible set.  ``f_values`` maps the
-    ``(E, 6)`` array of admissible F indices to their E values in one call;
-    ``r_func`` gives one R entry."""
+    """Dense N/R arrays, zero off the admissible set, and F's row store
+    (:func:`_regroup`).  ``f_values`` maps the ``(E, 6)`` array of
+    admissible F indices to their E values in one call; ``r_func`` gives one
+    R entry."""
     N = np.zeros((m, m, m), dtype=np.int8)
     for (a, b), cs in fusion.items():
         for c in cs:
             N[a, b, c] = 1
-    F = np.zeros((m,) * 6, dtype=complex)
-    rows, columns = _admissible_blocks(N)
-    idx = np.argwhere(rows[..., None] & columns[..., None, :])
-    F[tuple(idx.T)] = f_values(idx)
+    idx, _ = _admissible_entries(N)
+    _, F = _regroup(m, idx, np.asarray(f_values(idx), dtype=complex), 5)
     R = np.zeros((m, m, m), dtype=complex)
     for a, b, c in np.argwhere(N).tolist():
         R[a, b, c] = r_func(a, b, c)
@@ -579,7 +669,7 @@ def su2k_model(k: int) -> AnyonModel:
         # (doubled-integer spins), by the Racah sum over z.  An admissible
         # index makes all four triangles of the symbol admissible.  The
         # terms are added in increasing z, as one entry at a time adds them.
-        a, b, c, d, e, f = idx.T
+        a, b, c, d, e, f = idx.T.astype(np.int64)
         t1, t2 = (a + b + e) // 2, (e + c + d) // 2
         t3, t4 = (b + c + f) // 2, (a + f + d) // 2
         s12, s13, s23 = (a + b + c + d) // 2, (a + e + c + f) // 2, (b + e + d + f) // 2

@@ -37,7 +37,8 @@ import math
 import numpy as np
 
 from .errors import ModelError, ModelFileError
-from .model import CONSISTENCY_TOL, AnyonModel, _admissible_blocks, check_model_size
+from .model import (CONSISTENCY_TOL, AnyonModel, _admissible_blocks, _admissible_entries,
+                    _regroup, check_model_size)
 
 
 def parse_model_text(text: str, tolerance: float | None = CONSISTENCY_TOL) -> AnyonModel:
@@ -132,19 +133,17 @@ def parse_model_text(text: str, tolerance: float | None = CONSISTENCY_TOL) -> An
         return complex(re_part, im_part)
 
     rows, columns = _admissible_blocks(N)
-    admissible = rows[..., None] & columns[..., None, :]
-    # C order, so that AnyonModel keeps this array instead of copying it
-    F = np.zeros(admissible.shape, dtype=complex)
-    F[admissible] = 1.0
+    idx, _ = _admissible_entries(N)
+    row_of, F = _regroup(m, idx, np.ones(len(idx), dtype=complex), 5)
     for lineno, line in sections["f"]:
         parts = line.split()
         if len(parts) not in (7, 8):
             raise ModelFileError(f"line {lineno}: F rows are 'a b c d e f re [im]'")
-        idx = tuple(charge_of(t, lineno) for t in parts[:6])
-        if not admissible[idx]:
+        a, b, c, d, e, f = (charge_of(t, lineno) for t in parts[:6])
+        if not (rows[a, b, c, d, e] and columns[a, b, c, d, f]):
             raise ModelFileError(f"line {lineno}: F entry {' '.join(parts[:6])} "
                                  "is not admissible under the fusion rules")
-        F[idx] = parse_value(parts[6:], lineno)
+        F[row_of[a, b, c, d, e], f] = parse_value(parts[6:], lineno)
     R = N.astype(complex)
     for lineno, line in sections["r"]:
         parts = line.split()

@@ -128,7 +128,7 @@ def expected_mean_attempts(model, a) -> float:
     ia = model.charge(a).index
     ab = model.dual(a).index
     channels = np.flatnonzero(model.N[ia, ab])
-    probs = np.abs(model.F[ia, ab, ia, ia][np.ix_(channels, channels)]) ** 2
+    probs = np.abs(model.f_rows(ia, ab, ia, ia)[np.ix_(channels, channels)]) ** 2
     nonvac = channels != 0
     # E_e = 1 + sum_{f != 0} P(f|e) sum_{e'} P(e'|f) E_{e'}
     transfer = probs[:, nonvac] @ probs[:, nonvac].T

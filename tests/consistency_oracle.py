@@ -13,10 +13,19 @@ traced 63 and 69 MiB.
 
 The hexagon's tuples come from a relational join of the fusion triples,
 independent of the F-matrix blocks the library reads them from.
+
+The ``dense_*`` functions are the residuals as the library computed them
+on a dense ``(m,) * 6`` F, before F was stored as its admissible rows: the
+pentagon gathers from F and from an h-last copy of it, and unitarity adds
+the largest ``|F|`` off the admissible set, scanned one charge at a time.
+The library reads the same operands, zeros included, from padded tables
+of F's entries, so every residual must agree bit for bit.
 """
 
 import numpy as np
 
+from anyonbraid.model import (_BLOCK, _admissible_blocks, _equal_blocks, _ravel,
+                              _tree_rows, _worst)
 from pentagon_oracle import _join_on
 
 
@@ -86,3 +95,104 @@ def unitarity_residual(N: np.ndarray, F: np.ndarray) -> float:
     adj = mats.conj().transpose(0, 2, 1)
     return float(np.max([np.abs(mats @ adj - adm_e * eye).max(),
                          np.abs(adj @ mats - adm_f * eye).max()]))
+
+
+def _real_if_real(F: np.ndarray) -> np.ndarray:
+    """``F``, or a view of its real part when no entry has an imaginary
+    part; real arithmetic halves the memory traffic of the gathers and
+    products, and the view copies nothing."""
+    return F if np.any(F.imag) else F.real
+
+
+def dense_pentagon_residual(N: np.ndarray, F: np.ndarray, chunk: int = _BLOCK) -> float:
+    """Worst residual of the pentagon equation
+
+    ``[F_e^{fcd}]_{gl} [F_e^{abl}]_{fk}
+    = sum_h [F_g^{abc}]_{fh} [F_e^{ahd}]_{gk} [F_k^{bcd}]_{hl}``
+
+    over every pair of a left and a right fusion tree on the same outer
+    labels.  The D left and D right trees of one outer label give a D x D
+    block of equations, and blocks of equal D are walked as ``(G, D, D)``
+    arrays of about ``chunk`` equations.  Each tree keeps only int32
+    offsets into F: the row ``[F_g^{abc}]_{f.}`` is gathered once per left
+    tree and the column ``[F_k^{bcd}]_{.l}`` once per right tree, the
+    middle factor once per pair from a copy of F with h last, and every
+    sum runs over ascending h.
+    """
+    m = N.shape[0]
+    left, right = _tree_rows(N)
+    F = _real_if_real(F)
+    flat = F.reshape(-1)
+    rows = F.reshape(-1, m)                                                   # [a,b,c,g,f,h]
+    mid = np.ascontiguousarray(F.transpose(0, 2, 3, 4, 5, 1)).reshape(-1, m)  # [a,d,e,g,k,h]
+    column = np.arange(0, m * m, m, dtype=np.int32)                           # h m
+    a, b, c, d, e, f, g = left.T
+    left_row = _ravel(m, a, b, c, g, f)       # [F_g^{abc}]_{f.}
+    left_fcd = _ravel(m, f, c, d, e, g, 0)    # + l
+    left_abl = _ravel(m, a, b, 0, e, f, 0)    # + l m^3 + k
+    left_mid = _ravel(m, a, d, e, g, 0)       # + k
+    a, b, c, d, e, l, k = right.T
+    right_col = _ravel(m, b, c, d, k, 0, l)   # [F_k^{bcd}]_{.l}, + h m
+    right_abl = _ravel(m, 0, 0, l, 0, 0, k)
+    worst = 0.0
+    for trees in _equal_blocks(left[:, :5], chunk):
+        il, ir = trees[:, :, None], trees[:, None, :]
+        lhs = flat[left_fcd[il] + l[ir]] * flat[left_abl[il] + right_abl[ir]]
+        rhs = np.einsum("gih,gijh,gjh->gij", rows[left_row[trees]],
+                        mid.take(left_mid[il] + k[ir], axis=0),
+                        flat[right_col[trees][:, :, None] + column])
+        worst = _worst(worst, np.abs(lhs - rhs).max())
+    return worst
+
+
+def dense_block_residuals(N: np.ndarray, F: np.ndarray, R: np.ndarray) -> tuple[float, float]:
+    """Worst residuals of both hexagon equations and of F-unitarity, in one
+    walk over the admissible blocks of the F-matrices.
+
+    The block of ``F_d^{abc}`` holds its admissible rows ``e`` and columns
+    ``f``, and blocks of equal D are walked as ``(G, D, D)`` arrays.  Each
+    block must be unitary, checked as both ``F F^+`` and ``F^+ F``; unitarity
+    adds the largest ``|F|`` off the admissible set, where F must vanish.
+    Each entry ``(a, b, c, d, e, f)`` of a block is the hexagon tuple
+    ``(a, c, b, d, e, f)``: e in ac, d in eb, f in cb and d in af.
+    """
+    m = N.shape[0]
+    rows, columns = _admissible_blocks(N)
+    es, fs = np.argwhere(rows), np.argwhere(columns)
+    Fu = _real_if_real(F)
+    # One hexagon per chirality: R and its inverse must both recouple
+    # consistently with F.  Each R comes with its copy [c, d, g].
+    chiralities = [(S, np.ascontiguousarray(S.transpose(0, 2, 1))) for S in (R, np.conj(R))]
+    hexagon = unitarity = 0.0
+    for at in _equal_blocks(es[:, :4]):
+        a, b, c, d = es[at[:, 0], :4].T[:, :, None, None]
+        e, f = es[at, 4][:, :, None], fs[at, 4][:, None, :]
+        mats = Fu[a, b, c, d, e, f]
+        adj = mats.conj().transpose(0, 2, 1)
+        eye = np.eye(at.shape[1])
+        unitarity = _worst(unitarity, np.abs(mats @ adj - eye).max(),
+                           np.abs(adj @ mats - eye).max())
+        # the block's entries, one per row, as hexagon tuples
+        a, c, b, d, e, f = (np.broadcast_to(x, mats.shape).ravel() for x in (a, b, c, d, e, f))
+        mid = F[c, a, b, d, e, :] * F[a, b, c, d, :, f]
+        for S, St in chiralities:
+            lhs = S[c, a, e] * F[a, c, b, d, e, f] * S[c, b, f]
+            rhs = np.einsum("rg,rg->r", mid, St[c, d, :])
+            hexagon = _worst(hexagon, np.abs(lhs - rhs).max())
+    # one charge a at a time, so no temporary is the size of F
+    off = _worst(*(np.abs(Fu[x][~(rows[x][..., None] & columns[x][..., None, :])]).max(initial=0.0)
+                   for x in range(m)))
+    return hexagon, unitarity + off
+
+
+
+def dense_vacuum_probability_residual(model, F: np.ndarray) -> float:
+    """``AnyonModel.vacuum_probability_residual`` read from a dense F."""
+    worst = 0.0
+    for a in range(model.num_charges):
+        ab = model.dual(a).index
+        da2 = model.qd[a] ** 2
+        for e in np.flatnonzero(model.N[a, ab]):
+            got = abs(F[a, ab, a, a, e, 0]) ** 2
+            worst = max(worst, abs(got - model.qd[e] / da2))
+    return worst

@@ -1,10 +1,15 @@
-"""Reference q-6j symbols of su2_k: the Racah sum one F entry at a time.
+"""Reference dense F tables of the built-in models.
 
-This is the scalar form that :func:`anyonbraid.model.su2k_model` computed
-per admissible entry before it summed every entry at once.  Both add the
-terms of each sum in the same order with the same float operations, so
-their F tables must be bit-identical.  It is test-only: at k=11 it takes
-several times as long as the vectorised build.
+For su2_k these are the q-6j symbols by the Racah sum, one F entry at a
+time.  This is the scalar form that :func:`anyonbraid.model.su2k_model`
+computed per admissible entry before it summed every entry at once.  Both
+add the terms of each sum in the same order with the same float
+operations, so their F tables must be bit-identical.  It is test-only: at
+k=11 it takes several times as long as the vectorised build.
+
+For Fibonacci and Ising they are the entries as the built-ins define them,
+written into a dense ``(m,) * 6`` array as the library did before it kept
+F as its admissible rows.
 """
 
 import math
@@ -50,4 +55,31 @@ def su2k_f_table(k: int, N: np.ndarray) -> np.ndarray:
         sign = (-1) ** ((a + b + c + d) // 2)
         F[a, b, c, d, e, f] = (sign * math.sqrt(qnum[e + 1] * qnum[f + 1])
                                * sixj(a, b, e, c, d, f))
+    return F
+
+
+def _fibonacci_entry(a, b, c, d, e, f):
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    fmat = np.array([[1 / phi, 1 / math.sqrt(phi)],
+                     [1 / math.sqrt(phi), -1 / phi]])
+    return fmat[e, f] if (a, b, c, d) == (1, 1, 1, 1) else 1.0
+
+
+def _ising_entry(a, b, c, d, e, f):
+    s, p = 1, 2  # sigma, psi
+    isq2 = 1 / math.sqrt(2.0)
+    if (a, b, c, d) == (s, s, s, s):
+        return -isq2 if e == p and f == p else isq2
+    if (a, b, c, d) in ((s, p, s, p), (p, s, p, s)):
+        return -1.0
+    return 1.0
+
+
+def builtin_f_table(name: str, N: np.ndarray) -> np.ndarray:
+    """The dense F table of the built-in ``fibonacci`` or ``ising`` model
+    with fusion tensor ``N``."""
+    entry = {"fibonacci": _fibonacci_entry, "ising": _ising_entry}[name]
+    F = np.zeros((N.shape[0],) * 6, dtype=complex)
+    idx = np.argwhere(admissible_f(N))
+    F[tuple(idx.T)] = [entry(*i) for i in idx.tolist()]
     return F

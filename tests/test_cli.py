@@ -791,14 +791,14 @@ _ARGV_VALUES = [_HUGE, "-3", "2.5", "inf", "nan", "", "zeta", "MISSING", "DIRECT
 #: Flags that put an array or a model just inside (True) or just outside
 #: (False) a size limit: 342 psi anyons of Ising have MAX_LEAVES leaves
 #: (dim 1) and 343 have 1028; Fibonacci arrays of 10 and 11 anyons have
-#: dim 196,418 and 1,346,269 about MAX_DIM; su2_k at level MAX_CHARGES
-#: has one charge too many.  Level MAX_CHARGES - 1 is left out: it builds
-#: a 256 MiB F table.
+#: dim 196,418 and 1,346,269 about MAX_DIM; su2_k at level MAX_CHARGES - 1
+#: has MAX_CHARGES charges, and at level MAX_CHARGES one too many.
 _ARGV_SIZES = [
     ({"--model": "ising", "--charge": "1", "--n-computational": "342"}, True),
     ({"--model": "ising", "--charge": "1", "--n-computational": "343"}, False),
     ({"--model": "fibonacci", "--charge": "1", "--n-computational": "10"}, True),
     ({"--model": "fibonacci", "--charge": "1", "--n-computational": "11"}, False),
+    ({"--model": "su2_k", "--k": "15"}, True),
     ({"--model": "su2_k", "--k": "16"}, False),
 ]
 
@@ -959,6 +959,31 @@ class TestImports:
         result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], cwd=tmp_path,
                                 env=env, capture_output=True, text=True, timeout=300)
         assert result.stdout.split() == ["0", "False"], result.stderr
+
+
+class TestNoDenseF:
+    def test_commands_never_build_the_dense_f_view(self, capsys, tmp_path, monkeypatch):
+        # every command reads F through its row store; the dense (m,) * 6
+        # view is for library callers only
+        from anyonbraid import AnyonModel
+
+        built = []
+        dense = AnyonModel.F.func
+        monkeypatch.setattr(AnyonModel, "F",
+                            property(lambda model: built.append(model) or dense(model)))
+        model_path = tmp_path / "z3.model"
+        model_path.write_text(Z3_TEXT)
+        schedule = str(tmp_path / "schedule.json")
+        for argv in (["verify", "--model", "su2_k", "--k", "3"],
+                     ["verify", "--model", str(model_path)],
+                     ["teleport-stats", "--model", "fibonacci", "--seed", "1", "--trials", "20"],
+                     ["teleport-stats", "--model", "su2_k", "--k", "3", "--seed", "1",
+                      "--trials", "20"],
+                     ["braid-check", "--model", "ising", "--word", "s1 s2'", "--seed", "2"],
+                     ["compile", "--model", "fibonacci", "--word", "s1 s2", "--output", schedule],
+                     ["run", "--schedule", schedule, "--seed", "3"]):
+            assert run_cli(capsys, *argv)[0] == 0, argv
+        assert built == []
 
 
 class TestGoldens:

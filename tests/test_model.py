@@ -12,7 +12,7 @@ from anyonbraid import (AnyonModel, Charge, ModelError, UnknownChargeError,
                         load_builtin)
 from anyonbraid import model as model_module
 from anyonbraid.model import (MAX_CHARGES, _admissible_blocks, _block_residuals,
-                              _equal_blocks, _pentagon_residual, _tree_rows,
+                              _equal_blocks, _f_store, _pentagon_residual, _tree_rows,
                               check_model_size, fibonacci_model)
 
 import consistency_oracle
@@ -21,6 +21,11 @@ import racah_oracle
 from consistency_oracle import admissible_f, kappa
 
 PHI = (1 + math.sqrt(5)) / 2
+
+
+def stored(N, F):
+    """The row store of a dense F, as the residual checks read it."""
+    return _f_store(N, F)[1]
 
 
 def zn_fusion(n):
@@ -92,6 +97,11 @@ class TestLoadBuiltin:
         model = load_builtin("su2_k", k=k)
         oracle = racah_oracle.su2k_f_table(k, model.N)
         assert model.F.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("name", ["fibonacci", "ising"])
+    def test_f_equals_defined_entries(self, name):
+        model = load_builtin(name)
+        assert model.F.tobytes() == racah_oracle.builtin_f_table(name, model.N).tobytes()
 
     def test_oversized_level_refused_before_allocating(self):
         # 61 charges: the dense F table alone would be 768 GiB
@@ -202,6 +212,53 @@ class TestFSymbols:
                                                np.eye(len(es)), atol=1e-10)
 
 
+class TestFStore:
+    """F is kept as its admissible rows; ``f_rows`` reads them and ``F`` is
+    a dense copy built on first read."""
+
+    def test_dense_view_is_built_once_and_read_only(self, su2_3):
+        model = load_builtin("su2_k", k=3)
+        assert "F" not in vars(model)
+        dense = model.F
+        assert model.F is dense
+        assert not dense.flags.writeable
+        assert dense.tobytes() == su2_3.F.tobytes()
+
+    def test_rows_are_slices_of_the_dense_table(self, all_models):
+        for m in all_models:
+            n = m.num_charges
+            every = np.arange(n)
+            assert np.array_equal(m.f_rows(...), m.F)
+            for a, b in np.ndindex(n, n):
+                assert np.array_equal(m.f_rows(slice(None), a, b), m.F[:, a, b])
+            assert np.array_equal(m.f_rows(every, 1, 1, every, 0), m.F[every, 1, 1, every, 0])
+
+    def test_store_holds_only_admissible_rows(self):
+        model = load_builtin("su2_k", k=11)
+        rows, _ = _admissible_blocks(model.N)
+        assert model._f_store.shape == (12_377, 12)  # 12,376 rows and the zero row
+        assert int(rows.sum()) == 12_376
+        assert not model._f_store[-1].any()
+        assert model._f_row.dtype == np.int32 and model._f_row.shape == (12,) * 5
+
+    def test_dense_input_is_compressed(self, fibonacci):
+        F = fibonacci.F.copy()
+        F[0, 0, 0, 0, 1, 0] = 0.25  # off the admissible set
+        model = AnyonModel("fib-off", fibonacci.labels, fibonacci.N, fibonacci.qd,
+                           F, fibonacci.R)
+        assert model.F.tobytes() == fibonacci.F.tobytes()
+        assert model.verify_consistency().max_unitarity_residual == 0.25 + \
+            fibonacci.verify_consistency().max_unitarity_residual
+
+    def test_row_store_input_is_kept(self, fibonacci):
+        model = AnyonModel("fib-rows", fibonacci.labels, fibonacci.N, fibonacci.qd,
+                           fibonacci._f_store, fibonacci.R)
+        assert model.F.tobytes() == fibonacci.F.tobytes()
+        with pytest.raises(ModelError, match="shape"):
+            AnyonModel("fib-rows", fibonacci.labels, fibonacci.N, fibonacci.qd,
+                       fibonacci._f_store[:-1], fibonacci.R)
+
+
 class TestRSymbols:
     def test_phases(self, all_models):
         for m in all_models:
@@ -302,8 +359,8 @@ class TestVerifyConsistency:
     @pytest.mark.parametrize("chunk", [1, 3, 65536])
     def test_residual_maxima_propagate_nan(self, fibonacci, chunk):
         # Python's max(worst, nan) keeps worst: a NaN must not read as 0
-        F = fibonacci.F.copy()
-        F[1, 1, 1, 1, 1, 1] = math.nan
+        F = fibonacci._f_store.copy()
+        F[fibonacci._f_row[1, 1, 1, 1, 1], 1] = math.nan  # entry (1, 1, 1, 1, 1, 1)
         assert math.isnan(_pentagon_residual(fibonacci.N, F, chunk))
         hexagon, unitarity = _block_residuals(fibonacci.N, F, fibonacci.R)
         assert math.isnan(hexagon)
@@ -341,6 +398,46 @@ class TestVerifyConsistency:
                 for b in range(m.num_charges):
                     total = sum(m.qd[c] for c in np.flatnonzero(m.N[a, b]))
                     assert m.qd[a] * m.qd[b] == pytest.approx(total, abs=1e-10)
+
+
+def _dense_residuals(model, F):
+    """The four residuals of ``model`` as the dense oracles read them from ``F``."""
+    pentagon = consistency_oracle.dense_pentagon_residual(model.N, F)
+    hexagon, unitarity = consistency_oracle.dense_block_residuals(model.N, F, model.R)
+    vacuum = consistency_oracle.dense_vacuum_probability_residual(model, F)
+    return pentagon, hexagon, unitarity, vacuum
+
+
+class TestResidualOracle:
+    """Every residual read from F's row store is bit for bit the dense
+    formulation's in ``tests/consistency_oracle.py``, as built and with
+    seeded noise on the admissible entries of F and on R."""
+
+    @pytest.mark.parametrize("name,k,noise",
+                             [(name, k, None) for name, k in
+                              [("fibonacci", None), ("ising", None)]
+                              + [("su2_k", k) for k in range(2, MAX_CHARGES)]
+                              + [("z_n", n) for n in (1, 2, 5, 8, MAX_CHARGES)]]
+                             + [(name, k, noise) for noise in ("real", "complex")
+                                for name, k in [("fibonacci", None), ("ising", None)]
+                                + [("su2_k", k) for k in range(2, 12)]])
+    def test_store_matches_dense_residuals(self, name, k, noise):
+        model = zn_model(k) if name == "z_n" else load_builtin(name, k=k)
+        if noise:
+            rng = np.random.default_rng([19, k or 0, len(name), noise == "complex"])
+            F = model.F.copy()
+            admissible = admissible_f(model.N)
+            scale = 1e-6 * (1 if noise == "real" else (1 + 1j) / math.sqrt(2))
+            F[admissible] += rng.normal(size=int(admissible.sum())) * scale
+            R = model.R * np.exp(1e-6j * rng.normal(size=model.R.shape))
+            model = AnyonModel(model.name, model.labels, model.N, model.qd, F, R)
+        report = model.verify_consistency()
+        got = (report.max_pentagon_residual, report.max_hexagon_residual,
+               report.max_unitarity_residual, model.vacuum_probability_residual())
+        want = _dense_residuals(model, model.F)
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+        if noise:
+            assert report.max_pentagon_residual > 0.0
 
 
 class TestAdmissibleBlocks:
@@ -406,7 +503,7 @@ class TestPentagonStreaming:
         F[admissible] += noise
         want = pentagon_oracle.pentagon_residual(model.N, F)
         assert want > 0.0
-        assert _pentagon_residual(model.N, F, chunk) == want
+        assert _pentagon_residual(model.N, stored(model.N, F), chunk) == want
 
 
 class TestDenseOracles:
@@ -421,7 +518,7 @@ class TestDenseOracles:
     def test_builtin_residuals(self, name, k):
         model = zn_model(k) if name == "z_n" else load_builtin(name, k=k)
         N, F, R = model.N, model.F, model.R
-        hexagon, unitarity = _block_residuals(N, F, R)
+        hexagon, unitarity = _block_residuals(N, model._f_store, R)
         assert hexagon == consistency_oracle.hexagon_residual(N, F, R)
         assert unitarity == pytest.approx(
             consistency_oracle.unitarity_residual(N, F), rel=0, abs=1e-15)
@@ -441,7 +538,7 @@ class TestDenseOracles:
             noise = noise + 1j * rng.normal(size=noise.size) * scale
         F[admissible] += noise
         R = model.R * np.exp(1j * scale * rng.normal(size=model.R.shape))
-        hexagon, unitarity = _block_residuals(model.N, F, R)
+        hexagon, unitarity = _block_residuals(model.N, stored(model.N, F), R)
         want = consistency_oracle.hexagon_residual(model.N, F, R)
         assert want > 0.0
         assert hexagon == want
@@ -498,7 +595,7 @@ class TestPentagonSolverOracle:
     def test_unique_unitary_solution_is_inverse_golden_ratio(self):
         def residual(theta):
             N, F = _fibonacci_candidate(theta)
-            return _pentagon_residual(N, F)
+            return _pentagon_residual(N, stored(N, F))
 
         grid = np.linspace(0.05, math.pi / 2 - 0.05, 400)
         values = [residual(t) for t in grid]
@@ -514,7 +611,7 @@ class TestPentagonSolverOracle:
 
 class TestHexagonSolverOracle:
     def test_solutions_are_conjugate_pair(self, fibonacci):
-        N, F = fibonacci.N, fibonacci.F
+        N, F = fibonacci.N, fibonacci._f_store
 
         def residual(angles):
             R = fibonacci.R.copy()

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from anyonbraid import (ModelError, ModelFileError, load_model_file,
+from anyonbraid import (ModelError, ModelFileError, load_builtin, load_model_file,
                         parse_model_text)
+
+import racah_oracle
+from consistency_oracle import admissible_f
 
 Z3_TEXT = """
 # cyclic Z_3 model: all charges Abelian, non-trivial duals
@@ -80,6 +83,45 @@ class TestFileRoundTrip:
         assert np.allclose(model.F, fibonacci.F, atol=1e-12)
         assert np.allclose(model.R, fibonacci.R, atol=1e-12)
         assert model.verify_consistency(1e-10).passed
+
+
+def _su2_k_text(k, rng):
+    """su2_k at level ``k`` in the model-file format, every admissible F
+    entry listed in seeded order, each after a wrong value for it."""
+    model = load_builtin("su2_k", k=k)
+    labels = model.labels
+    F = racah_oracle.su2k_f_table(k, model.N)
+
+    def rows(table, indices):
+        return [" ".join(labels[i] for i in idx)
+                + f" {float(table[tuple(idx)].real)!r} {float(table[tuple(idx)].imag)!r}"
+                for idx in indices.tolist()]
+
+    lines = [f"name: su2_k{k}-file", "charges: " + " ".join(labels),
+             "dual: " + " ".join(f"{x}:{model.dual(x).label}" for x in labels),
+             "qdim: " + " ".join(f"{x}:{float(q)!r}" for x, q in zip(labels, model.qd)),
+             "[fusion]"]
+    lines += [f"{labels[a]} {labels[b]} -> "
+              + " ".join(labels[c] for c in np.flatnonzero(model.N[a, b]))
+              for a, b in np.ndindex(len(labels), len(labels))]
+    entries = rows(F, np.argwhere(admissible_f(model.N)))
+    rng.shuffle(entries)
+    lines += ["[f]"] + [" ".join(e.split()[:6]) + " 0.5" for e in entries] + entries
+    lines += ["[r]"] + rows(model.R, np.argwhere(model.N))
+    return "\n".join(lines) + "\n", F, model
+
+
+class TestStoredF:
+    """A model file's F rows go straight into F's row store; its dense view
+    is the dense table the entries define, bit for bit."""
+
+    @pytest.mark.parametrize("k", [3, 7, 11])
+    def test_parsed_su2_k_dense_view(self, k):
+        text, F, builtin = _su2_k_text(k, np.random.default_rng(k))
+        model = parse_model_text(text)
+        assert model.F.tobytes() == F.tobytes()
+        assert model.R.tobytes() == builtin.R.tobytes()
+        assert model._f_store.tobytes() == builtin._f_store.tobytes()
 
 
 class TestRejection:
