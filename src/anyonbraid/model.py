@@ -243,7 +243,8 @@ class AnyonModel:
         if self.qd.shape != (m,):
             raise ModelError("quantum-dimension vector has wrong shape")
         for what, arr in (("quantum dimensions", self.qd), ("R-symbols", self.R)):
-            _require_finite(arr, what)
+            if not np.isfinite(arr).all():
+                raise ModelError(f"{what} must be finite (found NaN or infinity)")
         if np.any((self.N != 0) & (self.N != 1)):
             raise ModelError("fusion multiplicities must be 0 or 1")
         eye = np.eye(m, dtype=np.int8)
@@ -362,11 +363,6 @@ def _regroup(m: int, idx: np.ndarray, values: np.ndarray,
     return index.reshape((m,) * 5), table
 
 
-def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.isfinite(arr).all():
-        raise ModelError(f"{what} must be finite (found NaN or infinity)")
-
-
 def _f_store(N: np.ndarray, f_symbols) -> tuple[np.ndarray, np.ndarray, float]:
     """F as its admissible rows: ``(index, store, off)``.
 
@@ -384,7 +380,8 @@ def _f_store(N: np.ndarray, f_symbols) -> tuple[np.ndarray, np.ndarray, float]:
         at = (r, idx[:, 5])
     else:
         raise ModelError("F/R tables have wrong shape")
-    _require_finite(F, "F-symbols")
+    if not np.isfinite(F).all():
+        raise ModelError("F-symbols must be finite (found NaN or infinity)")
     outside = np.ones(F.shape, dtype=bool)
     outside[at] = False
     index, store = _regroup(m, idx, F[at], 5)

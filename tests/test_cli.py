@@ -791,15 +791,15 @@ _ARGV_VALUES = [_HUGE, "-3", "2.5", "inf", "nan", "", "zeta", "MISSING", "DIRECT
 #: Flags that put an array or a model just inside (True) or just outside
 #: (False) a size limit: 342 psi anyons of Ising have MAX_LEAVES leaves
 #: (dim 1) and 343 have 1028; Fibonacci arrays of 10 and 11 anyons have
-#: dim 196,418 and 1,346,269 about MAX_DIM; su2_k at level MAX_CHARGES - 1
-#: has MAX_CHARGES charges, and at level MAX_CHARGES one too many.
+#: dim 196,418 and 1,346,269 about MAX_DIM; su2_k at level MAX_CHARGES
+#: has one charge too many, and at level MAX_CHARGES - 1 it has the most.
 _ARGV_SIZES = [
     ({"--model": "ising", "--charge": "1", "--n-computational": "342"}, True),
     ({"--model": "ising", "--charge": "1", "--n-computational": "343"}, False),
     ({"--model": "fibonacci", "--charge": "1", "--n-computational": "10"}, True),
     ({"--model": "fibonacci", "--charge": "1", "--n-computational": "11"}, False),
-    ({"--model": "su2_k", "--k": "15"}, True),
     ({"--model": "su2_k", "--k": "16"}, False),
+    ({"--model": "su2_k", "--k": "15"}, True),
 ]
 
 
