@@ -24,7 +24,8 @@ per trial.
 JSON is streamed by :func:`_write_json`, byte for byte what the standard
 library's encoder prints at an indent of two spaces.
 
-Exit codes: 0 pass, 1 check failed, 2 usage or parse error.
+Exit codes: 0 pass, 1 check failed or out of memory, 2 usage or parse
+error.
 """
 
 from __future__ import annotations
@@ -677,6 +678,10 @@ def main(argv=None) -> int:
         return 2
     except AnyonError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 1
 
 

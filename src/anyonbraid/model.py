@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +42,8 @@ CONSISTENCY_TOL = 1e-10
 #: Most charges a model may have, kept where a dense F table of m**6
 #: complex entries was 256 MiB (16 charges, su2_k at k = 15).  F is stored
 #: as its admissible rows, 11.6 MiB there with a 4 MiB row index, and
-#: building and verifying su2_k at k = 15 peaks near 225 MB of RSS.
+#: building and verifying su2_k at k = 15 peaks near 245 MB of RSS on two
+#: CPUs (223 MB on one, without a second thread's malloc arena).
 MAX_CHARGES = 16
 
 
@@ -286,10 +289,20 @@ class AnyonModel:
 # two more such padded tables of F's entries, whose rows run along another
 # axis of F.  Inadmissible entries read as exact zeros, which lets the
 # internal sums run over the full charge range.
+#
+# Both walks go through :func:`_walk`, which spreads their blocks over the
+# CPUs the process may run on: the caller and one thread per further CPU
+# each take the next block in turn, and a block holds _BLOCK / workers
+# equations, so at most _BLOCK are in flight.  A block's arithmetic does
+# not depend on which thread runs it or on how many equations share it
+# (each equation sums its own terms in a fixed order), and a maximum does
+# not depend on the order it is taken in, so every residual has the same
+# bits for any number of workers.
 # ---------------------------------------------------------------------------
 
 
-#: Equations (or matrix entries) per block of a block walk.
+#: Equations (or matrix entries) in flight at once in a block walk, shared
+#: out among its workers.
 _BLOCK = 65536
 
 
@@ -297,6 +310,60 @@ def _worst(*residuals) -> float:
     """The largest of ``residuals``, NaN if any is NaN (Python's ``max``
     keeps its first argument against a NaN)."""
     return float(np.max(residuals))
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _walk(keys: np.ndarray, chunk: int, residual) -> tuple[float, ...]:
+    """The worst of ``residual(block)`` over the blocks of
+    :func:`_equal_blocks` of ``keys``, column by column, with the blocks
+    spread over :func:`_cpu_count` workers.
+
+    ``residual`` maps a block to a tuple of maxima.  The caller walks as
+    one worker and starts a thread for each other; each block holds
+    ``chunk // workers`` equations, so at most ``chunk`` are in flight.
+    The first exception in any worker, an interrupt of the caller
+    included, stops the others after their current block and is raised
+    here once every thread has been joined.
+    """
+    workers = _cpu_count()
+    blocks = _equal_blocks(keys, chunk // workers)
+    lock = threading.Lock()  # a generator runs in one thread at a time
+    maxima, failed = [], []
+
+    def work():
+        try:
+            while not failed:
+                with lock:
+                    block = next(blocks, None)
+                if block is None:
+                    return
+                maxima.append(residual(block))
+        except BaseException as exc:  # raised in the caller below
+            failed.append(exc)
+
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    except BaseException as exc:  # a thread that would not start, or an interrupt
+        failed.append(exc)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[0]
+    return tuple(_worst(0.0, *column) for column in zip(*maxima))
 
 
 def _real_if_real(F: np.ndarray) -> np.ndarray:
@@ -448,12 +515,14 @@ def _pentagon_residual(N: np.ndarray, store: np.ndarray, chunk: int = _BLOCK) ->
     over every pair of a left and a right fusion tree on the same outer
     labels, with F read from its row ``store``.  The D left and D right
     trees of one outer label give a D x D block of equations, and blocks of
-    equal D are walked as ``(G, D, D)`` arrays of about ``chunk`` equations.
+    equal D are walked as ``(G, D, D)`` arrays on every CPU the process may
+    use (:func:`_walk`), about ``chunk`` equations in flight at once.
     Each h-axis factor comes from a padded table of F's entries with h last
     (:func:`_regroup`): the row ``[F_g^{abc}]_{f.}`` once per left tree,
     the column ``[F_k^{bcd}]_{.l}`` once per right tree and the middle
     factor once per pair.  Each tree keeps only int32 offsets, and every sum
-    runs over ascending h.
+    runs over ascending h, so an equation's residual has the same bits in
+    any block and on any thread.
     """
     m = N.shape[0]
     left, right = _tree_rows(N)
@@ -471,15 +540,17 @@ def _pentagon_residual(N: np.ndarray, store: np.ndarray, chunk: int = _BLOCK) ->
     a, b, c, d, e, l, k = right.T
     right_col = col_of[b, c, d, k, l]                 # [F_k^{bcd}]_{.l}
     right_abl = _ravel(m, l, 0, 0)
-    worst = 0.0
-    for trees in _equal_blocks(left[:, :5], chunk):
+
+    def block(trees):
         il, ir = trees[:, :, None], trees[:, None, :]
         lhs = (flat[left_fcd[il] + l[ir]]
                * flat[row_of[left_abl[il] + right_abl[ir]] * m + k[ir]])
         rhs = np.einsum("gih,gijh,gjh->gij", rows[left_row[trees]],
                         mid.take(mid_of[left_mid[il] + k[ir]], axis=0),
                         cols[right_col[trees]])
-        worst = _worst(worst, np.abs(lhs - rhs).max())
+        return (np.abs(lhs - rhs).max(),)
+
+    (worst,) = _walk(left[:, :5], chunk, block)
     return worst
 
 
@@ -489,8 +560,11 @@ def _block_residuals(N: np.ndarray, store: np.ndarray, R: np.ndarray) -> tuple[f
     ``store``.
 
     The block of ``F_d^{abc}`` holds its admissible rows ``e`` and columns
-    ``f``, and blocks of equal D are walked as ``(G, D, D)`` arrays.  Each
-    block must be unitary, checked as both ``F F^+`` and ``F^+ F``.  Each
+    ``f``, and blocks of equal D are walked as ``(G, D, D)`` arrays on every
+    CPU the process may use (:func:`_walk`), at most ``_BLOCK`` entries in
+    flight at once.  Each matrix and each entry is checked on its own, so
+    its residual does not depend on the block or thread that checks it.
+    Each block must be unitary, checked as both ``F F^+`` and ``F^+ F``.  Each
     entry ``(a, b, c, d, e, f)`` of a block is the hexagon tuple
     ``(a, c, b, d, e, f)``: e in ac, d in eb, f in cb and d in af.
     """
@@ -505,26 +579,28 @@ def _block_residuals(N: np.ndarray, store: np.ndarray, R: np.ndarray) -> tuple[f
     # One hexagon per chirality: R and its inverse must both recouple
     # consistently with F.  Each R comes with its copy [c, d, g].
     chiralities = [(S, np.ascontiguousarray(S.transpose(0, 2, 1))) for S in (R, np.conj(R))]
-    hexagon = unitarity = 0.0
-    for at in _equal_blocks(es[:, :4]):
+
+    def block(at):
         # the store's row of es[i] is row i
         at_e, f = at[:, :, None], fs[at, 4][:, None, :]
         mats = Fu[at_e, f]
         adj = mats.conj().transpose(0, 2, 1)
         eye = np.eye(at.shape[1])
-        unitarity = _worst(unitarity, np.abs(mats @ adj - eye).max(),
-                           np.abs(adj @ mats - eye).max())
+        unitarity = _worst(np.abs(mats @ adj - eye).max(), np.abs(adj @ mats - eye).max())
         # the block's entries, one per row, as hexagon tuples
         entries = store[at_e, f].ravel()
         a, b, c, d = es[at[:, 0], :4].T[:, :, None, None]
         e = es[at_e, 4]
         a, c, b, d, e, f = (np.broadcast_to(x, mats.shape).ravel() for x in (a, b, c, d, e, f))
         mid = store[row_of[c, a, b, d, e]] * cols[col_of[a, b, c, d, f]]
+        hexagon = 0.0
         for S, St in chiralities:
             lhs = S[c, a, e] * entries * S[c, b, f]
             rhs = np.einsum("rg,rg->r", mid, St[c, d, :])
             hexagon = _worst(hexagon, np.abs(lhs - rhs).max())
-    return hexagon, unitarity
+        return hexagon, unitarity
+
+    return _walk(es[:, :4], _BLOCK, block)
 
 
 def _qdim_residual(N: np.ndarray, qd: np.ndarray) -> float:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
 import weakref
 
 import numpy as np
@@ -19,8 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anyonbraid import cli, compiler, model_io
+from anyonbraid import model as model_module
 from anyonbraid.cli import _write_json, main
 
+from test_model import spy_on_blocks
 from test_model_io import Z3_TEXT
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -95,6 +98,29 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "768 GiB" in err
+
+    def test_out_of_memory_in_a_walk_worker_is_a_clean_error(self, capsys, monkeypatch):
+        # A worker thread, not the caller, runs out of memory in a block;
+        # the caller holds its own first block until that has happened.
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 2)
+        failed = threading.Event()
+
+        def failing(residual):
+            def block(trees):
+                if threading.current_thread() is threading.main_thread():
+                    assert failed.wait(10)
+                    return residual(trees)
+                failed.set()
+                raise MemoryError("Unable to allocate 1.00 GiB for an array")
+            return block
+
+        spy_on_blocks(monkeypatch, failing)
+        before = threading.active_count()
+        code, out, err = run_cli(capsys, "verify", "--model", "su2_k", "--k", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: out of memory: Unable to allocate 1.00 GiB for an array\n"
+        assert failed.is_set()
+        assert threading.active_count() == before
 
     def test_builtin_name_wins_over_same_named_file(self, capsys, tmp_path,
                                                     monkeypatch):

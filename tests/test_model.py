@@ -1,6 +1,8 @@
 """Anyon model data: built-ins, algebraic identities, consistency checks."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -357,14 +359,45 @@ class TestVerifyConsistency:
                        data["qd"], data["F"], data["R"])
 
     @pytest.mark.parametrize("chunk", [1, 3, 65536])
-    def test_residual_maxima_propagate_nan(self, fibonacci, chunk):
+    def test_residual_maxima_propagate_nan(self, fibonacci, monkeypatch, chunk):
         # Python's max(worst, nan) keeps worst: a NaN must not read as 0
         F = fibonacci._f_store.copy()
         F[fibonacci._f_row[1, 1, 1, 1, 1], 1] = math.nan  # entry (1, 1, 1, 1, 1, 1)
-        assert math.isnan(_pentagon_residual(fibonacci.N, F, chunk))
-        hexagon, unitarity = _block_residuals(fibonacci.N, F, fibonacci.R)
-        assert math.isnan(hexagon)
-        assert math.isnan(unitarity)
+        for workers in (1, 3):
+            monkeypatch.setattr(model_module, "_cpu_count", lambda: workers)
+            assert math.isnan(_pentagon_residual(fibonacci.N, F, chunk))
+            hexagon, unitarity = _block_residuals(fibonacci.N, F, fibonacci.R)
+            assert math.isnan(hexagon)
+            assert math.isnan(unitarity)
+
+    def test_nan_in_a_later_block_wins(self, fibonacci, monkeypatch):
+        # Three workers of one key per block, each holding its first block
+        # until all three have one: the NaN's blocks come after those, so
+        # no worker, the caller included, meets it first.
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(model_module, "_BLOCK", 3)
+        firsts = []
+
+        def hold_first_blocks(residual):
+            first, barrier = {}, threading.Barrier(3, timeout=10)
+            firsts.append(first)
+
+            def spy(block):
+                value = residual(block)
+                if threading.get_ident() not in first:
+                    first[threading.get_ident()] = value
+                    barrier.wait()
+                return value
+            return spy
+
+        spy_on_blocks(monkeypatch, hold_first_blocks)
+        F = fibonacci._f_store.copy()
+        F[fibonacci._f_row[1, 1, 1, 1, 1], 1] = math.nan
+        assert math.isnan(_pentagon_residual(fibonacci.N, F, 3))
+        assert all(math.isnan(x) for x in _block_residuals(fibonacci.N, F, fibonacci.R))
+        assert [len(first) for first in firsts] == [3, 3]
+        assert threading.get_ident() in firsts[0]
+        assert not any(np.isnan(v).any() for first in firsts for v in first.values())
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("check", ["_pentagon_residual", "_hexagon_residual",
@@ -398,6 +431,96 @@ class TestVerifyConsistency:
                 for b in range(m.num_charges):
                     total = sum(m.qd[c] for c in np.flatnonzero(m.N[a, b]))
                     assert m.qd[a] * m.qd[b] == pytest.approx(total, abs=1e-10)
+
+
+def spy_on_blocks(monkeypatch, wrap):
+    """Make every block walk call ``wrap(residual)`` in place of its
+    per-block function ``residual``."""
+    walk = model_module._walk
+    monkeypatch.setattr(model_module, "_walk",
+                        lambda keys, chunk, residual: walk(keys, chunk, wrap(residual)))
+
+
+class TestWalkWorkers:
+    """The block walks share their blocks among one worker per CPU of the
+    process; the CPU count is patched where it is read."""
+
+    @pytest.mark.parametrize("name,k", [("fibonacci", None), ("ising", None)]
+                             + [("su2_k", k) for k in range(2, 10)])
+    def test_residual_bits_do_not_depend_on_worker_count(self, monkeypatch, name, k):
+        model = load_builtin(name, k=k)
+        pentagon = consistency_oracle.dense_pentagon_residual(model.N, model.F)
+        hexagon, unitarity = consistency_oracle.dense_block_residuals(model.N, model.F, model.R)
+        want = [float(x).hex() for x in (pentagon, hexagon, unitarity)]
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(model_module, "_cpu_count", lambda: workers)
+            report = model.verify_consistency()
+            got = (report.max_pentagon_residual, report.max_hexagon_residual,
+                   report.max_unitarity_residual)
+            assert [x.hex() for x in got] == want, workers
+
+    def test_many_workers_under_rapid_switching(self, monkeypatch):
+        # more workers than CPUs, switching threads as often as the
+        # interpreter allows: every block is walked once, and the residual
+        # keeps the bits of a lone worker
+        model = load_builtin("su2_k", k=5)
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 1)
+        want = _pentagon_residual(model.N, model._f_store, 64)
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 8)
+        firsts = []
+
+        def record(residual):
+            def spy(block):
+                firsts.append(int(block[0, 0]))
+                return residual(block)
+            return spy
+
+        spy_on_blocks(monkeypatch, record)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _pentagon_residual(model.N, model._f_store, 64)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.hex() == want.hex()
+        blocks = _equal_blocks(_tree_rows(model.N)[0][:, :5], 64 // 8)
+        assert sorted(firsts) == sorted(int(block[0, 0]) for block in blocks)
+
+    def test_no_thread_outlives_a_verify(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 3)
+        model = load_builtin("su2_k", k=7)
+        before = threading.active_count()
+        assert model.verify_consistency().passed
+        assert threading.active_count() == before
+
+    def test_error_in_a_block_stops_every_worker(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 3)
+        model = load_builtin("su2_k", k=7)
+        lock, walks, fail_at = threading.Lock(), [], [None]
+
+        def count(residual):
+            calls = []
+            walks.append(calls)
+
+            def spy(block):
+                with lock:
+                    calls.append(block)
+                    n = len(calls)
+                if n == fail_at[0]:
+                    raise MemoryError("no room for block 3")
+                return residual(block)
+            return spy
+
+        spy_on_blocks(monkeypatch, count)
+        model.verify_consistency()
+        total = len(walks[0])  # the pentagon's blocks
+        walks.clear()
+        fail_at[0] = 3
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="block 3"):
+            model.verify_consistency()
+        assert threading.active_count() == before
+        assert len(walks) == 1 and 3 <= len(walks[0]) < total
 
 
 def _dense_residuals(model, F):
