@@ -48,10 +48,12 @@ tables, applied in turn and never multiplied out.  The same tables act on
 a batch of states stored as ``(dim, T)`` columns.
 
 Source and destination basis of a table differ at most in the order of
-the pair's leaves, which changes only the terms of columns ``pos`` and
-``pos + 1``, so the source row of every entry is the destination row minus
-the destination's two terms plus the source's, read from ``(m, m, m)``
-tables: no row is sorted or looked up.
+the pair's leaves, which changes only the rank terms of columns ``pos`` and
+``pos + 1``.  So how far each entry's source row lies from its destination
+row, and the entry's value, depend only on the destination row's
+neighbourhood, its labels in columns ``pos - 1`` to ``pos + 1``.  A table
+is worked out once per neighbourhood that occurs, at most ``m**3`` of them,
+and gathered out to the rows: no row is sorted or looked up.
 
 Each model has one cache.  A builder wrapped by :func:`_cached` (a
 basis, its rank tables, a braid or projector table, and a measurement
@@ -78,8 +80,8 @@ from .model import AnyonModel
 #: Unit-norm tolerance enforced on construction.
 NORM_TOL = 1e-9
 
-#: Dtype of chain labels.  They are charge indices, and a model of 256
-#: charges would need a dense F table of 2**52 entries.
+#: Dtype of chain labels.  They are charge indices, below the
+#: :data:`~anyonbraid.model.MAX_CHARGES` charges a model may have.
 LABEL = np.uint8
 
 #: Largest number of leaves a register may have.
@@ -227,82 +229,9 @@ def _basis(model, leaves, total):
     return rows
 
 
-def _pair_terms(model, leaves, total, pos):
-    """Rank terms and admissibility of chain columns ``pos`` and ``pos+1``.
-
-    Returns ``(rank, allowed)``, each of shape ``(m, m, m)`` and indexed
-    ``[x, p, q]``: for a row holding ``p`` in column ``pos - 1``, ``x`` in
-    column ``pos`` and ``q`` in column ``pos + 1``, the part of its index
-    that the two columns contribute, and whether that row exists once its
-    other columns do.
-    """
-    _, terms = _ranks(model, leaves, total)
-    N = model.N != 0
-    allowed = N[:, leaves[pos], :, None] & N[None, :, leaves[pos + 1], :]  # [p, x, q]
-    rank = terms[pos][:, :, None] + terms[pos + 1][None, :, :]
-    return rank.transpose(1, 0, 2), allowed.transpose(1, 0, 2)
-
-
 # ---------------------------------------------------------------------------
 # Local operators: row-gather tables.
 # ---------------------------------------------------------------------------
-
-
-def _sources(model, leaves, out_leaves, total, pos):
-    """Source row of every destination row and label at column ``pos``.
-
-    The bases of ``leaves`` (source) and ``out_leaves`` (destination) agree
-    outside columns ``pos`` and ``pos + 1``, so their indices differ by
-    their :func:`_pair_terms` there.  Returns ``(index, found, site)``:
-    ``index`` and ``found`` of shape ``(m, dim)``, by source label and
-    destination row, with ``index`` 0 where no source row holds that
-    label, and ``site`` each destination row's flat ``[x, p, q]`` position.
-    """
-    dst = _basis(model, out_leaves, total)
-    p, x, q = (dst[:, j].astype(np.intp) for j in (pos - 1, pos, pos + 1))
-    src_rank, src_allowed = _pair_terms(model, leaves, total, pos)
-    dst_rank, _ = _pair_terms(model, out_leaves, total, pos)
-    m = len(src_rank)
-    pq = p * m + q
-    site = x * (m * m) + pq
-    found = src_allowed.reshape(m, m * m)[:, pq]
-    base = np.arange(len(x)) - dst_rank.reshape(-1)[site]
-    index = np.where(found, src_rank.reshape(m, m * m)[:, pq] + base, 0)
-    return index, found, site
-
-
-def _local_table(sources, local):
-    """Gather table of an operator that rewrites chain column ``pos``.
-
-    ``sources`` is as returned by :func:`_sources`.  ``local[p, q, x, y]``
-    is the amplitude sent from label ``y`` to label ``x`` at ``pos`` between
-    the neighbours ``p`` (column ``pos - 1``) and ``q`` (column ``pos + 1``).
-    Entries that vanish are dropped, so the width ``w`` is the largest
-    number of labels any output row draws from; each row keeps its labels
-    in ascending order.  Returns ``(index, value)`` of shape ``(w, dim)``.
-    """
-    index, found, site = sources
-    m = len(local)
-    value = local.transpose(3, 2, 0, 1).reshape(m, m * m * m)[:, site] * found
-    nonzero = value != 0
-    kept = np.cumsum(nonzero, axis=0)
-    count = kept[-1]
-    width = max(int(count.max(initial=0)), 1)
-    # Each row's kept entries take its first slots, in label order, and the
-    # dropped ones the slots after them, in label order too: the order a
-    # stable sort of the rows by ``~nonzero`` would give.
-    slot = np.where(nonzero, kept - 1, count + np.arange(m)[:, None] - kept)
-    dest = (slot * len(site) + np.arange(len(site))).reshape(-1)
-    return _scatter(index, dest, width), _scatter(value, dest, width)
-
-
-def _scatter(array, dest, width):
-    """The first ``width`` rows of ``array`` with each entry moved to its
-    flat position ``dest``."""
-    out = np.empty(array.size, array.dtype)
-    out[dest] = array.reshape(-1)
-    out = out.reshape(array.shape)
-    return out if width == len(out) else out[:width].copy()
 
 
 def _gather(table, amps):
@@ -339,16 +268,54 @@ def _pair_tables(model, leaves, total, pos, phases, out_leaves):
     leaves with the pair swapped for a braid, unchanged for a projector.
     At ``pos = 0`` the pair channel is a chain label: the tables are
     diagonal.
+
+    Elsewhere the bases of ``leaves`` (source) and ``out_leaves``
+    (destination) agree outside columns ``pos`` and ``pos + 1``, so a
+    destination row's entries depend only on its neighbourhood, its labels
+    ``x, p, q`` in columns ``pos``, ``pos - 1`` and ``pos + 1``: the source
+    row that holds ``y`` in column ``pos`` differs from it only in the rank
+    terms (:func:`_ranks`) of the two columns, and its amplitude is
+    ``local[p, q, x, y]``.  Each table is worked out as ``(m, S)`` arrays
+    by source label on the ``S`` neighbourhoods that occur, numbered by a
+    count over all ``m**3``, and gathered out to the ``(w, dim)`` rows
+    once.  Entries that vanish are dropped, so the width ``w`` is the
+    largest number of labels any row draws from.  A row's kept labels take
+    its first slots and its dropped ones the rest, each in ascending order,
+    with index 0 where no source row holds the label.
     """
     if pos == 0:
         src = _basis(model, leaves, total)
         index = np.arange(len(src))[None, :]
         return [(index, phi[src[:, 1]][None, :]) for phi in phases]
+    dst = _basis(model, out_leaves, total)
+    _, src_terms = _ranks(model, leaves, total)
+    _, dst_terms = _ranks(model, out_leaves, total)
+    m = model.num_charges
+    site = np.ravel_multi_index((dst[:, pos], dst[:, pos - 1], dst[:, pos + 1]), (m,) * 3)
+    occurs = np.bincount(site, minlength=m ** 3) != 0
+    hood = (np.cumsum(occurs) - 1)[site]  # each row's neighbourhood number
+    x, p, q = np.unravel_index(np.flatnonzero(occurs), (m,) * 3)
+    # (m, S) arrays by source label y: whether a source row holds y, and how
+    # far it lies from the destination row
+    N = model.N != 0
+    found = N[p, leaves[pos]].T & N[:, leaves[pos + 1], q]
+    offset = (src_terms[pos][p].T + src_terms[pos + 1][:, q]
+              - dst_terms[pos][p, x] - dst_terms[pos + 1][x, q])
+    row = np.arange(len(dst))
     F_out = np.conj(model.f_rows(slice(None), out_leaves[pos], out_leaves[pos + 1]))
     F_in = model.f_rows(slice(None), leaves[pos], leaves[pos + 1])
-    sources = _sources(model, leaves, out_leaves, total, pos)
-    return [_local_table(sources, np.einsum("pqxc,c,pqyc->pqxy", F_out, phi, F_in))
-            for phi in phases]
+    tables = []
+    for phi in phases:
+        value = np.einsum("pqxc,c,pqyc->pqxy", F_out, phi, F_in)[p, q, x].T * found
+        nonzero = value != 0
+        width = int(nonzero.sum(0).max(initial=1))
+        order = np.argsort(~nonzero, axis=0, kind="stable")[:width]  # kept first
+        slots = order * len(x) + np.arange(len(x))  # flat (m, S) positions
+        index = offset.take(slots).take(hood, axis=1)
+        index += row
+        index *= found.take(slots).take(hood, axis=1)
+        tables.append((index, value.take(slots).take(hood, axis=1)))
+    return tables
 
 
 @_cached

@@ -293,11 +293,13 @@ class AnyonModel:
 # Both walks go through :func:`_walk`, which spreads their blocks over the
 # CPUs the process may run on: the caller and one thread per further CPU
 # each take the next block in turn, and a block holds _BLOCK / workers
-# equations, so at most _BLOCK are in flight.  A block's arithmetic does
-# not depend on which thread runs it or on how many equations share it
-# (each equation sums its own terms in a fixed order), and a maximum does
-# not depend on the order it is taken in, so every residual has the same
-# bits for any number of workers.
+# equations, so at most _BLOCK are in flight.  A walk has no more workers
+# than it has shares of _BLOCK / 4 equations, below which a thread costs
+# more than it walks, so a small model's walks start no thread.  A block's
+# arithmetic does not depend on which thread runs it or on how many
+# equations share it (each equation sums its own terms in a fixed order),
+# and a maximum does not depend on the order it is taken in, so every
+# residual has the same bits for any number of workers.
 # ---------------------------------------------------------------------------
 
 
@@ -329,12 +331,16 @@ def _walk(keys: np.ndarray, chunk: int, residual) -> tuple[float, ...]:
     ``residual`` maps a block to a tuple of maxima.  The caller walks as
     one worker and starts a thread for each other; each block holds
     ``chunk // workers`` equations, so at most ``chunk`` are in flight.
+    There are no more workers than the walk's equations fill shares of
+    ``chunk // 4``, so a small walk starts no thread.
     The first exception in any worker, an interrupt of the caller
     included, stops the others after their current block and is raised
     here once every thread has been joined.
     """
-    workers = _cpu_count()
-    blocks = _equal_blocks(keys, chunk // workers)
+    starts, dims = _runs(keys)
+    equations = int(np.dot(dims, dims))
+    workers = max(1, min(_cpu_count(), equations // max(chunk // 4, 1)))
+    blocks = _blocks(starts, dims, chunk // workers)
     lock = threading.Lock()  # a generator runs in one thread at a time
     maxima, failed = [], []
 
@@ -489,6 +495,13 @@ def _ravel(m: int, *index) -> np.ndarray:
     return flat
 
 
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First row and length D of each key of ``keys``, an ``(n, q)`` table
+    whose equal rows are adjacent."""
+    starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
+    return starts, np.diff(np.r_[starts, len(keys)])
+
+
 def _equal_blocks(keys: np.ndarray, chunk: int = _BLOCK):
     """Yield ``(G, D)`` arrays of row numbers of ``keys``, an ``(n, q)``
     table whose equal rows are adjacent.
@@ -497,8 +510,11 @@ def _equal_blocks(keys: np.ndarray, chunk: int = _BLOCK):
     block has the same D, and a block holds about ``chunk`` D x D entries
     (at least one key).
     """
-    starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
-    dims = np.diff(np.r_[starts, len(keys)])
+    return _blocks(*_runs(keys), chunk)
+
+
+def _blocks(starts: np.ndarray, dims: np.ndarray, chunk: int):
+    """The blocks of :func:`_equal_blocks`, from the keys' :func:`_runs`."""
     for D in np.flatnonzero(np.bincount(dims)).tolist():
         first = starts[dims == D]
         step = max(1, chunk // D ** 2)
@@ -615,15 +631,11 @@ def _qdim_residual(N: np.ndarray, qd: np.ndarray) -> float:
 
 
 def check_model_size(m: int) -> None:
-    """Refuse a model of ``m`` charges whose dense F table exceeds the
-    :data:`MAX_CHARGES` budget, before anything of that size is allocated."""
+    """Refuse a model of more than :data:`MAX_CHARGES` charges, before
+    anything of its size is allocated."""
     if m > MAX_CHARGES:
-        need = m ** 6 * np.dtype(complex).itemsize
-        limit = MAX_CHARGES ** 6 * np.dtype(complex).itemsize
-        raise ModelError(
-            f"{m} charges need a dense F table of {need / 2 ** 30:.3g} GiB, "
-            f"over the {limit / 2 ** 30:.3g} GiB limit of {MAX_CHARGES} charges "
-            f"(su2_k up to k = {MAX_CHARGES - 1})")
+        raise ModelError(f"{m} charges exceed the limit of {MAX_CHARGES} charges "
+                         f"(su2_k up to k = {MAX_CHARGES - 1})")
 
 
 def _fill_tables(m, fusion, f_values, r_func):

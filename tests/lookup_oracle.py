@@ -67,18 +67,45 @@ def local_table(model, src, dst, pos, local):
     return index, value
 
 
+def pair_table(model, leaves, out_leaves, total, pos, phases):
+    """Gather table of ``F^dag diag(phases) F`` on leaves ``(pos, pos+1)``,
+    from the basis of ``leaves`` to that of ``out_leaves``."""
+    src = chains(model, leaves, total)
+    if pos == 0:
+        return np.arange(len(src))[None, :], phases[src[:, 1]][None, :]
+    local = np.einsum("pqxc,c,pqyc->pqxy",
+                      np.conj(model.F[:, out_leaves[pos], out_leaves[pos + 1]]), phases,
+                      model.F[:, leaves[pos], leaves[pos + 1]])
+    return local_table(model, src, chains(model, out_leaves, total), pos, local)
+
+
 def braid_table(model, leaves, total, pos, sign):
     """``(new_leaves, index, value)`` of the exchange of leaves ``(pos, pos+1)``."""
     a, b = leaves[pos], leaves[pos + 1]
     swapped = leaves[:pos] + (b, a) + leaves[pos + 2:]
     phases = model.R[a, b] if sign > 0 else np.conj(model.R[b, a])
-    src = chains(model, leaves, total)
-    if pos == 0:
-        return swapped, np.arange(len(src))[None, :], phases[src[:, 1]][None, :]
-    local = np.einsum("pqxc,c,pqyc->pqxy", np.conj(model.F[:, b, a]), phases,
-                      model.F[:, a, b])
-    index, value = local_table(model, src, chains(model, swapped, total), pos, local)
-    return swapped, index, value
+    return (swapped, *pair_table(model, leaves, swapped, total, pos, phases))
+
+
+def projector_table(model, leaves, total, pos):
+    """``(present, index, value)`` of the projectors ``F^dag delta_c F`` of
+    leaves ``(pos, pos+1)`` onto the channels ``present`` that some row
+    carries, stacked along axis 1 and zero-padded to the widest."""
+    channels = np.flatnonzero(model.N[leaves[pos], leaves[pos + 1]])
+    tables = []
+    for c in channels:
+        delta = np.zeros(model.num_charges, dtype=complex)
+        delta[c] = 1
+        tables.append(pair_table(model, leaves, leaves, total, pos, delta))
+    kept = [k for k, (_, value) in enumerate(tables) if value.any()]
+    width = max(len(tables[k][0]) for k in kept)
+    shape = (width, len(kept), tables[0][0].shape[1])
+    index, value = np.zeros(shape, dtype=np.intp), np.zeros(shape, dtype=complex)
+    for slot, k in enumerate(kept):
+        table_index, table_value = tables[k]
+        index[:len(table_index), slot] = table_index
+        value[:len(table_value), slot] = table_value
+    return channels[kept], index, value
 
 
 def attach_pair_amps(state, position, a):

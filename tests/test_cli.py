@@ -97,11 +97,13 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--model", "su2_k", "--k", "60")
         assert code == 2
         assert out == ""
-        assert err.count("\n") == 1 and "768 GiB" in err
+        assert err.count("\n") == 1 and "61 charges exceed the limit of 16" in err
 
     def test_out_of_memory_in_a_walk_worker_is_a_clean_error(self, capsys, monkeypatch):
         # A worker thread, not the caller, runs out of memory in a block;
         # the caller holds its own first block until that has happened.
+        # su2_k at k = 6 is the smallest level whose pentagon walk has
+        # equations enough for a second worker.
         monkeypatch.setattr(model_module, "_cpu_count", lambda: 2)
         failed = threading.Event()
 
@@ -116,7 +118,7 @@ class TestVerify:
 
         spy_on_blocks(monkeypatch, failing)
         before = threading.active_count()
-        code, out, err = run_cli(capsys, "verify", "--model", "su2_k", "--k", "3")
+        code, out, err = run_cli(capsys, "verify", "--model", "su2_k", "--k", "6")
         assert (code, out) == (1, "")
         assert err == "error: out of memory: Unable to allocate 1.00 GiB for an array\n"
         assert failed.is_set()

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anyonbraid import (BraidWord, ProtocolError, Schedule, ScheduleError,
                         StateVector, UnsupportedCharge, build_array, check_resources,
@@ -12,6 +14,7 @@ from anyonbraid import (BraidWord, ProtocolError, Schedule, ScheduleError,
                         fidelity, pair_charge_distribution, project_pair,
                         random_encoded_state, random_state, relative_phase,
                         schedule_from_dict)
+from anyonbraid.compiler import RESOURCE_TOL
 from anyonbraid.model_io import parse_model_text
 
 from conftest import sample_pair
@@ -238,6 +241,21 @@ class TestDirectBraidReference:
             final, _ = execute(compile_word(word, layout), state,
                                np.random.default_rng([46, t]))
             assert fidelity(final, direct_braid_reference(word, layout, state)) >= 1 - 1e-9
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2), st.integers(3, 4), st.data())
+    def test_random_words_match_oracle(self, protocol_models, model_index, n_comp, data):
+        model, a = protocol_models[model_index]
+        layout, _ = build_array(model, a, n_comp)
+        strands = [g for i in range(1, n_comp) for g in (i, -i)]
+        word = BraidWord(tuple(data.draw(st.lists(st.sampled_from(strands), max_size=8))))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        state = random_encoded_state(layout, np.random.default_rng([47, seed]))
+        final, records = execute(compile_word(word, layout), state,
+                                 np.random.default_rng([48, seed]))
+        assert len(records) == len(word.generators)
+        assert fidelity(final, direct_braid_reference(word, layout, state)) >= 1 - 1e-9
+        assert check_resources(layout, final) < RESOURCE_TOL
 
 
 class TestReadout:

@@ -106,8 +106,8 @@ class TestLoadBuiltin:
         assert model.F.tobytes() == racah_oracle.builtin_f_table(name, model.N).tobytes()
 
     def test_oversized_level_refused_before_allocating(self):
-        # 61 charges: the dense F table alone would be 768 GiB
-        with pytest.raises(ModelError, match="61 charges .* 768 GiB"):
+        # 61 charges: refused before any table of that size is built
+        with pytest.raises(ModelError, match="61 charges exceed the limit of 16 charges"):
             load_builtin("su2_k", k=60)
 
     def test_size_limit(self):
@@ -441,9 +441,23 @@ def spy_on_blocks(monkeypatch, wrap):
                         lambda keys, chunk, residual: walk(keys, chunk, wrap(residual)))
 
 
+def count_threads(monkeypatch):
+    """A list that gains an entry for every thread constructed from now on."""
+    started = []
+
+    class Counted(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
 class TestWalkWorkers:
     """The block walks share their blocks among one worker per CPU of the
-    process; the CPU count is patched where it is read."""
+    process, but no more than their equations fill shares of a quarter
+    block; the CPU count is patched where it is read."""
 
     @pytest.mark.parametrize("name,k", [("fibonacci", None), ("ising", None)]
                              + [("su2_k", k) for k in range(2, 10)])
@@ -452,12 +466,29 @@ class TestWalkWorkers:
         pentagon = consistency_oracle.dense_pentagon_residual(model.N, model.F)
         hexagon, unitarity = consistency_oracle.dense_block_residuals(model.N, model.F, model.R)
         want = [float(x).hex() for x in (pentagon, hexagon, unitarity)]
+        # blocks small enough that both walks start every thread they may
+        chunk = 16 if model.num_charges < 7 else 1024
+        started = count_threads(monkeypatch)
         for workers in (1, 2, 3):
             monkeypatch.setattr(model_module, "_cpu_count", lambda: workers)
             report = model.verify_consistency()
             got = (report.max_pentagon_residual, report.max_hexagon_residual,
                    report.max_unitarity_residual)
             assert [x.hex() for x in got] == want, workers
+            started.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(model_module, "_BLOCK", chunk)
+                got = (_pentagon_residual(model.N, model._f_store, chunk),
+                       *_block_residuals(model.N, model._f_store, model.R))
+            assert [x.hex() for x in got] == want, workers
+            assert len(started) == 2 * (workers - 1)
+
+    def test_small_walks_start_no_thread(self, monkeypatch, fibonacci):
+        # Fibonacci's walks hold 50 and 15 equations, far below a share
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 8)
+        started = count_threads(monkeypatch)
+        assert fibonacci.verify_consistency().passed
+        assert started == []
 
     def test_many_workers_under_rapid_switching(self, monkeypatch):
         # more workers than CPUs, switching threads as often as the

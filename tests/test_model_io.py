@@ -161,7 +161,7 @@ class TestRejection:
         text = (f"name: big\ncharges: {' '.join(labels)}\n"
                 f"dual: {' '.join(f'{x}:{x}' for x in labels)}\n"
                 f"qdim: {' '.join(f'{x}:1' for x in labels)}\n")
-        with pytest.raises(ModelError, match="400 charges need a dense F table"):
+        with pytest.raises(ModelError, match="400 charges exceed the limit of 16"):
             parse_model_text(text)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

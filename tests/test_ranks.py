@@ -1,10 +1,11 @@
 """Gather tables from local ranks against the sort-and-lookup oracle.
 
 Registers of up to 7 leaves with mixed charges, every admissible total and
-every position: both braid signs and ``attach_pair``, which must agree with
-:mod:`lookup_oracle` bit for bit, padding slots included, and the stacked
-channel projectors, which must match the dense ``F^dag delta_c F`` of
-:mod:`dense_oracle` and be idempotent, Hermitian and sum to the identity.
+every position: both braid signs, the stacked channel projectors and
+``attach_pair``, which must agree with :mod:`lookup_oracle` bit for bit,
+padding slots included.  The projectors must also match the dense
+``F^dag delta_c F`` of :mod:`dense_oracle` and be idempotent, Hermitian and
+sum to the identity.
 """
 
 import numpy as np
@@ -70,6 +71,10 @@ def test_tables_match_lookup_oracle(register, seed):
         assert np.array_equal(std, oracle.chains(model, leaves, total))
         for pos in range(len(leaves) - 1):
             _check_projectors(model, leaves, total, pos)
+            present, *table = _projector_table(model, leaves, total, pos)
+            want_present, *want = oracle.projector_table(model, leaves, total, pos)
+            _same_bits(present, want_present)
+            _same_table(table, want)
             for sign in (+1, -1):
                 swapped, *table = _braid_table(model, leaves, total, pos, sign)
                 want_swapped, *want = oracle.braid_table(model, leaves, total, pos, sign)

@@ -51,7 +51,7 @@ from state_oracle import state_to_dict
 MEMORY_BUDGET_BYTES = 256 * 2 ** 20
 
 #: Peak traced allocation allowed for the same check with 10 computational
-#: anyons (28 leaves, dim 196,418); it measured 309 MiB.  Operator tables
+#: anyons (28 leaves, dim 196,418); it measured 300 MiB.  Operator tables
 #: dominate it; every resource pair is measured once, on the final state.
 WIDE_BUDGET_BYTES = 340 * 2 ** 20
 
