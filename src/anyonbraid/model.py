@@ -42,8 +42,9 @@ CONSISTENCY_TOL = 1e-10
 #: Most charges a model may have, kept where a dense F table of m**6
 #: complex entries was 256 MiB (16 charges, su2_k at k = 15).  F is stored
 #: as its admissible rows, 11.6 MiB there with a 4 MiB row index, and
-#: building and verifying su2_k at k = 15 peaks near 245 MB of RSS on two
-#: CPUs (223 MB on one, without a second thread's malloc arena).
+#: building and verifying su2_k at k = 15 peaks near 200 MB of RSS on one
+#: CPU or two.  The pentagon numbers each of its fusion trees by seven
+#: charges in one int32, 28 bits at 16 charges.
 MAX_CHARGES = 16
 
 
@@ -201,8 +202,8 @@ class AnyonModel:
 
         Failures are reported, never raised.
         """
-        pent = _pentagon_residual(self.N, self._f_store)
-        hexa, unit = _block_residuals(self.N, self._f_store, self.R)
+        pent = _pentagon_residual(self.N, self._f_row, self._f_store)
+        hexa, unit = _block_residuals(self.N, self._f_row, self._f_store, self.R)
         unit = unit + self._f_off
         qres = _qdim_residual(self.N, self.qd)
         worst = _worst(pent, hexa, unit, qres)
@@ -280,15 +281,17 @@ class AnyonModel:
 # The pentagon check is the hot path: SU(2)_10 has 1,470,040 admissible
 # instances and SU(2)_12 5,770,583, but only 243,100 and 714,103 fusion trees
 # of each kind.  Every index set is read from the admissible rows and columns
-# of the F-matrices (two m^5 masks, whose product is F's admissible set):
-# pentagon trees extend them by one fusion triple, and one walk over F's
-# admissible blocks checks unitarity and both hexagons.  F is stored as its
-# admissible rows, an (n + 1, m) array addressed by one m^5 int32 index whose
-# misses point at a last, zero row.  Each pentagon equation is one (left
-# tree, right tree) pair, evaluated with gathers from that store and from
-# two more such padded tables of F's entries, whose rows run along another
-# axis of F.  Inadmissible entries read as exact zeros, which lets the
-# internal sums run over the full charge range.
+# of the F-matrices (two m^5 masks, whose product is F's admissible set).
+# The pentagon's left trees join those rows with one fusion triple each, in
+# one enumeration and one sort; fusion is commutative, so its right trees
+# are left trees with mirrored outer labels, read off the same table.  One
+# walk over F's admissible blocks checks unitarity and both hexagons.  F is
+# stored as its admissible rows, an (n + 1, m) array addressed by one m^5
+# int32 index whose misses point at a last, zero row.  Each pentagon
+# equation is one (left tree, right tree) pair, evaluated with gathers from
+# that store and from two more such padded tables of F's entries, whose rows
+# run along another axis of F.  Inadmissible entries read as exact zeros,
+# which lets the internal sums run over the full charge range.
 #
 # Both walks go through :func:`_walk`, which spreads their blocks over the
 # CPUs the process may run on: the caller and one thread per further CPU
@@ -323,9 +326,9 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _walk(keys: np.ndarray, chunk: int, residual) -> tuple[float, ...]:
-    """The worst of ``residual(block)`` over the blocks of
-    :func:`_equal_blocks` of ``keys``, column by column, with the blocks
+def _walk(starts: np.ndarray, dims: np.ndarray, chunk: int, residual) -> tuple[float, ...]:
+    """The worst of ``residual(block)`` over the blocks of :func:`_blocks`
+    of the runs ``starts`` and ``dims``, column by column, with the blocks
     spread over :func:`_cpu_count` workers.
 
     ``residual`` maps a block to a tuple of maxima.  The caller walks as
@@ -337,7 +340,6 @@ def _walk(keys: np.ndarray, chunk: int, residual) -> tuple[float, ...]:
     included, stops the others after their current block and is raised
     here once every thread has been joined.
     """
-    starts, dims = _runs(keys)
     equations = int(np.dot(dims, dims))
     workers = max(1, min(_cpu_count(), equations // max(chunk // 4, 1)))
     blocks = _blocks(starts, dims, chunk // workers)
@@ -377,18 +379,6 @@ def _real_if_real(F: np.ndarray) -> np.ndarray:
     part; real arithmetic halves the memory traffic of the gathers and
     products, and the view copies nothing."""
     return F if np.any(F.imag) else F.real
-
-
-def _with_triples(rows: np.ndarray, key: np.ndarray, N: np.ndarray) -> np.ndarray:
-    """``rows`` with each row repeated once per fusion triple (x, y, z),
-    z in xy, whose x is the row's ``key``, and y, z appended."""
-    triples = np.argwhere(N).astype(np.uint8)  # sorted by x
-    per_x = np.bincount(triples[:, 0], minlength=N.shape[0])
-    counts = per_x[key]
-    start = np.cumsum(per_x) - per_x
-    # the p-th copy of a row takes triple start[key] + p
-    j = np.arange(counts.sum()) + np.repeat(start[key] - np.cumsum(counts) + counts, counts)
-    return np.column_stack([np.repeat(rows, counts, axis=0), triples[j, 1:]])
 
 
 def _admissible_blocks(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -461,29 +451,53 @@ def _f_store(N: np.ndarray, f_symbols) -> tuple[np.ndarray, np.ndarray, float]:
     return index, store, float(np.abs(F).max(where=outside, initial=0.0))
 
 
-def _tree_rows(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both bases of the fusion space of four charges a, b, c, d into e.
+def _pentagon_trees(N: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both bases of the fusion space of four charges a, b, c, d into e, as
+    ``(labels, starts, dims)``, sorted by their outer labels (a, b, c, d, e).
 
-    Left trees ((ab)_f c)_g d -> e are rows (a, b, c, d, e, f, g) with f in
-    ab, g in fc and e in gd; right trees a(b(cd)_l)_k -> e are rows
-    (a, b, c, d, e, l, k) with l in cd, k in bl and e in ak.  Their inner
-    vertices are the admissible rows ``[F_g^{abc}]_{f.}`` and columns
-    ``[F_k^{bcd}]_{.l}``.  Both come sorted by their outer labels
-    (a, b, c, d, e).  Fusion is associative, so both bases of a space have
-    the same dimension, and the trees of one outer label sit at the same
-    rows of both tables.
+    A left tree ((ab)_f c)_g d -> e joins an admissible row (a, b, c, g, f)
+    of the F-matrices (f in ab and g in fc; :func:`_admissible_blocks`)
+    with a fusion triple (g, d, e), e in gd.  Each is enumerated once, as
+    the int32 :func:`_ravel` of (a, b, c, d, e, g, f), and one sort puts
+    the trees of an outer label together, ordered by (g, f).  A right tree
+    a(b(cd)_l)_k -> e has l in cd, k in bl and e in ak.  Fusion is
+    commutative, so those are the left trees of (d, c, b, a, e) with
+    (l, k) = (f, g), in the same order.  Fusion is associative, so both
+    bases of a space have the same dimension D, and the i-th left and the
+    i-th right tree share their outer labels.  ``labels`` holds the uint8
+    rows a, b, c, d, e, f, g, l, k, one column per tree; ``starts`` and
+    ``dims`` are the first tree and D of each outer label.
     """
     m = N.shape[0]
-    rows, columns = _admissible_blocks(N)
-    t = np.argwhere(rows).astype(np.uint8)  # a b c g f
-    left = _with_triples(t, t[:, 3], N)[:, [0, 1, 2, 5, 6, 4, 3]]  # + d e
-    t = np.argwhere(columns).astype(np.uint8)  # b c d k l
-    right = _with_triples(t, t[:, 3], N)[:, [5, 0, 1, 2, 6, 4, 3]]  # + a e
-
-    def by_outer(trees):
-        return trees[np.argsort(_ravel(m, *trees[:, :5].T), kind="stable")]
-
-    return by_outer(left), by_outer(right)
+    rows, _ = _admissible_blocks(N)
+    a, b, c, g, f = np.nonzero(rows)
+    vertex = _ravel(m, a, b, c, 0, 0, g, f).astype(np.int32)
+    x, d, e = np.nonzero(N)  # the triples (g, d, e)
+    triple = _ravel(m, d, e, 0, 0).astype(np.int32)
+    trees = np.concatenate([np.add.outer(vertex[g == y], triple[x == y]).ravel()
+                            for y in range(m)])
+    trees.sort()  # every tree is a distinct integer
+    outer = trees // (m * m)
+    starts, dims = _runs(outer)
+    key = outer[starts]
+    gf = trees - outer * (m * m)  # g m + f
+    del trees, outer
+    labels = np.empty((9, len(gf)), np.uint8)
+    run = np.unravel_index(key, (m,) * 5)  # a b c d e
+    for i, label in enumerate(run):
+        labels[i] = np.repeat(label.astype(np.uint8), dims)
+    # numpy's integer remainder is several times slower than a quotient
+    labels[5], labels[6] = gf - gf // m * m, gf // m
+    # (l, k) is (f, g) of the tree at the same place in the run of
+    # (d, c, b, a, e), found through the first tree of every outer label
+    first = np.zeros(m ** 5, np.int32)
+    first[key] = starts
+    a, b, c, d, e = run
+    mirror = np.arange(len(gf), dtype=np.int32)
+    mirror += np.repeat((first[_ravel(m, d, c, b, a, e)] - starts).astype(np.int32), dims)
+    gf = gf[mirror]
+    labels[7], labels[8] = gf - gf // m * m, gf // m
+    return labels, starts, dims
 
 
 def _ravel(m: int, *index) -> np.ndarray:
@@ -496,25 +510,20 @@ def _ravel(m: int, *index) -> np.ndarray:
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First row and length D of each key of ``keys``, an ``(n, q)`` table
-    whose equal rows are adjacent."""
-    starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
+    """First entry and length D of each value of ``keys``, a 1-D array
+    whose equal entries are adjacent."""
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     return starts, np.diff(np.r_[starts, len(keys)])
 
 
-def _equal_blocks(keys: np.ndarray, chunk: int = _BLOCK):
-    """Yield ``(G, D)`` arrays of row numbers of ``keys``, an ``(n, q)``
-    table whose equal rows are adjacent.
-
-    Each row of a block holds the D row numbers of one key, every key of a
-    block has the same D, and a block holds about ``chunk`` D x D entries
-    (at least one key).
-    """
-    return _blocks(*_runs(keys), chunk)
-
-
 def _blocks(starts: np.ndarray, dims: np.ndarray, chunk: int):
-    """The blocks of :func:`_equal_blocks`, from the keys' :func:`_runs`."""
+    """Yield ``(G, D)`` arrays of the entries of the runs ``starts`` (first
+    entry) and ``dims`` (length D).
+
+    Each row of a block holds the D entries of one run, every run of a
+    block has the same D, and a block holds about ``chunk`` D x D entries
+    (at least one run).
+    """
     for D in np.flatnonzero(np.bincount(dims)).tolist():
         first = starts[dims == D]
         step = max(1, chunk // D ** 2)
@@ -522,40 +531,47 @@ def _blocks(starts: np.ndarray, dims: np.ndarray, chunk: int):
             yield first[g:g + step, None] + np.arange(D)
 
 
-def _pentagon_residual(N: np.ndarray, store: np.ndarray, chunk: int = _BLOCK) -> float:
+def _pentagon_residual(N: np.ndarray, row_of: np.ndarray, store: np.ndarray,
+                       chunk: int = _BLOCK) -> float:
     """Worst residual of the pentagon equation
 
     ``[F_e^{fcd}]_{gl} [F_e^{abl}]_{fk}
     = sum_h [F_g^{abc}]_{fh} [F_e^{ahd}]_{gk} [F_k^{bcd}]_{hl}``
 
     over every pair of a left and a right fusion tree on the same outer
-    labels, with F read from its row ``store``.  The D left and D right
-    trees of one outer label give a D x D block of equations, and blocks of
-    equal D are walked as ``(G, D, D)`` arrays on every CPU the process may
-    use (:func:`_walk`), about ``chunk`` equations in flight at once.
-    Each h-axis factor comes from a padded table of F's entries with h last
-    (:func:`_regroup`): the row ``[F_g^{abc}]_{f.}`` once per left tree,
-    the column ``[F_k^{bcd}]_{.l}`` once per right tree and the middle
-    factor once per pair.  Each tree keeps only int32 offsets, and every sum
-    runs over ascending h, so an equation's residual has the same bits in
-    any block and on any thread.
+    labels, with F read from its row ``store`` and the store's m^5 row
+    index ``row_of``.  The trees come from one sorted enumeration
+    (:func:`_pentagon_trees`), the right ones read off the left.  The D
+    left and D right trees of one outer label give a D x D block of
+    equations, and blocks of equal D are walked as ``(G, D, D)`` arrays on
+    every CPU the process may use (:func:`_walk`), about ``chunk``
+    equations in flight at once.  Each h-axis factor comes from a padded
+    table of F's entries with h last (:func:`_regroup`): the row
+    ``[F_g^{abc}]_{f.}`` of the store once per left tree, the column
+    ``[F_k^{bcd}]_{.l}`` once per right tree and the middle factor once per
+    pair.  Each tree keeps only int32 offsets, and every sum runs over
+    ascending h, so an equation's residual has the same bits in any block
+    and on any thread.
     """
     m = N.shape[0]
-    left, right = _tree_rows(N)
+    labels, starts, dims = _pentagon_trees(N)
     idx, r = _admissible_entries(N)
-    values = _real_if_real(store)[r, idx[:, 5]]
-    row_of, rows = _regroup(m, idx, values, 5)  # [a,b,c,d,e] -> f
-    mid_of, mid = _regroup(m, idx, values, 1)   # [a,c,d,e,f] -> b
+    rows = np.ascontiguousarray(_real_if_real(store))  # [a,b,c,d,e] -> f
+    values = rows[r, idx[:, 5]]
+    mid_of, mid = _regroup(m, idx, values, 1)  # [a,c,d,e,f] -> b
     col_of, cols = _regroup(m, idx, values, 4)  # [a,b,c,d,f] -> e
-    row_of, mid_of, flat = row_of.reshape(-1), mid_of.reshape(-1), rows.reshape(-1)
-    a, b, c, d, e, f, g = left.T
+    del idx, r, values
+    row_of, mid_of, col_of = row_of.reshape(-1), mid_of.reshape(-1), col_of.reshape(-1)
+    flat = rows.reshape(-1)
+    a, b, c, d, e, f, g, l, k = labels
     left_row = row_of[_ravel(m, a, b, c, g, f)]       # [F_g^{abc}]_{f.}
     left_fcd = row_of[_ravel(m, f, c, d, e, g)] * m   # + l
     left_abl = _ravel(m, a, b, 0, e, f)               # + l m^2, then + k
     left_mid = _ravel(m, a, d, e, g, 0)               # + k
-    a, b, c, d, e, l, k = right.T
-    right_col = col_of[b, c, d, k, l]                 # [F_k^{bcd}]_{.l}
+    right_col = col_of[_ravel(m, b, c, d, k, l)]      # [F_k^{bcd}]_{.l}
     right_abl = _ravel(m, l, 0, 0)
+    l, k = l.copy(), k.copy()  # the other seven rows are not walked
+    del labels, a, b, c, d, e, f, g
 
     def block(trees):
         il, ir = trees[:, :, None], trees[:, None, :]
@@ -566,14 +582,15 @@ def _pentagon_residual(N: np.ndarray, store: np.ndarray, chunk: int = _BLOCK) ->
                         cols[right_col[trees]])
         return (np.abs(lhs - rhs).max(),)
 
-    (worst,) = _walk(left[:, :5], chunk, block)
+    (worst,) = _walk(starts, dims, chunk, block)
     return worst
 
 
-def _block_residuals(N: np.ndarray, store: np.ndarray, R: np.ndarray) -> tuple[float, float]:
+def _block_residuals(N: np.ndarray, row_of: np.ndarray, store: np.ndarray,
+                     R: np.ndarray) -> tuple[float, float]:
     """Worst residuals of both hexagon equations and of F-unitarity, in one
     walk over the admissible blocks of the F-matrices, read from F's row
-    ``store``.
+    ``store`` and its m^5 row index ``row_of``.
 
     The block of ``F_d^{abc}`` holds its admissible rows ``e`` and columns
     ``f``, and blocks of equal D are walked as ``(G, D, D)`` arrays on every
@@ -588,9 +605,7 @@ def _block_residuals(N: np.ndarray, store: np.ndarray, R: np.ndarray) -> tuple[f
     rows, columns = _admissible_blocks(N)
     es, fs = np.argwhere(rows), np.argwhere(columns)
     idx, r = _admissible_entries(N)
-    values = store[r, idx[:, 5]]
-    row_of, _ = _regroup(m, idx, values, 5)
-    col_of, cols = _regroup(m, idx, values, 4)  # [F_d^{abc}]_{.f}
+    col_of, cols = _regroup(m, idx, store[r, idx[:, 5]], 4)  # [F_d^{abc}]_{.f}
     Fu = _real_if_real(store)
     # One hexagon per chirality: R and its inverse must both recouple
     # consistently with F.  Each R comes with its copy [c, d, g].
@@ -616,7 +631,7 @@ def _block_residuals(N: np.ndarray, store: np.ndarray, R: np.ndarray) -> tuple[f
             hexagon = _worst(hexagon, np.abs(lhs - rhs).max())
         return hexagon, unitarity
 
-    return _walk(es[:, :4], _BLOCK, block)
+    return _walk(*_runs(_ravel(m, *es[:, :4].T)), _BLOCK, block)
 
 
 def _qdim_residual(N: np.ndarray, qd: np.ndarray) -> float:

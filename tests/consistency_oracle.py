@@ -20,12 +20,16 @@ pentagon gathers from F and from an h-last copy of it, and unitarity adds
 the largest ``|F|`` off the admissible set, scanned one charge at a time.
 The library reads the same operands, zeros included, from padded tables
 of F's entries, so every residual must agree bit for bit.
+
+The pentagon's trees come from :func:`tree_rows`, the builder the library
+used before it read the right trees off the left ones: both bases are
+extended by one fusion triple each and sorted by their outer labels on
+their own, and :func:`equal_blocks` finds their runs by comparing rows.
 """
 
 import numpy as np
 
-from anyonbraid.model import (_BLOCK, _admissible_blocks, _equal_blocks, _ravel,
-                              _tree_rows, _worst)
+from anyonbraid.model import _BLOCK, _admissible_blocks, _blocks, _ravel, _worst
 from pentagon_oracle import _join_on
 
 
@@ -97,6 +101,56 @@ def unitarity_residual(N: np.ndarray, F: np.ndarray) -> float:
                          np.abs(adj @ mats - adm_f * eye).max()]))
 
 
+def _with_triples(rows: np.ndarray, key: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """``rows`` with each row repeated once per fusion triple (x, y, z),
+    z in xy, whose x is the row's ``key``, and y, z appended."""
+    triples = np.argwhere(N).astype(np.uint8)  # sorted by x
+    per_x = np.bincount(triples[:, 0], minlength=N.shape[0])
+    counts = per_x[key]
+    start = np.cumsum(per_x) - per_x
+    # the p-th copy of a row takes triple start[key] + p
+    j = np.arange(counts.sum()) + np.repeat(start[key] - np.cumsum(counts) + counts, counts)
+    return np.column_stack([np.repeat(rows, counts, axis=0), triples[j, 1:]])
+
+
+def tree_rows(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both bases of the fusion space of four charges a, b, c, d into e.
+
+    Left trees ((ab)_f c)_g d -> e are rows (a, b, c, d, e, f, g) with f in
+    ab, g in fc and e in gd; right trees a(b(cd)_l)_k -> e are rows
+    (a, b, c, d, e, l, k) with l in cd, k in bl and e in ak.  Their inner
+    vertices are the admissible rows ``[F_g^{abc}]_{f.}`` and columns
+    ``[F_k^{bcd}]_{.l}``.  Both come sorted by their outer labels
+    (a, b, c, d, e).  Fusion is associative, so both bases of a space have
+    the same dimension, and the trees of one outer label sit at the same
+    rows of both tables.
+    """
+    m = N.shape[0]
+    rows, columns = _admissible_blocks(N)
+    t = np.argwhere(rows).astype(np.uint8)  # a b c g f
+    left = _with_triples(t, t[:, 3], N)[:, [0, 1, 2, 5, 6, 4, 3]]  # + d e
+    t = np.argwhere(columns).astype(np.uint8)  # b c d k l
+    right = _with_triples(t, t[:, 3], N)[:, [5, 0, 1, 2, 6, 4, 3]]  # + a e
+
+    def by_outer(trees):
+        return trees[np.argsort(_ravel(m, *trees[:, :5].T), kind="stable")]
+
+    return by_outer(left), by_outer(right)
+
+
+def runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First row and length D of each key of ``keys``, an ``(n, q)`` table
+    whose equal rows are adjacent."""
+    starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
+    return starts, np.diff(np.r_[starts, len(keys)])
+
+
+def equal_blocks(keys: np.ndarray, chunk: int = _BLOCK):
+    """The library's blocks (:func:`anyonbraid.model._blocks`) of the
+    :func:`runs` of ``keys``."""
+    return _blocks(*runs(keys), chunk)
+
+
 def _real_if_real(F: np.ndarray) -> np.ndarray:
     """``F``, or a view of its real part when no entry has an imaginary
     part; real arithmetic halves the memory traffic of the gathers and
@@ -120,7 +174,7 @@ def dense_pentagon_residual(N: np.ndarray, F: np.ndarray, chunk: int = _BLOCK) -
     sum runs over ascending h.
     """
     m = N.shape[0]
-    left, right = _tree_rows(N)
+    left, right = tree_rows(N)
     F = _real_if_real(F)
     flat = F.reshape(-1)
     rows = F.reshape(-1, m)                                                   # [a,b,c,g,f,h]
@@ -135,7 +189,7 @@ def dense_pentagon_residual(N: np.ndarray, F: np.ndarray, chunk: int = _BLOCK) -
     right_col = _ravel(m, b, c, d, k, 0, l)   # [F_k^{bcd}]_{.l}, + h m
     right_abl = _ravel(m, 0, 0, l, 0, 0, k)
     worst = 0.0
-    for trees in _equal_blocks(left[:, :5], chunk):
+    for trees in equal_blocks(left[:, :5], chunk):
         il, ir = trees[:, :, None], trees[:, None, :]
         lhs = flat[left_fcd[il] + l[ir]] * flat[left_abl[il] + right_abl[ir]]
         rhs = np.einsum("gih,gijh,gjh->gij", rows[left_row[trees]],
@@ -164,7 +218,7 @@ def dense_block_residuals(N: np.ndarray, F: np.ndarray, R: np.ndarray) -> tuple[
     # consistently with F.  Each R comes with its copy [c, d, g].
     chiralities = [(S, np.ascontiguousarray(S.transpose(0, 2, 1))) for S in (R, np.conj(R))]
     hexagon = unitarity = 0.0
-    for at in _equal_blocks(es[:, :4]):
+    for at in equal_blocks(es[:, :4]):
         a, b, c, d = es[at[:, 0], :4].T[:, :, None, None]
         e, f = es[at, 4][:, :, None], fs[at, 4][:, None, :]
         mats = Fu[a, b, c, d, e, f]

@@ -13,8 +13,8 @@ from scipy.optimize import minimize, minimize_scalar
 from anyonbraid import (AnyonModel, Charge, ModelError, UnknownChargeError,
                         load_builtin)
 from anyonbraid import model as model_module
-from anyonbraid.model import (MAX_CHARGES, _admissible_blocks, _block_residuals,
-                              _equal_blocks, _f_store, _pentagon_residual, _tree_rows,
+from anyonbraid.model import (MAX_CHARGES, _admissible_blocks, _block_residuals, _blocks,
+                              _f_store, _pentagon_residual, _pentagon_trees,
                               check_model_size, fibonacci_model)
 
 import consistency_oracle
@@ -26,8 +26,9 @@ PHI = (1 + math.sqrt(5)) / 2
 
 
 def stored(N, F):
-    """The row store of a dense F, as the residual checks read it."""
-    return _f_store(N, F)[1]
+    """The row index and row store of a dense F, as the residual checks
+    read them."""
+    return _f_store(N, F)[:2]
 
 
 def zn_fusion(n):
@@ -46,6 +47,28 @@ def zn_model(n):
     R = N * np.exp(2j * np.pi * a * b / n)[:, :, None]
     return AnyonModel(f"z{n}", [str(x) for x in range(n)], N, np.ones(n),
                       admissible_f(N).astype(complex), R)
+
+
+def product_model(first, second):
+    """The product of two models: the charge (x, y) is numbered
+    x * m + y, m being the second model's charge count, and fusion,
+    quantum dimensions, F and R are the tensor products of theirs."""
+    labels = [f"{x}x{y}" for x in first.labels for y in second.labels]
+    return AnyonModel(f"{first.name}x{second.name}", labels,
+                      np.kron(first.N, second.N), np.kron(first.qd, second.qd),
+                      np.kron(first.F, second.F), np.kron(first.R, second.R))
+
+
+def model_of(name, k):
+    """A built-in model, Z_k, or one of two product models by name."""
+    if name == "z_n":
+        return zn_model(k)
+    if name == "fibonacci x ising":
+        return product_model(load_builtin("fibonacci"), load_builtin("ising"))
+    if name == "fibonacci x z3":
+        # non-abelian, with charges that are not their own duals
+        return product_model(load_builtin("fibonacci"), zn_model(3))
+    return load_builtin(name, k=k)
 
 
 @pytest.fixture(scope="module")
@@ -365,8 +388,8 @@ class TestVerifyConsistency:
         F[fibonacci._f_row[1, 1, 1, 1, 1], 1] = math.nan  # entry (1, 1, 1, 1, 1, 1)
         for workers in (1, 3):
             monkeypatch.setattr(model_module, "_cpu_count", lambda: workers)
-            assert math.isnan(_pentagon_residual(fibonacci.N, F, chunk))
-            hexagon, unitarity = _block_residuals(fibonacci.N, F, fibonacci.R)
+            assert math.isnan(_pentagon_residual(fibonacci.N, fibonacci._f_row, F, chunk))
+            hexagon, unitarity = _block_residuals(fibonacci.N, fibonacci._f_row, F, fibonacci.R)
             assert math.isnan(hexagon)
             assert math.isnan(unitarity)
 
@@ -393,8 +416,9 @@ class TestVerifyConsistency:
         spy_on_blocks(monkeypatch, hold_first_blocks)
         F = fibonacci._f_store.copy()
         F[fibonacci._f_row[1, 1, 1, 1, 1], 1] = math.nan
-        assert math.isnan(_pentagon_residual(fibonacci.N, F, 3))
-        assert all(math.isnan(x) for x in _block_residuals(fibonacci.N, F, fibonacci.R))
+        assert math.isnan(_pentagon_residual(fibonacci.N, fibonacci._f_row, F, 3))
+        assert all(math.isnan(x) for x in
+                   _block_residuals(fibonacci.N, fibonacci._f_row, F, fibonacci.R))
         assert [len(first) for first in firsts] == [3, 3]
         assert threading.get_ident() in firsts[0]
         assert not any(np.isnan(v).any() for first in firsts for v in first.values())
@@ -438,7 +462,8 @@ def spy_on_blocks(monkeypatch, wrap):
     per-block function ``residual``."""
     walk = model_module._walk
     monkeypatch.setattr(model_module, "_walk",
-                        lambda keys, chunk, residual: walk(keys, chunk, wrap(residual)))
+                        lambda starts, dims, chunk, residual:
+                        walk(starts, dims, chunk, wrap(residual)))
 
 
 def count_threads(monkeypatch):
@@ -478,8 +503,8 @@ class TestWalkWorkers:
             started.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(model_module, "_BLOCK", chunk)
-                got = (_pentagon_residual(model.N, model._f_store, chunk),
-                       *_block_residuals(model.N, model._f_store, model.R))
+                got = (_pentagon_residual(model.N, model._f_row, model._f_store, chunk),
+                       *_block_residuals(model.N, model._f_row, model._f_store, model.R))
             assert [x.hex() for x in got] == want, workers
             assert len(started) == 2 * (workers - 1)
 
@@ -496,7 +521,7 @@ class TestWalkWorkers:
         # keeps the bits of a lone worker
         model = load_builtin("su2_k", k=5)
         monkeypatch.setattr(model_module, "_cpu_count", lambda: 1)
-        want = _pentagon_residual(model.N, model._f_store, 64)
+        want = _pentagon_residual(model.N, model._f_row, model._f_store, 64)
         monkeypatch.setattr(model_module, "_cpu_count", lambda: 8)
         firsts = []
 
@@ -510,11 +535,12 @@ class TestWalkWorkers:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = _pentagon_residual(model.N, model._f_store, 64)
+            got = _pentagon_residual(model.N, model._f_row, model._f_store, 64)
         finally:
             sys.setswitchinterval(interval)
         assert got.hex() == want.hex()
-        blocks = _equal_blocks(_tree_rows(model.N)[0][:, :5], 64 // 8)
+        _, starts, dims = _pentagon_trees(model.N)
+        blocks = _blocks(starts, dims, 64 // 8)
         assert sorted(firsts) == sorted(int(block[0, 0]) for block in blocks)
 
     def test_no_thread_outlives_a_verify(self, monkeypatch):
@@ -571,12 +597,14 @@ class TestResidualOracle:
                              [(name, k, None) for name, k in
                               [("fibonacci", None), ("ising", None)]
                               + [("su2_k", k) for k in range(2, MAX_CHARGES)]
-                              + [("z_n", n) for n in (1, 2, 5, 8, MAX_CHARGES)]]
+                              + [("z_n", n) for n in (1, 2, 5, 8, MAX_CHARGES)]
+                              + [("fibonacci x z3", None)]]
                              + [(name, k, noise) for noise in ("real", "complex")
                                 for name, k in [("fibonacci", None), ("ising", None)]
-                                + [("su2_k", k) for k in range(2, 12)]])
+                                + [("su2_k", k) for k in range(2, 12)]
+                                + [("fibonacci x z3", None)]])
     def test_store_matches_dense_residuals(self, name, k, noise):
-        model = zn_model(k) if name == "z_n" else load_builtin(name, k=k)
+        model = model_of(name, k)
         if noise:
             rng = np.random.default_rng([19, k or 0, len(name), noise == "complex"])
             F = model.F.copy()
@@ -611,30 +639,48 @@ class TestAdmissibleBlocks:
         assert np.array_equal(np.argwhere(rows)[:, :4], np.argwhere(columns)[:, :4])
 
 
+class TestPentagonTrees:
+    """The trees read off one sorted enumeration against the join-and-sort
+    builder of ``tests/consistency_oracle.py``, row for row."""
+
+    @pytest.mark.parametrize("name,k", [("fibonacci", None), ("ising", None)]
+                             + [("su2_k", k) for k in range(2, MAX_CHARGES)]
+                             + [("z_n", n) for n in (1, 2, 5, 8, MAX_CHARGES)]
+                             + [("fibonacci x ising", None)])
+    def test_same_trees_and_runs_as_join(self, name, k):
+        N = zn_fusion(k) if name == "z_n" else model_of(name, k).N
+        labels, starts, dims = _pentagon_trees(N)
+        left, right = consistency_oracle.tree_rows(N)
+        assert labels.dtype == np.uint8 and labels.flags.c_contiguous
+        assert np.array_equal(labels[:7].T, left)                        # a b c d e f g
+        assert np.array_equal(labels[[0, 1, 2, 3, 4, 7, 8]].T, right)    # a b c d e l k
+        want_starts, want_dims = consistency_oracle.runs(left[:, :5])
+        assert np.array_equal(starts, want_starts)
+        assert np.array_equal(dims, want_dims)
+
+
 class TestPentagonStreaming:
-    """The left/right tree join checks exactly the equations of the
-    tuple-table oracle in ``tests/pentagon_oracle.py``, with the same
-    arithmetic."""
+    """The library's trees, walked by its own runs, check exactly the
+    equations of the tuple-table oracle in ``tests/pentagon_oracle.py``,
+    with the same arithmetic."""
 
     @pytest.mark.parametrize("name,k", [("fibonacci", None), ("ising", None)]
                              + [("su2_k", k) for k in range(2, 9)]
                              + [("z_n", n) for n in (1, 2, 5, 8, MAX_CHARGES)])
     def test_same_equations_as_tuple_table(self, name, k):
         N = zn_fusion(k) if name == "z_n" else load_builtin(name, k=k).N
-        left, right = _tree_rows(N)
-        # the trees of one outer label sit at the same rows of both tables
-        assert np.array_equal(left[:, :5], right[:, :5])
+        labels, starts, dims = _pentagon_trees(N)
         pairs = []
         # small blocks, so most models are walked in several
-        for trees in _equal_blocks(left[:, :5], 500):
+        for trees in _blocks(starts, dims, 500):
             G, D = trees.shape
             assert G * D * D <= max(500, D * D)
             il = np.broadcast_to(trees[:, :, None], (G, D, D)).ravel()
             ir = np.broadcast_to(trees[:, None, :], (G, D, D)).ravel()
-            pairs.append(np.column_stack([left[il], right[ir]]))
+            pairs.append(np.column_stack([labels[:, il].T, labels[:, ir].T]))
         rows = np.concatenate(pairs)
-        assert np.array_equal(rows[:, :5], rows[:, 7:12])  # same outer labels
-        got = rows[:, [0, 1, 5, 2, 6, 3, 4, 12, 13]]  # a b f c g d e l k
+        assert np.array_equal(rows[:, :5], rows[:, 9:14])  # same outer labels
+        got = rows[:, [0, 1, 5, 2, 6, 3, 4, 16, 17]]  # a b f c g d e l k
         want = pentagon_oracle.pentagon_tuples(N)
 
         def keys(t):  # one sorted integer per tuple; repeats stay visible
@@ -659,7 +705,7 @@ class TestPentagonStreaming:
         F[admissible] += noise
         want = pentagon_oracle.pentagon_residual(model.N, F)
         assert want > 0.0
-        assert _pentagon_residual(model.N, stored(model.N, F), chunk) == want
+        assert _pentagon_residual(model.N, *stored(model.N, F), chunk) == want
 
 
 class TestDenseOracles:
@@ -674,7 +720,7 @@ class TestDenseOracles:
     def test_builtin_residuals(self, name, k):
         model = zn_model(k) if name == "z_n" else load_builtin(name, k=k)
         N, F, R = model.N, model.F, model.R
-        hexagon, unitarity = _block_residuals(N, model._f_store, R)
+        hexagon, unitarity = _block_residuals(N, model._f_row, model._f_store, R)
         assert hexagon == consistency_oracle.hexagon_residual(N, F, R)
         assert unitarity == pytest.approx(
             consistency_oracle.unitarity_residual(N, F), rel=0, abs=1e-15)
@@ -694,7 +740,7 @@ class TestDenseOracles:
             noise = noise + 1j * rng.normal(size=noise.size) * scale
         F[admissible] += noise
         R = model.R * np.exp(1j * scale * rng.normal(size=model.R.shape))
-        hexagon, unitarity = _block_residuals(model.N, stored(model.N, F), R)
+        hexagon, unitarity = _block_residuals(model.N, *stored(model.N, F), R)
         want = consistency_oracle.hexagon_residual(model.N, F, R)
         assert want > 0.0
         assert hexagon == want
@@ -751,7 +797,7 @@ class TestPentagonSolverOracle:
     def test_unique_unitary_solution_is_inverse_golden_ratio(self):
         def residual(theta):
             N, F = _fibonacci_candidate(theta)
-            return _pentagon_residual(N, stored(N, F))
+            return _pentagon_residual(N, *stored(N, F))
 
         grid = np.linspace(0.05, math.pi / 2 - 0.05, 400)
         values = [residual(t) for t in grid]
@@ -767,13 +813,13 @@ class TestPentagonSolverOracle:
 
 class TestHexagonSolverOracle:
     def test_solutions_are_conjugate_pair(self, fibonacci):
-        N, F = fibonacci.N, fibonacci._f_store
+        N, index, F = fibonacci.N, fibonacci._f_row, fibonacci._f_store
 
         def residual(angles):
             R = fibonacci.R.copy()
             R[1, 1, 0] = np.exp(1j * angles[0])
             R[1, 1, 1] = np.exp(1j * angles[1])
-            return _block_residuals(N, F, R)[0]
+            return _block_residuals(N, index, F, R)[0]
 
         solutions = []
         grid = np.linspace(-math.pi, math.pi, 24, endpoint=False)

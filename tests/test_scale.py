@@ -56,7 +56,7 @@ MEMORY_BUDGET_BYTES = 256 * 2 ** 20
 WIDE_BUDGET_BYTES = 340 * 2 ** 20
 
 #: Peak traced allocation allowed to build and verify su2_k at k=11; it
-#: measured 42.1 MiB.  F is kept as its 12,376 admissible rows (1.1 MiB),
+#: measured 35.2 MiB.  F is kept as its 12,376 admissible rows (1.1 MiB),
 #: and the check reads it through padded tables of about that size each.
 VERIFY_BUDGET_BYTES = 52 * 2 ** 20
 
