@@ -40,12 +40,12 @@ amps[index[k, r]]``, with ``k`` running over at most the number of charges
 ``m``.  Both arrays have shape ``(w, dim)``, slot-major so that applying a
 table, ``(value * amps[index]).sum(0)``, reduces over contiguous rows.  A
 table costs O(dim * m) memory and time; no operator is ever a dim x dim
-matrix.  The projectors of one pair onto its ``P`` channels are stacked
-into one table of shape ``(w, P, dim)``, which gives all ``P`` projections
-in one gather.  Composite operators (transport of a charge line,
-non-adjacent measurement, the quad-braid oracle) are sequences of such
-tables, applied in turn and never multiplied out.  The same tables act on
-a batch of states stored as ``(dim, T)`` columns.
+matrix.  The projectors of a pair onto its ``P`` channels are built at once
+as one table of shape ``(w, P, dim)``, each zero-padded from its own width:
+one gather gives all ``P`` projections.  Composite operators (transport of
+a charge line, non-adjacent measurement, the quad-braid oracle) are
+sequences of such tables, applied in turn and never multiplied out.  The
+same tables act on a batch of states stored as ``(dim, T)`` columns.
 
 Source and destination basis of a table differ at most in the order of
 the pair's leaves, which changes only the rank terms of columns ``pos`` and
@@ -261,7 +261,8 @@ def _gather_all(tables, amps):
 
 def _pair_tables(model, leaves, total, pos, phases, out_leaves):
     """Gather tables ``(index, value)`` of ``F^-1 diag(phi) F`` on leaves
-    ``(pos, pos+1)``, one per phase vector ``phi`` of ``phases``.
+    ``(pos, pos+1)``, one per row ``phi`` of the ``(P, m)`` array ``phases``,
+    stacked as the slices ``[:, k]`` of two arrays of shape ``(w, P, dim)``.
 
     ``F`` resolves the pair's charge ``c``, channel ``c`` takes ``phi[c]``,
     and the inverse F-move returns to the basis of ``out_leaves``: the
@@ -275,18 +276,17 @@ def _pair_tables(model, leaves, total, pos, phases, out_leaves):
     ``x, p, q`` in columns ``pos``, ``pos - 1`` and ``pos + 1``: the source
     row that holds ``y`` in column ``pos`` differs from it only in the rank
     terms (:func:`_ranks`) of the two columns, and its amplitude is
-    ``local[p, q, x, y]``.  Each table is worked out as ``(m, S)`` arrays
+    ``local[p, q, x, y]``.  All tables are worked out as ``(m, P, S)`` arrays
     by source label on the ``S`` neighbourhoods that occur, numbered by a
-    count over all ``m**3``, and gathered out to the ``(w, dim)`` rows
-    once.  Entries that vanish are dropped, so the width ``w`` is the
-    largest number of labels any row draws from.  A row's kept labels take
-    its first slots and its dropped ones the rest, each in ascending order,
-    with index 0 where no source row holds the label.
+    count over all ``m**3``, and gathered out to the rows once.  Entries
+    that vanish are dropped: table ``k`` has its own width ``w_k``, the most
+    labels any row draws from, and its slots past ``w_k`` hold index 0 and
+    value +0.  A row's kept labels come first and its dropped ones after,
+    each in ascending order, with index 0 where no source row holds one.
     """
     if pos == 0:
-        src = _basis(model, leaves, total)
-        index = np.arange(len(src))[None, :]
-        return [(index, phi[src[:, 1]][None, :]) for phi in phases]
+        labels = _basis(model, leaves, total)[:, 1]
+        return np.tile(np.arange(len(labels)), (1, len(phases), 1)), phases[None][..., labels]
     dst = _basis(model, out_leaves, total)
     _, src_terms = _ranks(model, leaves, total)
     _, dst_terms = _ranks(model, out_leaves, total)
@@ -296,43 +296,41 @@ def _pair_tables(model, leaves, total, pos, phases, out_leaves):
     hood = (np.cumsum(occurs) - 1)[site]  # each row's neighbourhood number
     x, p, q = np.unravel_index(np.flatnonzero(occurs), (m,) * 3)
     # (m, S) arrays by source label y: whether a source row holds y, and how
-    # far it lies from the destination row
-    N = model.N != 0
-    found = N[p, leaves[pos]].T & N[:, leaves[pos + 1], q]
+    # far it lies from the destination row; then (m, P, S) values
+    found = (model.N[p, leaves[pos]].T != 0) & (model.N[:, leaves[pos + 1], q] != 0)
     offset = (src_terms[pos][p].T + src_terms[pos + 1][:, q]
               - dst_terms[pos][p, x] - dst_terms[pos + 1][x, q])
-    row = np.arange(len(dst))
     F_out = np.conj(model.f_rows(slice(None), out_leaves[pos], out_leaves[pos + 1]))
     F_in = model.f_rows(slice(None), leaves[pos], leaves[pos + 1])
-    tables = []
-    for phi in phases:
-        value = np.einsum("pqxc,c,pqyc->pqxy", F_out, phi, F_in)[p, q, x].T * found
-        nonzero = value != 0
-        width = int(nonzero.sum(0).max(initial=1))
-        order = np.argsort(~nonzero, axis=0, kind="stable")[:width]  # kept first
-        slots = order * len(x) + np.arange(len(x))  # flat (m, S) positions
-        index = offset.take(slots).take(hood, axis=1)
-        index += row
-        index *= found.take(slots).take(hood, axis=1)
-        tables.append((index, value.take(slots).take(hood, axis=1)))
-    return tables
+    value = np.einsum("pqxc,kc,pqyc->kpqxy", F_out, phases, F_in)[:, p, q, x]
+    value = value.transpose(2, 0, 1) * found[:, None]
+    nonzero = value != 0
+    widths = nonzero.sum(0).max(1, initial=1)
+    order = np.argsort(~nonzero, axis=0, kind="stable")[:widths.max()]  # kept first
+    pad = np.arange(len(order))[:, None, None] >= widths[:, None]  # slots past w_k
+    col = np.arange(len(x))
+    index = offset[order, col].take(hood, axis=2)
+    index += np.arange(len(dst))
+    index *= (found[order, col] & ~pad).take(hood, axis=2)
+    value = np.where(pad, 0, value[order, np.arange(len(phases))[:, None], col])
+    return index, value.take(hood, axis=2)
 
 
 @_cached
 def _braid_table(model, leaves, total, pos, sign):
     """Gather table of the elementary exchange of leaves (pos, pos+1).
 
-    Returns ``(new_leaves, index, value)``.  The exchange is ``F^-1 R F``
-    (:func:`_pair_tables`): each channel ``c`` of the pair takes the phase
-    ``R_c^{ab}`` (``sign=+1``, counterclockwise) or ``conj(R_c^{ba})``
-    (``sign=-1``), and the pair leaves swapped.  The adjoint is the
-    opposite-sign table of the swapped leaves.
+    Returns ``(new_leaves, index, value)``.  The exchange is ``F^-1 R F``,
+    slot 0 of a one-phase :func:`_pair_tables` stack: each channel ``c`` of
+    the pair takes the phase ``R_c^{ab}`` (``sign=+1``, counterclockwise) or
+    ``conj(R_c^{ba})`` (``sign=-1``), and the pair leaves swapped.  The
+    adjoint is the opposite-sign table of the swapped leaves.
     """
     a, b = leaves[pos], leaves[pos + 1]
     swapped = leaves[:pos] + (b, a) + leaves[pos + 2:]
     phases = model.R[a, b] if sign > 0 else np.conj(model.R[b, a])
-    (index, value), = _pair_tables(model, leaves, total, pos, [phases], swapped)
-    return swapped, index, value
+    index, value = _pair_tables(model, leaves, total, pos, phases[None], swapped)
+    return swapped, index[:, 0], value[:, 0]
 
 
 @_cached
@@ -341,19 +339,15 @@ def _projector_table(model, leaves, total, pos):
 
     Returns ``(present, index, value)``: ``present`` holds the channels the
     pair carries in some basis row, ascending, and slice ``[:, k]`` of the
-    ``(w, P, dim)`` gather table is the projector ``F^-1 delta_c F`` onto
-    channel ``c = present[k]`` (:func:`_pair_tables`), padded with zero
-    entries to the widest projector.
+    ``(w, P, dim)`` stack of :func:`_pair_tables` is the projector
+    ``F^-1 delta_c F`` onto channel ``c = present[k]``, in its own width.
     """
     channels = np.flatnonzero(model.N[leaves[pos], leaves[pos + 1]])
     deltas = np.identity(model.num_charges, dtype=complex)[channels]
-    tables = _pair_tables(model, leaves, total, pos, deltas, leaves)
-    kept = [k for k, (_, value) in enumerate(tables) if value.any()]
-    width = max(len(tables[k][0]) for k in kept)
-    index, value = (np.zeros((width, len(kept), tables[0][0].shape[1]), dtype)
-                    for dtype in (np.intp, complex))
-    for slot, k in enumerate(kept):
-        index[:len(tables[k][0]), slot], value[:len(tables[k][1]), slot] = tables[k]
+    index, value = _pair_tables(model, leaves, total, pos, deltas, leaves)
+    kept = value.any(axis=(0, 2))
+    if not kept.all():
+        index, value = index.compress(kept, 1), value.compress(kept, 1)
     return channels[kept], index, value
 
 

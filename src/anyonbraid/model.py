@@ -326,23 +326,23 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _walk(starts: np.ndarray, dims: np.ndarray, chunk: int, residual) -> tuple[float, ...]:
+def _walk(starts: np.ndarray, dims: np.ndarray, residual) -> tuple[float, ...]:
     """The worst of ``residual(block)`` over the blocks of :func:`_blocks`
     of the runs ``starts`` and ``dims``, column by column, with the blocks
     spread over :func:`_cpu_count` workers.
 
     ``residual`` maps a block to a tuple of maxima.  The caller walks as
     one worker and starts a thread for each other; each block holds
-    ``chunk // workers`` equations, so at most ``chunk`` are in flight.
+    ``_BLOCK // workers`` equations, so at most ``_BLOCK`` are in flight.
     There are no more workers than the walk's equations fill shares of
-    ``chunk // 4``, so a small walk starts no thread.
-    The first exception in any worker, an interrupt of the caller
-    included, stops the others after their current block and is raised
-    here once every thread has been joined.
+    ``_BLOCK // 4``, so a small walk starts no thread.  The first exception
+    in any worker, an interrupt of the caller included, stops the others
+    after their current block and is raised here once every thread has
+    been joined.
     """
     equations = int(np.dot(dims, dims))
-    workers = max(1, min(_cpu_count(), equations // max(chunk // 4, 1)))
-    blocks = _blocks(starts, dims, chunk // workers)
+    workers = max(1, min(_cpu_count(), equations // max(_BLOCK // 4, 1)))
+    blocks = _blocks(starts, dims, _BLOCK // workers)
     lock = threading.Lock()  # a generator runs in one thread at a time
     maxima, failed = [], []
 
@@ -531,8 +531,7 @@ def _blocks(starts: np.ndarray, dims: np.ndarray, chunk: int):
             yield first[g:g + step, None] + np.arange(D)
 
 
-def _pentagon_residual(N: np.ndarray, row_of: np.ndarray, store: np.ndarray,
-                       chunk: int = _BLOCK) -> float:
+def _pentagon_residual(N: np.ndarray, row_of: np.ndarray, store: np.ndarray) -> float:
     """Worst residual of the pentagon equation
 
     ``[F_e^{fcd}]_{gl} [F_e^{abl}]_{fk}
@@ -544,7 +543,7 @@ def _pentagon_residual(N: np.ndarray, row_of: np.ndarray, store: np.ndarray,
     (:func:`_pentagon_trees`), the right ones read off the left.  The D
     left and D right trees of one outer label give a D x D block of
     equations, and blocks of equal D are walked as ``(G, D, D)`` arrays on
-    every CPU the process may use (:func:`_walk`), about ``chunk``
+    every CPU the process may use (:func:`_walk`), about ``_BLOCK``
     equations in flight at once.  Each h-axis factor comes from a padded
     table of F's entries with h last (:func:`_regroup`): the row
     ``[F_g^{abc}]_{f.}`` of the store once per left tree, the column
@@ -582,7 +581,7 @@ def _pentagon_residual(N: np.ndarray, row_of: np.ndarray, store: np.ndarray,
                         cols[right_col[trees]])
         return (np.abs(lhs - rhs).max(),)
 
-    (worst,) = _walk(starts, dims, chunk, block)
+    (worst,) = _walk(starts, dims, block)
     return worst
 
 
@@ -631,7 +630,7 @@ def _block_residuals(N: np.ndarray, row_of: np.ndarray, store: np.ndarray,
             hexagon = _worst(hexagon, np.abs(lhs - rhs).max())
         return hexagon, unitarity
 
-    return _walk(*_runs(_ravel(m, *es[:, :4].T)), _BLOCK, block)
+    return _walk(*_runs(_ravel(m, *es[:, :4].T)), block)
 
 
 def _qdim_residual(N: np.ndarray, qd: np.ndarray) -> float:

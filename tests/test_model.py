@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -384,11 +385,12 @@ class TestVerifyConsistency:
     @pytest.mark.parametrize("chunk", [1, 3, 65536])
     def test_residual_maxima_propagate_nan(self, fibonacci, monkeypatch, chunk):
         # Python's max(worst, nan) keeps worst: a NaN must not read as 0
+        monkeypatch.setattr(model_module, "_BLOCK", chunk)
         F = fibonacci._f_store.copy()
         F[fibonacci._f_row[1, 1, 1, 1, 1], 1] = math.nan  # entry (1, 1, 1, 1, 1, 1)
         for workers in (1, 3):
             monkeypatch.setattr(model_module, "_cpu_count", lambda: workers)
-            assert math.isnan(_pentagon_residual(fibonacci.N, fibonacci._f_row, F, chunk))
+            assert math.isnan(_pentagon_residual(fibonacci.N, fibonacci._f_row, F))
             hexagon, unitarity = _block_residuals(fibonacci.N, fibonacci._f_row, F, fibonacci.R)
             assert math.isnan(hexagon)
             assert math.isnan(unitarity)
@@ -416,7 +418,7 @@ class TestVerifyConsistency:
         spy_on_blocks(monkeypatch, hold_first_blocks)
         F = fibonacci._f_store.copy()
         F[fibonacci._f_row[1, 1, 1, 1, 1], 1] = math.nan
-        assert math.isnan(_pentagon_residual(fibonacci.N, fibonacci._f_row, F, 3))
+        assert math.isnan(_pentagon_residual(fibonacci.N, fibonacci._f_row, F))
         assert all(math.isnan(x) for x in
                    _block_residuals(fibonacci.N, fibonacci._f_row, F, fibonacci.R))
         assert [len(first) for first in firsts] == [3, 3]
@@ -462,8 +464,7 @@ def spy_on_blocks(monkeypatch, wrap):
     per-block function ``residual``."""
     walk = model_module._walk
     monkeypatch.setattr(model_module, "_walk",
-                        lambda starts, dims, chunk, residual:
-                        walk(starts, dims, chunk, wrap(residual)))
+                        lambda starts, dims, residual: walk(starts, dims, wrap(residual)))
 
 
 def count_threads(monkeypatch):
@@ -503,7 +504,7 @@ class TestWalkWorkers:
             started.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(model_module, "_BLOCK", chunk)
-                got = (_pentagon_residual(model.N, model._f_row, model._f_store, chunk),
+                got = (_pentagon_residual(model.N, model._f_row, model._f_store),
                        *_block_residuals(model.N, model._f_row, model._f_store, model.R))
             assert [x.hex() for x in got] == want, workers
             assert len(started) == 2 * (workers - 1)
@@ -520,8 +521,9 @@ class TestWalkWorkers:
         # interpreter allows: every block is walked once, and the residual
         # keeps the bits of a lone worker
         model = load_builtin("su2_k", k=5)
+        monkeypatch.setattr(model_module, "_BLOCK", 64)
         monkeypatch.setattr(model_module, "_cpu_count", lambda: 1)
-        want = _pentagon_residual(model.N, model._f_row, model._f_store, 64)
+        want = _pentagon_residual(model.N, model._f_row, model._f_store)
         monkeypatch.setattr(model_module, "_cpu_count", lambda: 8)
         firsts = []
 
@@ -535,7 +537,7 @@ class TestWalkWorkers:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = _pentagon_residual(model.N, model._f_row, model._f_store, 64)
+            got = _pentagon_residual(model.N, model._f_row, model._f_store)
         finally:
             sys.setswitchinterval(interval)
         assert got.hex() == want.hex()
@@ -705,7 +707,8 @@ class TestPentagonStreaming:
         F[admissible] += noise
         want = pentagon_oracle.pentagon_residual(model.N, F)
         assert want > 0.0
-        assert _pentagon_residual(model.N, *stored(model.N, F), chunk) == want
+        with mock.patch.object(model_module, "_BLOCK", chunk):
+            assert _pentagon_residual(model.N, *stored(model.N, F)) == want
 
 
 class TestDenseOracles:

@@ -3,14 +3,15 @@
 Registers of up to 7 leaves with mixed charges, every admissible total and
 every position: both braid signs, the stacked channel projectors and
 ``attach_pair``, which must agree with :mod:`lookup_oracle` bit for bit,
-padding slots included.  The projectors must also match the dense
-``F^dag delta_c F`` of :mod:`dense_oracle` and be idempotent, Hermitian and
-sum to the identity.
+padding slots included; so must the tables of the uniform registers of
+:func:`build_array`, on which every CLI command runs.  The projectors must
+also match the dense ``F^dag delta_c F`` of :mod:`dense_oracle` and be
+idempotent, Hermitian and sum to the identity.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anyonbraid import (RegisterTooLarge, StateVector, attach_pair, build_array,
@@ -21,8 +22,8 @@ from anyonbraid.fusion_space import (MAX_DIM, MAX_LEAVES, _basis, _braid_table,
 import dense_oracle as dense
 import lookup_oracle as oracle
 
-MODELS = [load_builtin(name, k=k) for name, k in
-          (("fibonacci", None), ("ising", None), ("su2_k", 2), ("su2_k", 3), ("su2_k", 4))]
+SPECS = [("fibonacci", None), ("ising", None)] + [("su2_k", k) for k in range(2, 7)]
+MODELS = [load_builtin(name, k=k) for name, k in SPECS]
 
 
 @st.composite
@@ -60,8 +61,24 @@ def _check_projectors(model, leaves, total, pos):
     assert np.max(np.abs(projectors.sum(0) - np.eye(dim))) < 1e-12
 
 
-@settings(max_examples=100)  # five models of up to 7 leaves
+def _check_tables(model, leaves, total, pos):
+    """The stacked projectors and both braids of pair ``(pos, pos+1)``
+    against the lookup oracle, bit for bit."""
+    present, *table = _projector_table(model, leaves, total, pos)
+    want_present, *want = oracle.projector_table(model, leaves, total, pos)
+    _same_bits(present, want_present)
+    _same_table(table, want)
+    for sign in (+1, -1):
+        swapped, *table = _braid_table(model, leaves, total, pos, sign)
+        want_swapped, *want = oracle.braid_table(model, leaves, total, pos, sign)
+        assert swapped == want_swapped
+        _same_table(table, want)
+
+
+@settings(max_examples=100)  # seven models of up to 7 leaves
 @given(registers(), st.integers(0, 2 ** 32 - 1))
+# projectors whose padding slots sit over labels a source row holds
+@example((MODELS[4], (2, 2, 2, 2, 3, 0)), 0)
 def test_tables_match_lookup_oracle(register, seed):
     model, leaves = register
     rng = np.random.default_rng(seed)
@@ -71,15 +88,7 @@ def test_tables_match_lookup_oracle(register, seed):
         assert np.array_equal(std, oracle.chains(model, leaves, total))
         for pos in range(len(leaves) - 1):
             _check_projectors(model, leaves, total, pos)
-            present, *table = _projector_table(model, leaves, total, pos)
-            want_present, *want = oracle.projector_table(model, leaves, total, pos)
-            _same_bits(present, want_present)
-            _same_table(table, want)
-            for sign in (+1, -1):
-                swapped, *table = _braid_table(model, leaves, total, pos, sign)
-                want_swapped, *want = oracle.braid_table(model, leaves, total, pos, sign)
-                assert swapped == want_swapped
-                _same_table(table, want)
+            _check_tables(model, leaves, total, pos)
         amps = rng.normal(size=len(std)) + 1j * rng.normal(size=len(std))
         state = StateVector(model, leaves, total, amps / np.linalg.norm(amps),
                             _chains=std)
@@ -89,6 +98,17 @@ def test_tables_match_lookup_oracle(register, seed):
             new_leaves, want = oracle.attach_pair_amps(state, position, a)
             assert grown.leaves == new_leaves
             _same_bits(grown.amps, want)
+
+
+@pytest.mark.parametrize("n_comp", [3, 4, 5])
+@pytest.mark.parametrize("model", MODELS, ids=[f"{name}{k or ''}" for name, k in SPECS])
+def test_array_tables_match_lookup_oracle(model, n_comp):
+    """The register of ``n_comp`` computational anyons that
+    :func:`build_array` makes: every leaf the model's computational charge,
+    total the vacuum."""
+    _, state = build_array(model, model.meta["computational_charge"], n_comp)
+    for pos in range(state.num_leaves - 1):
+        _check_tables(model, state.leaves, state.total, pos)
 
 
 def test_ranks_index_every_row(fibonacci, ising):
