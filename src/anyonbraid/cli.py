@@ -24,7 +24,8 @@ per trial.
 JSON is streamed by :func:`_write_json`, byte for byte what the standard
 library's encoder prints at an indent of two spaces.
 
-Exit codes: 0 pass, 1 check failed or out of memory, 2 usage or parse
+Exit codes: 0 pass, 1 check failed, out of memory or stdout closed early
+(by a reader such as ``head``; nothing more is printed), 2 usage or parse
 error.
 """
 
@@ -682,6 +683,13 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
               file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at the null device, so
+        # that the interpreter's last flush of what is left does not raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

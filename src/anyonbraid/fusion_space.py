@@ -159,12 +159,14 @@ def _cached(build):
 
 
 def _frozen(value):
-    """``value`` with every array in it, at any depth of tuples, read-only."""
+    """``value`` with every array in it, at any depth of tuples, read-only;
+    the walk descends only into arrays and tuples, not into their labels."""
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
     elif isinstance(value, tuple):
         for item in value:
-            _frozen(item)
+            if isinstance(item, (np.ndarray, tuple)):
+                _frozen(item)
     return value
 
 

@@ -200,10 +200,24 @@ class AnyonModel:
         """Residuals of pentagon, hexagon (both chiralities), F-unitarity
         and the quantum-dimension fusion identity.
 
-        Failures are reported, never raised.
+        When the pentagon walk is large enough to start a thread
+        (:func:`_walk`), the caller builds its set-up
+        (:func:`_pentagon_setup`) while a thread walks the
+        hexagon/unitarity blocks on every CPU but the caller's, and the
+        pentagon is then walked on every CPU, so at most
+        :func:`_cpu_count` threads work at once.  Otherwise the two checks
+        run one after the other, and a model too small for a thread starts
+        none.  Failures are reported, never raised.
         """
-        pent = _pentagon_residual(self.N, self._f_row, self._f_store)
-        hexa, unit = _block_residuals(self.N, self._f_row, self._f_store, self.R)
+        N, row_of, store = self.N, self._f_row, self._f_store
+        if _workers(_pentagon_equations(N)) > 1:
+            pentagon, (hexa, unit) = _beside(
+                lambda: _pentagon_setup(N, row_of, store),
+                lambda: _block_residuals(N, row_of, store, self.R, _cpu_count() - 1))
+            (pent,) = _walk(*pentagon)
+        else:
+            pent = _pentagon_residual(N, row_of, store)
+            hexa, unit = _block_residuals(N, row_of, store, self.R)
         unit = unit + self._f_off
         qres = _qdim_residual(self.N, self.qd)
         worst = _worst(pent, hexa, unit, qres)
@@ -303,6 +317,13 @@ class AnyonModel:
 # equations share it (each equation sums its own terms in a fixed order),
 # and a maximum does not depend on the order it is taken in, so every
 # residual has the same bits for any number of workers.
+#
+# The pentagon's set-up (its trees and their int32 offsets) is serial.  When
+# the pentagon walk would start a thread, the caller builds that set-up while
+# a thread walks the hexagon/unitarity blocks on the other CPUs
+# (:func:`_beside`).  Building it on the caller's thread matters: on a
+# thread of its own beside the same walk it took about 60 ms instead of
+# 40 ms (2 vCPUs, su2_k at k = 11), and the overlap gained nothing.
 # ---------------------------------------------------------------------------
 
 
@@ -326,22 +347,31 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _walk(starts: np.ndarray, dims: np.ndarray, residual) -> tuple[float, ...]:
+def _workers(equations: int, cpus: int | None = None) -> int:
+    """Workers of a walk of ``equations``: one per CPU of ``cpus``, by
+    default :func:`_cpu_count`, but no more than the equations fill shares
+    of ``_BLOCK // 4``."""
+    cpus = _cpu_count() if cpus is None else cpus
+    return max(1, min(cpus, equations // max(_BLOCK // 4, 1)))
+
+
+def _walk(starts: np.ndarray, dims: np.ndarray, residual,
+          cpus: int | None = None) -> tuple[float, ...]:
     """The worst of ``residual(block)`` over the blocks of :func:`_blocks`
     of the runs ``starts`` and ``dims``, column by column, with the blocks
-    spread over :func:`_cpu_count` workers.
+    spread over :func:`_workers` workers.
 
     ``residual`` maps a block to a tuple of maxima.  The caller walks as
     one worker and starts a thread for each other; each block holds
     ``_BLOCK // workers`` equations, so at most ``_BLOCK`` are in flight.
-    There are no more workers than the walk's equations fill shares of
+    There are no more workers than ``cpus``, by default every CPU the
+    process may use, and no more than the walk's equations fill shares of
     ``_BLOCK // 4``, so a small walk starts no thread.  The first exception
     in any worker, an interrupt of the caller included, stops the others
     after their current block and is raised here once every thread has
     been joined.
     """
-    equations = int(np.dot(dims, dims))
-    workers = max(1, min(_cpu_count(), equations // max(_BLOCK // 4, 1)))
+    workers = _workers(int(np.dot(dims, dims)), cpus)
     blocks = _blocks(starts, dims, _BLOCK // workers)
     lock = threading.Lock()  # a generator runs in one thread at a time
     maxima, failed = [], []
@@ -372,6 +402,32 @@ def _walk(starts: np.ndarray, dims: np.ndarray, residual) -> tuple[float, ...]:
     if failed:
         raise failed[0]
     return tuple(_worst(0.0, *column) for column in zip(*maxima))
+
+
+def _beside(main, side):
+    """``(main(), side())``, with ``side`` run on a thread of its own while
+    the caller runs ``main``.  The first exception of either, an interrupt
+    of the caller included, is raised once the thread has been joined."""
+    results, failed = [], []
+
+    def run():
+        try:
+            results.append(side())
+        except BaseException as exc:  # raised in the caller below
+            failed.append(exc)
+
+    thread = threading.Thread(target=run)
+    try:
+        thread.start()
+        value = main()
+    except BaseException as exc:  # main's own, or a thread that would not start
+        failed.append(exc)
+    finally:
+        if thread.ident is not None:
+            thread.join()
+    if failed:
+        raise failed[0]
+    return value, results[0]
 
 
 def _real_if_real(F: np.ndarray) -> np.ndarray:
@@ -471,9 +527,9 @@ def _pentagon_trees(N: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m = N.shape[0]
     rows, _ = _admissible_blocks(N)
     a, b, c, g, f = np.nonzero(rows)
-    vertex = _ravel(m, a, b, c, 0, 0, g, f).astype(np.int32)
+    vertex = _ravel(m, a, b, c, 0, 0, g, f)
     x, d, e = np.nonzero(N)  # the triples (g, d, e)
-    triple = _ravel(m, d, e, 0, 0).astype(np.int32)
+    triple = _ravel(m, d, e, 0, 0)
     trees = np.concatenate([np.add.outer(vertex[g == y], triple[x == y]).ravel()
                             for y in range(m)])
     trees.sort()  # every tree is a distinct integer
@@ -481,13 +537,17 @@ def _pentagon_trees(N: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     starts, dims = _runs(outer)
     key = outer[starts]
     gf = trees - outer * (m * m)  # g m + f
-    del trees, outer
+    del trees
     labels = np.empty((9, len(gf)), np.uint8)
-    run = np.unravel_index(key, (m,) * 5)  # a b c d e
-    for i, label in enumerate(run):
-        labels[i] = np.repeat(label.astype(np.uint8), dims)
-    # numpy's integer remainder is several times slower than a quotient
+    # e, d, c, b, a peeled off each tree's outer label in turn; numpy's
+    # integer remainder is several times slower than a quotient
+    for i in range(4, -1, -1):
+        rest = outer // m
+        labels[i] = outer - rest * m
+        outer = rest
+    del outer, rest
     labels[5], labels[6] = gf - gf // m * m, gf // m
+    run = np.unravel_index(key, (m,) * 5)  # a b c d e of each run
     # (l, k) is (f, g) of the tree at the same place in the run of
     # (d, c, b, a, e), found through the first tree of every outer label
     first = np.zeros(m ** 5, np.int32)
@@ -502,10 +562,12 @@ def _pentagon_trees(N: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _ravel(m: int, *index) -> np.ndarray:
     """Flat int32 offsets of ``index`` in an array of shape ``(m,) * len(index)``,
-    without the intp copy of every index that ``np.ravel_multi_index`` makes."""
-    flat = np.int32(0)
+    built in place in one array, without the intp copy of every index that
+    ``np.ravel_multi_index`` makes."""
+    flat = np.zeros(np.broadcast_shapes(*map(np.shape, index)), np.int32)
     for i in index:
-        flat = flat * m + i
+        flat *= m
+        flat += i
     return flat
 
 
@@ -531,6 +593,19 @@ def _blocks(starts: np.ndarray, dims: np.ndarray, chunk: int):
             yield first[g:g + step, None] + np.arange(D)
 
 
+def _pentagon_equations(N: np.ndarray) -> int:
+    """The pentagon's equations: the sum of D^2 over the outer labels
+    (a, b, c, d, e) of :func:`_pentagon_trees`, counted from the fusion
+    rules without building a tree."""
+    m = N.shape[0]
+    rows, _ = _admissible_blocks(N)
+    # D[abc, de] = sum_g T[abc, g] N[g, de], with T the trees ((ab)_f c)_g,
+    # so sum D^2 = sum_{g, g'} (T^T T)[g, g'] (N N^T)[g, g'], in integers
+    T = rows.sum(axis=4).reshape(-1, m)
+    Ng = N.reshape(m, -1).astype(np.int64)
+    return int(np.sum((T.T @ T) * (Ng @ Ng.T)))
+
+
 def _pentagon_residual(N: np.ndarray, row_of: np.ndarray, store: np.ndarray) -> float:
     """Worst residual of the pentagon equation
 
@@ -539,14 +614,23 @@ def _pentagon_residual(N: np.ndarray, row_of: np.ndarray, store: np.ndarray) -> 
 
     over every pair of a left and a right fusion tree on the same outer
     labels, with F read from its row ``store`` and the store's m^5 row
-    index ``row_of``.  The trees come from one sorted enumeration
-    (:func:`_pentagon_trees`), the right ones read off the left.  The D
-    left and D right trees of one outer label give a D x D block of
-    equations, and blocks of equal D are walked as ``(G, D, D)`` arrays on
-    every CPU the process may use (:func:`_walk`), about ``_BLOCK``
-    equations in flight at once.  Each h-axis factor comes from a padded
-    table of F's entries with h last (:func:`_regroup`): the row
-    ``[F_g^{abc}]_{f.}`` of the store once per left tree, the column
+    index ``row_of``: the set-up of :func:`_pentagon_setup`, then its
+    :func:`_walk` on every CPU the process may use, about ``_BLOCK``
+    equations in flight at once.
+    """
+    (worst,) = _walk(*_pentagon_setup(N, row_of, store))
+    return worst
+
+
+def _pentagon_setup(N: np.ndarray, row_of: np.ndarray, store: np.ndarray):
+    """The pentagon walk's ``(starts, dims, block)``, for :func:`_walk`.
+
+    The trees come from one sorted enumeration (:func:`_pentagon_trees`),
+    the right ones read off the left.  The D left and D right trees of one
+    outer label give a D x D block of equations, and ``block`` checks
+    blocks of equal D as ``(G, D, D)`` arrays.  Each h-axis factor comes
+    from a padded table of F's entries with h last (:func:`_regroup`): the
+    row ``[F_g^{abc}]_{f.}`` of the store once per left tree, the column
     ``[F_k^{bcd}]_{.l}`` once per right tree and the middle factor once per
     pair.  Each tree keeps only int32 offsets, and every sum runs over
     ascending h, so an equation's residual has the same bits in any block
@@ -564,32 +648,34 @@ def _pentagon_residual(N: np.ndarray, row_of: np.ndarray, store: np.ndarray) -> 
     flat = rows.reshape(-1)
     a, b, c, d, e, f, g, l, k = labels
     left_row = row_of[_ravel(m, a, b, c, g, f)]       # [F_g^{abc}]_{f.}
-    left_fcd = row_of[_ravel(m, f, c, d, e, g)] * m   # + l
+    left_fcd = row_of[_ravel(m, f, c, d, e, g)]
+    left_fcd *= m                                     # + l
     left_abl = _ravel(m, a, b, 0, e, f)               # + l m^2, then + k
     left_mid = _ravel(m, a, d, e, g, 0)               # + k
     right_col = col_of[_ravel(m, b, c, d, k, l)]      # [F_k^{bcd}]_{.l}
-    right_abl = _ravel(m, l, 0, 0)
     l, k = l.copy(), k.copy()  # the other seven rows are not walked
     del labels, a, b, c, d, e, f, g
+    mm = np.int32(m * m)
 
     def block(trees):
         il, ir = trees[:, :, None], trees[:, None, :]
-        lhs = (flat[left_fcd[il] + l[ir]]
-               * flat[row_of[left_abl[il] + right_abl[ir]] * m + k[ir]])
+        l_ir, k_ir = l[ir], k[ir]
+        lhs = (flat[left_fcd[il] + l_ir]
+               * flat[row_of[left_abl[il] + l_ir * mm] * m + k_ir])
         rhs = np.einsum("gih,gijh,gjh->gij", rows[left_row[trees]],
-                        mid.take(mid_of[left_mid[il] + k[ir]], axis=0),
+                        mid.take(mid_of[left_mid[il] + k_ir], axis=0),
                         cols[right_col[trees]])
         return (np.abs(lhs - rhs).max(),)
 
-    (worst,) = _walk(starts, dims, block)
-    return worst
+    return starts, dims, block
 
 
 def _block_residuals(N: np.ndarray, row_of: np.ndarray, store: np.ndarray,
-                     R: np.ndarray) -> tuple[float, float]:
+                     R: np.ndarray, cpus: int | None = None) -> tuple[float, float]:
     """Worst residuals of both hexagon equations and of F-unitarity, in one
     walk over the admissible blocks of the F-matrices, read from F's row
-    ``store`` and its m^5 row index ``row_of``.
+    ``store`` and its m^5 row index ``row_of``, on at most ``cpus`` CPUs
+    (:func:`_walk`).
 
     The block of ``F_d^{abc}`` holds its admissible rows ``e`` and columns
     ``f``, and blocks of equal D are walked as ``(G, D, D)`` arrays on every
@@ -605,6 +691,7 @@ def _block_residuals(N: np.ndarray, row_of: np.ndarray, store: np.ndarray,
     es, fs = np.argwhere(rows), np.argwhere(columns)
     idx, r = _admissible_entries(N)
     col_of, cols = _regroup(m, idx, store[r, idx[:, 5]], 4)  # [F_d^{abc}]_{.f}
+    del idx, r
     Fu = _real_if_real(store)
     # One hexagon per chirality: R and its inverse must both recouple
     # consistently with F.  Each R comes with its copy [c, d, g].
@@ -630,7 +717,7 @@ def _block_residuals(N: np.ndarray, row_of: np.ndarray, store: np.ndarray,
             hexagon = _worst(hexagon, np.abs(lhs - rhs).max())
         return hexagon, unitarity
 
-    return _walk(*_runs(_ravel(m, *es[:, :4].T)), block)
+    return _walk(*_runs(_ravel(m, *es[:, :4].T)), block, cpus)
 
 
 def _qdim_residual(N: np.ndarray, qd: np.ndarray) -> float:

@@ -124,6 +124,24 @@ class TestVerify:
         assert failed.is_set()
         assert threading.active_count() == before
 
+    def test_out_of_memory_in_the_pentagon_setup_is_a_clean_error(self, capsys,
+                                                                   monkeypatch):
+        # the pentagon's set-up is built while the hexagon walk runs on a
+        # thread beside it
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 2)
+        setups = []
+
+        def no_room(N):
+            setups.append(threading.current_thread() is threading.main_thread())
+            raise MemoryError()
+
+        monkeypatch.setattr(model_module, "_pentagon_trees", no_room)
+        before = threading.active_count()
+        code, out, err = run_cli(capsys, "verify", "--model", "su2_k", "--k", "7")
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+        assert setups == [True]
+        assert threading.active_count() == before
+
     def test_builtin_name_wins_over_same_named_file(self, capsys, tmp_path,
                                                     monkeypatch):
         (tmp_path / "ising").write_text("not a model at all")
@@ -987,6 +1005,30 @@ class TestImports:
         result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], cwd=tmp_path,
                                 env=env, capture_output=True, text=True, timeout=300)
         assert result.stdout.split() == ["0", "False"], result.stderr
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_is_not_a_traceback(self, tmp_path):
+        # the payload, about 1.2 MB, outgrows the pipe, so the command is
+        # still writing when its reader stops after 100 bytes
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        argv = ["teleport-stats", "--model", "ising", "--trials", "2000", "--seed", "1",
+                "--trace"]
+        proc = subprocess.Popen([sys.executable, "-m", "anyonbraid.cli", *argv], cwd=tmp_path,
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=300)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert head.startswith(b"{")
+        assert b"Traceback" not in err and err == b""
+        assert code == 1
 
 
 class TestNoDenseF:

@@ -14,7 +14,7 @@ from anyonbraid import (BasisMismatch, BraidWord, InvalidPosition, ProtocolError
                         forced_measurements, inner, load_builtin, measurement_braid,
                         pair_charge_distribution, random_encoded_state, random_state)
 from anyonbraid.cli import _write_json
-from anyonbraid.fusion_space import _basis, _gather, _projector_table
+from anyonbraid.fusion_space import _basis, _frozen, _gather, _projector_table
 from anyonbraid.streams import TrialStreams
 
 from conftest import braid, teleport_config
@@ -249,7 +249,18 @@ class TestOperatorCache:
         list(forced_measurements(teleport_config(model, "1/2"), (1, 2), (0, 1),
                                  TrialStreams(3, range(4))))
         assert len(model._cache) > 20
+        # every kind of entry the cache stores is among them
+        assert {key[0].__name__ for key in model._cache} == {
+            "_ranks", "_basis", "_braid_table", "_projector_table", "_pair_op"}
         assert [repr(key) for key, value in model._cache.items() if mutable_parts(value)] == []
+
+    def test_frozen_reaches_arrays_at_any_depth(self):
+        # a braid table's labels and a transport's tuples hold arrays
+        # beside plain labels, at more than one depth
+        inner, deep = np.zeros(2), np.ones(1)
+        value = (0, (inner, (3, deep), ()), "x")
+        assert _frozen(value) is value
+        assert mutable_parts(value) == []
 
 
 class TestInner:

@@ -464,7 +464,8 @@ def spy_on_blocks(monkeypatch, wrap):
     per-block function ``residual``."""
     walk = model_module._walk
     monkeypatch.setattr(model_module, "_walk",
-                        lambda starts, dims, residual: walk(starts, dims, wrap(residual)))
+                        lambda starts, dims, residual, *cpus: walk(starts, dims, wrap(residual),
+                                                                   *cpus))
 
 
 def count_threads(monkeypatch):
@@ -553,33 +554,67 @@ class TestWalkWorkers:
         assert threading.active_count() == before
 
     def test_error_in_a_block_stops_every_worker(self, monkeypatch):
+        # The hexagon/unitarity walk runs first, beside the pentagon's
+        # set-up, and the pentagon walk after it.  An error in the third
+        # block of either walk stops that walk early, starts no later walk
+        # and leaves no thread behind.  Small blocks give both walks more
+        # than one worker and a dozen blocks or more.
         monkeypatch.setattr(model_module, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(model_module, "_BLOCK", 1024)
         model = load_builtin("su2_k", k=7)
-        lock, walks, fail_at = threading.Lock(), [], [None]
+        lock, walks, fail = threading.Lock(), [], [None, None]  # walk, block
 
         def count(residual):
-            calls = []
-            walks.append(calls)
+            name, calls = residual.__qualname__.split(".")[0], []
+            walks.append((name, calls))
 
             def spy(block):
                 with lock:
                     calls.append(block)
                     n = len(calls)
-                if n == fail_at[0]:
+                if [name, n] == fail:
                     raise MemoryError("no room for block 3")
                 return residual(block)
             return spy
 
         spy_on_blocks(monkeypatch, count)
         model.verify_consistency()
-        total = len(walks[0])  # the pentagon's blocks
-        walks.clear()
-        fail_at[0] = 3
+        order = [name for name, _ in walks]
+        assert order == ["_block_residuals", "_pentagon_setup"]
+        totals = [len(calls) for _, calls in walks]
+        for i, failing in enumerate(order):
+            walks.clear()
+            fail[:] = [failing, 3]
+            before = threading.active_count()
+            with pytest.raises(MemoryError, match="block 3"):
+                model.verify_consistency()
+            assert threading.active_count() == before
+            assert [name for name, _ in walks] == order[:i + 1]
+            assert 3 <= len(walks[-1][1]) < totals[i]
+
+    def test_error_in_the_pentagon_setup_joins_every_thread(self, monkeypatch):
+        # the caller builds the set-up while the hexagon/unitarity walk
+        # runs on a thread; the set-up's error is raised once that thread
+        # has been joined, and the pentagon is never walked
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 2)
+        model = load_builtin("su2_k", k=7)
+        walks = []
+
+        def no_room(N):
+            raise MemoryError("no room for the trees")
+
+        def record(residual):
+            walks.append((residual.__qualname__.split(".")[0], threading.current_thread()))
+            return residual
+
+        monkeypatch.setattr(model_module, "_pentagon_trees", no_room)
+        spy_on_blocks(monkeypatch, record)
         before = threading.active_count()
-        with pytest.raises(MemoryError, match="block 3"):
+        with pytest.raises(MemoryError, match="no room for the trees"):
             model.verify_consistency()
         assert threading.active_count() == before
-        assert len(walks) == 1 and 3 <= len(walks[0]) < total
+        assert [name for name, _ in walks] == ["_block_residuals"]
+        assert walks[0][1] is not threading.main_thread()
 
 
 def _dense_residuals(model, F):

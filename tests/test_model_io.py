@@ -1,13 +1,18 @@
 """Declarative model file format: parsing, validation, rejection."""
 
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anyonbraid import (ModelError, ModelFileError, load_builtin, load_model_file,
-                        parse_model_text)
+                        model_io, parse_model_text)
 
+import model_io_oracle
 import racah_oracle
 from consistency_oracle import admissible_f
 
@@ -178,3 +183,131 @@ class TestRejection:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelFileError, match="cannot read"):
             load_model_file(tmp_path / "absent.model")
+
+
+def _rendered(name, k, seed):
+    """The header, F rows and trailer of ``name`` in the model-file format
+    as the benchmark writes it: every admissible F and R entry listed with
+    ``repr`` floats, ``re im``, the F rows in seeded order."""
+    model = load_builtin(name, k=k)
+    labels = model.labels
+
+    def rows(table, indices):
+        return [" ".join(labels[i] for i in idx)
+                + f" {float(table[tuple(idx)].real)!r} {float(table[tuple(idx)].imag)!r}"
+                for idx in indices.tolist()]
+
+    head = [f"name: {name}-file", "charges: " + " ".join(labels),
+            "dual: " + " ".join(f"{x}:{model.dual(x).label}" for x in labels),
+            "qdim: " + " ".join(f"{x}:{float(q)!r}" for x, q in zip(labels, model.qd)),
+            "", "[fusion]"]
+    head += [f"{labels[a]} {labels[b]} -> "
+             + " ".join(labels[c] for c in np.flatnonzero(model.N[a, b]))
+             for a in range(len(labels)) for b in range(a, len(labels))]
+    f_rows = rows(model.F, np.argwhere(model.F != 0))
+    random.Random(seed).shuffle(f_rows)
+    tail = ["", "[r]"] + rows(model.R, np.argwhere(model.N != 0))
+    return head + ["", "[f]"], f_rows, tail
+
+
+#: What a mutation of an F row writes: labels known and unknown, and
+#: numbers that ``float`` reads differently from a plain decimal or not at
+#: all (non-ASCII digits, underscores, hex, overflow, non-finite).
+_F_TOKENS = st.sampled_from(
+    ["0", "1", "1/2", "3/2", "x", "½", "nan", "-nan", "inf", "-Infinity", "1e400",
+     "-1e400", "1e-400", "1_0", "0x10", "١٢", "٣.٥", "0.5", "-0.0", "+1", "#"])
+
+
+def _mutated(rows, edits):
+    """``rows`` with each edit ``(kind, i, j, token)`` applied to row
+    ``i`` (modulo the row count) in turn."""
+    rows = list(rows)
+    for kind, i, j, token in edits:
+        i %= len(rows)
+        parts = rows[i].split()
+        if kind == "replace" and parts:
+            parts[j % len(parts)] = token
+        elif kind == "insert":
+            parts.insert(j % (len(parts) + 1), token)
+        elif kind == "delete" and parts:
+            del parts[j % len(parts)]
+        elif kind == "drop im" and len(parts) == 8:
+            parts.pop()
+        elif kind == "duplicate":
+            rows.insert(j % (len(rows) + 1), " ".join(parts[:6] + [token] + parts[7:]))
+        elif kind == "blank":
+            rows.insert(j % (len(rows) + 1), ["", "   ", "# a comment"][j % 3])
+        line = " ".join(parts)
+        if kind == "spaces":
+            line = line.replace(" ", ["\t", "  ", " \t "][j % 3])
+        elif kind == "comment":
+            line += ["  # note", "#", f" # {token}"][j % 3]
+        rows[i] = line
+    return rows
+
+
+def _outcome(text):
+    """The error ``parse_model_text`` raises on ``text``, as its class and
+    message, or the model it builds."""
+    try:
+        return parse_model_text(text, tolerance=None)
+    except ModelFileError as exc:
+        return type(exc), str(exc)
+
+
+class TestFSectionOracle:
+    """The ``[f]`` section read as token arrays against the line-by-line
+    loop of ``tests/model_io_oracle.py``: the same error and message, or
+    the same F store and index, byte for byte, on mutated renderings of
+    Fibonacci and su2_k k=3."""
+
+    @settings(max_examples=300)
+    @given(spec=st.sampled_from([("fibonacci", None), ("su2_k", 3)]),
+           seed=st.integers(0, 2 ** 16),
+           edits=st.lists(st.tuples(
+               st.sampled_from(["replace", "insert", "delete", "drop im", "duplicate",
+                                "blank", "spaces", "comment"]),
+               st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), _F_TOKENS), max_size=6))
+    def test_same_result_as_line_loop(self, spec, seed, edits):
+        head, rows, tail = _rendered(*spec, seed)
+        rows = _mutated(rows, edits)
+        text = "\n".join(head + rows + tail) + "\n"
+        got = _outcome(text)
+        with mock.patch.object(model_io, "_f_section", model_io_oracle.f_section_loop):
+            want = _outcome(text)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert not isinstance(got, tuple), got
+        assert got._f_store.tobytes() == want._f_store.tobytes()
+        assert got._f_row.tobytes() == want._f_row.tobytes()
+        # every value has the bits float() reads from its tokens, the last
+        # of repeated rows winning
+        index = {label: i for i, label in enumerate(got.labels)}
+        last = {}
+        for row in rows:
+            parts = row.split("#", 1)[0].split()
+            if parts:
+                last[tuple(index[x] for x in parts[:6])] = complex(
+                    float(parts[6]), float(parts[7]) if len(parts) == 8 else 0.0)
+        at = tuple(np.array(list(last)).T)
+        values = got._f_store[got._f_row[at[:5]], at[5]]
+        assert values.tobytes() == np.array(list(last.values())).tobytes()
+
+    def test_values_are_floats_of_their_tokens(self):
+        # mixed 7- and 8-token rows, tabs, numbers in other spellings and
+        # a repeated row whose last copy wins
+        text = "\n".join([
+            "name: z2", "charges: 0 1", "dual: 0:0 1:1", "qdim: 0:1 1:1",
+            "[fusion]", "1 1 -> 0", "[f]",
+            "1 1 1 1 0 0\t1_0 ١٢",
+            "0 1 1 0 1 0  -0.0",
+            "1 0 1 0 1 1 ٣.٥ 1e-400  # comment",
+            "1 0 1 0 1 1 -0.25",
+        ]) + "\n"
+        model = parse_model_text(text, tolerance=None)
+        want = {(1, 1, 1, 1, 0, 0): complex(10.0, 12.0), (0, 1, 1, 0, 1, 0): complex(-0.0, 0.0),
+                (1, 0, 1, 0, 1, 1): complex(-0.25, 0.0)}
+        for (a, b, c, d, e, f), value in want.items():
+            got = model._f_store[model._f_row[a, b, c, d, e], f]
+            assert np.array(got).tobytes() == np.array(value).tobytes()
