@@ -26,6 +26,7 @@ counterclockwise exchange (the ``+1`` braid sign in
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import os
@@ -88,13 +89,12 @@ class AnyonModel:
         ``fusion[a, b, c] = N_ab^c`` with values 0 or 1.
     qdim : (m,) float array
         Quantum dimensions ``d_a``.
-    f_symbols : complex array, dense ``(m,) * 6`` or rows ``(n + 1, m)``
+    f_symbols : complex array, dense ``(m,) * 6`` or entries ``(E,)``
         Either the dense table ``f_symbols[a, b, c, d, e, f] = [F_d^{abc}]_{ef}``
-        or F's row store: row r is ``[F_d^{abc}]_{e,.}`` for the r-th of the
-        n admissible rows ``(a, b, c, d, e)`` (e in ab and d in ec) in C
-        order, and the last row is zero.  Only the admissible entries are
-        kept; the largest ``|F|`` elsewhere, where F must vanish, counts
-        towards the unitarity residual.
+        or the E values of F's admissible entries ``(a, b, c, d, e, f)`` (e in
+        ab, d in ec, f in bc and d in af) in C order.  Only the admissible
+        entries are kept; the largest ``|F|`` elsewhere in a dense table,
+        where F must vanish, counts towards the unitarity residual.
     r_symbols : (m, m, m) complex array
         ``r_symbols[a, b, c] = R_c^{ab}``, a unit phase for admissible ``c``.
     params : dict, optional
@@ -102,8 +102,9 @@ class AnyonModel:
     meta : dict, optional
         Free-form provenance notes (gauge, chirality, preferred charge).
 
-    F is read through :meth:`f_rows`; :attr:`F` is a dense copy, built on
-    first read for callers that want the whole ``(m,) * 6`` table.
+    F's layout (:func:`_f_store`) is worked out here, once, and kept for
+    :meth:`verify_consistency`.  F is read through :meth:`f_rows`;
+    :attr:`F` is a dense copy, built on first read, of the whole table.
     """
 
     def __init__(self, name, labels, fusion, qdim, f_symbols, r_symbols,
@@ -122,14 +123,15 @@ class AnyonModel:
         if len(self._by_label) != m:
             raise ModelError(f"duplicate charge labels in model {self.name!r}")
         self._validate_tables()
-        self._f_row, self._f_store, self._f_off = _f_store(self.N, f_symbols)
-        for arr in (self.N, self.qd, self.R, self._f_row, self._f_store):
+        self._f_row, self._f_store, self._f_off, self._f_layout = _f_store(self.N, f_symbols)
+        for arr in (self.N, self.qd, self.R, self._f_row, self._f_store, *self._f_layout):
             arr.flags.writeable = False
         self._dual = self._find_duals()
         self._validate_duals()
         channels = [np.flatnonzero(self.N[a, a]) for a in range(m)]
-        self._twists = tuple(complex(np.sum(self.qd[c] * self.R[a, a, c]) / self.qd[a])
-                             for a, c in enumerate(channels))
+        with _quiet():  # an overflowing model is refused by verify, not here
+            self._twists = tuple(complex(np.sum(self.qd[c] * self.R[a, a, c]) / self.qd[a])
+                                 for a, c in enumerate(channels))
         # The operator cache, read and written only through
         # fusion_space._cached: keyed by builder and arguments, each value
         # read-only from the moment it is stored and never replaced, so
@@ -200,24 +202,23 @@ class AnyonModel:
         """Residuals of pentagon, hexagon (both chiralities), F-unitarity
         and the quantum-dimension fusion identity.
 
-        When the pentagon walk is large enough to start a thread
-        (:func:`_walk`), the caller builds its set-up
-        (:func:`_pentagon_setup`) while a thread walks the
-        hexagon/unitarity blocks on every CPU but the caller's, and the
-        pentagon is then walked on every CPU, so at most
-        :func:`_cpu_count` threads work at once.  Otherwise the two checks
-        run one after the other, and a model too small for a thread starts
-        none.  Failures are reported, never raised.
+        Both checks read the tables of :func:`_f_tables`.  When the
+        pentagon walk is large enough to start a thread (:func:`_walk`),
+        the caller builds its set-up (:func:`_pentagon_setup`) while a
+        thread walks the hexagon/unitarity blocks on every CPU but the
+        caller's, and the pentagon is then walked on every CPU.  Otherwise
+        the checks run one after the other.  Failures are reported, never
+        raised, and a residual that overflows reads as infinity or NaN.
         """
-        N, row_of, store = self.N, self._f_row, self._f_store
-        if _workers(_pentagon_equations(N)) > 1:
+        N, tables = self.N, _f_tables(self._f_row, self._f_store, self._f_layout)
+        if _workers(_pentagon_equations(N, tables.rows)) > 1:
             pentagon, (hexa, unit) = _beside(
-                lambda: _pentagon_setup(N, row_of, store),
-                lambda: _block_residuals(N, row_of, store, self.R, _cpu_count() - 1))
+                lambda: _pentagon_setup(N, tables),
+                lambda: _block_residuals(N, tables, self.R, _cpu_count() - 1))
             (pent,) = _walk(*pentagon)
         else:
-            pent = _pentagon_residual(N, row_of, store)
-            hexa, unit = _block_residuals(N, row_of, store, self.R)
+            pent = _pentagon_residual(N, tables)
+            hexa, unit = _block_residuals(N, tables, self.R)
         unit = unit + self._f_off
         qres = _qdim_residual(self.N, self.qd)
         worst = _worst(pent, hexa, unit, qres)
@@ -229,14 +230,16 @@ class AnyonModel:
 
         This is the identity behind the per-attempt success probability of a
         forced measurement; it must vanish for any consistent unitary model.
+        A term that overflows reads as infinity or NaN (:func:`_quiet`).
         """
         worst = 0.0
-        for a in range(self.num_charges):
-            ab = self._dual[a]
-            da2 = self.qd[a] ** 2
-            for e in np.flatnonzero(self.N[a, ab]):
-                got = abs(self.f_rows(a, ab, a, a, e)[0]) ** 2
-                worst = max(worst, abs(got - self.qd[e] / da2))
+        with _quiet():
+            for a in range(self.num_charges):
+                ab = self._dual[a]
+                da2 = self.qd[a] ** 2
+                for e in np.flatnonzero(self.N[a, ab]):
+                    got = abs(self.f_rows(a, ab, a, a, e)[0]) ** 2
+                    worst = max(worst, abs(got - self.qd[e] / da2))
         return worst
 
     # -- internals ----------------------------------------------------------
@@ -294,18 +297,21 @@ class AnyonModel:
 #
 # The pentagon check is the hot path: SU(2)_10 has 1,470,040 admissible
 # instances and SU(2)_12 5,770,583, but only 243,100 and 714,103 fusion trees
-# of each kind.  Every index set is read from the admissible rows and columns
-# of the F-matrices (two m^5 masks, whose product is F's admissible set).
-# The pentagon's left trees join those rows with one fusion triple each, in
-# one enumeration and one sort; fusion is commutative, so its right trees
-# are left trees with mirrored outer labels, read off the same table.  One
-# walk over F's admissible blocks checks unitarity and both hexagons.  F is
-# stored as its admissible rows, an (n + 1, m) array addressed by one m^5
-# int32 index whose misses point at a last, zero row.  Each pentagon
-# equation is one (left tree, right tree) pair, evaluated with gathers from
-# that store and from two more such padded tables of F's entries, whose rows
-# run along another axis of F.  Inadmissible entries read as exact zeros,
-# which lets the internal sums run over the full charge range.
+# of each kind.  Every index set is read from F's layout, worked out once per
+# model by its constructor (:func:`_f_store`): F's admissible rows and its
+# admissible entries, in C order.  The pentagon's left trees join those rows
+# with one fusion triple each, in one enumeration and one sort; fusion is
+# commutative, so its right trees are left trees with mirrored outer labels,
+# read off the same table.  One walk over F's admissible blocks checks
+# unitarity and both hexagons.  F is stored as its admissible rows, an
+# (n + 1, m) array addressed by one m^5 int32 index whose misses point at a
+# last, zero row.  Each pentagon equation is one (left tree, right tree)
+# pair, evaluated with gathers from that store and from two more such padded
+# tables of F's entries, whose rows run along another axis of F; the one
+# along axis 4 is read by both walks (:func:`_f_tables`).  Inadmissible
+# entries read as exact zeros, which lets the internal sums run over the
+# full charge range.  A residual that overflows reads as infinity or NaN,
+# with no numpy warning (:func:`_quiet`).
 #
 # Both walks go through :func:`_walk`, which spreads their blocks over the
 # CPUs the process may run on: the caller and one thread per further CPU
@@ -338,6 +344,11 @@ def _worst(*residuals) -> float:
     return float(np.max(residuals))
 
 
+def _quiet():
+    """Overflow gives infinity and an invalid operation NaN, unwarned, in this thread."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _cpu_count() -> int:
     """The CPUs this process may run on: its affinity mask where the
     platform has one, else every CPU."""
@@ -362,14 +373,12 @@ def _walk(starts: np.ndarray, dims: np.ndarray, residual,
     spread over :func:`_workers` workers.
 
     ``residual`` maps a block to a tuple of maxima.  The caller walks as
-    one worker and starts a thread for each other; each block holds
-    ``_BLOCK // workers`` equations, so at most ``_BLOCK`` are in flight.
-    There are no more workers than ``cpus``, by default every CPU the
-    process may use, and no more than the walk's equations fill shares of
-    ``_BLOCK // 4``, so a small walk starts no thread.  The first exception
-    in any worker, an interrupt of the caller included, stops the others
-    after their current block and is raised here once every thread has
-    been joined.
+    one worker and starts a thread for each other, at most ``cpus`` in
+    all; each block holds ``_BLOCK // workers`` equations, so at most
+    ``_BLOCK`` are in flight.  Every worker walks in the error state of
+    :func:`_quiet`.  The first exception in any worker, an interrupt of
+    the caller included, stops the others after their current block and is
+    raised here once every thread has been joined.
     """
     workers = _workers(int(np.dot(dims, dims)), cpus)
     blocks = _blocks(starts, dims, _BLOCK // workers)
@@ -378,12 +387,13 @@ def _walk(starts: np.ndarray, dims: np.ndarray, residual,
 
     def work():
         try:
-            while not failed:
-                with lock:
-                    block = next(blocks, None)
-                if block is None:
-                    return
-                maxima.append(residual(block))
+            with _quiet():
+                while not failed:
+                    with lock:
+                        block = next(blocks, None)
+                    if block is None:
+                        return
+                    maxima.append(residual(block))
         except BaseException as exc:  # raised in the caller below
             failed.append(exc)
 
@@ -430,13 +440,6 @@ def _beside(main, side):
     return value, results[0]
 
 
-def _real_if_real(F: np.ndarray) -> np.ndarray:
-    """``F``, or a view of its real part when no entry has an imaginary
-    part; real arithmetic halves the memory traffic of the gathers and
-    products, and the view copies nothing."""
-    return F if np.any(F.imag) else F.real
-
-
 def _admissible_blocks(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The admissible rows and columns of every F-matrix ``F_d^{abc}``, as
     masks of rows ``(a, b, c, d, e)``, e in ab and d in ec, and of columns
@@ -453,14 +456,15 @@ def _admissible_blocks(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, columns
 
 
-def _admissible_entries(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F's admissible entries: the ``(E, 6)`` table of their indices
-    ``(a, b, c, d, e, f)`` in C order, and the number of each one's row
-    ``(a, b, c, d, e)`` among the admissible rows of :func:`_admissible_blocks`."""
+def _admissible_entries(N: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F's layout: the ``(n, 5)`` and ``(E, 6)`` uint8 tables of its
+    admissible rows ``(a, b, c, d, e)`` (:func:`_admissible_blocks`) and
+    entries ``(a, b, c, d, e, f)``, both in C order, and the int32 number
+    of each entry's row."""
     rows, columns = _admissible_blocks(N)
     es = np.argwhere(rows)
     r, f = np.nonzero(columns[tuple(es[:, :4].T)])
-    return np.column_stack([es[r], f]).astype(np.uint8), r
+    return es.astype(np.uint8), np.column_stack([es[r], f]).astype(np.uint8), r.astype(np.int32)
 
 
 def _regroup(m: int, idx: np.ndarray, values: np.ndarray,
@@ -472,7 +476,7 @@ def _regroup(m: int, idx: np.ndarray, values: np.ndarray,
     ``idx[:, axis]``, the entries of the r-th of the n keys (their other
     five labels, in C order), zero elsewhere and in the last row; and the
     ``(m,) * 5`` int32 index of each key's row, where a miss points at that
-    zero row.  Along axis 5 this is F's row store.
+    zero row.
     """
     keys, row = np.unique(_ravel(m, *np.delete(idx, axis, axis=1).T), return_inverse=True)
     table = np.zeros((len(keys) + 1, m), values.dtype)
@@ -482,38 +486,62 @@ def _regroup(m: int, idx: np.ndarray, values: np.ndarray,
     return index.reshape((m,) * 5), table
 
 
-def _f_store(N: np.ndarray, f_symbols) -> tuple[np.ndarray, np.ndarray, float]:
-    """F as its admissible rows: ``(index, store, off)``.
+def _f_store(N: np.ndarray, f_symbols) -> tuple[np.ndarray, np.ndarray, float, tuple]:
+    """F as its admissible rows: ``(index, store, off, layout)``.
 
-    ``f_symbols`` is either the dense ``(m,) * 6`` table or the
-    ``(n + 1, m)`` row store of :func:`_regroup` along axis 5.  ``store`` keeps
-    its admissible entries, zero elsewhere, ``index`` numbers its rows, and
-    ``off`` is the largest ``|F|`` it dropped, where F must vanish.
+    ``f_symbols`` is the dense ``(m,) * 6`` table or the values of the
+    entries of ``layout`` (:func:`_admissible_entries`), in their order.
+    Row i of ``store`` holds ``[F_d^{abc}]_{e,.}`` of the layout's row i,
+    and its last row is zero.  ``index`` numbers the rows, a miss pointing
+    at the zero row, and ``off`` is the largest ``|F|`` a dense table holds
+    where F must vanish.
     """
     m = N.shape[0]
     F = np.asarray(f_symbols, dtype=complex)
-    idx, r = _admissible_entries(N)
-    if F.shape == (m,) * 6:
-        at = tuple(idx.T)
-    elif F.shape == (r[-1] + 2, m):
-        at = (r, idx[:, 5])
-    else:
+    rows, entries, r = layout = _admissible_entries(N)
+    if F.shape not in ((m,) * 6, r.shape):
         raise ModelError("F/R tables have wrong shape")
     if not np.isfinite(F).all():
         raise ModelError("F-symbols must be finite (found NaN or infinity)")
-    outside = np.ones(F.shape, dtype=bool)
-    outside[at] = False
-    index, store = _regroup(m, idx, F[at], 5)
-    return index, store, float(np.abs(F).max(where=outside, initial=0.0))
+    off = 0.0
+    if F.ndim == 6:
+        outside = np.abs(F)
+        outside[tuple(entries.T)] = 0.0  # left: |F| where F must vanish
+        off, F = float(outside.max()), F[tuple(entries.T)]
+    n = len(rows)
+    store = np.zeros((n + 1, m), complex)
+    store[r, entries[:, 5]] = F
+    index = np.full(m ** 5, n, dtype=np.int32)
+    index[_ravel(m, *rows.T)] = np.arange(n, dtype=np.int32)
+    return index.reshape((m,) * 5), store, off, layout
 
 
-def _pentagon_trees(N: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+#: What the residual walks read of F, built once per verify by :func:`_f_tables`.
+_FTables = collections.namedtuple(
+    "_FTables", "rows entries r row_of store real values col_of cols")
+
+
+def _f_tables(row_of: np.ndarray, store: np.ndarray, layout: tuple) -> _FTables:
+    """F's ``layout`` (:func:`_admissible_entries`), its row index
+    ``row_of`` and row ``store``; ``real``, the store or, when no entry has
+    an imaginary part, a copy of its real part, which halves the memory
+    traffic of the walks' gathers and products; the ``values`` of the
+    entries read from ``real``; and their padded table ``(col_of, cols)``
+    along axis 4 (:func:`_regroup`), the columns ``[F_d^{abc}]_{.f}``."""
+    rows, entries, r = layout
+    real = store if np.any(store.imag) else np.ascontiguousarray(store.real)
+    values = real[r, entries[:, 5]]
+    col_of, cols = _regroup(store.shape[1], entries, values, 4)
+    return _FTables(rows, entries, r, row_of, store, real, values, col_of, cols)
+
+
+def _pentagon_trees(N: np.ndarray, rows: np.ndarray):
     """Both bases of the fusion space of four charges a, b, c, d into e, as
     ``(labels, starts, dims)``, sorted by their outer labels (a, b, c, d, e).
 
-    A left tree ((ab)_f c)_g d -> e joins an admissible row (a, b, c, g, f)
-    of the F-matrices (f in ab and g in fc; :func:`_admissible_blocks`)
-    with a fusion triple (g, d, e), e in gd.  Each is enumerated once, as
+    A left tree ((ab)_f c)_g d -> e joins one of F's admissible ``rows``
+    (a, b, c, g, f) (f in ab and g in fc; :func:`_f_store`) with a fusion
+    triple (g, d, e), e in gd.  Each is enumerated once, as
     the int32 :func:`_ravel` of (a, b, c, d, e, g, f), and one sort puts
     the trees of an outer label together, ordered by (g, f).  A right tree
     a(b(cd)_l)_k -> e has l in cd, k in bl and e in ak.  Fusion is
@@ -525,8 +553,7 @@ def _pentagon_trees(N: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``dims`` are the first tree and D of each outer label.
     """
     m = N.shape[0]
-    rows, _ = _admissible_blocks(N)
-    a, b, c, g, f = np.nonzero(rows)
+    a, b, c, g, f = rows.T
     vertex = _ravel(m, a, b, c, 0, 0, g, f)
     x, d, e = np.nonzero(N)  # the triples (g, d, e)
     triple = _ravel(m, d, e, 0, 0)
@@ -593,59 +620,53 @@ def _blocks(starts: np.ndarray, dims: np.ndarray, chunk: int):
             yield first[g:g + step, None] + np.arange(D)
 
 
-def _pentagon_equations(N: np.ndarray) -> int:
+def _pentagon_equations(N: np.ndarray, rows: np.ndarray) -> int:
     """The pentagon's equations: the sum of D^2 over the outer labels
     (a, b, c, d, e) of :func:`_pentagon_trees`, counted from the fusion
-    rules without building a tree."""
+    rules and F's admissible ``rows`` without building a tree."""
     m = N.shape[0]
-    rows, _ = _admissible_blocks(N)
     # D[abc, de] = sum_g T[abc, g] N[g, de], with T the trees ((ab)_f c)_g,
     # so sum D^2 = sum_{g, g'} (T^T T)[g, g'] (N N^T)[g, g'], in integers
-    T = rows.sum(axis=4).reshape(-1, m)
+    T = np.bincount(_ravel(m, *rows[:, :4].T), minlength=m ** 4).reshape(-1, m)
     Ng = N.reshape(m, -1).astype(np.int64)
     return int(np.sum((T.T @ T) * (Ng @ Ng.T)))
 
 
-def _pentagon_residual(N: np.ndarray, row_of: np.ndarray, store: np.ndarray) -> float:
+def _pentagon_residual(N: np.ndarray, tables: _FTables) -> float:
     """Worst residual of the pentagon equation
 
     ``[F_e^{fcd}]_{gl} [F_e^{abl}]_{fk}
     = sum_h [F_g^{abc}]_{fh} [F_e^{ahd}]_{gk} [F_k^{bcd}]_{hl}``
 
     over every pair of a left and a right fusion tree on the same outer
-    labels, with F read from its row ``store`` and the store's m^5 row
-    index ``row_of``: the set-up of :func:`_pentagon_setup`, then its
-    :func:`_walk` on every CPU the process may use, about ``_BLOCK``
-    equations in flight at once.
+    labels, F read from its ``tables`` (:func:`_f_tables`): the
+    :func:`_walk` of :func:`_pentagon_setup`.
     """
-    (worst,) = _walk(*_pentagon_setup(N, row_of, store))
+    (worst,) = _walk(*_pentagon_setup(N, tables))
     return worst
 
 
-def _pentagon_setup(N: np.ndarray, row_of: np.ndarray, store: np.ndarray):
+def _pentagon_setup(N: np.ndarray, tables: _FTables):
     """The pentagon walk's ``(starts, dims, block)``, for :func:`_walk`.
 
     The trees come from one sorted enumeration (:func:`_pentagon_trees`),
     the right ones read off the left.  The D left and D right trees of one
     outer label give a D x D block of equations, and ``block`` checks
     blocks of equal D as ``(G, D, D)`` arrays.  Each h-axis factor comes
-    from a padded table of F's entries with h last (:func:`_regroup`): the
-    row ``[F_g^{abc}]_{f.}`` of the store once per left tree, the column
-    ``[F_k^{bcd}]_{.l}`` once per right tree and the middle factor once per
+    from a padded table of F's entries with h last: the row
+    ``[F_g^{abc}]_{f.}`` of the store once per left tree and the column
+    ``[F_k^{bcd}]_{.l}`` once per right tree, both from ``tables``
+    (:func:`_f_tables`), and the middle factor (:func:`_regroup`) once per
     pair.  Each tree keeps only int32 offsets, and every sum runs over
     ascending h, so an equation's residual has the same bits in any block
     and on any thread.
     """
     m = N.shape[0]
-    labels, starts, dims = _pentagon_trees(N)
-    idx, r = _admissible_entries(N)
-    rows = np.ascontiguousarray(_real_if_real(store))  # [a,b,c,d,e] -> f
-    values = rows[r, idx[:, 5]]
-    mid_of, mid = _regroup(m, idx, values, 1)  # [a,c,d,e,f] -> b
-    col_of, cols = _regroup(m, idx, values, 4)  # [a,b,c,d,f] -> e
-    del idx, r, values
-    row_of, mid_of, col_of = row_of.reshape(-1), mid_of.reshape(-1), col_of.reshape(-1)
-    flat = rows.reshape(-1)
+    labels, starts, dims = _pentagon_trees(N, tables.rows)
+    # the store [a,b,c,d,e] -> f, cols [a,b,c,d,f] -> e and mid [a,c,d,e,f] -> b
+    _, entries, _, row_of, _, real, values, col_of, cols = tables
+    mid_of, mid = _regroup(m, entries, values, 1)
+    row_of, mid_of, col_of, flat = (x.reshape(-1) for x in (row_of, mid_of, col_of, real))
     a, b, c, d, e, f, g, l, k = labels
     left_row = row_of[_ravel(m, a, b, c, g, f)]       # [F_g^{abc}]_{f.}
     left_fcd = row_of[_ravel(m, f, c, d, e, g)]
@@ -662,7 +683,7 @@ def _pentagon_setup(N: np.ndarray, row_of: np.ndarray, store: np.ndarray):
         l_ir, k_ir = l[ir], k[ir]
         lhs = (flat[left_fcd[il] + l_ir]
                * flat[row_of[left_abl[il] + l_ir * mm] * m + k_ir])
-        rhs = np.einsum("gih,gijh,gjh->gij", rows[left_row[trees]],
+        rhs = np.einsum("gih,gijh,gjh->gij", real[left_row[trees]],
                         mid.take(mid_of[left_mid[il] + k_ir], axis=0),
                         cols[right_col[trees]])
         return (np.abs(lhs - rhs).max(),)
@@ -670,60 +691,51 @@ def _pentagon_setup(N: np.ndarray, row_of: np.ndarray, store: np.ndarray):
     return starts, dims, block
 
 
-def _block_residuals(N: np.ndarray, row_of: np.ndarray, store: np.ndarray,
-                     R: np.ndarray, cpus: int | None = None) -> tuple[float, float]:
+def _block_residuals(N: np.ndarray, tables: _FTables, R: np.ndarray,
+                     cpus: int | None = None) -> tuple[float, float]:
     """Worst residuals of both hexagon equations and of F-unitarity, in one
-    walk over the admissible blocks of the F-matrices, read from F's row
-    ``store`` and its m^5 row index ``row_of``, on at most ``cpus`` CPUs
-    (:func:`_walk`).
+    walk over the admissible D x D blocks of the F-matrices, read from F's
+    ``tables`` (:func:`_f_tables`), on at most ``cpus`` CPUs (:func:`_walk`).
 
-    The block of ``F_d^{abc}`` holds its admissible rows ``e`` and columns
-    ``f``, and blocks of equal D are walked as ``(G, D, D)`` arrays on every
-    CPU the process may use (:func:`_walk`), at most ``_BLOCK`` entries in
-    flight at once.  Each matrix and each entry is checked on its own, so
-    its residual does not depend on the block or thread that checks it.
-    Each block must be unitary, checked as both ``F F^+`` and ``F^+ F``.  Each
-    entry ``(a, b, c, d, e, f)`` of a block is the hexagon tuple
-    ``(a, c, b, d, e, f)``: e in ac, d in eb, f in cb and d in af.
+    Blocks of equal D are walked as ``(G, D, D)`` arrays, and each matrix
+    and each entry is checked on its own, so its residual does not depend
+    on the block or thread that checks it.  Each block must be unitary,
+    checked as both ``F F^+`` and ``F^+ F``.  Each entry ``(a, b, c, d, e,
+    f)`` of a block is the hexagon tuple ``(a, c, b, d, e, f)``: e in ac, d
+    in eb, f in cb and d in af.
     """
-    m = N.shape[0]
-    rows, columns = _admissible_blocks(N)
-    es, fs = np.argwhere(rows), np.argwhere(columns)
-    idx, r = _admissible_entries(N)
-    col_of, cols = _regroup(m, idx, store[r, idx[:, 5]], 4)  # [F_d^{abc}]_{.f}
-    del idx, r
-    Fu = _real_if_real(store)
+    rows, entries, r, row_of, store, _, values, col_of, cols = tables
+    first, _ = _runs(r)  # each row's first entry
     # One hexagon per chirality: R and its inverse must both recouple
     # consistently with F.  Each R comes with its copy [c, d, g].
     chiralities = [(S, np.ascontiguousarray(S.transpose(0, 2, 1))) for S in (R, np.conj(R))]
 
     def block(at):
-        # the store's row of es[i] is row i
-        at_e, f = at[:, :, None], fs[at, 4][:, None, :]
-        mats = Fu[at_e, f]
+        # the D rows of a block hold its D * D entries, in C order from its
+        # first row's first
+        D = at.shape[1]
+        pos = (first[at[:, :1]] + np.arange(D * D)).ravel()
+        mats = values[pos].reshape(-1, D, D)
         adj = mats.conj().transpose(0, 2, 1)
-        eye = np.eye(at.shape[1])
+        eye = np.eye(D)
         unitarity = _worst(np.abs(mats @ adj - eye).max(), np.abs(adj @ mats - eye).max())
-        # the block's entries, one per row, as hexagon tuples
-        entries = store[at_e, f].ravel()
-        a, b, c, d = es[at[:, 0], :4].T[:, :, None, None]
-        e = es[at_e, 4]
-        a, c, b, d, e, f = (np.broadcast_to(x, mats.shape).ravel() for x in (a, b, c, d, e, f))
+        # the block's entries as hexagon tuples
+        a, c, b, d, e, f = entries[pos].T
+        F = store[r[pos], f]
         mid = store[row_of[c, a, b, d, e]] * cols[col_of[a, b, c, d, f]]
         hexagon = 0.0
         for S, St in chiralities:
-            lhs = S[c, a, e] * entries * S[c, b, f]
+            lhs = S[c, a, e] * F * S[c, b, f]
             rhs = np.einsum("rg,rg->r", mid, St[c, d, :])
             hexagon = _worst(hexagon, np.abs(lhs - rhs).max())
         return hexagon, unitarity
 
-    return _walk(*_runs(_ravel(m, *es[:, :4].T)), block, cpus)
+    return _walk(*_runs(_ravel(N.shape[0], *rows[:, :4].T)), block, cpus)
 
 
 def _qdim_residual(N: np.ndarray, qd: np.ndarray) -> float:
-    lhs = np.outer(qd, qd)
-    rhs = np.einsum("abc,c->ab", N, qd)
-    return float(np.abs(lhs - rhs).max())
+    with _quiet():
+        return float(np.abs(np.outer(qd, qd) - np.einsum("abc,c->ab", N, qd)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -740,20 +752,20 @@ def check_model_size(m: int) -> None:
 
 
 def _fill_tables(m, fusion, f_values, r_func):
-    """Dense N/R arrays, zero off the admissible set, and F's row store
-    (:func:`_regroup`).  ``f_values`` maps the ``(E, 6)`` array of
-    admissible F indices to their E values in one call; ``r_func`` gives one
-    R entry."""
+    """Dense N/R arrays, zero off the admissible set, and the values of F's
+    admissible entries, the form :class:`AnyonModel` lays out.  ``f_values``
+    maps the ``(E, 6)`` array of admissible F indices
+    (:func:`_admissible_entries`) to their E values in one call; ``r_func``
+    gives one R entry."""
     N = np.zeros((m, m, m), dtype=np.int8)
     for (a, b), cs in fusion.items():
         for c in cs:
             N[a, b, c] = 1
-    idx, _ = _admissible_entries(N)
-    _, F = _regroup(m, idx, np.asarray(f_values(idx), dtype=complex), 5)
+    _, idx, _ = _admissible_entries(N)
     R = np.zeros((m, m, m), dtype=complex)
     for a, b, c in np.argwhere(N).tolist():
         R[a, b, c] = r_func(a, b, c)
-    return N, F, R
+    return N, f_values(idx), R
 
 
 def _per_entry(f_func):

@@ -30,14 +30,11 @@ the assembled model with :meth:`AnyonModel.verify_consistency` and rejects
 it when any residual exceeds the tolerance.
 
 The ``[f]`` section, the one that grows to tens of thousands of rows, is
-read as token arrays (:func:`_f_section`): each row is split once, its six
-labels are mapped to charges in one pass, its admissibility is one gather
-from each mask of :func:`_admissible_blocks`, ``re`` and ``im`` are read
-with ``float`` in one pass each (a row may leave out ``im``, which is then
-0), and the values go into F's row store in one scatter.  When a row lists
-an entry that an earlier row listed too, the last one wins.  The first bad
-row in file order raises the error the row alone would (:func:`_check_f_row`).
-The ``[fusion]`` and ``[r]`` sections are read row by row.
+read as token arrays into the values of F's admissible entries
+(:func:`_f_section`); a row may leave out ``im``, which is then 0, and of
+repeated rows the last one wins.  No F store is built here: the model lays
+out its store from those values.  The ``[fusion]`` and ``[r]`` sections
+are read row by row.
 """
 
 from __future__ import annotations
@@ -48,8 +45,7 @@ import math
 import numpy as np
 
 from .errors import ModelError, ModelFileError
-from .model import (CONSISTENCY_TOL, AnyonModel, _admissible_blocks, _admissible_entries,
-                    _regroup, check_model_size)
+from .model import CONSISTENCY_TOL, AnyonModel, _admissible_entries, _ravel, check_model_size
 
 
 def parse_model_text(text: str, tolerance: float | None = CONSISTENCY_TOL) -> AnyonModel:
@@ -127,7 +123,7 @@ def parse_model_text(text: str, tolerance: float | None = CONSISTENCY_TOL) -> An
             N[a, b, c] = 1
             N[b, a, c] = 1
 
-    row_of, F = _f_section(sections["f"], index, N)
+    F = _f_section(sections["f"], index, N)
     R = N.astype(complex)
     for lineno, line in sections["r"]:
         parts = line.split()
@@ -181,15 +177,15 @@ def _value(parts: list[str], lineno: int) -> complex:
     return complex(re_part, im_part)
 
 
-def _check_f_row(parts: list[str], lineno: int, index: dict[str, int],
-                 rows: np.ndarray, columns: np.ndarray) -> None:
+def _check_f_row(parts: list[str], lineno: int, index: dict[str, int], admissible: bool) -> None:
     """Raise the first error of the ``[f]`` row ``parts``, if it has one:
-    its width, then its first unknown charge, then its admissibility under
-    the masks of :func:`_admissible_blocks`, then its value."""
+    its width, then its first unknown charge, then whether its labels are
+    ``admissible``, naming one of F's admissible entries, then its value."""
     if len(parts) not in (7, 8):
         raise ModelFileError(f"line {lineno}: F rows are 'a b c d e f re [im]'")
-    a, b, c, d, e, f = (_charge(index, t, lineno) for t in parts[:6])
-    if not (rows[a, b, c, d, e] and columns[a, b, c, d, f]):
+    for tok in parts[:6]:
+        _charge(index, tok, lineno)
+    if not admissible:
         raise ModelFileError(f"line {lineno}: F entry {' '.join(parts[:6])} "
                              "is not admissible under the fusion rules")
     _value(parts[6:], lineno)
@@ -203,22 +199,21 @@ class _Charges(dict):
 
 
 def _f_section(section: list[tuple[int, str]], index: dict[str, int],
-               N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F's row index and row store (:func:`_regroup` along axis 5) from the
-    ``(lineno, line)`` rows of the ``[f]`` section; every admissible entry
-    no row lists is 1.
+               N: np.ndarray) -> np.ndarray:
+    """The values of F's admissible entries, in the C order of
+    :func:`_admissible_entries`, from the ``(lineno, line)`` rows of the
+    ``[f]`` section; every admissible entry no row lists is 1.
 
     The rows are split into tokens once and read as eight token columns:
-    the labels through ``index`` in one pass, their admissibility with one
-    gather from each mask of :func:`_admissible_blocks`, the values with
-    ``float`` in one pass per column, and the store is written with one
-    scatter, the last of repeated rows winning.  The first row, in file
-    order, that any of these finds bad raises through :func:`_check_f_row`.
+    the labels through ``index`` in one pass, each row's entry with one
+    search among the sorted flat keys of the entries, the values with
+    ``float`` in one pass per column, and the vector is written with one
+    scatter, the last of repeated rows winning.  The first bad row in file
+    order raises the error the row alone would (:func:`_check_f_row`).
     """
     m = N.shape[0]
-    rows, columns = _admissible_blocks(N)
-    idx, _ = _admissible_entries(N)
-    row_of, F = _regroup(m, idx, np.ones(len(idx), dtype=complex), 5)
+    _, idx, _ = _admissible_entries(N)
+    keys = _ravel(m, *idx.T)  # sorted: the entries are in C order
     split = [line.split() for _, line in section]
     n = len(split)
     width = np.fromiter(map(len, split), np.intp, n)
@@ -229,27 +224,29 @@ def _f_section(section: list[tuple[int, str]], index: dict[str, int],
     charges = np.fromiter(map(_Charges(index).__getitem__,
                               itertools.chain.from_iterable(tokens[:6])),
                           np.intp, 6 * n).reshape(6, n)
-    a, b, c, d, e, f = np.minimum(charges, m - 1)
+    key = _ravel(m, *np.minimum(charges, m - 1))
+    at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+    admissible = keys[at] == key  # a row names the entry at its ``at`` or none
     try:
         values = np.empty(n, complex)
         values.real = np.fromiter(map(float, tokens[6]), float, n)
         values.imag = np.fromiter(map(float, tokens[7]), float, n)
     except ValueError:  # some token is no number: the first bad row names it
-        for (lineno, _), parts in zip(section, split):
-            _check_f_row(parts, lineno, index, rows, columns)
+        for (lineno, _), parts, ok in zip(section, split, admissible):
+            _check_f_row(parts, lineno, index, ok)
         raise
     good = (((width == 7) | (width == 8)) & (charges < m).all(axis=0)
-            & rows[a, b, c, d, e] & columns[a, b, c, d, f] & np.isfinite(values))
+            & admissible & np.isfinite(values))
     if not good.all():
         first = int(good.argmin())
-        _check_f_row(split[first], section[first][0], index, rows, columns)
+        _check_f_row(split[first], section[first][0], index, admissible[first])
     # numpy does not say which of repeated scatter targets is written last
-    target = row_of[a, b, c, d, e].astype(np.intp) * m + f
-    last = np.full(F.size, -1)
-    np.maximum.at(last, target, np.arange(n))
-    keep = np.flatnonzero(last[target] == np.arange(n))
-    F.reshape(-1)[target[keep]] = values[keep]
-    return row_of, F
+    last = np.full(len(keys), -1)
+    np.maximum.at(last, at, np.arange(n))
+    keep = np.flatnonzero(last[at] == np.arange(n))
+    F = np.ones(len(keys), complex)
+    F[at[keep]] = values[keep]
+    return F
 
 
 def load_model_file(path, tolerance: float | None = CONSISTENCY_TOL) -> AnyonModel:

@@ -4,8 +4,10 @@ arrays.
 
 Each row is split, checked and written on its own, in file order, so the
 first bad row raises and a repeated row overwrites the one before it.  The
-library must raise the same error with the same message on every input,
-and otherwise build the same F store and index, byte for byte.
+loop returns the values of F's admissible entries in their C order, the
+form the library's reader returns and the model lays out.  The library
+must raise the same error with the same message on every input, and
+otherwise build a model with the same F store and index, byte for byte.
 """
 
 import math
@@ -13,13 +15,13 @@ import math
 import numpy as np
 
 from anyonbraid.errors import ModelFileError
-from anyonbraid.model import _admissible_blocks, _admissible_entries, _regroup
+from anyonbraid.model import _admissible_blocks, _admissible_entries
 
 
 def f_section_loop(section, index, N):
-    """F's row index and row store from the ``(lineno, line)`` rows of the
-    ``[f]`` section, read one row at a time."""
-    m = N.shape[0]
+    """The values of F's admissible entries, in C order, from the
+    ``(lineno, line)`` rows of the ``[f]`` section, read one row at a time;
+    every admissible entry no row lists is 1."""
 
     def charge_of(tok, lineno):
         if tok not in index:
@@ -37,8 +39,9 @@ def f_section_loop(section, index, N):
         return complex(re_part, im_part)
 
     rows, columns = _admissible_blocks(N)
-    idx, _ = _admissible_entries(N)
-    row_of, F = _regroup(m, idx, np.ones(len(idx), dtype=complex), 5)
+    _, idx, _ = _admissible_entries(N)
+    position = {entry: i for i, entry in enumerate(map(tuple, idx.tolist()))}
+    F = np.ones(len(idx), dtype=complex)
     for lineno, line in section:
         parts = line.split()
         if len(parts) not in (7, 8):
@@ -47,5 +50,5 @@ def f_section_loop(section, index, N):
         if not (rows[a, b, c, d, e] and columns[a, b, c, d, f]):
             raise ModelFileError(f"line {lineno}: F entry {' '.join(parts[:6])} "
                                  "is not admissible under the fusion rules")
-        F[row_of[a, b, c, d, e], f] = parse_value(parts[6:], lineno)
-    return row_of, F
+        F[position[a, b, c, d, e, f]] = parse_value(parts[6:], lineno)
+    return F

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import textwrap
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -131,7 +132,7 @@ class TestVerify:
         monkeypatch.setattr(model_module, "_cpu_count", lambda: 2)
         setups = []
 
-        def no_room(N):
+        def no_room(N, rows):
             setups.append(threading.current_thread() is threading.main_thread())
             raise MemoryError()
 
@@ -745,6 +746,167 @@ class TestModelFileFuzz:
         if code == 2:
             assert out.getvalue() == ""
             assert [line.startswith("error:") for line in err.getvalue().splitlines()] == [True]
+
+
+def _z2_text(f_row, qdim):
+    """A Z2 model file with the ``[f]`` row ``f_row`` and the quantum
+    dimension ``qdim`` of charge 1."""
+    return "\n".join(["name: z2", "charges: 0 1", "dual: 0:0 1:1", f"qdim: 0:1 1:{qdim}",
+                      "[fusion]", "1 1 -> 0", "[f]", f_row, "[r]"]) + "\n"
+
+
+class TestOverflowingResiduals:
+    """A residual that overflows reads as infinity or NaN and fails, and no
+    numpy warning reaches stderr, whether the walks run on the caller's
+    thread alone or start threads."""
+
+    #: The file (F row, qdim); the report's residuals and the vacuum
+    #: probability residual that verify prints for it.
+    CASES = {
+        "f": (("1 1 1 1 0 0 1e308 1e308", "1"),
+              {"max_pentagon_residual": "Infinity", "max_hexagon_residual": "NaN",
+               "max_unitarity_residual": "Infinity", "qdim_residual": 0.0}, "Infinity"),
+        "qdim": (("", "1e300"),
+                 {"max_pentagon_residual": 0.0, "max_hexagon_residual": 0.0,
+                  "max_unitarity_residual": 0.0, "qdim_residual": "Infinity"}, 1.0),
+    }
+
+    @pytest.mark.parametrize("threads", [False, True])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_verify_and_teleport_stats_warn_nothing(self, capsys, tmp_path, monkeypatch,
+                                                    case, threads):
+        from test_model import count_threads
+
+        if threads:
+            # blocks small enough that the walks start threads
+            monkeypatch.setattr(model_module, "_cpu_count", lambda: 2)
+            monkeypatch.setattr(model_module, "_BLOCK", 16)
+        started = count_threads(monkeypatch)
+        text, residuals, vacuum = self.CASES[case]
+        path = tmp_path / "z2.model"
+        path.write_text(_z2_text(*text))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # every warning, however often it is raised
+            code, out, err = run_cli(capsys, "verify", "--model", str(path))
+            assert (code, err) == (1, "")
+            payload = json.loads(out, parse_constant=str)
+            assert payload["report"] == {**residuals, "tolerance": 1e-10, "passed": False}
+            assert payload["vacuum_probability_residual"] == vacuum
+            code, out, err = run_cli(capsys, "teleport-stats", "--model", str(path),
+                                     "--charge", "1", "--seed", "1")
+            assert (code, out) == (2, "")
+            assert [line.startswith("error:") for line in err.splitlines()] == [True]
+        assert [str(w.message) for w in caught] == []
+        assert bool(started) == threads
+
+    def test_overflowing_twist_warns_nothing(self, capsys, tmp_path):
+        # d_1 R_1^{11} overflows in the constructor, before any check runs
+        from anyonbraid import load_builtin
+
+        lines = model_file_text(load_builtin("fibonacci"), "fib").splitlines()
+        lines = ["qdim: 0:1 1:1e300" if line.startswith("qdim:") else line for line in lines]
+        path = tmp_path / "fib.model"
+        path.write_text("\n".join(lines + ["1 1 1 1e308 1e308"]) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "verify", "--model", str(path))
+        assert (code, err) == (1, "")
+        assert json.loads(out, parse_constant=str)["report"]["qdim_residual"] == "Infinity"
+        assert [str(w.message) for w in caught] == []
+
+
+#: What a mutation of a rendered model file writes: known, repeated and
+#: unknown labels, and overflowing and non-finite numbers.
+_RENDERED_TOKENS = st.sampled_from(["0", "1", "1/2", "x", "1e308", "-1e308", "1e300",
+                                    "nan", "-inf"])
+
+#: Where each section's row labels end; its values follow.
+_LABELS = {"fusion": None, "f": 6, "r": 3}
+
+
+def _region(lines, region):
+    """The positions of the rows of ``region``, ``"headers"`` or a section
+    name, among the token lists ``lines``."""
+    at, current = [], "headers"
+    for n, line in enumerate(lines):
+        if len(line) == 1 and line[0].startswith("[") and line[0].endswith("]"):
+            current = line[0][1:-1]
+        elif line and current == region:
+            at.append(n)
+    return at
+
+
+def _edit(lines, region, kind, i, j, token):
+    """Apply one edit to a row of ``region``: write ``token`` at a label or
+    a value, drop a token, add one, or delete the row."""
+    rows = _region(lines, region)
+    if not rows:
+        return
+    n = rows[i % len(rows)]
+    line = lines[n]
+    if kind == "delete row":
+        del lines[n]
+    elif kind == "extra":
+        line.insert(j % (len(line) + 1), token)
+    elif kind == "drop":
+        del line[j % len(line)]
+    elif region == "headers":  # "key: item ...", an item "label:value" or a label
+        if len(line) > 1:
+            j = 1 + j % (len(line) - 1)
+            label, colon, value = line[j].partition(":")
+            line[j] = (f"{token}{colon}{value}" if kind == "label" or not colon
+                       else f"{label}:{token}")
+    else:
+        end = _LABELS[region]
+        if end is None or kind == "label" or len(line) <= end:
+            line[j % min(len(line), end or len(line))] = token
+        else:
+            line[end + j % (len(line) - end)] = token
+
+
+class TestRenderedModelFuzz:
+    """Rendered Fibonacci, Ising and su2_k k=3 files, each edited one to
+    three times in its headers or its ``[fusion]``, ``[f]`` or ``[r]`` rows,
+    end ``verify`` and ``teleport-stats`` in exit 0, 1 or 2.  Exit 2 prints
+    nothing on stdout and one ``error:`` line on stderr; exits 0 and 1
+    print nothing on stderr and raise no warning."""
+
+    @settings(max_examples=300)
+    @given(spec=st.sampled_from([("fibonacci", None, "1"), ("ising", None, "1/2"),
+                                 ("su2_k", 3, "1/2")]),
+           edits=st.lists(st.tuples(st.sampled_from(["headers", "fusion", "f", "r"]),
+                                    st.sampled_from(["label", "value", "drop", "extra",
+                                                     "delete row"]),
+                                    st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                                    _RENDERED_TOKENS), min_size=1, max_size=3))
+    def test_edited_file(self, spec, edits):
+        from anyonbraid import load_builtin
+
+        name, k, charge = spec
+        lines = [line.split() for line in
+                 model_file_text(load_builtin(name, k=k), name).splitlines()]
+        for edit in edits:
+            _edit(lines, *edit)
+        with tempfile.TemporaryDirectory() as where:
+            path = os.path.join(where, "edited.model")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(" ".join(line) for line in lines) + "\n")
+            for argv in (["verify", "--model", path],
+                         ["teleport-stats", "--model", path, "--charge", charge,
+                          "--seed", "1", "--trials", "3"]):
+                out, err = io.StringIO(), io.StringIO()
+                with warnings.catch_warnings(record=True) as caught, \
+                        contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    warnings.simplefilter("always")
+                    code = main(argv)
+                assert code in (0, 1, 2), argv
+                if code == 2:
+                    assert out.getvalue() == ""
+                    assert [line.startswith("error:")
+                            for line in err.getvalue().splitlines()] == [True], argv
+                else:
+                    assert err.getvalue() == "", argv
+                    assert [str(w.message) for w in caught] == [], argv
 
 
 #: What a schedule mutation writes: huge, negative, fractional and

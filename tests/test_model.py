@@ -12,24 +12,38 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
 from anyonbraid import (AnyonModel, Charge, ModelError, UnknownChargeError,
-                        load_builtin)
+                        load_builtin, model_io, parse_model_text)
 from anyonbraid import model as model_module
 from anyonbraid.model import (MAX_CHARGES, _admissible_blocks, _block_residuals, _blocks,
-                              _f_store, _pentagon_residual, _pentagon_trees,
+                              _f_store, _f_tables, _pentagon_residual, _pentagon_trees,
                               check_model_size, fibonacci_model)
 
 import consistency_oracle
 import pentagon_oracle
 import racah_oracle
 from consistency_oracle import admissible_f, kappa
+from test_model_io import _rendered
 
 PHI = (1 + math.sqrt(5)) / 2
 
 
 def stored(N, F):
-    """The row index and row store of a dense F, as the residual checks
-    read them."""
-    return _f_store(N, F)[:2]
+    """The tables the residual checks read of a dense F."""
+    index, store, _, layout = _f_store(N, F)
+    return _f_tables(index, store, layout)
+
+
+def tables_of(model, store=None):
+    """The tables the residual checks read of ``model``'s F, or of ``store``
+    in place of its row store."""
+    return _f_tables(model._f_row, model._f_store if store is None else store,
+                     model._f_layout)
+
+
+def admissible_rows(N):
+    """The admissible rows (a, b, c, d, e) of the F-matrices, in C order,
+    as F's layout holds them."""
+    return np.argwhere(_admissible_blocks(N)[0]).astype(np.uint8)
 
 
 def zn_fusion(n):
@@ -276,13 +290,108 @@ class TestFStore:
         unitarity = fibonacci.verify_consistency().max_unitarity_residual
         assert model.verify_consistency().max_unitarity_residual == unitarity + 0.25
 
-    def test_row_store_input_is_kept(self, fibonacci):
-        model = AnyonModel("fib-rows", fibonacci.labels, fibonacci.N, fibonacci.qd,
-                           fibonacci._f_store, fibonacci.R)
+    def test_entry_vector_input_is_kept(self, fibonacci):
+        values = fibonacci.F[admissible_f(fibonacci.N)]
+        model = AnyonModel("fib-entries", fibonacci.labels, fibonacci.N, fibonacci.qd,
+                           values, fibonacci.R)
         assert model.F.tobytes() == fibonacci.F.tobytes()
         with pytest.raises(ModelError, match="shape"):
-            AnyonModel("fib-rows", fibonacci.labels, fibonacci.N, fibonacci.qd,
-                       fibonacci._f_store[:-1], fibonacci.R)
+            AnyonModel("fib-entries", fibonacci.labels, fibonacci.N, fibonacci.qd,
+                       values[:-1], fibonacci.R)
+
+
+#: Every built-in, five Z_n and both product models, by ``model_of`` name.
+_ALL_SPECS = ([("fibonacci", None), ("ising", None)]
+              + [("su2_k", k) for k in range(2, MAX_CHARGES)]
+              + [("z_n", n) for n in (1, 2, 5, 8, MAX_CHARGES)]
+              + [("fibonacci x ising", None), ("fibonacci x z3", None)])
+
+
+class TestFInputForms:
+    """The dense F table and the vector of F's admissible entries, in C
+    order, give the same model: the same row index and row store, byte for
+    byte; the vector has nothing off the admissible set."""
+
+    @staticmethod
+    def assert_same_layout(model, F):
+        def built(f_symbols):
+            return AnyonModel(model.name, model.labels, model.N, model.qd, f_symbols, model.R)
+
+        dense, vector = built(F), built(F[admissible_f(model.N)])
+        assert vector._f_row.tobytes() == dense._f_row.tobytes()
+        assert vector._f_store.tobytes() == dense._f_store.tobytes()
+        assert vector._f_off == 0.0
+
+    @pytest.mark.parametrize("name,k", _ALL_SPECS)
+    def test_same_layout_as_built(self, name, k):
+        model = model_of(name, k)
+        self.assert_same_layout(model, model.F)
+
+    @given(spec=st.sampled_from([spec for spec in _ALL_SPECS
+                                 if spec[0] != "su2_k" or spec[1] <= 4]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           imaginary=st.booleans())
+    def test_same_layout_under_noise(self, spec, seed, imaginary):
+        model = model_of(*spec)
+        rng = np.random.default_rng(seed)
+        admissible = admissible_f(model.N)
+        F = model.F.copy()
+        noise = rng.normal(size=int(admissible.sum())) * 1e-3
+        if imaginary:
+            noise = noise + 1j * rng.normal(size=noise.size) * 1e-3
+        F[admissible] += noise
+        self.assert_same_layout(model, F)
+
+    def test_other_forms_refused(self, fibonacci):
+        values = fibonacci.F[admissible_f(fibonacci.N)]
+        for bad in (fibonacci._f_store, values[:-1]):
+            with pytest.raises(ModelError, match="^F/R tables have wrong shape$"):
+                AnyonModel("fib-bad", fibonacci.labels, fibonacci.N, fibonacci.qd,
+                           bad, fibonacci.R)
+        for value in (math.nan, math.inf):
+            bad = values.copy()
+            bad[3] = value
+            with pytest.raises(ModelError, match=r"^F-symbols must be finite \(found NaN"):
+                AnyonModel("fib-bad", fibonacci.labels, fibonacci.N, fibonacci.qd,
+                           bad, fibonacci.R)
+
+
+class TestLayoutBuiltOnce:
+    """F's layout is worked out once per model: built-ins and model files
+    enumerate F's admissible entries at most twice (once for the values,
+    once in the constructor), and a verify reads the constructor's layout,
+    regrouping F's entries only along the pentagon's axes 1 and 4."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        for name in ("_admissible_entries", "_admissible_blocks", "_regroup"):
+            def counted(*args, _real=getattr(model_module, name), _name=name):
+                calls.append((_name, args[3] if _name == "_regroup" else None))
+                return _real(*args)
+            for module in (model_module, model_io):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_verify_reads_the_constructor_layout(self, monkeypatch, cpus):
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: cpus)
+        for model in (load_builtin("fibonacci"), load_builtin("su2_k", k=7)):
+            calls = self.spy(monkeypatch)
+            assert model.verify_consistency().passed
+            names = [name for name, _ in calls]
+            assert names.count("_admissible_entries") == 0
+            assert names.count("_admissible_blocks") <= 1
+            assert sorted(axis for name, axis in calls if name == "_regroup") == [1, 4]
+
+    def test_build_and_parse_enumerate_entries_at_most_twice(self, monkeypatch):
+        head, rows, tail = _rendered("su2_k", 11, 0)
+        text = "\n".join(head + rows + tail) + "\n"
+        for build in (lambda: load_builtin("su2_k", k=11), lambda: parse_model_text(text)):
+            calls = self.spy(monkeypatch)
+            build()
+            assert [name for name, _ in calls].count("_admissible_entries") <= 2
 
 
 class TestRSymbols:
@@ -390,8 +499,9 @@ class TestVerifyConsistency:
         F[fibonacci._f_row[1, 1, 1, 1, 1], 1] = math.nan  # entry (1, 1, 1, 1, 1, 1)
         for workers in (1, 3):
             monkeypatch.setattr(model_module, "_cpu_count", lambda: workers)
-            assert math.isnan(_pentagon_residual(fibonacci.N, fibonacci._f_row, F))
-            hexagon, unitarity = _block_residuals(fibonacci.N, fibonacci._f_row, F, fibonacci.R)
+            assert math.isnan(_pentagon_residual(fibonacci.N, tables_of(fibonacci, F)))
+            hexagon, unitarity = _block_residuals(fibonacci.N, tables_of(fibonacci, F),
+                                                  fibonacci.R)
             assert math.isnan(hexagon)
             assert math.isnan(unitarity)
 
@@ -418,9 +528,9 @@ class TestVerifyConsistency:
         spy_on_blocks(monkeypatch, hold_first_blocks)
         F = fibonacci._f_store.copy()
         F[fibonacci._f_row[1, 1, 1, 1, 1], 1] = math.nan
-        assert math.isnan(_pentagon_residual(fibonacci.N, fibonacci._f_row, F))
+        assert math.isnan(_pentagon_residual(fibonacci.N, tables_of(fibonacci, F)))
         assert all(math.isnan(x) for x in
-                   _block_residuals(fibonacci.N, fibonacci._f_row, F, fibonacci.R))
+                   _block_residuals(fibonacci.N, tables_of(fibonacci, F), fibonacci.R))
         assert [len(first) for first in firsts] == [3, 3]
         assert threading.get_ident() in firsts[0]
         assert not any(np.isnan(v).any() for first in firsts for v in first.values())
@@ -505,8 +615,8 @@ class TestWalkWorkers:
             started.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(model_module, "_BLOCK", chunk)
-                got = (_pentagon_residual(model.N, model._f_row, model._f_store),
-                       *_block_residuals(model.N, model._f_row, model._f_store, model.R))
+                got = (_pentagon_residual(model.N, tables_of(model)),
+                       *_block_residuals(model.N, tables_of(model), model.R))
             assert [x.hex() for x in got] == want, workers
             assert len(started) == 2 * (workers - 1)
 
@@ -524,7 +634,7 @@ class TestWalkWorkers:
         model = load_builtin("su2_k", k=5)
         monkeypatch.setattr(model_module, "_BLOCK", 64)
         monkeypatch.setattr(model_module, "_cpu_count", lambda: 1)
-        want = _pentagon_residual(model.N, model._f_row, model._f_store)
+        want = _pentagon_residual(model.N, tables_of(model))
         monkeypatch.setattr(model_module, "_cpu_count", lambda: 8)
         firsts = []
 
@@ -538,11 +648,11 @@ class TestWalkWorkers:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = _pentagon_residual(model.N, model._f_row, model._f_store)
+            got = _pentagon_residual(model.N, tables_of(model))
         finally:
             sys.setswitchinterval(interval)
         assert got.hex() == want.hex()
-        _, starts, dims = _pentagon_trees(model.N)
+        _, starts, dims = _pentagon_trees(model.N, model._f_layout[0])
         blocks = _blocks(starts, dims, 64 // 8)
         assert sorted(firsts) == sorted(int(block[0, 0]) for block in blocks)
 
@@ -600,7 +710,7 @@ class TestWalkWorkers:
         model = load_builtin("su2_k", k=7)
         walks = []
 
-        def no_room(N):
+        def no_room(N, rows):
             raise MemoryError("no room for the trees")
 
         def record(residual):
@@ -686,7 +796,7 @@ class TestPentagonTrees:
                              + [("fibonacci x ising", None)])
     def test_same_trees_and_runs_as_join(self, name, k):
         N = zn_fusion(k) if name == "z_n" else model_of(name, k).N
-        labels, starts, dims = _pentagon_trees(N)
+        labels, starts, dims = _pentagon_trees(N, admissible_rows(N))
         left, right = consistency_oracle.tree_rows(N)
         assert labels.dtype == np.uint8 and labels.flags.c_contiguous
         assert np.array_equal(labels[:7].T, left)                        # a b c d e f g
@@ -706,7 +816,7 @@ class TestPentagonStreaming:
                              + [("z_n", n) for n in (1, 2, 5, 8, MAX_CHARGES)])
     def test_same_equations_as_tuple_table(self, name, k):
         N = zn_fusion(k) if name == "z_n" else load_builtin(name, k=k).N
-        labels, starts, dims = _pentagon_trees(N)
+        labels, starts, dims = _pentagon_trees(N, admissible_rows(N))
         pairs = []
         # small blocks, so most models are walked in several
         for trees in _blocks(starts, dims, 500):
@@ -743,7 +853,7 @@ class TestPentagonStreaming:
         want = pentagon_oracle.pentagon_residual(model.N, F)
         assert want > 0.0
         with mock.patch.object(model_module, "_BLOCK", chunk):
-            assert _pentagon_residual(model.N, *stored(model.N, F)) == want
+            assert _pentagon_residual(model.N, stored(model.N, F)) == want
 
 
 class TestDenseOracles:
@@ -758,7 +868,7 @@ class TestDenseOracles:
     def test_builtin_residuals(self, name, k):
         model = zn_model(k) if name == "z_n" else load_builtin(name, k=k)
         N, F, R = model.N, model.F, model.R
-        hexagon, unitarity = _block_residuals(N, model._f_row, model._f_store, R)
+        hexagon, unitarity = _block_residuals(N, tables_of(model), R)
         assert hexagon == consistency_oracle.hexagon_residual(N, F, R)
         assert unitarity == pytest.approx(
             consistency_oracle.unitarity_residual(N, F), rel=0, abs=1e-15)
@@ -778,7 +888,7 @@ class TestDenseOracles:
             noise = noise + 1j * rng.normal(size=noise.size) * scale
         F[admissible] += noise
         R = model.R * np.exp(1j * scale * rng.normal(size=model.R.shape))
-        hexagon, unitarity = _block_residuals(model.N, *stored(model.N, F), R)
+        hexagon, unitarity = _block_residuals(model.N, stored(model.N, F), R)
         want = consistency_oracle.hexagon_residual(model.N, F, R)
         assert want > 0.0
         assert hexagon == want
@@ -835,7 +945,7 @@ class TestPentagonSolverOracle:
     def test_unique_unitary_solution_is_inverse_golden_ratio(self):
         def residual(theta):
             N, F = _fibonacci_candidate(theta)
-            return _pentagon_residual(N, *stored(N, F))
+            return _pentagon_residual(N, stored(N, F))
 
         grid = np.linspace(0.05, math.pi / 2 - 0.05, 400)
         values = [residual(t) for t in grid]
@@ -851,13 +961,13 @@ class TestPentagonSolverOracle:
 
 class TestHexagonSolverOracle:
     def test_solutions_are_conjugate_pair(self, fibonacci):
-        N, index, F = fibonacci.N, fibonacci._f_row, fibonacci._f_store
+        N, tables = fibonacci.N, tables_of(fibonacci)
 
         def residual(angles):
             R = fibonacci.R.copy()
             R[1, 1, 0] = np.exp(1j * angles[0])
             R[1, 1, 1] = np.exp(1j * angles[1])
-            return _block_residuals(N, index, F, R)[0]
+            return _block_residuals(N, tables, R)[0]
 
         solutions = []
         grid = np.linspace(-math.pi, math.pi, 24, endpoint=False)
