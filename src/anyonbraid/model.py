@@ -212,7 +212,7 @@ class AnyonModel:
         """
         N, tables = self.N, _f_tables(self._f_row, self._f_store, self._f_layout)
         if _workers(_pentagon_equations(N, tables.rows)) > 1:
-            pentagon, (hexa, unit) = _beside(
+            pentagon, (hexa, unit) = _together(
                 lambda: _pentagon_setup(N, tables),
                 lambda: _block_residuals(N, tables, self.R, _cpu_count() - 1))
             (pent,) = _walk(*pentagon)
@@ -307,27 +307,28 @@ class AnyonModel:
 # (n + 1, m) array addressed by one m^5 int32 index whose misses point at a
 # last, zero row.  Each pentagon equation is one (left tree, right tree)
 # pair, evaluated with gathers from that store and from two more such padded
-# tables of F's entries, whose rows run along another axis of F; the one
-# along axis 4 is read by both walks (:func:`_f_tables`).  Inadmissible
+# tables of F's entries, whose rows run along another axis of F.  Both walks
+# read one view of F (:func:`_f_tables`): the store, or its real part when F
+# is real, the entries' values and the table along axis 4.  Inadmissible
 # entries read as exact zeros, which lets the internal sums run over the
 # full charge range.  A residual that overflows reads as infinity or NaN,
 # with no numpy warning (:func:`_quiet`).
 #
 # Both walks go through :func:`_walk`, which spreads their blocks over the
 # CPUs the process may run on: the caller and one thread per further CPU
-# each take the next block in turn, and a block holds _BLOCK / workers
-# equations, so at most _BLOCK are in flight.  A walk has no more workers
-# than it has shares of _BLOCK / 4 equations, below which a thread costs
-# more than it walks, so a small model's walks start no thread.  A block's
-# arithmetic does not depend on which thread runs it or on how many
-# equations share it (each equation sums its own terms in a fixed order),
-# and a maximum does not depend on the order it is taken in, so every
-# residual has the same bits for any number of workers.
+# (:func:`_together`) each take the next block in turn, and a block holds
+# _BLOCK / workers equations, so at most _BLOCK are in flight.  A walk has
+# no more workers than it has shares of _BLOCK / 4 equations, below which a
+# thread costs more than it walks, so a small model's walks start no
+# thread.  A block's arithmetic does not depend on which thread runs it or
+# on how many equations share it (each equation sums its own terms in a
+# fixed order), and a maximum does not depend on the order it is taken in,
+# so every residual has the same bits for any number of workers.
 #
 # The pentagon's set-up (its trees and their int32 offsets) is serial.  When
 # the pentagon walk would start a thread, the caller builds that set-up while
 # a thread walks the hexagon/unitarity blocks on the other CPUs
-# (:func:`_beside`).  Building it on the caller's thread matters: on a
+# (:func:`_together`).  Building it on the caller's thread matters: on a
 # thread of its own beside the same walk it took about 60 ms instead of
 # 40 ms (2 vCPUs, su2_k at k = 11), and the overlap gained nothing.
 # ---------------------------------------------------------------------------
@@ -372,13 +373,12 @@ def _walk(starts: np.ndarray, dims: np.ndarray, residual,
     of the runs ``starts`` and ``dims``, column by column, with the blocks
     spread over :func:`_workers` workers.
 
-    ``residual`` maps a block to a tuple of maxima.  The caller walks as
-    one worker and starts a thread for each other, at most ``cpus`` in
-    all; each block holds ``_BLOCK // workers`` equations, so at most
-    ``_BLOCK`` are in flight.  Every worker walks in the error state of
-    :func:`_quiet`.  The first exception in any worker, an interrupt of
-    the caller included, stops the others after their current block and is
-    raised here once every thread has been joined.
+    ``residual`` maps a block to a tuple of maxima.  The workers run
+    through :func:`_together`, at most ``cpus`` of them; each block holds
+    ``_BLOCK // workers`` equations, so at most ``_BLOCK`` are in flight.
+    Every worker walks in the error state of :func:`_quiet`, and once
+    anything has failed, a thread that would not start included, each
+    stops after its current block.
     """
     workers = _workers(int(np.dot(dims, dims)), cpus)
     blocks = _blocks(starts, dims, _BLOCK // workers)
@@ -386,24 +386,43 @@ def _walk(starts: np.ndarray, dims: np.ndarray, residual,
     maxima, failed = [], []
 
     def work():
+        with _quiet():
+            while not failed:
+                with lock:
+                    block = next(blocks, None)
+                if block is None:
+                    return
+                maxima.append(residual(block))
+
+    _together(*[work] * workers, failed=failed)
+    return tuple(_worst(0.0, *column) for column in zip(*maxima))
+
+
+def _together(*calls, failed: list | None = None) -> list:
+    """``[call() for call in calls]``, the first called by the caller and
+    each other on a thread of its own, started before the first is called.
+
+    Every exception, an interrupt of the caller and a thread that would not
+    start included, is appended to ``failed`` as it happens, so calls that
+    share that list can see it; the first is raised here once every started
+    thread has been joined.
+    """
+    failed = [] if failed is None else failed
+    results = [None] * len(calls)
+
+    def run(i):
         try:
-            with _quiet():
-                while not failed:
-                    with lock:
-                        block = next(blocks, None)
-                    if block is None:
-                        return
-                    maxima.append(residual(block))
+            results[i] = calls[i]()
         except BaseException as exc:  # raised in the caller below
             failed.append(exc)
 
     threads = []
     try:
-        for _ in range(workers - 1):
-            thread = threading.Thread(target=work)
+        for i in range(1, len(calls)):
+            thread = threading.Thread(target=run, args=(i,))
             thread.start()
             threads.append(thread)
-        work()
+        run(0)
     except BaseException as exc:  # a thread that would not start, or an interrupt
         failed.append(exc)
     finally:
@@ -411,33 +430,7 @@ def _walk(starts: np.ndarray, dims: np.ndarray, residual,
             thread.join()
     if failed:
         raise failed[0]
-    return tuple(_worst(0.0, *column) for column in zip(*maxima))
-
-
-def _beside(main, side):
-    """``(main(), side())``, with ``side`` run on a thread of its own while
-    the caller runs ``main``.  The first exception of either, an interrupt
-    of the caller included, is raised once the thread has been joined."""
-    results, failed = [], []
-
-    def run():
-        try:
-            results.append(side())
-        except BaseException as exc:  # raised in the caller below
-            failed.append(exc)
-
-    thread = threading.Thread(target=run)
-    try:
-        thread.start()
-        value = main()
-    except BaseException as exc:  # main's own, or a thread that would not start
-        failed.append(exc)
-    finally:
-        if thread.ident is not None:
-            thread.join()
-    if failed:
-        raise failed[0]
-    return value, results[0]
+    return results
 
 
 def _admissible_blocks(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -518,21 +511,24 @@ def _f_store(N: np.ndarray, f_symbols) -> tuple[np.ndarray, np.ndarray, float, t
 
 #: What the residual walks read of F, built once per verify by :func:`_f_tables`.
 _FTables = collections.namedtuple(
-    "_FTables", "rows entries r row_of store real values col_of cols")
+    "_FTables", "rows entries r row_of real values col_of cols")
 
 
 def _f_tables(row_of: np.ndarray, store: np.ndarray, layout: tuple) -> _FTables:
-    """F's ``layout`` (:func:`_admissible_entries`), its row index
-    ``row_of`` and row ``store``; ``real``, the store or, when no entry has
-    an imaginary part, a copy of its real part, which halves the memory
+    """F's ``layout`` (:func:`_admissible_entries`) and its row index
+    ``row_of``; ``real``, the row ``store`` or, when no entry has an
+    imaginary part, a copy of its real part, which halves the memory
     traffic of the walks' gathers and products; the ``values`` of the
     entries read from ``real``; and their padded table ``(col_of, cols)``
-    along axis 4 (:func:`_regroup`), the columns ``[F_d^{abc}]_{.f}``."""
+    along axis 4 (:func:`_regroup`), the columns ``[F_d^{abc}]_{.f}``.
+    Both walks read F through these alone: a real value cast to ``x+0j``
+    where the store holds ``x-0j`` differs only in the sign of a zero,
+    which the residuals' ``abs`` removes."""
     rows, entries, r = layout
     real = store if np.any(store.imag) else np.ascontiguousarray(store.real)
     values = real[r, entries[:, 5]]
     col_of, cols = _regroup(store.shape[1], entries, values, 4)
-    return _FTables(rows, entries, r, row_of, store, real, values, col_of, cols)
+    return _FTables(rows, entries, r, row_of, real, values, col_of, cols)
 
 
 def _pentagon_trees(N: np.ndarray, rows: np.ndarray):
@@ -664,7 +660,7 @@ def _pentagon_setup(N: np.ndarray, tables: _FTables):
     m = N.shape[0]
     labels, starts, dims = _pentagon_trees(N, tables.rows)
     # the store [a,b,c,d,e] -> f, cols [a,b,c,d,f] -> e and mid [a,c,d,e,f] -> b
-    _, entries, _, row_of, _, real, values, col_of, cols = tables
+    _, entries, _, row_of, real, values, col_of, cols = tables
     mid_of, mid = _regroup(m, entries, values, 1)
     row_of, mid_of, col_of, flat = (x.reshape(-1) for x in (row_of, mid_of, col_of, real))
     a, b, c, d, e, f, g, l, k = labels
@@ -704,7 +700,7 @@ def _block_residuals(N: np.ndarray, tables: _FTables, R: np.ndarray,
     f)`` of a block is the hexagon tuple ``(a, c, b, d, e, f)``: e in ac, d
     in eb, f in cb and d in af.
     """
-    rows, entries, r, row_of, store, _, values, col_of, cols = tables
+    rows, entries, r, row_of, real, values, col_of, cols = tables
     first, _ = _runs(r)  # each row's first entry
     # One hexagon per chirality: R and its inverse must both recouple
     # consistently with F.  Each R comes with its copy [c, d, g].
@@ -715,14 +711,14 @@ def _block_residuals(N: np.ndarray, tables: _FTables, R: np.ndarray,
         # first row's first
         D = at.shape[1]
         pos = (first[at[:, :1]] + np.arange(D * D)).ravel()
-        mats = values[pos].reshape(-1, D, D)
+        F = values[pos]
+        mats = F.reshape(-1, D, D)
         adj = mats.conj().transpose(0, 2, 1)
         eye = np.eye(D)
         unitarity = _worst(np.abs(mats @ adj - eye).max(), np.abs(adj @ mats - eye).max())
         # the block's entries as hexagon tuples
         a, c, b, d, e, f = entries[pos].T
-        F = store[r[pos], f]
-        mid = store[row_of[c, a, b, d, e]] * cols[col_of[a, b, c, d, f]]
+        mid = real[row_of[c, a, b, d, e]] * cols[col_of[a, b, c, d, f]]
         hexagon = 0.0
         for S, St in chiralities:
             lhs = S[c, a, e] * F * S[c, b, f]

@@ -29,12 +29,12 @@ fusion rules admit, and every value must be finite.  The loader validates
 the assembled model with :meth:`AnyonModel.verify_consistency` and rejects
 it when any residual exceeds the tolerance.
 
-The ``[f]`` section, the one that grows to tens of thousands of rows, is
-read as token arrays into the values of F's admissible entries
-(:func:`_f_section`); a row may leave out ``im``, which is then 0, and of
-repeated rows the last one wins.  No F store is built here: the model lays
-out its store from those values.  The ``[fusion]`` and ``[r]`` sections
-are read row by row.
+The ``[f]`` and ``[r]`` sections are read by one reader (:func:`_section`),
+as token arrays into the values of the table's admissible entries: ``[f]``
+grows to tens of thousands of rows.  A row may leave out ``im``, which is
+then 0, and of repeated rows the last one wins.  No F store is built here:
+the model lays out its store from F's values.  Only the ``[fusion]``
+section is read row by row.
 """
 
 from __future__ import annotations
@@ -123,17 +123,10 @@ def parse_model_text(text: str, tolerance: float | None = CONSISTENCY_TOL) -> An
             N[a, b, c] = 1
             N[b, a, c] = 1
 
-    F = _f_section(sections["f"], index, N)
-    R = N.astype(complex)
-    for lineno, line in sections["r"]:
-        parts = line.split()
-        if len(parts) not in (4, 5):
-            raise ModelFileError(f"line {lineno}: R rows are 'a b c re [im]'")
-        idx = tuple(_charge(index, t, lineno) for t in parts[:3])
-        if not N[idx]:
-            raise ModelFileError(f"line {lineno}: R entry {' '.join(parts[:3])} "
-                                 "is not admissible under the fusion rules")
-        R[idx] = _value(parts[3:], lineno)
+    _, entries, _ = _admissible_entries(N)
+    F = _section(sections["f"], index, "F", 6, _ravel(m, *entries.T))
+    R = np.zeros(N.shape, complex)  # filled in the C order of np.flatnonzero
+    R[N != 0] = _section(sections["r"], index, "R", 3, np.flatnonzero(N))
 
     try:
         model = AnyonModel(headers["name"], labels, N, qd, F, R,
@@ -177,18 +170,21 @@ def _value(parts: list[str], lineno: int) -> complex:
     return complex(re_part, im_part)
 
 
-def _check_f_row(parts: list[str], lineno: int, index: dict[str, int], admissible: bool) -> None:
-    """Raise the first error of the ``[f]`` row ``parts``, if it has one:
-    its width, then its first unknown charge, then whether its labels are
-    ``admissible``, naming one of F's admissible entries, then its value."""
-    if len(parts) not in (7, 8):
-        raise ModelFileError(f"line {lineno}: F rows are 'a b c d e f re [im]'")
-    for tok in parts[:6]:
+def _check_row(parts: list[str], lineno: int, index: dict[str, int], table: str,
+               width: int, admissible: bool) -> None:
+    """Raise the first error of the row ``parts`` of ``table``'s section,
+    whose entries have ``width`` labels, if it has one: its width, then its
+    first unknown charge, then whether its labels are ``admissible``,
+    naming one of the table's admissible entries, then its value."""
+    if len(parts) not in (width + 1, width + 2):
+        raise ModelFileError(f"line {lineno}: {table} rows are "
+                             f"'{' '.join('abcdef'[:width])} re [im]'")
+    for tok in parts[:width]:
         _charge(index, tok, lineno)
     if not admissible:
-        raise ModelFileError(f"line {lineno}: F entry {' '.join(parts[:6])} "
+        raise ModelFileError(f"line {lineno}: {table} entry {' '.join(parts[:width])} "
                              "is not admissible under the fusion rules")
-    _value(parts[6:], lineno)
+    _value(parts[width:], lineno)
 
 
 class _Charges(dict):
@@ -198,55 +194,55 @@ class _Charges(dict):
         return len(self)
 
 
-def _f_section(section: list[tuple[int, str]], index: dict[str, int],
-               N: np.ndarray) -> np.ndarray:
-    """The values of F's admissible entries, in the C order of
-    :func:`_admissible_entries`, from the ``(lineno, line)`` rows of the
-    ``[f]`` section; every admissible entry no row lists is 1.
+def _section(section: list[tuple[int, str]], index: dict[str, int], table: str,
+             width: int, keys: np.ndarray) -> np.ndarray:
+    """The values of ``table``'s admissible entries, whose sorted flat keys
+    (:func:`_ravel` of their ``width`` labels) are ``keys``, from the
+    ``(lineno, line)`` rows of its section; every admissible entry no row
+    lists is 1.
 
-    The rows are split into tokens once and read as eight token columns:
-    the labels through ``index`` in one pass, each row's entry with one
-    search among the sorted flat keys of the entries, the values with
-    ``float`` in one pass per column, and the vector is written with one
-    scatter, the last of repeated rows winning.  The first bad row in file
-    order raises the error the row alone would (:func:`_check_f_row`).
+    The rows are split into tokens once and read as ``width + 2`` token
+    columns: the labels through ``index`` in one pass, each row's entry
+    with one search among ``keys``, the values with ``float`` in one pass
+    per column, and the vector is written with one scatter, the last of
+    repeated rows winning.  The first bad row in file order raises the
+    error the row alone would (:func:`_check_row`).
     """
-    m = N.shape[0]
-    _, idx, _ = _admissible_entries(N)
-    keys = _ravel(m, *idx.T)  # sorted: the entries are in C order
+    m = len(index)
     split = [line.split() for _, line in section]
-    n = len(split)
-    width = np.fromiter(map(len, split), np.intp, n)
-    # a 7-token row reads im 0, and a row of a wrong width reads as zeros
-    padded = [p if len(p) == 8 else p + ["0"] if len(p) == 7 else ["0"] * 8 for p in split]
+    n, cols = len(split), width + 2
+    lengths = np.fromiter(map(len, split), np.intp, n)
+    # a row without im reads im 0, and a row of a wrong width reads as zeros
+    padded = [p if len(p) == cols else p + ["0"] if len(p) == cols - 1 else ["0"] * cols
+              for p in split]
     tokens = list(itertools.chain.from_iterable(padded))
-    tokens = [tokens[j::8] for j in range(8)]  # column j holds token j of every row
+    tokens = [tokens[j::cols] for j in range(cols)]  # column j holds token j of every row
     charges = np.fromiter(map(_Charges(index).__getitem__,
-                              itertools.chain.from_iterable(tokens[:6])),
-                          np.intp, 6 * n).reshape(6, n)
+                              itertools.chain.from_iterable(tokens[:width])),
+                          np.intp, width * n).reshape(width, n)
     key = _ravel(m, *np.minimum(charges, m - 1))
     at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
     admissible = keys[at] == key  # a row names the entry at its ``at`` or none
     try:
         values = np.empty(n, complex)
-        values.real = np.fromiter(map(float, tokens[6]), float, n)
-        values.imag = np.fromiter(map(float, tokens[7]), float, n)
+        values.real = np.fromiter(map(float, tokens[width]), float, n)
+        values.imag = np.fromiter(map(float, tokens[width + 1]), float, n)
     except ValueError:  # some token is no number: the first bad row names it
         for (lineno, _), parts, ok in zip(section, split, admissible):
-            _check_f_row(parts, lineno, index, ok)
+            _check_row(parts, lineno, index, table, width, ok)
         raise
-    good = (((width == 7) | (width == 8)) & (charges < m).all(axis=0)
+    good = (((lengths == cols - 1) | (lengths == cols)) & (charges < m).all(axis=0)
             & admissible & np.isfinite(values))
     if not good.all():
         first = int(good.argmin())
-        _check_f_row(split[first], section[first][0], index, admissible[first])
+        _check_row(split[first], section[first][0], index, table, width, admissible[first])
     # numpy does not say which of repeated scatter targets is written last
     last = np.full(len(keys), -1)
     np.maximum.at(last, at, np.arange(n))
     keep = np.flatnonzero(last[at] == np.arange(n))
-    F = np.ones(len(keys), complex)
-    F[at[keep]] = values[keep]
-    return F
+    out = np.ones(len(keys), complex)
+    out[at[keep]] = values[keep]
+    return out
 
 
 def load_model_file(path, tolerance: float | None = CONSISTENCY_TOL) -> AnyonModel:

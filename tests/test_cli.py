@@ -651,6 +651,46 @@ class TestInputErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(path) in err
 
+    #: Z_2 with a bosonic exchange, and no computational charge in its file.
+    Z2_TEXT = ("name: z2\ncharges: 0 1\ndual: 0:0 1:1\nqdim: 0:1 1:1\n"
+               "[fusion]\n1 1 -> 0\n[r]\n1 1 0 1\n")
+
+    @pytest.mark.parametrize("argv", [["teleport-stats"], ["braid-check", "--word", "s1"]],
+                             ids=lambda argv: argv[0])
+    def test_model_file_without_default_charge(self, capsys, tmp_path, argv):
+        path = tmp_path / "z2.model"
+        path.write_text(self.Z2_TEXT)
+        code, out, err = run_cli(capsys, *argv, "--model", str(path), "--seed", "1")
+        assert (code, out, err) == (2, "", "error: this model has no default charge; "
+                                           "pass --charge\n")
+
+    def test_compare_word_beyond_the_layout(self, capsys):
+        code, out, err = run_cli(capsys, "braid-check", "--model", "fibonacci", "--word", "s1",
+                                 "--compare-word", "s3", "--seed", "1")
+        assert (code, out, err) == (2, "", "error: compare word needs more strands "
+                                           "than the layout has\n")
+
+    def test_schedule_that_is_no_json_object(self, capsys, tmp_path):
+        path = tmp_path / "schedule.json"
+        path.write_text("[1, 2]\n")
+        code, out, err = run_cli(capsys, "run", "--schedule", str(path), "--seed", "1")
+        assert (code, out, err) == (2, "", "error: bad schedule: a schedule must be a "
+                                           "JSON object\n")
+
+    @pytest.mark.parametrize("text,message", [
+        (Z2_TEXT.replace("qdim: 0:1 1:1", "qdim: 0:1 1:abc"),
+         "qdim for '1' is not a number: 'abc'"),
+        (Z2_TEXT.replace("qdim: 0:1", "qdim: 0:2"),
+         "invalid model data: quantum dimensions must satisfy d_0 = 1 and d_a >= 1"),
+        (Z3_TEXT.replace("qdim: 0:1 1:1 2:1", "qdim: 0:1 1:1 2:1.5"),
+         "invalid model data: quantum dimensions must satisfy d_a = d_dual(a)"),
+    ], ids=["not-a-number", "vacuum", "dual"])
+    def test_bad_quantum_dimensions(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.model"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--model", str(path))
+        assert (code, out, err) == (2, "", f"error: model file error: {message}\n")
+
 
 def model_file_text(model, name):
     """``model`` in the model-file format, every admissible F and R entry

@@ -1,5 +1,6 @@
 """Anyon model data: built-ins, algebraic identities, consistency checks."""
 
+import collections
 import math
 import sys
 import threading
@@ -725,6 +726,47 @@ class TestWalkWorkers:
         assert threading.active_count() == before
         assert [name for name, _ in walks] == ["_block_residuals"]
         assert walks[0][1] is not threading.main_thread()
+
+    def test_a_thread_that_will_not_start_stops_the_walk(self, monkeypatch):
+        # The first thread walks the hexagon/unitarity blocks beside the
+        # pentagon's set-up, and that walk starts its workers: the first
+        # holds its first block until the second has failed to start.  The
+        # failure is raised once every thread has been joined, and no worker
+        # takes more than one block after it.
+        monkeypatch.setattr(model_module, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(model_module, "_BLOCK", 1024)
+        model = load_builtin("su2_k", k=7)
+        started, walking, refused = [], threading.Event(), threading.Event()
+        after = collections.Counter()  # blocks each thread took after the refusal
+        start = threading.Thread.start
+
+        def start_or_refuse(thread):
+            started.append(thread)
+            if len(started) == 3:
+                assert walking.wait(10)
+                refused.set()
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        def count(residual):
+            def spy(block):
+                me = threading.current_thread()
+                if refused.is_set():
+                    after[me] += 1
+                elif len(started) > 1 and me is started[1] and not walking.is_set():
+                    walking.set()
+                    assert refused.wait(10)
+                return residual(block)
+            return spy
+
+        monkeypatch.setattr(threading.Thread, "start", start_or_refuse)
+        spy_on_blocks(monkeypatch, count)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            model.verify_consistency()
+        assert threading.active_count() == before
+        assert refused.is_set()
+        assert all(n <= 1 for n in after.values()), after
 
 
 def _dense_residuals(model, F):

@@ -210,17 +210,18 @@ def _rendered(name, k, seed):
     return head + ["", "[f]"], f_rows, tail
 
 
-#: What a mutation of an F row writes: labels known and unknown, and
+#: What a mutation of an F or R row writes: labels known and unknown, and
 #: numbers that ``float`` reads differently from a plain decimal or not at
 #: all (non-ASCII digits, underscores, hex, overflow, non-finite).
-_F_TOKENS = st.sampled_from(
+_TOKENS = st.sampled_from(
     ["0", "1", "1/2", "3/2", "x", "½", "nan", "-nan", "inf", "-Infinity", "1e400",
      "-1e400", "1e-400", "1_0", "0x10", "١٢", "٣.٥", "0.5", "-0.0", "+1", "#"])
 
 
-def _mutated(rows, edits):
-    """``rows`` with each edit ``(kind, i, j, token)`` applied to row
-    ``i`` (modulo the row count) in turn."""
+def _mutated(rows, edits, width=6):
+    """``rows`` of a table whose entries have ``width`` labels, with each
+    edit ``(kind, i, j, token)`` applied to row ``i`` (modulo the row
+    count) in turn."""
     rows = list(rows)
     for kind, i, j, token in edits:
         i %= len(rows)
@@ -231,10 +232,11 @@ def _mutated(rows, edits):
             parts.insert(j % (len(parts) + 1), token)
         elif kind == "delete" and parts:
             del parts[j % len(parts)]
-        elif kind == "drop im" and len(parts) == 8:
+        elif kind == "drop im" and len(parts) == width + 2:
             parts.pop()
         elif kind == "duplicate":
-            rows.insert(j % (len(rows) + 1), " ".join(parts[:6] + [token] + parts[7:]))
+            rows.insert(j % (len(rows) + 1),
+                        " ".join(parts[:width] + [token] + parts[width + 1:]))
         elif kind == "blank":
             rows.insert(j % (len(rows) + 1), ["", "   ", "# a comment"][j % 3])
         line = " ".join(parts)
@@ -255,6 +257,29 @@ def _outcome(text):
         return type(exc), str(exc)
 
 
+def _with_loop(N, table, kept):
+    """A stand-in for ``model_io._section`` that reads ``table``'s section
+    with its line loop in ``tests/model_io_oracle.py``, for the fusion
+    rules ``N``, and the other table's with the library; each result of
+    the loop is appended to ``kept``."""
+    section = model_io._section
+    loop = {"F": model_io_oracle.f_section_loop, "R": model_io_oracle.r_section_loop}[table]
+
+    def read(rows, index, name, width, keys):
+        if name != table:
+            return section(rows, index, name, width, keys)
+        kept.append(loop(rows, index, N))
+        return kept[-1] if name == "F" else kept[-1].reshape(-1)[keys]
+    return read
+
+
+#: Lists of mutations for :func:`_mutated`.
+_EDITS = st.lists(st.tuples(
+    st.sampled_from(["replace", "insert", "delete", "drop im", "duplicate",
+                     "blank", "spaces", "comment"]),
+    st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), _TOKENS), max_size=6)
+
+
 class TestFSectionOracle:
     """The ``[f]`` section read as token arrays against the line-by-line
     loop of ``tests/model_io_oracle.py``: the same error and message, or
@@ -263,17 +288,14 @@ class TestFSectionOracle:
 
     @settings(max_examples=300)
     @given(spec=st.sampled_from([("fibonacci", None), ("su2_k", 3)]),
-           seed=st.integers(0, 2 ** 16),
-           edits=st.lists(st.tuples(
-               st.sampled_from(["replace", "insert", "delete", "drop im", "duplicate",
-                                "blank", "spaces", "comment"]),
-               st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), _F_TOKENS), max_size=6))
+           seed=st.integers(0, 2 ** 16), edits=_EDITS)
     def test_same_result_as_line_loop(self, spec, seed, edits):
         head, rows, tail = _rendered(*spec, seed)
         rows = _mutated(rows, edits)
         text = "\n".join(head + rows + tail) + "\n"
         got = _outcome(text)
-        with mock.patch.object(model_io, "_f_section", model_io_oracle.f_section_loop):
+        with mock.patch.object(model_io, "_section",
+                               _with_loop(load_builtin(*spec).N, "F", [])):
             want = _outcome(text)
         if isinstance(want, tuple):
             assert got == want
@@ -311,3 +333,28 @@ class TestFSectionOracle:
         for (a, b, c, d, e, f), value in want.items():
             got = model._f_store[model._f_row[a, b, c, d, e], f]
             assert np.array(got).tobytes() == np.array(value).tobytes()
+
+
+class TestRSectionOracle:
+    """The ``[r]`` section read as token arrays against the line-by-line
+    loop of ``tests/model_io_oracle.py``: the same error and message, or
+    the same R, byte for byte, on mutated renderings of Fibonacci, Ising
+    and su2_k k=3."""
+
+    @settings(max_examples=300)
+    @given(spec=st.sampled_from([("fibonacci", None), ("ising", None), ("su2_k", 3)]),
+           seed=st.integers(0, 2 ** 16), edits=_EDITS)
+    def test_same_result_as_line_loop(self, spec, seed, edits):
+        head, f_rows, tail = _rendered(*spec, seed)
+        rows = _mutated(tail[2:], edits, width=3)
+        text = "\n".join(head + f_rows + tail[:2] + rows) + "\n"
+        got = _outcome(text)
+        loops = []
+        with mock.patch.object(model_io, "_section",
+                               _with_loop(load_builtin(*spec).N, "R", loops)):
+            want = _outcome(text)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert not isinstance(got, tuple), got
+        assert got.R.tobytes() == want.R.tobytes() == loops[0].tobytes()
