@@ -12,14 +12,17 @@ Output is machine-first (JSON by default, CSV via ``--format csv``, aligned
 tables behind ``--human``) and byte-reproducible for fixed ``(seed,
 config)``: every stochastic command requires an explicit ``--seed`` and
 trial ``t`` draws from the substream ``default_rng([seed, t])``, one number
-per measurement, in the order it would alone.  ``braid-check`` and ``run``
-build that generator (:func:`_substream`).  ``teleport-stats`` runs its
-trials in lockstep blocks (:func:`anyonbraid.teleport.forced_measurements`)
-and computes the same streams for a whole block at once as arrays
-(:class:`anyonbraid.streams.TrialStreams`: ``SeedSequence`` hashing and
-PCG64 jump-ahead in numpy integer arithmetic), equal to
-``default_rng([seed, t]).random()`` bit for bit, without one ``Generator``
-per trial.
+per measurement, in the order it would alone.  Every such stream is
+computed by :mod:`anyonbraid.streams` (``SeedSequence`` hashing and PCG64
+jump-ahead in numpy integer arithmetic), equal to
+``default_rng([seed, t]).random()`` bit for bit, without building a
+``Generator``.  ``teleport-stats`` runs its trials in lockstep blocks
+(:func:`anyonbraid.teleport.forced_measurements`) on a whole block's
+streams at once (:class:`~anyonbraid.streams.TrialStreams`);
+``braid-check`` and ``run`` run one trajectory on one
+(:func:`_substream`).  Only ``braid-check --random-state`` builds a
+``Generator``, for the Gaussian amplitudes of its initial state, and so
+imports ``numpy.random``.
 
 JSON is streamed by :func:`_write_json`, byte for byte what the standard
 library's encoder prints at an indent of two spaces.
@@ -48,7 +51,7 @@ from . import teleport as tp
 from .errors import AnyonError, NotPhaseEquivalent
 from .model import CONSISTENCY_TOL, is_builtin_name, load_builtin
 from .model_io import load_model_file
-from .streams import TrialStreams
+from .streams import Stream, TrialStreams
 
 #: Default fidelity tolerance for oracle comparisons.
 FIDELITY_TOL = 1e-9
@@ -58,10 +61,10 @@ class _CliError(Exception):
     """A usage or parse error: exit code 2."""
 
 
-def _substream(seed: int, index: int) -> np.random.Generator:
-    """Substream ``index`` of ``seed``, for the single trajectories of
-    ``braid-check`` and ``run``."""
-    return np.random.default_rng([seed, index])
+def _substream(seed: int, index: int) -> Stream:
+    """Substream ``index`` of ``seed``, the draws of a single trajectory of
+    ``braid-check`` or ``run``: ``default_rng([seed, index]).random()``."""
+    return Stream(seed, index)
 
 
 def _load_model(args, gate=True):
@@ -478,7 +481,8 @@ def _cmd_braid_check(args) -> int:
     layout, word = schedule.layout, schedule.word
     n_comp = len(layout.computational)
     if args.random_state:
-        initial = cp.random_encoded_state(layout, _substream(args.seed, 2 ** 31))
+        # normal() is numpy's Ziggurat sampler, so this is a Generator
+        initial = cp.random_encoded_state(layout, np.random.default_rng([args.seed, 2 ** 31]))
     else:
         initial = cp.build_array(model, charge, n_comp)[1]
     final, records, fid, phase, defect = _checked_run(schedule, initial, args)

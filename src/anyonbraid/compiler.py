@@ -259,7 +259,8 @@ def compile_word(word: BraidWord, layout: ArrayLayout) -> Schedule:
 def execute(schedule: Schedule, state: StateVector, rng,
             routing: str = "over", max_attempts: int = MAX_ATTEMPTS_DEFAULT,
             ) -> tuple[StateVector, list[BraidRecord]]:
-    """Run a schedule stochastically.
+    """Run a schedule stochastically, drawing from ``rng`` (any object with
+    ``random()``, as for :func:`~anyonbraid.teleport.forced_measurement`).
 
     Returns the final state and one :class:`BraidRecord` per generator of
     the word (its three forced measurements).  Only the braids run here:

@@ -21,10 +21,11 @@ of a ``(dim, T)`` amplitude matrix together, each with one uniform draw
 from its own stream, and a single state as a batch of one: a ``(dim,)``
 vector with a scalar draw, through the same gathers and the same
 arithmetic.  The Born weights are summed in one fixed order, so every
-column of a batch equals its batch of one bit for bit.  The draws of a
-batch come from :mod:`anyonbraid.streams`: trial ``t`` of a command draws
-``default_rng([seed, t])``, computed for all columns at once as arrays and
-equal to that generator's stream bit for bit.
+column of a batch equals its batch of one bit for bit.  The draws come
+from :mod:`anyonbraid.streams`: trial ``t`` of a command draws
+``default_rng([seed, t])``, computed as arrays (for all columns of a batch
+at once, or a block of one trajectory's draws at a time) and equal to that
+generator's stream bit for bit.
 """
 
 from __future__ import annotations

@@ -21,8 +21,11 @@ bit, without building one ``Generator`` per trial:
   its top 53 bits times ``2**-53``.
 
 :func:`anyonbraid.teleport.forced_measurements` takes a
-:class:`TrialStreams` and runs it in slices; a single trajectory draws
-from its own ``Generator`` instead.
+:class:`TrialStreams` and runs it in slices.  A single trajectory
+(``braid-check``, ``run``) draws from a :class:`Stream`, one trial's
+stream read a block of :data:`STREAM_BLOCK` draws at a time through
+:meth:`TrialStreams.random`, so no ``Generator`` is built and
+``numpy.random`` is never imported.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 #: Rows :meth:`TrialStreams.row` computes at a time for the live columns.
 PREFETCH_ROWS = 4
+#: Draws :class:`Stream` computes at a time.  A draw depends only on its
+#: index, so this sets speed, never a value.
+STREAM_BLOCK = 256
 
 
 def _words(n: int) -> list[int]:
@@ -237,3 +243,25 @@ class TrialStreams:
         self._block = self.random(range(s, s + PREFETCH_ROWS), live)
         self._first, self._cols = s, np.array(live)
         return self._block[0]
+
+
+class Stream:
+    """The stream ``default_rng([seed, trial])`` of one trial, as an object
+    whose :meth:`random` returns its next double, bit for bit
+    ``default_rng([seed, trial]).random()``.
+
+    The doubles are column 0 of ``TrialStreams(seed, [trial])``, computed
+    :data:`STREAM_BLOCK` at a time when the previous block runs out.
+    """
+
+    def __init__(self, seed: int, trial: int):
+        self._draws = self._blocks(TrialStreams(seed, [trial]))
+
+    @staticmethod
+    def _blocks(streams: TrialStreams) -> Iterator[float]:
+        for start in itertools.count(0, STREAM_BLOCK):
+            yield from streams.random(range(start, start + STREAM_BLOCK))[:, 0].tolist()
+
+    def random(self) -> float:
+        """The next double of the stream."""
+        return next(self._draws)

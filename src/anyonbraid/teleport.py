@@ -342,7 +342,10 @@ def forced_measurement(state: StateVector, target_pair, recovery_pair, rng,
                        routing: str = "over") -> tuple[StateVector, MeasurementRecord]:
     """Measure ``target_pair`` until it yields vacuum, undoing failures via
     ``recovery_pair``: a batch of one of :func:`forced_measurements`, run on
-    the state's ``(dim,)`` amplitudes.
+    the state's ``(dim,)`` amplitudes.  ``rng`` is any object whose
+    ``random()`` returns the next uniform double, drawn once per
+    measurement: a :class:`~anyonbraid.streams.Stream` or a numpy
+    ``Generator``.
 
     Returns the post-measurement state (the teleported state, up to a
     trajectory-dependent global phase) and the outcome record.  Raises
@@ -432,6 +435,9 @@ def measurement_braid(state: StateVector, quad, direction: str, rng,
     reproduces the counterclockwise exchange of ``q1`` and ``q4`` up to a
     global phase, with the resource pair restored in place; ``"inverse"``
     its inverse.
+
+    ``rng`` is any object with ``random()``, as for
+    :func:`forced_measurement`; the three steps draw from it in turn.
 
     Only the default ``routing="over"`` synthesizes the exchange; the
     "under" convention for the non-adjacent measurement is a physically

@@ -1177,49 +1177,61 @@ class TestRegisterLimits:
         assert "basis states, over the limit of 1048576" in err
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports the package from
+    this checkout's ``src``, with BLAS pinned to one thread as the
+    benchmark runs it."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
 #: Runs ``anyonbraid.cli.main`` on its arguments in a fresh interpreter and
-#: prints the exit code and whether ``numpy.ma`` was imported.
+#: prints the exit code and whether ``numpy.ma`` and ``numpy.random`` were
+#: imported.
 _IMPORT_PROBE = """
 import contextlib, io, sys
 from anyonbraid.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, "numpy.ma" in sys.modules)
+print(code, "numpy.ma" in sys.modules, "numpy.random" in sys.modules)
 """
 
 
 class TestImports:
-    @pytest.mark.parametrize("argv", [
-        ["verify", "--model", "su2_k", "--k", "3"],
-        ["teleport-stats", "--model", "fibonacci", "--seed", "1", "--trials", "20"],
-        ["braid-check", "--model", "ising", "--word", "s1 s2'", "--seed", "2"],
-        ["compile", "--model", "fibonacci", "--word", "s1 s2"],
-        ["run", "--schedule", "schedule.json", "--seed", "3"],
-    ], ids=lambda argv: argv[0])
-    def test_no_command_imports_numpy_ma(self, capsys, tmp_path, argv):
+    @pytest.mark.parametrize("argv, random", [
+        (["verify", "--model", "su2_k", "--k", "3"], False),
+        (["teleport-stats", "--model", "fibonacci", "--seed", "1", "--trials", "20"], False),
+        (["braid-check", "--model", "ising", "--word", "s1 s2'", "--seed", "2"], False),
+        (["braid-check", "--model", "ising", "--word", "s1 s2 s1", "--compare-word",
+          "s2 s1 s2", "--seed", "2"], False),
+        (["braid-check", "--model", "ising", "--word", "s1 s2'", "--seed", "2",
+          "--random-state"], True),
+        (["compile", "--model", "fibonacci", "--word", "s1 s2"], False),
+        (["run", "--schedule", "schedule.json", "--seed", "3"], False),
+    ], ids=["verify", "teleport-stats", "braid-check", "braid-check-compare-word",
+            "braid-check-random-state", "compile", "run"])
+    def test_no_command_imports_numpy_ma(self, capsys, tmp_path, argv, random):
         # numpy imports numpy.ma lazily, about 10 ms, on a process's first
-        # np.unique; no command needs it
+        # np.unique; no command needs it.  numpy.random (with secrets,
+        # hashlib and OpenSSL, about 6 MB) comes with a process's first
+        # default_rng: only --random-state's Gaussian state needs one, since
+        # anyonbraid.streams computes every uniform draw
         assert main(["compile", "--model", "ising", "--word", "s1",
                      "--output", str(tmp_path / "schedule.json")]) == 0
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], cwd=tmp_path,
-                                env=env, capture_output=True, text=True, timeout=300)
-        assert result.stdout.split() == ["0", "False"], result.stderr
+                                env=fresh_env(), capture_output=True, text=True, timeout=300)
+        assert result.stdout.split() == ["0", "False", str(random)], result.stderr
 
 
 class TestClosedStdout:
     def test_reader_closing_early_is_not_a_traceback(self, tmp_path):
         # the payload, about 1.2 MB, outgrows the pipe, so the command is
         # still writing when its reader stops after 100 bytes
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         argv = ["teleport-stats", "--model", "ising", "--trials", "2000", "--seed", "1",
                 "--trace"]
         proc = subprocess.Popen([sys.executable, "-m", "anyonbraid.cli", *argv], cwd=tmp_path,
-                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                                env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         try:
             head = proc.stdout.read(100)
             proc.stdout.close()

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from anyonbraid import forced_measurement, forced_measurements, teleport
-from anyonbraid.streams import PREFETCH_ROWS, TrialStreams
+from anyonbraid import (BraidWord, compile_word, execute, forced_measurement,
+                        forced_measurements, random_encoded_state, teleport)
+from anyonbraid.compiler import array_layout
+from anyonbraid.streams import PREFETCH_ROWS, STREAM_BLOCK, Stream, TrialStreams
 
 from conftest import teleport_config
 
@@ -76,6 +78,27 @@ def test_row_refills_for_a_column_outside_the_block():
     want = reference(12, range(10), 2)
     assert np.array_equal(streams.row(0, np.array([2, 5])), want[0, [2, 5]])
     assert np.array_equal(streams.row(1, np.array([5, 9])), want[1, [5, 9]])
+
+
+@given(words=st.sampled_from([1, 2, 3]), low=st.integers(0, 2 ** 96),
+       trial=st.sampled_from([0, 1, 2 ** 32 + 17]))
+def test_property_stream_equals_default_rng_across_refills(words, low, trial):
+    seed = seed_of(words, low)
+    stream, rng = Stream(seed, trial), np.random.default_rng([seed, trial])
+    draws = 3 * STREAM_BLOCK + 5  # three refills after the first block
+    got = [stream.random() for _ in range(draws)]
+    assert all(type(u) is float for u in got)
+    assert got == [rng.random() for _ in range(draws)]
+
+
+def test_execute_on_a_stream_equals_execute_on_a_generator(ising):
+    layout = array_layout(ising, "1/2", 3)
+    schedule = compile_word(BraidWord.parse("s1 s2' s1 s2 s2 s1'"), layout)
+    state = random_encoded_state(layout, np.random.default_rng(4))
+    final_g, records_g = execute(schedule, state, np.random.default_rng([29, 0]))
+    final_s, records_s = execute(schedule, state, Stream(29, 0))
+    assert final_s.amps.tobytes() == final_g.amps.tobytes()
+    assert records_s == records_g
 
 
 def _spy_draws(monkeypatch):
