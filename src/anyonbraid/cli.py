@@ -8,21 +8,21 @@ Commands::
     anyonbraid compile        emit the measurement schedule of a braid word
     anyonbraid run            execute a schedule file
 
-Output is machine-first (JSON by default, CSV via ``--format csv``, aligned
-tables behind ``--human``) and byte-reproducible for fixed ``(seed,
-config)``: every stochastic command requires an explicit ``--seed`` and
-trial ``t`` draws from the substream ``default_rng([seed, t])``, one number
-per measurement, in the order it would alone.  Every such stream is
-computed by :mod:`anyonbraid.streams` (``SeedSequence`` hashing and PCG64
-jump-ahead in numpy integer arithmetic), equal to
-``default_rng([seed, t]).random()`` bit for bit, without building a
-``Generator``.  ``teleport-stats`` runs its trials in lockstep blocks
-(:func:`anyonbraid.teleport.forced_measurements`) on a whole block's
-streams at once (:class:`~anyonbraid.streams.TrialStreams`);
-``braid-check`` and ``run`` run one trajectory on one
-(:func:`_substream`).  Only ``braid-check --random-state`` builds a
-``Generator``, for the Gaussian amplitudes of its initial state, and so
-imports ``numpy.random``.
+Output is machine-first (JSON by default, ``key,value`` CSV rows via
+``--format csv``, aligned tables behind ``--human``) and byte-reproducible
+for fixed ``(seed, config)``: every stochastic command requires an
+explicit ``--seed`` and trial ``t`` draws from the substream
+``default_rng([seed, t])``, one number per measurement, in the order it
+would alone.  Every such stream is computed by :mod:`anyonbraid.streams`
+(``SeedSequence`` hashing and PCG64 jump-ahead in numpy integer
+arithmetic), equal to ``default_rng([seed, t]).random()`` bit for bit,
+without building a ``Generator``.  ``teleport-stats`` runs its trials in
+lockstep blocks (:func:`anyonbraid.teleport.forced_measurements`) on a
+whole block's streams at once (:class:`~anyonbraid.streams.TrialStreams`);
+``braid-check`` and ``run`` run each word as one trajectory on the
+:class:`~anyonbraid.streams.Stream` of its trial (:func:`_run_word`).
+Only ``braid-check --random-state`` builds a ``Generator``, for the
+Gaussian amplitudes of its initial state, and so imports ``numpy.random``.
 
 JSON is streamed by :func:`_write_json`, byte for byte what the standard
 library's encoder prints at an indent of two spaces.
@@ -48,7 +48,7 @@ import numpy as np
 from . import compiler as cp
 from . import fusion_space as fs
 from . import teleport as tp
-from .errors import AnyonError, NotPhaseEquivalent
+from .errors import AnyonError
 from .model import CONSISTENCY_TOL, is_builtin_name, load_builtin
 from .model_io import load_model_file
 from .streams import Stream, TrialStreams
@@ -59,12 +59,6 @@ FIDELITY_TOL = 1e-9
 
 class _CliError(Exception):
     """A usage or parse error: exit code 2."""
-
-
-def _substream(seed: int, index: int) -> Stream:
-    """Substream ``index`` of ``seed``, the draws of a single trajectory of
-    ``braid-check`` or ``run``: ``default_rng([seed, index]).random()``."""
-    return Stream(seed, index)
 
 
 def _load_model(args, gate=True):
@@ -108,19 +102,10 @@ def _default_charge(model, args):
         raise _CliError(str(exc)) from exc
 
 
-def _phase(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag),
-            "arg": float(np.angle(z))}
-
-
-def _phase_between(s1, s2):
-    """The :func:`_phase` of ``s1`` against ``s2``, or ``None`` when they
-    differ beyond a global phase (a failed check still prints its
-    payload)."""
-    try:
-        return _phase(tp.relative_phase(s1, s2))
-    except NotPhaseEquivalent:
-        return None
+def _phase(z: complex | None) -> dict | None:
+    """A phase's payload record; ``None`` (no global phase) stays ``None``."""
+    return None if z is None else {"re": float(z.real), "im": float(z.imag),
+                                   "arg": float(np.angle(z))}
 
 
 def _state_head(state) -> dict:
@@ -152,6 +137,11 @@ def _flatten(obj, prefix=""):
         yield prefix[:-1], obj
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted (RFC 4180) if it holds ``,``, ``"`` or a line break."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def _emit(payload: dict, args) -> None:
     if getattr(args, "human", False):
         width = max((len(k) for k, _ in _flatten(payload)), default=0)
@@ -160,7 +150,7 @@ def _emit(payload: dict, args) -> None:
     elif getattr(args, "format", "json") == "csv":
         print("key,value")
         for key, value in _flatten(payload):
-            print(f"{key},{value}")
+            print(f"{_csv_field(key)},{_csv_field(f'{value}')}")
     else:
         _write_json(payload)
 
@@ -438,21 +428,12 @@ def _braid_payload(records) -> list:
     return out
 
 
-def _checked_run(schedule, initial, args):
-    """Execute ``schedule`` from ``initial`` on substream 0 and check it
-    against the direct-braid oracle.
-
-    Returns the final state, the braid records, the oracle fidelity, the
-    phase against the oracle (``None`` unless the two are equal up to a
-    global phase) and the resource defect.
-    """
-    final, records = cp.execute(schedule, initial, _substream(args.seed, 0),
+def _run_word(schedule, initial, args, trial: int):
+    """Execute ``schedule`` from ``initial`` on ``Stream(seed, trial)``: the
+    final state, the braid records and the final state's resource defect."""
+    final, records = cp.execute(schedule, initial, Stream(args.seed, trial),
                                 routing=args.routing, max_attempts=args.max_attempts)
-    oracle = cp.direct_braid_reference(schedule.word, schedule.layout, initial,
-                                       routing=args.routing)
-    fid = fs.fidelity(final, oracle)
-    return (final, records, fid, _phase_between(final, oracle),
-            cp.check_resources(schedule.layout, final))
+    return final, records, cp.check_resources(schedule.layout, final)
 
 
 def _passed(fid: float, defect: float, args) -> bool:
@@ -485,7 +466,7 @@ def _cmd_braid_check(args) -> int:
         initial = cp.random_encoded_state(layout, np.random.default_rng([args.seed, 2 ** 31]))
     else:
         initial = cp.build_array(model, charge, n_comp)[1]
-    final, records, fid, phase, defect = _checked_run(schedule, initial, args)
+    final, records, defect = _run_word(schedule, initial, args, 0)
     payload = {
         "config": {
             "model": model.name, "params": model.params, "charge": charge.label,
@@ -499,22 +480,22 @@ def _cmd_braid_check(args) -> int:
         other = _parse_word(args.compare_word)
         if other.max_strand() + 1 > n_comp:
             raise _CliError("compare word needs more strands than the layout has")
-        final_b, records_b = cp.execute(cp.compile_word(other, layout), initial,
-                                        _substream(args.seed, 1),
-                                        routing=args.routing,
-                                        max_attempts=args.max_attempts)
-        fid_b = fs.fidelity(final, final_b)
-        defect_b = cp.check_resources(layout, final_b)
+        final_b, records_b, defect_b = _run_word(cp.compile_word(other, layout),
+                                                 initial, args, 1)
+        phase, fid = tp._overlap(final, final_b)
         payload["compare"] = {
             "word": str(other),
-            "fidelity": fid_b,
-            "phase": _phase_between(final, final_b),
+            "fidelity": fid,
+            "phase": _phase(phase),
             "braids": _braid_payload(records_b),
         }
-        passed = _passed(fid_b, max(defect, defect_b), args)
+        passed = _passed(fid, max(defect, defect_b), args)
     else:
+        # the word's oracle is built only here, where the payload prints it
+        oracle = cp.direct_braid_reference(word, layout, initial, routing=args.routing)
+        phase, fid = tp._overlap(final, oracle)
         payload["oracle_fidelity"] = fid
-        payload["phase_vs_oracle"] = phase
+        payload["phase_vs_oracle"] = _phase(phase)
         passed = _passed(fid, defect, args)
     payload["passed"] = bool(passed)
     _emit(payload, args)
@@ -551,7 +532,9 @@ def _cmd_run(args) -> int:
         raise _CliError(f"bad schedule: {exc}") from exc
     layout = schedule.layout
     _, initial = cp.build_array(layout.model, layout.charge, len(layout.computational))
-    final, records, fid, _, defect = _checked_run(schedule, initial, args)
+    final, records, defect = _run_word(schedule, initial, args, 0)
+    oracle = cp.direct_braid_reference(schedule.word, layout, initial, routing=args.routing)
+    fid = tp._overlap(final, oracle)[1]
     passed = _passed(fid, defect, args)
     payload = {
         "config": {"schedule": args.schedule, "seed": args.seed,

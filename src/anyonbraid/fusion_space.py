@@ -116,7 +116,7 @@ class StateVector:
             raise BasisMismatch(
                 f"expected {len(self.chains)} amplitudes, got {len(amps)}")
         norm = math.sqrt(np.vdot(amps, amps).real)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # a NaN norm fails too
             raise ValueError(f"state is not normalized: |amps| = {norm}")
         # Stored as given (not re-divided) so that text dumps round-trip
         # bit-exactly; every operation renormalizes explicitly where needed.

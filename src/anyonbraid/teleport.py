@@ -18,18 +18,19 @@ through the same sampler with its generator's draws.
 
 Three forced measurements on a contiguous quad of leaves compose to the
 braiding exchange of the two outer anyons while restoring the middle
-entangled pair, which is what :func:`measurement_braid` implements and
-verifies against the directly applied R-matrix oracle.  The phase of each
-teleport is taken against the analytic teleported state, which the first
-attempt of its forced measurement has already computed.
+entangled pair, which is what :func:`measurement_braid` implements; the
+directly applied R-matrix braid is its check, not one of its steps.  The
+phase of each teleport is taken against the analytic teleported state,
+which the first attempt of its forced measurement has already computed.
 
 Each check runs once, where it is needed.  The public forced measurements
 check their pairs.  A braid checks its quad, its direction and the quad's
 resource pair once, before its first step: the recovery pair of steps 2
 and 3 is the target pair the step before has just forced into the vacuum.
-Whether every resource pair of a register is back in the vacuum is for
-the caller to check on the final state
-(:func:`anyonbraid.compiler.check_resources`).
+Only after its third step does it build its one oracle state, from its
+input, and each comparison takes its phase and fidelity from one inner
+product.  Whether every resource pair of a register is back in the vacuum
+is for the caller to check (:func:`anyonbraid.compiler.check_resources`).
 """
 
 from __future__ import annotations
@@ -137,17 +138,28 @@ def expected_mean_attempts(model, a) -> float:
     return float(expected[list(channels).index(0)])
 
 
-def relative_phase(s1: StateVector, s2: StateVector, tol: float = PHASE_TOL) -> complex:
+def _overlap(state: StateVector, ref: StateVector) -> tuple[complex | None, float]:
+    """The phase of ``state`` against ``ref`` (``None`` unless within :data:`PHASE_TOL`
+    of a global phase) and their fidelity ``|<ref|state>|``, from one inner product."""
+    ov = inner(ref, state)
+    mag = abs(ov)
+    return (ov / mag if abs(mag - 1.0) <= PHASE_TOL else None), mag
+
+
+def _checked_phase(phase: complex | None, fidelity: float) -> complex:
+    """A phase of :func:`_overlap`; ``None`` raises :class:`NotPhaseEquivalent`."""
+    if phase is None:
+        raise NotPhaseEquivalent(f"states differ beyond a global phase: |<s2|s1>| = {fidelity}")
+    return phase
+
+
+def relative_phase(s1: StateVector, s2: StateVector) -> complex:
     """Global phase by which ``s1`` differs from ``s2``.
 
     Raises :class:`NotPhaseEquivalent` unless the states overlap with
-    magnitude within ``tol`` of 1.
+    magnitude within :data:`PHASE_TOL` of 1.
     """
-    ov = inner(s2, s1)
-    mag = abs(ov)
-    if abs(mag - 1.0) > tol:
-        raise NotPhaseEquivalent(f"states differ beyond a global phase: |<s2|s1>| = {mag}")
-    return ov / mag
+    return _checked_phase(*_overlap(s1, s2))
 
 
 @dataclass
@@ -380,12 +392,16 @@ def direct_quad_braid(state: StateVector, quad, sign: int,
     vacuum channel this is exactly the braid of the outer anyons tensored
     with the untouched pair.
     """
+    return state._replace_amps(_quad_braid_amps(state, quad, sign, routing))
+
+
+def _quad_braid_amps(state: StateVector, quad, sign: int, routing: str) -> np.ndarray:
+    """The amplitudes of :func:`direct_quad_braid`."""
     model, p = state.model, quad[0]
     moved, forward, backward = _transport(model, state.leaves, state.total,
                                           p, p + 3, routing)
     _, index, value = _braid_table(model, moved, state.total, p, sign)
-    steps = forward + ((index, value),) + backward
-    return state._replace_amps(_gather_all(steps, state.amps))
+    return _gather_all(forward + ((index, value),) + backward, state.amps)
 
 
 def _check_quad(state, quad, direction):
@@ -418,8 +434,8 @@ def _braid_oracle(state: StateVector, quad, direction: str, routing: str) -> Sta
     """:func:`braid_oracle_state` of a checked quad and direction."""
     sign = +1 if direction == "positive" else -1
     twist = state.model.twist(state.leaves[quad[0]])
-    braided = direct_quad_braid(state, quad, sign, routing)
-    return braided._replace_amps((np.conj(twist) if sign > 0 else twist) * braided.amps)
+    amps = _quad_braid_amps(state, quad, sign, routing)
+    return state._replace_amps((np.conj(twist) if sign > 0 else twist) * amps)
 
 
 def measurement_braid(state: StateVector, quad, direction: str, rng,
@@ -447,22 +463,23 @@ def measurement_braid(state: StateVector, quad, direction: str, rng,
     Each step phase is taken against the step's teleport reference, which
     the forced measurement's first attempt yields (:meth:`ForcedBlock.reference`),
     bit for bit equal to the projection of the step's input onto the vacuum
-    of its target pair.
+    of its target pair.  Then ``extracted_phase`` and ``oracle_fidelity``
+    come from one overlap of the output with :func:`braid_oracle_state` of
+    the input, built only after the third step.
     """
     quad = _check_quad(state, quad, direction)
     steps = _quad_steps(quad, direction)
     _checked_pairs(state, *steps[0], routing)
-    oracle = _braid_oracle(state, quad, direction, routing)
+    out = state
     records = []
     phases = []
     for target, recovery in steps:
-        block, record = _forced_block(state, target, recovery, rng, max_attempts, routing)
-        state = block.final_state(0)
+        block, record = _forced_block(out, target, recovery, rng, max_attempts, routing)
+        out = block.final_state(0)
         records.append(record)
         # a first-attempt vacuum leaves exactly the reference state
-        reference = state if record.attempts == 1 else block.reference()
-        phases.append(relative_phase(state, reference))
-    total = relative_phase(state, oracle)
-    fid = abs(inner(state, oracle))
-    return state, BraidRecord(tuple(records), direction, total, tuple(phases),
-                              quad, fid)
+        reference = out if record.attempts == 1 else block.reference()
+        phases.append(relative_phase(out, reference))
+    total, fid = _overlap(out, _braid_oracle(state, quad, direction, routing))
+    return out, BraidRecord(tuple(records), direction, _checked_phase(total, fid),
+                            tuple(phases), quad, fid)

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import contextlib
+import csv
 import gc
 import io
 import json
@@ -248,6 +249,46 @@ class TestTeleportStats:
             assert float(rows[f"per_channel_success.{channel}.empirical"]) \
                 == successes / count
         assert float(rows["attempts.mean"]) == payload["attempts"]["mean"]
+
+    def test_csv_fields_with_commas_and_quotes_read_back(self, capsys, tmp_path):
+        # Z_3 with a comma in its name and in a charge label, and a double
+        # quote in another label: each row must still be one key and one value
+        path = tmp_path / "z3.model"
+        path.write_text(textwrap.dedent("""\
+            name: my,model
+            charges: 0 a,b c"d
+            dual: 0:0 a,b:c"d c"d:a,b
+            qdim: 0:1 a,b:1 c"d:1
+            [fusion]
+            a,b a,b -> c"d
+            a,b c"d -> 0
+            c"d c"d -> a,b
+            [r]
+            a,b a,b c"d  -0.5  0.8660254037844386
+            c"d c"d a,b  -0.5  0.8660254037844386
+            a,b c"d 0    -0.5 -0.8660254037844386
+            c"d a,b 0    -0.5 -0.8660254037844386
+            """))
+        stats = ("teleport-stats", "--model", str(path), "--charge", "a,b",
+                 "--seed", "3", "--trials", "5", "--trace")
+        # run echoes its schedule's path, here with a comma and a line break
+        schedule = str(tmp_path / "s1,\ns2.json")
+        assert main(["compile", "--model", "ising", "--word", "s1 s2'",
+                     "--output", schedule]) == 0
+        for argv, expected in ((stats, [["config.model", "my,model"],
+                                        ["config.charge", "a,b"]]),
+                               (("verify", "--model", str(path)),
+                                [["model", "my,model"], ["charges.2", 'c"d']]),
+                               (("run", "--schedule", schedule, "--seed", "1"),
+                                [["config.schedule", schedule]])):
+            _, json_out, _ = run_cli(capsys, *argv)
+            code, csv_out, err = run_cli(capsys, *argv, "--format", "csv")
+            assert (code, err) == (0, "")
+            rows = list(csv.reader(io.StringIO(csv_out)))
+            assert rows[0] == ["key", "value"]
+            assert rows[1:] == [[key, f"{value}"]
+                                for key, value in cli._flatten(json.loads(json_out))]
+            assert all(row in rows for row in expected)
 
     def test_single_trial_trace(self, capsys):
         code, out, _ = run_cli(capsys, "teleport-stats", "--model", "ising",

@@ -87,6 +87,15 @@ class TestElementaryStates:
         with pytest.raises(ValueError):
             StateVector(fibonacci, ("1", "1"), "0", [2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    def test_non_finite_amplitudes_are_refused(self, fibonacci, bad):
+        # a NaN norm is no closer to 1 than the norm 2 of [2, 0]
+        leaves = ("1", "1", "1")
+        with pytest.raises(ValueError, match="state is not normalized"):
+            StateVector(fibonacci, leaves, "1", [2.0, 0.0])
+        with pytest.raises(ValueError, match="state is not normalized"):
+            StateVector(fibonacci, leaves, "1", [bad, 0.0])
+
 
 class TestAttachPair:
     def test_four_leaf_pair_distributions(self, fibonacci):

@@ -6,8 +6,11 @@ steps 2 and 3 is the target pair the step before has just forced into the
 vacuum; and a braid changes no resource pair but its own.  So a check of
 the resource pair before each braid, and one check of every resource pair
 on the final state, catch any pair a word leaves out of the vacuum.  The
-first two tests pin those facts; the others count the checks a command
-makes.
+first two tests pin those facts; the others count the checks a braid and
+a command make.  A braid builds its oracle once, after its third
+measurement, and compares each state with its reference in one inner
+product; a command builds the direct-braid word oracle only when its
+payload prints the comparison.
 """
 
 import numpy as np
@@ -76,8 +79,10 @@ def test_recovery_pairs_of_steps_2_and_3_start_in_the_vacuum(protocol_models, mo
                     assert min(w for _, w in starts) >= 1.0 - VACUUM_TOL
 
 
-def _counting(monkeypatch, module, name):
-    calls = []
+def _counting(monkeypatch, module, name, calls=None):
+    """Record ``name`` in ``calls`` (a new list by default) on each call of
+    ``module.name``; returns the list."""
+    calls = [] if calls is None else calls
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
@@ -88,10 +93,22 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+def test_a_braid_checks_its_output_after_its_measurements(fibonacci, monkeypatch):
+    calls = _counting(monkeypatch, teleport, "_lockstep")
+    _counting(monkeypatch, teleport, "_braid_oracle", calls)
+    inner = _counting(monkeypatch, teleport, "inner")
+    layout, state = build_array(fibonacci, "1", 3)
+    measurement_braid(state, layout.quad(1), "positive", np.random.default_rng(63))
+    assert calls == ["_lockstep"] * 3 + ["_braid_oracle"]
+    # one overlap per step phase, and one for the oracle's phase and fidelity
+    assert len(inner) == 4
+
+
 @pytest.mark.parametrize("compare", [None, "s1' s2 s1 s2"])
 def test_braid_check_runs_each_check_once(capsys, monkeypatch, compare):
     pairs = _counting(monkeypatch, teleport, "_checked_pairs")
     resources = _counting(monkeypatch, compiler, "check_resources")
+    oracles = _counting(monkeypatch, compiler, "direct_braid_reference")
     word = "s1 s2 s1 s2'"
     argv = ["braid-check", "--model", "fibonacci", "--n-computational", "3",
             "--word", word, "--seed", "7", "--random-state"]
@@ -102,6 +119,8 @@ def test_braid_check_runs_each_check_once(capsys, monkeypatch, compare):
     braids = len(word.split()) + (len(compare.split()) if compare else 0)
     assert len(pairs) == braids
     assert len(resources) == (2 if compare else 1)
+    # the word oracle is built only where the payload prints its comparison
+    assert len(oracles) == (0 if compare else 1)
 
 
 def test_run_checks_resources_once(capsys, monkeypatch, tmp_path):
@@ -110,6 +129,7 @@ def test_run_checks_resources_once(capsys, monkeypatch, tmp_path):
                  "--n-computational", "4", "--output", str(schedule)]) == 0
     pairs = _counting(monkeypatch, teleport, "_checked_pairs")
     resources = _counting(monkeypatch, compiler, "check_resources")
+    oracles = _counting(monkeypatch, compiler, "direct_braid_reference")
     assert main(["run", "--schedule", str(schedule), "--seed", "3"]) == 0
     capsys.readouterr()
-    assert (len(pairs), len(resources)) == (3, 1)
+    assert (len(pairs), len(resources), len(oracles)) == (3, 1, 1)

@@ -201,6 +201,15 @@ class TestRelativePhase:
         with pytest.raises(NotPhaseEquivalent):
             relative_phase(s1, s2)
 
+    def test_nan_overlap_is_no_phase(self, fibonacci, monkeypatch):
+        # a NaN overlap is no closer to 1 than an orthogonal one
+        from anyonbraid import teleport
+
+        s = StateVector(fibonacci, ("1", "1", "1"), "1", [1.0, 0.0])
+        monkeypatch.setattr(teleport, "inner", lambda s1, s2: complex(math.nan, math.nan))
+        with pytest.raises(NotPhaseEquivalent, match="differ beyond a global phase"):
+            relative_phase(s, s)
+
 
 class TestMeasurementBraid:
     def test_matches_direct_braid_oracle(self, protocol_models):
@@ -310,6 +319,24 @@ class TestMeasurementBraid:
             assert record.attempts == (1, 1, 1)
             assert record.extracted_phase == pytest.approx(
                 np.prod(record.step_phases), abs=1e-12)
+
+    @given(model_index=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1),
+           word=st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=5))
+    def test_oracle_checks_match_the_public_oracle(self, protocol_models, su2_2,
+                                                   model_index, seed, word):
+        # the braid's own oracle comparison is relative_phase and fidelity
+        # of its output against braid_oracle_state of its input, bit for bit
+        model, a = [*protocol_models, (su2_2, "1/2")][model_index]
+        layout = array_layout(model, a, 3)
+        state = random_encoded_state(layout, np.random.default_rng([seed, 1]))
+        rng = np.random.default_rng(seed)
+        for g in word:
+            quad, direction = layout.quad(abs(g)), "positive" if g > 0 else "inverse"
+            out, record = measurement_braid(state, quad, direction, rng)
+            oracle = braid_oracle_state(state, quad, direction)
+            assert record.extracted_phase == relative_phase(out, oracle)
+            assert record.oracle_fidelity == fidelity(out, oracle)
+            state = out
 
     @given(model_index=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1),
            word=st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=5))
