@@ -108,6 +108,19 @@ def _phase(z: complex | None) -> dict | None:
                                    "arg": float(np.angle(z))}
 
 
+def _braid_fields(rec) -> dict:
+    """A braid record's payload fields, as :func:`_braid_text` writes them."""
+    return {
+        "direction": rec.direction,
+        "quad": list(rec.quad),
+        "attempts": list(rec.attempts),
+        "extracted_phase": _phase(rec.extracted_phase),
+        "step_phases": [_phase(p) for p in rec.step_phases],
+        "oracle_fidelity": rec.oracle_fidelity,
+        "outcomes": [[c.label for c in step.outcomes] for step in rec.steps],
+    }
+
+
 def _state_head(state) -> dict:
     """The fields of ``state``'s ``final_state`` record before its rows."""
     labels = state.model.labels
@@ -123,6 +136,8 @@ def _flatten(obj, prefix=""):
     elif isinstance(obj, (list, tuple)):
         for i, value in enumerate(obj):
             yield from _flatten(value, f"{prefix}{i}.")
+    elif isinstance(obj, tp.BraidRecord):
+        yield from _flatten(_braid_fields(obj), prefix)
     elif isinstance(obj, fs.StateVector):
         yield from _flatten(_state_head(obj), prefix)
         labels = obj.model.labels
@@ -177,6 +192,35 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
+def _phase_text(z: complex | None, nl: str) -> str:
+    """The JSON of ``_phase(z)`` on a line indented by ``nl``."""
+    if z is None:
+        return "null"
+    i = nl + "  "
+    return (f"{{{i}\"re\": {_float_text(float(z.real))},{i}\"im\": "
+            f"{_float_text(float(z.imag))},{i}\"arg\": {_float_text(float(np.angle(z)))}{nl}}}")
+
+
+def _braid_text(rec, nl: str) -> str:
+    """The JSON of :func:`_braid_fields` of ``rec`` on a line indented by
+    ``nl``, written from one fixed-key template: a record has four quad
+    leaves and three steps, each with at least one outcome."""
+    i1, i2, i3 = nl + "  ", nl + "    ", nl + "      "
+    item, label = "," + i2, "," + i3
+    quad = item.join([int.__repr__(leaf) for leaf in rec.quad])
+    attempts = item.join([int.__repr__(step.attempts) for step in rec.steps])
+    phases = item.join([_phase_text(z, i2) for z in rec.step_phases])
+    outcomes = item.join([f"[{i3}{label.join([_encode_str(c.label) for c in step.outcomes])}{i2}]"
+                          for step in rec.steps])
+    return (f"{{{i1}\"direction\": {_encode_str(rec.direction)},"
+            f"{i1}\"quad\": [{i2}{quad}{i1}],"
+            f"{i1}\"attempts\": [{i2}{attempts}{i1}],"
+            f"{i1}\"extracted_phase\": {_phase_text(rec.extracted_phase, i1)},"
+            f"{i1}\"step_phases\": [{i2}{phases}{i1}],"
+            f"{i1}\"oracle_fidelity\": {_float_text(rec.oracle_fidelity)},"
+            f"{i1}\"outcomes\": [{i2}{outcomes}{i1}]{nl}}}")
+
+
 def _write_json(obj, out=None) -> None:
     """Write ``obj`` to ``out`` as ``print`` of ``json.dumps`` at an indent
     of two spaces prints it, text written as the walk goes rather than
@@ -186,7 +230,9 @@ def _write_json(obj, out=None) -> None:
     must be strings, as they are in every payload here.  A
     :class:`~anyonbraid.fusion_space.StateVector` is written as the dict of
     :func:`_state_head` plus its ``amplitudes`` rows (internal labels, re,
-    im), rendered in chunks straight from its chain and amplitude arrays.
+    im), rendered in chunks straight from its chain and amplitude arrays,
+    and a :class:`~anyonbraid.teleport.BraidRecord` as the dict of
+    :func:`_braid_fields`, from one template (:func:`_braid_text`).
     """
     out = sys.stdout if out is None else out
     buf = []
@@ -230,6 +276,8 @@ def _write_json(obj, out=None) -> None:
             put("{")
             items(o.items(), nl + "  ")
             put(nl + "}")
+        elif isinstance(o, tp.BraidRecord):
+            put(_braid_text(o, nl))
         elif isinstance(o, fs.StateVector):
             inner = nl + "  "
             put("{")
@@ -413,21 +461,6 @@ def _trace_block(block, trace: list, log_probability: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _braid_payload(records) -> list:
-    out = []
-    for rec in records:
-        out.append({
-            "direction": rec.direction,
-            "quad": list(rec.quad),
-            "attempts": list(rec.attempts),
-            "extracted_phase": _phase(rec.extracted_phase),
-            "step_phases": [_phase(p) for p in rec.step_phases],
-            "oracle_fidelity": rec.oracle_fidelity,
-            "outcomes": [[c.label for c in step.outcomes] for step in rec.steps],
-        })
-    return out
-
-
 def _run_word(schedule, initial, args, trial: int):
     """Execute ``schedule`` from ``initial`` on ``Stream(seed, trial)``: the
     final state, the braid records and the final state's resource defect."""
@@ -473,7 +506,7 @@ def _cmd_braid_check(args) -> int:
             "word": str(word), "n_computational": n_comp, "seed": args.seed,
             "routing": args.routing, "random_state": bool(args.random_state),
         },
-        "braids": _braid_payload(records),
+        "braids": records,
         "resource_defect": defect,
     }
     if args.compare_word is not None:
@@ -487,7 +520,7 @@ def _cmd_braid_check(args) -> int:
             "word": str(other),
             "fidelity": fid,
             "phase": _phase(phase),
-            "braids": _braid_payload(records_b),
+            "braids": records_b,
         }
         passed = _passed(fid, max(defect, defect_b), args)
     else:
@@ -539,7 +572,7 @@ def _cmd_run(args) -> int:
     payload = {
         "config": {"schedule": args.schedule, "seed": args.seed,
                    "routing": args.routing, "word": str(schedule.word)},
-        "records": _braid_payload(records),
+        "records": records,
         "resource_defect": defect,
         "oracle_fidelity": fid,
         "final_state": final,

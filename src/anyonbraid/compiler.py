@@ -10,7 +10,10 @@ measurements; no anyon ever moves.
 
 For an odd number of computational anyons the last one is created together
 with a boundary partner anyon parked at the right end of the array, so the
-register as a whole still starts from vacuum pair creation.
+register as a whole still starts from vacuum pair creation.  The initial
+state is written straight from the register's own basis, the product of
+each pair creation's factors per row, with no pair attached in turn and no
+smaller register built on the way.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (ProtocolError, RegisterTooLarge, ScheduleError, UnsupportedCharge,
                      ZeroProbabilityOutcome)
-from .fusion_space import (MAX_LEAVES, StateVector, _ranks, attach_pair, empty_state,
+from .fusion_space import (MAX_LEAVES, StateVector, _basis, _insertion_factors, _ranks,
                            random_state)
 from .measurement import _vacuum_weight, project_pair
 from .model import AnyonModel
@@ -206,20 +211,39 @@ def build_array(model: AnyonModel, a, n_computational: int) -> tuple[ArrayLayout
     Computational anyons are created pairwise from vacuum, which requires a
     self-dual charge; with an odd count the last anyon's creation partner
     stays at the right end of the array as a spectator.  One resource pair
-    in the vacuum channel is inserted between each adjacent computational
-    pair, so braid quads are contiguous.  A register over the size limits
-    of :mod:`anyonbraid.fusion_space` raises :class:`RegisterTooLarge`
-    before any of it is built.
+    in the vacuum channel sits between each adjacent computational pair, so
+    braid quads are contiguous.  A register over the size limits of
+    :mod:`anyonbraid.fusion_space` raises :class:`RegisterTooLarge` before
+    any of it is built.
+
+    The state is written in one pass over the register's own basis, with
+    no pair attached in turn.  A row's amplitude is the product of the
+    factors each vacuum-pair insertion (:func:`attach_pair`) would multiply
+    it by: the created pairs' first, then the resource pairs' from the
+    right, each insertion read at the row's labels on either side of the
+    pair's first leaf.  A row no insertion reaches, one where a resource
+    pair does not return to its left label or a created pair does not
+    close to the vacuum, is zero.
     """
     layout = array_layout(model, a, n_computational)
-    ca = model.charge(a)
-    state = empty_state(model)
+    ca = model.charge(a).index
+    leaves = (ca,) * layout.n_leaves
+    chains = _basis(model, leaves, model.vacuum.index)
+    factors = _insertion_factors(model, ca)  # ``a`` is self-dual
+    amps = np.ones(len(chains), dtype=complex)
+    # Each insertion multiplies as ``attach_pair`` does, then adds +0 as its
+    # ``out[index] +=`` does, which turns the sign of a zero to +.
     for _ in range((n_computational + 1) // 2):
-        state = attach_pair(state, state.num_leaves, ca)
-    # Insert resource pairs right-to-left so earlier gaps keep their index.
-    for gap in range(n_computational - 1, 0, -1):
-        state = attach_pair(state, gap, model.dual(ca))
-    return layout, state
+        amps = factors[0, ca] * amps
+        amps += 0
+    # a created pair closes to the vacuum at its second anyon
+    reached = (chains[:, 3:3 * n_computational - 2:6] == 0).all(1)
+    for i in range(n_computational - 2, -1, -1):
+        amps = factors[chains[:, 3 * i], chains[:, 3 * i + 1]] * amps
+        amps += 0
+        reached &= chains[:, 3 * i + 2] == chains[:, 3 * i]
+    amps[~reached] = 0
+    return layout, StateVector(model, leaves, model.vacuum.index, amps, _chains=chains)
 
 
 def random_encoded_state(layout: ArrayLayout, rng) -> StateVector:

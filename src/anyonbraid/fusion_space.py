@@ -51,13 +51,18 @@ Source and destination basis of a table differ at most in the order of
 the pair's leaves, which changes only the rank terms of columns ``pos`` and
 ``pos + 1``.  So how far each entry's source row lies from its destination
 row, and the entry's value, depend only on the destination row's
-neighbourhood, its labels in columns ``pos - 1`` to ``pos + 1``.  A table
-is worked out once per neighbourhood that occurs, at most ``m**3`` of them,
-and gathered out to the rows: no row is sorted or looked up.
+neighbourhood, its labels in columns ``pos - 1`` to ``pos + 1``.  The
+values, the source labels a neighbourhood draws from and their slot order
+do not depend on the position either: they are worked out once per model
+and pair kind (the pair's charges and a braid's sign, or its projectors),
+on the neighbourhoods the pair's fusion rules admit, as one kernel.  A
+table selects from it the neighbourhoods that occur, works out their
+source offsets from the rank terms, and gathers them out to the rows: no
+row is sorted or looked up.
 
 Each model has one cache.  A builder wrapped by :func:`_cached` (a
-basis, its rank tables, a braid or projector table, and a measurement
-operator of :mod:`anyonbraid.measurement`) is memoized in
+basis, its rank tables, a pair kernel, a braid or projector table, and a
+measurement operator of :mod:`anyonbraid.measurement`) is memoized in
 ``model._cache`` under the key ``(builder, *args)``, so it runs once per
 model and arguments.  Its value is made read-only at that one store
 point: every array in it, at any depth of tuples, and a value holds
@@ -261,61 +266,107 @@ def _gather_all(tables, amps):
 # ---------------------------------------------------------------------------
 
 
-def _pair_tables(model, leaves, total, pos, phases, out_leaves):
-    """Gather tables ``(index, value)`` of ``F^-1 diag(phi) F`` on leaves
-    ``(pos, pos+1)``, one per row ``phi`` of the ``(P, m)`` array ``phases``,
-    stacked as the slices ``[:, k]`` of two arrays of shape ``(w, P, dim)``.
+def _pair_phases(model, a, b, kind):
+    """The ``(P, m)`` phases of the pair ``(a, b)``'s operator ``kind``: the
+    braid's one row, ``R_c^{ab}`` for ``kind=+1`` and ``conj(R_c^{ba})``
+    for ``kind=-1``, or for ``kind="projector"`` one row ``delta_c`` per
+    channel ``c`` of ``a x b``, ascending."""
+    if kind == "projector":
+        return np.identity(model.num_charges, dtype=complex)[np.flatnonzero(model.N[a, b])]
+    return (model.R[a, b] if kind > 0 else np.conj(model.R[b, a]))[None]
 
-    ``F`` resolves the pair's charge ``c``, channel ``c`` takes ``phi[c]``,
-    and the inverse F-move returns to the basis of ``out_leaves``: the
-    leaves with the pair swapped for a braid, unchanged for a projector.
-    At ``pos = 0`` the pair channel is a chain label: the tables are
-    diagonal.
 
-    Elsewhere the bases of ``leaves`` (source) and ``out_leaves``
-    (destination) agree outside columns ``pos`` and ``pos + 1``, so a
-    destination row's entries depend only on its neighbourhood, its labels
-    ``x, p, q`` in columns ``pos``, ``pos - 1`` and ``pos + 1``: the source
-    row that holds ``y`` in column ``pos`` differs from it only in the rank
-    terms (:func:`_ranks`) of the two columns, and its amplitude is
-    ``local[p, q, x, y]``.  All tables are worked out as ``(m, P, S)`` arrays
-    by source label on the ``S`` neighbourhoods that occur, numbered by a
-    count over all ``m**3``, and gathered out to the rows once.  Entries
-    that vanish are dropped: table ``k`` has its own width ``w_k``, the most
-    labels any row draws from, and its slots past ``w_k`` hold index 0 and
-    value +0.  A row's kept labels come first and its dropped ones after,
-    each in ascending order, with index 0 where no source row holds one.
+@_cached
+def _pair_kernel(model, a, b, kind):
+    """What every table of :func:`_pair_tables` for the pair ``(a, b)`` and
+    ``kind`` reads, worked out once per model on the neighbourhoods the
+    pair's fusion rules admit.
+
+    The destination basis holds the pair as ``(b, a)`` for a braid and as
+    ``(a, b)`` for a projector, and a neighbourhood ``(x, p, q)`` is
+    admissible when ``x`` is in ``p`` times the first and ``q`` in ``x``
+    times the second of those.  Returns ``(sites, hoods, counts, labels,
+    found, value)``: the admissible neighbourhoods as ascending sites
+    ``ravel(x, p, q)`` over ``m**3`` and as the ``(3, S)`` labels
+    ``x, p, q``; the ``(P, S)`` number of source labels ``y`` each draws a
+    nonzero entry from; and, as ``(W, P, S)`` arrays with ``W`` the largest
+    count, the source labels in slot order (kept first, then dropped, each
+    ascending), whether a source row holds that label, and the entry's
+    value ``local[p, q, x, y]``.  The values are one ``einsum`` over all
+    neighbourhoods, then selected.
     """
-    if pos == 0:
-        labels = _basis(model, leaves, total)[:, 1]
-        return np.tile(np.arange(len(labels)), (1, len(phases), 1)), phases[None][..., labels]
-    dst = _basis(model, out_leaves, total)
-    _, src_terms = _ranks(model, leaves, total)
-    _, dst_terms = _ranks(model, out_leaves, total)
     m = model.num_charges
-    site = np.ravel_multi_index((dst[:, pos], dst[:, pos - 1], dst[:, pos + 1]), (m,) * 3)
-    occurs = np.bincount(site, minlength=m ** 3) != 0
-    hood = (np.cumsum(occurs) - 1)[site]  # each row's neighbourhood number
-    x, p, q = np.unravel_index(np.flatnonzero(occurs), (m,) * 3)
-    # (m, S) arrays by source label y: whether a source row holds y, and how
-    # far it lies from the destination row; then (m, P, S) values
-    found = (model.N[p, leaves[pos]].T != 0) & (model.N[:, leaves[pos + 1], q] != 0)
-    offset = (src_terms[pos][p].T + src_terms[pos + 1][:, q]
-              - dst_terms[pos][p, x] - dst_terms[pos + 1][x, q])
-    F_out = np.conj(model.f_rows(slice(None), out_leaves[pos], out_leaves[pos + 1]))
-    F_in = model.f_rows(slice(None), leaves[pos], leaves[pos + 1])
+    c, d = (a, b) if kind == "projector" else (b, a)
+    admitted = (model.N[:, c].T != 0)[:, :, None] & (model.N[:, d] != 0)[:, None, :]
+    sites = np.flatnonzero(admitted)
+    x, p, q = hoods = np.unravel_index(sites, (m,) * 3)
+    phases = _pair_phases(model, a, b, kind)
+    # (m, S) by source label y: whether a source row holds y; then (m, P, S)
+    found = (model.N[p, a].T != 0) & (model.N[:, b, q] != 0)
+    F_out = np.conj(model.f_rows(slice(None), c, d))
+    F_in = model.f_rows(slice(None), a, b)
     value = np.einsum("pqxc,kc,pqyc->kpqxy", F_out, phases, F_in)[:, p, q, x]
     value = value.transpose(2, 0, 1) * found[:, None]
     nonzero = value != 0
-    widths = nonzero.sum(0).max(1, initial=1)
-    order = np.argsort(~nonzero, axis=0, kind="stable")[:widths.max()]  # kept first
-    pad = np.arange(len(order))[:, None, None] >= widths[:, None]  # slots past w_k
-    col = np.arange(len(x))
-    index = offset[order, col].take(hood, axis=2)
+    counts = nonzero.sum(0)
+    labels = np.argsort(~nonzero, axis=0, kind="stable")[:counts.max(initial=1)]
+    col = np.arange(len(sites))
+    # labels and counts are below m, and sites below m**3
+    return (sites.astype(np.min_scalar_type(m ** 3)), np.array(hoods, dtype=LABEL),
+            counts.astype(LABEL), labels.astype(LABEL), found[labels, col],
+            value[labels, np.arange(len(phases))[:, None], col])
+
+
+def _pair_tables(model, leaves, total, pos, kind):
+    """Gather tables ``(index, value)`` of ``F^-1 diag(phi) F`` on leaves
+    ``(pos, pos+1)``, one per row ``phi`` of the ``(P, m)`` phases of
+    ``kind`` (:func:`_pair_phases`), stacked as the slices ``[:, k]`` of two
+    arrays of shape ``(w, P, dim)``.
+
+    ``F`` resolves the pair's charge ``c``, channel ``c`` takes ``phi[c]``,
+    and the inverse F-move returns to the destination basis: the leaves
+    with the pair swapped for a braid, unchanged for a projector.  At
+    ``pos = 0`` the pair channel is a chain label: the tables are diagonal.
+
+    Elsewhere the source and destination bases agree outside columns
+    ``pos`` and ``pos + 1``, so a destination row's entries depend only on
+    its neighbourhood, its labels ``x, p, q`` in columns ``pos``,
+    ``pos - 1`` and ``pos + 1``: the source row that holds ``y`` in column
+    ``pos`` differs from it only in the rank terms (:func:`_ranks`) of the
+    two columns, and its amplitude is ``local[p, q, x, y]``.  The entries
+    of every neighbourhood of the pair's :func:`_pair_kernel` get their
+    source offsets and are gathered out to the rows once; the widths count
+    only the neighbourhoods that occur.  Entries that vanish are dropped: table ``k`` has its
+    own width ``w_k``, the most labels any row draws from, and its slots
+    past ``w_k`` hold index 0 and value +0.  A row's kept labels come first
+    and its dropped ones after, each in ascending order, with index 0 where
+    no source row holds one.
+    """
+    a, b = leaves[pos], leaves[pos + 1]
+    if pos == 0:
+        labels = _basis(model, leaves, total)[:, 1]
+        phases = _pair_phases(model, a, b, kind)
+        return np.tile(np.arange(len(labels)), (1, len(phases), 1)), phases[None][..., labels]
+    out_leaves = leaves if kind == "projector" else leaves[:pos] + (b, a) + leaves[pos + 2:]
+    dst = _basis(model, out_leaves, total)
+    _, src_terms = _ranks(model, leaves, total)
+    _, dst_terms = _ranks(model, out_leaves, total)
+    sites, (x, p, q), counts, labels, found, value = _pair_kernel(model, a, b, kind)
+    m = model.num_charges
+    column = np.zeros(m ** 3, dtype=np.intp)
+    column[sites] = np.arange(len(sites))
+    site = np.ravel_multi_index((dst[:, pos], dst[:, pos - 1], dst[:, pos + 1]), (m,) * 3)
+    hood = column[site]  # each row's neighbourhood, as a kernel column
+    occurs = np.bincount(hood, minlength=len(sites)) != 0
+    widths = counts.max(1, initial=1, where=occurs)
+    y = labels[:widths.max()]
+    pad = np.arange(len(y))[:, None, None] >= widths[:, None]  # slots past w_k
+    # how far the source row holding y lies from the destination row
+    index = (src_terms[pos][p, y] + src_terms[pos + 1][y, q]
+             - dst_terms[pos][p, x] - dst_terms[pos + 1][x, q]).take(hood, axis=2)
     index += np.arange(len(dst))
-    index *= (found[order, col] & ~pad).take(hood, axis=2)
-    value = np.where(pad, 0, value[order, np.arange(len(phases))[:, None], col])
-    return index, value.take(hood, axis=2)
+    index *= (found[:len(y)] & ~pad).take(hood, axis=2)
+    return index, np.where(pad, 0, value[:len(y)]).take(hood, axis=2)
 
 
 @_cached
@@ -330,8 +381,7 @@ def _braid_table(model, leaves, total, pos, sign):
     """
     a, b = leaves[pos], leaves[pos + 1]
     swapped = leaves[:pos] + (b, a) + leaves[pos + 2:]
-    phases = model.R[a, b] if sign > 0 else np.conj(model.R[b, a])
-    index, value = _pair_tables(model, leaves, total, pos, phases[None], swapped)
+    index, value = _pair_tables(model, leaves, total, pos, sign)
     return swapped, index[:, 0], value[:, 0]
 
 
@@ -345,8 +395,7 @@ def _projector_table(model, leaves, total, pos):
     ``F^-1 delta_c F`` onto channel ``c = present[k]``, in its own width.
     """
     channels = np.flatnonzero(model.N[leaves[pos], leaves[pos + 1]])
-    deltas = np.identity(model.num_charges, dtype=complex)[channels]
-    index, value = _pair_tables(model, leaves, total, pos, deltas, leaves)
+    index, value = _pair_tables(model, leaves, total, pos, "projector")
     kept = value.any(axis=(0, 2))
     if not kept.all():
         index, value = index.compress(kept, 1), value.compress(kept, 1)
@@ -395,6 +444,16 @@ def fidelity(s1: StateVector, s2: StateVector) -> float:
     return abs(inner(s1, s2))
 
 
+def _insertion_factors(model, a):
+    """The ``(m, m)`` factors ``conj([F_y^{y a abar}]_{z,0}) N[y, a, z]`` by
+    which a vacuum-channel pair ``(a, abar)`` inserted after a chain label
+    ``y`` multiplies the amplitude of the row where the pair's first leaf
+    takes the running charge to ``z``."""
+    every = np.arange(model.num_charges)
+    F = model.f_rows(every, a, model.dual(a).index, every)[..., 0]
+    return np.conj(F) * model.N[:, a, :]
+
+
 def attach_pair(state: StateVector, position: int, a) -> StateVector:
     """Insert a vacuum-channel pair ``(a, dual a)`` at the given leaf position.
 
@@ -422,9 +481,9 @@ def attach_pair(state: StateVector, position: int, a) -> StateVector:
     for j in range(position):
         base += (new_terms[j] - old_terms[j])[before, chains[:, j]]
         before = chains[:, j]
-    every = np.arange(model.num_charges)
-    for z in every.tolist():
-        amp = (np.conj(model.f_rows(every, ca, cab, every, z)[:, 0]) * model.N[every, ca, z])[y]
+    factors = _insertion_factors(model, ca)
+    for z in range(model.num_charges):
+        amp = factors[y, z]
         keep = amp != 0
         # The running charge goes y -> z (absorb a) -> y (absorb dual a)
         # and the rest of the chain is untouched.

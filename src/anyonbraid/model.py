@@ -102,13 +102,16 @@ class AnyonModel:
     meta : dict, optional
         Free-form provenance notes (gauge, chirality, preferred charge).
 
-    F's layout (:func:`_f_store`) is worked out here, once, and kept for
-    :meth:`verify_consistency`.  F is read through :meth:`f_rows`;
+    F's layout (:func:`_f_store`) is worked out once per model, and kept for
+    :meth:`verify_consistency`: here, unless the builder or parser that
+    listed F's values from it hands it in.  F is read through :meth:`f_rows`;
     :attr:`F` is a dense copy, built on first read, of the whole table.
     """
 
     def __init__(self, name, labels, fusion, qdim, f_symbols, r_symbols,
-                 params=None, meta=None):
+                 params=None, meta=None, *, _layout=None):
+        # ``_layout`` is passed internally: F's layout for ``fusion``, as
+        # the caller derived it to list F's values.
         self.name = str(name)
         self.labels = tuple(str(l) for l in labels)
         m = len(self.labels)
@@ -123,7 +126,8 @@ class AnyonModel:
         if len(self._by_label) != m:
             raise ModelError(f"duplicate charge labels in model {self.name!r}")
         self._validate_tables()
-        self._f_row, self._f_store, self._f_off, self._f_layout = _f_store(self.N, f_symbols)
+        self._f_row, self._f_store, self._f_off, self._f_layout = _f_store(
+            self.N, f_symbols, _layout)
         for arr in (self.N, self.qd, self.R, self._f_row, self._f_store, *self._f_layout):
             arr.flags.writeable = False
         self._dual = self._find_duals()
@@ -479,11 +483,12 @@ def _regroup(m: int, idx: np.ndarray, values: np.ndarray,
     return index.reshape((m,) * 5), table
 
 
-def _f_store(N: np.ndarray, f_symbols) -> tuple[np.ndarray, np.ndarray, float, tuple]:
+def _f_store(N: np.ndarray, f_symbols, layout=None) -> tuple[np.ndarray, np.ndarray, float, tuple]:
     """F as its admissible rows: ``(index, store, off, layout)``.
 
     ``f_symbols`` is the dense ``(m,) * 6`` table or the values of the
-    entries of ``layout`` (:func:`_admissible_entries`), in their order.
+    entries of ``layout`` (:func:`_admissible_entries`, enumerated here
+    unless given), in their order.
     Row i of ``store`` holds ``[F_d^{abc}]_{e,.}`` of the layout's row i,
     and its last row is zero.  ``index`` numbers the rows, a miss pointing
     at the zero row, and ``off`` is the largest ``|F|`` a dense table holds
@@ -491,7 +496,7 @@ def _f_store(N: np.ndarray, f_symbols) -> tuple[np.ndarray, np.ndarray, float, t
     """
     m = N.shape[0]
     F = np.asarray(f_symbols, dtype=complex)
-    rows, entries, r = layout = _admissible_entries(N)
+    rows, entries, r = layout = _admissible_entries(N) if layout is None else layout
     if F.shape not in ((m,) * 6, r.shape):
         raise ModelError("F/R tables have wrong shape")
     if not np.isfinite(F).all():
@@ -748,20 +753,21 @@ def check_model_size(m: int) -> None:
 
 
 def _fill_tables(m, fusion, f_values, r_func):
-    """Dense N/R arrays, zero off the admissible set, and the values of F's
-    admissible entries, the form :class:`AnyonModel` lays out.  ``f_values``
-    maps the ``(E, 6)`` array of admissible F indices
-    (:func:`_admissible_entries`) to their E values in one call; ``r_func``
-    gives one R entry."""
+    """Dense N/R arrays, zero off the admissible set, the values of F's
+    admissible entries, the form :class:`AnyonModel` lays out, and F's
+    layout (:func:`_admissible_entries`), which the constructor takes as
+    its ``_layout``.  ``f_values`` maps the ``(E, 6)`` array of admissible
+    F indices to their E values in one call; ``r_func`` gives one R
+    entry."""
     N = np.zeros((m, m, m), dtype=np.int8)
     for (a, b), cs in fusion.items():
         for c in cs:
             N[a, b, c] = 1
-    _, idx, _ = _admissible_entries(N)
+    layout = _admissible_entries(N)
     R = np.zeros((m, m, m), dtype=complex)
     for a, b, c in np.argwhere(N).tolist():
         R[a, b, c] = r_func(a, b, c)
-    return N, f_values(idx), R
+    return N, f_values(layout[1]), R, layout
 
 
 def _per_entry(f_func):
@@ -787,11 +793,11 @@ def fibonacci_model() -> AnyonModel:
         return 1.0
 
     fusion = {(0, 0): [0], (0, 1): [1], (1, 0): [1], (1, 1): [0, 1]}
-    N, F, R = _fill_tables(2, fusion, _per_entry(f_func), r_func)
+    N, F, R, layout = _fill_tables(2, fusion, _per_entry(f_func), r_func)
     return AnyonModel("fibonacci", ["0", "1"], N, np.array([1.0, phi]), F, R,
                       meta={"computational_charge": "1",
                             "chirality": "counterclockwise",
-                            "gauge": "real symmetric F"})
+                            "gauge": "real symmetric F"}, _layout=layout)
 
 
 def ising_model() -> AnyonModel:
@@ -822,13 +828,13 @@ def ising_model() -> AnyonModel:
 
     fusion = {(0, 0): [0], (0, s): [s], (s, 0): [s], (0, p): [p], (p, 0): [p],
               (s, s): [0, p], (s, p): [s], (p, s): [s], (p, p): [0]}
-    N, F, R = _fill_tables(3, fusion, _per_entry(f_func), r_func)
+    N, F, R, layout = _fill_tables(3, fusion, _per_entry(f_func), r_func)
     return AnyonModel("ising", ["0", "1/2", "1"], N,
                       np.array([1.0, math.sqrt(2.0), 1.0]), F, R,
                       meta={"computational_charge": "1/2",
                             "chirality": "counterclockwise",
                             "gauge": "real symmetric F",
-                            "frobenius_schur_1/2": 1})
+                            "frobenius_schur_1/2": 1}, _layout=layout)
 
 
 def _spin_label(n: int) -> str:
@@ -892,14 +898,14 @@ def su2k_model(k: int) -> AnyonModel:
         for b in range(m):
             top = min(a + b, 2 * k - a - b)
             fusion[(a, b)] = list(range(abs(a - b), top + 1, 2))
-    N, F, R = _fill_tables(m, fusion, f_values, r_func)
+    N, F, R, layout = _fill_tables(m, fusion, f_values, r_func)
     qd = qnum[1:m + 1].copy()
     return AnyonModel("su2_k", [_spin_label(n) for n in range(m)], N, qd, F, R,
                       params={"k": k},
                       meta={"computational_charge": "1/2",
                             "chirality": "counterclockwise",
                             "gauge": "real orthogonal q-6j",
-                            "frobenius_schur_1/2": -1})
+                            "frobenius_schur_1/2": -1}, _layout=layout)
 
 
 _BUILTIN_NAMES = ("fibonacci", "ising", "su2_k")

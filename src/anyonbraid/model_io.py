@@ -123,14 +123,14 @@ def parse_model_text(text: str, tolerance: float | None = CONSISTENCY_TOL) -> An
             N[a, b, c] = 1
             N[b, a, c] = 1
 
-    _, entries, _ = _admissible_entries(N)
-    F = _section(sections["f"], index, "F", 6, _ravel(m, *entries.T))
+    layout = _admissible_entries(N)
+    F = _section(sections["f"], index, "F", 6, _ravel(m, *layout[1].T))
     R = np.zeros(N.shape, complex)  # filled in the C order of np.flatnonzero
     R[N != 0] = _section(sections["r"], index, "R", 3, np.flatnonzero(N))
 
     try:
         model = AnyonModel(headers["name"], labels, N, qd, F, R,
-                           meta={"source": "file"})
+                           meta={"source": "file"}, _layout=layout)
     except ModelError as exc:
         raise ModelFileError(f"invalid model data: {exc}") from exc
     for i in range(m):

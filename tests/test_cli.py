@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import gc
 import io
 import json
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyonbraid import cli, compiler, model_io
+from anyonbraid import cli, compiler, load_builtin, model_io
 from anyonbraid import model as model_module
 from anyonbraid.cli import _write_json, main
 
@@ -448,9 +449,9 @@ class TestCompileRun:
         from anyonbraid import compiler
 
         def refuse(*args, **kwargs):
-            raise AssertionError("compile attached a pair")
+            raise AssertionError("compile enumerated a basis")
 
-        monkeypatch.setattr(compiler, "attach_pair", refuse)
+        monkeypatch.setattr(compiler, "_basis", refuse)
         code, out, _ = run_cli(capsys, "compile", "--model", "fibonacci",
                                "--n-computational", "6", "--word", "s1 s5'")
         assert code == 0
@@ -1414,6 +1415,20 @@ class TestJsonWriter:
         out = io.StringIO()
         _write_json(payload, out)
         assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+    def test_braid_records_from_their_template(self):
+        """A braid record is written as the dict of its payload fields, at
+        any depth, a phase missing or not."""
+        layout, state = compiler.build_array(load_builtin("ising"), "1/2", 3)
+        schedule = compiler.compile_word(compiler.BraidWord.parse("s1 s2' s1'"), layout)
+        _, records = compiler.execute(schedule, state, np.random.default_rng(3))
+        records.append(dataclasses.replace(records[0], extracted_phase=None,
+                                           step_phases=(None, -0.0 + 1j, math.nan)))
+        for payload in ({"braids": records}, {"a": {"b": [records, records[-1]]}}, records):
+            out = io.StringIO()
+            _write_json(payload, out)
+            want = json.dumps(payload, default=cli._braid_fields, indent=2)
+            assert out.getvalue() == want + "\n"
 
     def test_edge_values(self):
         payload = {"empty": [[], (), {}], "tuple": (1, (2,)), "floats": [

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyonbraid import (BraidWord, ProtocolError, Schedule, ScheduleError,
-                        StateVector, UnsupportedCharge, build_array, check_resources,
-                        compile_word, direct_braid_reference, execute,
-                        fidelity, pair_charge_distribution, project_pair,
+from anyonbraid import (BraidWord, ProtocolError, RegisterTooLarge, Schedule,
+                        ScheduleError, StateVector, UnsupportedCharge, attach_pair,
+                        build_array, check_resources, compile_word,
+                        direct_braid_reference, empty_state, execute, fidelity,
+                        load_builtin, pair_charge_distribution, project_pair,
                         random_encoded_state, random_state, relative_phase,
                         schedule_from_dict)
-from anyonbraid.compiler import RESOURCE_TOL
+from anyonbraid.compiler import RESOURCE_TOL, array_layout
 from anyonbraid.model_io import parse_model_text
 
 from conftest import sample_pair
@@ -22,7 +23,48 @@ from conftest import sample_pair
 from test_model_io import Z3_TEXT
 
 
+def _attached_array(model, a, n_comp):
+    """The array state of ``n_comp`` anyons grown pair by pair: the created
+    pairs attached at the right end, then the resource pairs inserted from
+    the right, each at its gap."""
+    charge = model.charge(a)
+    state = empty_state(model)
+    for _ in range((n_comp + 1) // 2):
+        state = attach_pair(state, state.num_leaves, charge)
+    for gap in range(n_comp - 1, 0, -1):
+        state = attach_pair(state, gap, model.dual(charge))
+    return state
+
+
+_ARRAY_MODELS = [("fibonacci", None), ("ising", None)] + [("su2_k", k) for k in range(2, 7)]
+
+
 class TestBuildArray:
+    @settings(max_examples=120)
+    @given(data=st.data())
+    def test_one_pass_equals_pairs_attached_in_turn(self, data):
+        name, k = data.draw(st.sampled_from(_ARRAY_MODELS), label="model")
+        model = load_builtin(name, k=k)
+        charge = data.draw(st.sampled_from(
+            [c.label for c in model.charges if model.dual(c) == c]), label="charge")
+        n_comp = data.draw(st.integers(2, 8), label="n_comp")
+        try:
+            _, state = build_array(model, charge, n_comp)
+        except RegisterTooLarge:
+            with pytest.raises(RegisterTooLarge):
+                array_layout(model, charge, n_comp)
+            return
+        want = _attached_array(model, charge, n_comp)
+        assert state.leaves == want.leaves and state.total == want.total
+        assert state.chains.tobytes() == want.chains.tobytes()
+        assert state.amps.tobytes() == want.amps.tobytes()
+
+    def test_caches_the_final_register_only(self):
+        model = load_builtin("ising")  # a fresh operator cache
+        _, state = build_array(model, "1/2", 7)
+        assert sorted((key[0].__name__, key[1:]) for key in model._cache) == [
+            ("_basis", (state.leaves, state.total)), ("_ranks", (state.leaves, state.total))]
+
     def test_ising_four_computational(self, ising):
         layout, state = build_array(ising, "1/2", 4)
         assert layout.computational == (0, 3, 6, 9)

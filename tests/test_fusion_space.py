@@ -260,7 +260,8 @@ class TestOperatorCache:
         assert len(model._cache) > 20
         # every kind of entry the cache stores is among them
         assert {key[0].__name__ for key in model._cache} == {
-            "_ranks", "_basis", "_braid_table", "_projector_table", "_pair_op"}
+            "_ranks", "_basis", "_braid_table", "_projector_table", "_pair_op",
+            "_pair_kernel"}
         assert [repr(key) for key, value in model._cache.items() if mutable_parts(value)] == []
 
     def test_frozen_reaches_arrays_at_any_depth(self):

@@ -359,8 +359,8 @@ class TestFInputForms:
 
 class TestLayoutBuiltOnce:
     """F's layout is worked out once per model: built-ins and model files
-    enumerate F's admissible entries at most twice (once for the values,
-    once in the constructor), and a verify reads the constructor's layout,
+    enumerate F's admissible entries once, to list the values, and hand the
+    layout to the constructor; a verify reads the constructor's layout,
     regrouping F's entries only along the pentagon's axes 1 and 4."""
 
     @staticmethod
@@ -386,13 +386,15 @@ class TestLayoutBuiltOnce:
             assert names.count("_admissible_blocks") <= 1
             assert sorted(axis for name, axis in calls if name == "_regroup") == [1, 4]
 
-    def test_build_and_parse_enumerate_entries_at_most_twice(self, monkeypatch):
+    def test_build_and_parse_enumerate_entries_once(self, monkeypatch):
         head, rows, tail = _rendered("su2_k", 11, 0)
         text = "\n".join(head + rows + tail) + "\n"
-        for build in (lambda: load_builtin("su2_k", k=11), lambda: parse_model_text(text)):
+        builds = [lambda: load_builtin("su2_k", k=11), lambda: parse_model_text(text),
+                  lambda: load_builtin("fibonacci"), lambda: load_builtin("ising")]
+        for build in builds:
             calls = self.spy(monkeypatch)
             build()
-            assert [name for name, _ in calls].count("_admissible_entries") <= 2
+            assert [name for name, _ in calls].count("_admissible_entries") == 1
 
 
 class TestRSymbols:

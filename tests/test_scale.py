@@ -8,7 +8,9 @@ tables included, under the budget below.  With 10 anyons (dim 196,418)
 gather tables built from local ranks kept it under 400 MiB (351 MiB); the
 resolved chain matrices of a sort-based lookup alone took 420 MiB there.
 Measuring each pair through its channel projectors, with no F-move tables
-into a resolved basis, keeps it under 340 MiB (309 MiB).
+into a resolved basis, kept it under 340 MiB (309 MiB, then 300 MiB).
+Writing the array state from its final basis alone, with no smaller
+register cached on the way, keeps it under 336 MiB (297.5 MiB).
 
 A braid word can be arbitrarily long on fixed resources: ten thousand
 generators on one Ising pair of computational anyons keep every state
@@ -47,13 +49,13 @@ from anyonbraid.teleport import PHASE_TOL
 
 from state_oracle import state_to_dict
 
-#: Peak traced allocation allowed for the whole run.
-MEMORY_BUDGET_BYTES = 256 * 2 ** 20
+#: Peak traced allocation allowed for the whole run; it measured 15.8 MiB.
+MEMORY_BUDGET_BYTES = 253 * 2 ** 20
 
 #: Peak traced allocation allowed for the same check with 10 computational
-#: anyons (28 leaves, dim 196,418); it measured 300 MiB.  Operator tables
+#: anyons (28 leaves, dim 196,418); it measured 297.5 MiB.  Operator tables
 #: dominate it; every resource pair is measured once, on the final state.
-WIDE_BUDGET_BYTES = 340 * 2 ** 20
+WIDE_BUDGET_BYTES = 336 * 2 ** 20
 
 #: Peak traced allocation allowed to build and verify su2_k at k=11; it
 #: measured 35.2 MiB.  F is kept as its 12,376 admissible rows (1.1 MiB),
